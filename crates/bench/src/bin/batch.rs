@@ -1,6 +1,6 @@
 //! Batch-scheduler driver: wall-clock comparison of the tree vs interned
-//! meta-kernels on the sequential path, plus the parallel batch scheduler
-//! with its shared forward-run cache.
+//! meta-kernels with one worker, plus the batch scheduler with `N`
+//! workers. Every phase shares forward runs through the batch's cache.
 //!
 //! Loads the first suite benchmark with at least 16 thread-escape queries
 //! (hedc with the default suite), and runs its query batch three ways:
@@ -9,7 +9,7 @@
 //! 2. `--jobs 1` with the **interned** meta-kernel (the production hot
 //!    path) — every per-query outcome must be bit-identical to run 1, and
 //!    the backward/meta phase is expected to be ≥ 1.5x faster;
-//! 3. `--jobs N` with the interned kernel and the shared forward cache.
+//! 3. `--jobs N` with the interned kernel.
 //!
 //! Unless running in deadline mode, the run is summarized into a
 //! machine-readable `BENCH_batch.json` (path override:
@@ -191,7 +191,7 @@ fn main() {
         ..pda_tracer::TracerConfig::default()
     };
 
-    // Phase 1: sequential, tree kernel (the oracle).
+    // Phase 1: one worker, tree kernel (the oracle).
     let tree_cfg = BatchConfig {
         jobs: 1,
         tracer: tracer(MetaKernel::Tree),
@@ -219,7 +219,7 @@ fn main() {
     };
     let (seq_sink, par_sink) = (mk_sink("j1"), mk_sink("jN"));
 
-    // Phase 2: sequential, interned kernel — the same work, packed.
+    // Phase 2: one worker, interned kernel — the same work, packed.
     let int_cfg = BatchConfig {
         jobs: 1,
         tracer: tracer(MetaKernel::Interned),
@@ -240,7 +240,7 @@ fn main() {
         seq_stats
     );
 
-    // Phase 3: parallel, interned kernel, shared forward cache.
+    // Phase 3: `jobs` workers, interned kernel.
     let par_cfg = BatchConfig {
         jobs,
         tracer: tracer(MetaKernel::Interned),
@@ -271,7 +271,7 @@ fn main() {
     );
     println!("parallel speedup (jobs={jobs} vs jobs=1): {par_speedup:.2}x");
     println!(
-        "forward runs: {} sequential vs {} with the shared cache ({} saved, hit rate {:.1}%)",
+        "forward runs: {} looked up, {} executed with the shared cache ({} saved, hit rate {:.1}%)",
         seq.iter().map(|r| r.iterations).sum::<usize>(),
         par_stats.cache.misses,
         par_stats.cache.hits,

@@ -27,7 +27,7 @@ fn main() {
             cells.push(format!(
                 "{:.2}s ({} runs, {p}/{i}/{u})",
                 run.wall_micros as f64 / 1e6,
-                run.forward_runs
+                run.forward_runs()
             ));
         }
         rows.push(cells);

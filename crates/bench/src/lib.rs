@@ -15,11 +15,11 @@
 //!
 //! Scale knobs come from the environment so CI can run a quick pass:
 //! `PDA_MAX_QUERIES` (default 40), `PDA_MAX_ITERS` (default 40),
-//! `PDA_JOBS` (default 1 = the sequential grouped driver; `> 1` routes
-//! queries through the parallel batch scheduler and its shared
-//! forward-run cache), `PDA_DEADLINE_MS` (per-query wall-clock budget,
-//! default unlimited), and `PDA_ESCALATE` (fact-budget escalation retries
-//! on forward-run `TooBig`, default 0).
+//! `PDA_JOBS` (batch workers, default 1; each batch shares forward runs
+//! through the scheduler's cache at any value, so only wall time depends
+//! on it), `PDA_DEADLINE_MS` (per-query wall-clock budget, default
+//! unlimited), and `PDA_ESCALATE` (fact-budget escalation retries on
+//! forward-run `TooBig`, default 0).
 
 use pda_suite::{AnalysisRun, Benchmark, ExperimentConfig};
 
@@ -48,26 +48,16 @@ pub fn config_from_env() -> ExperimentConfig {
 }
 
 /// Builds the unified [`pda_util::ObsRegistry`] footer registry over all
-/// analysis runs of an invocation: worker count, throughput, forward-run
-/// cache effectiveness, and the meta-kernel counters. The cache columns
-/// are only nonzero under `PDA_JOBS > 1` (the sequential driver shares
-/// forward runs via query groups, not the cache).
+/// analysis runs of an invocation: every run's batch registries merged
+/// (throughput, forward-run cache, faults, solver and meta-kernel
+/// counters), with the worker count taken as the largest requested.
 pub fn batch_obs(runs: &[AnalysisRun]) -> pda_util::ObsRegistry {
-    use pda_util::Counter;
-    let mut cache = pda_util::CacheStats::default();
-    let mut meta = pda_meta::MetaStats::default();
-    for r in runs {
-        cache.merge(r.cache);
-        meta.merge(&r.meta);
-    }
     let mut obs = pda_util::ObsRegistry::default();
-    obs.set(Counter::Jobs, runs.iter().map(|r| r.jobs).max().unwrap_or(1) as u64);
-    obs.set(Counter::Queries, runs.iter().map(|r| r.outcomes.len()).sum::<usize>() as u64);
-    obs.set(Counter::WallMicros, runs.iter().map(|r| r.wall_micros).sum::<u128>() as u64);
-    obs.set(Counter::ForwardRuns, runs.iter().map(|r| r.forward_runs).sum::<usize>() as u64);
-    obs.set(Counter::CacheHits, cache.hits);
-    obs.set(Counter::CacheMisses, cache.misses);
-    meta.add_to_obs(&mut obs);
+    for r in runs {
+        obs.merge(&r.obs);
+    }
+    let jobs = runs.iter().map(|r| r.jobs).max().unwrap_or(1);
+    obs.set(pda_util::Counter::Jobs, jobs as u64);
     obs
 }
 

@@ -26,11 +26,11 @@ use pda_escape::EscapeClient;
 use pda_meta::BeamConfig;
 use pda_tracer::{
     default_jobs, outcome_tag, solve_queries_batch_checkpointed_traced, solve_queries_batch_traced,
-    solve_query, solve_query_observed, BatchConfig, Escalation, Outcome, QueryObs, TracerConfig,
+    solve_query, BatchConfig, Escalation, Outcome, QueryObs, Session, TracerConfig,
     ViableEngine,
 };
 use pda_typestate::TypestateClient;
-use pda_util::{Deadline, Event, FileSink, Idx, ObsRegistry, TraceSink};
+use pda_util::{Event, FileSink, Idx, ObsRegistry, TraceSink};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -920,15 +920,9 @@ fn solve_report(source: &str, opts: &SolveOpts<'_>) -> Result<String, CliError> 
                     let query = client.state_query(qid);
                     let r = if observing {
                         let mut qobs = QueryObs::new(next_query, sink.is_some(), opts.metrics);
-                        let r = solve_query_observed(
-                            &program,
-                            &callees,
-                            &client,
-                            &query,
-                            &config,
-                            Deadline::NEVER,
-                            &mut qobs,
-                        );
+                        let r = Session::new(&program, &callees, &client, &query, &config)
+                            .observe(&mut qobs)
+                            .run();
                         if let Some(s) = &sink {
                             for ev in &qobs.events {
                                 s.emit(ev);

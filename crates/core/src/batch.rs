@@ -39,31 +39,30 @@
 //! minimum `(entry, state)` id), so a cached result is *identical* to the
 //! run it replaces and per-query outcomes, costs, and iteration counts do
 //! not depend on `jobs` or on scheduling order — including in the
-//! presence of faulted sibling queries. `jobs == 1` short-circuits to the
-//! sequential [`crate::tracer::solve_query`] loop, bit for bit.
+//! presence of faulted sibling queries. The cache is shared whenever the
+//! batch has two or more queries to solve, whatever `jobs` is; `jobs`
+//! only sets how many workers claim queries (one worker runs them inline
+//! on the calling thread, in query order).
 //!
-//! This subsumes neither the Section 6 *query groups* optimization
-//! ([`crate::groups::solve_queries`]) nor is subsumed by it: groups share
-//! one forward run across queries *inside one CEGAR step*, while the
-//! batch cache shares runs across *independent* per-query loops (and
-//! across groups, were the two composed).
+//! The cache also does the work of the paper's Section 6 *query groups*:
+//! the minimum-cost choice is canonical, so queries whose learned
+//! constraint sets agree pick the same abstraction next and hit the same
+//! slot — the one forward run a group would have shared.
 
 use crate::client::{Query, TracerClient};
 use crate::tracer::{
-    backward_phase, effective_deadline, effective_mem_budget, solve_query_pooled, Governor,
-    Outcome, QueryObs, QueryResult, StepResult, TracerConfig, Unresolved, ViableState,
+    effective_mem_budget, Outcome, QueryObs, QueryResult, Session, TracerConfig, Unresolved,
 };
-use pda_dataflow::{rhs, Interrupt, RhsLimits, RhsResult, TooBig};
+use pda_dataflow::{Interrupt, RhsResult, TooBig};
 use pda_lang::{CallId, MethodId, Program};
-use pda_meta::{InternCache, MetaStats, WarmStore};
-use pda_solver::PFormula;
+use pda_meta::{MetaStats, WarmStore};
 use pda_util::{
     fault_point, faultplane, fnv1a, CacheStats, Counter, Deadline, Event, MemBudget, ObsRegistry,
-    Span, SpanKind, SplitMix64, StripedLock, TraceSink,
+    SplitMix64, StripedLock, TraceSink,
 };
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -135,9 +134,9 @@ impl RetryPolicy {
     }
 }
 
-/// Per-worker effort attribution for one batch run (`jobs > 1`; the
-/// sequential driver reports a single entry). Entries are in worker
-/// *completion* order — attribution data, not a schedule.
+/// Per-worker effort attribution for one batch run (one entry per
+/// worker; a lone worker runs inline and reports a single entry). Entries
+/// are in worker *completion* order — attribution data, not a schedule.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerMeta {
     /// Queries this worker claimed and solved (drained claims excluded).
@@ -148,8 +147,7 @@ pub struct WorkerMeta {
     pub busy_micros: u64,
     /// Microseconds this worker spent blocked on shared-structure locks:
     /// contended [`ForwardCache`] shard acquisitions for its queries plus
-    /// admission-turnstile waits. Zero when `jobs == 1` (no shared
-    /// structures).
+    /// admission-turnstile waits.
     pub lock_wait_micros: u64,
 }
 
@@ -158,14 +156,15 @@ pub struct WorkerMeta {
 pub struct BatchConfig {
     /// Per-query TRACER configuration.
     pub tracer: TracerConfig,
-    /// Requested worker parallelism. `1` reproduces the sequential
-    /// driver exactly (no cache, no pool); `0` is treated as `1`. Any
-    /// value `> 1` selects the shared-cache parallel path, but the
-    /// number of threads actually spawned is additionally clamped to the
-    /// machine's available parallelism — oversubscribing a core count
-    /// only time-shares the CEGAR loops and inflates per-phase
-    /// wall-clock attribution without finishing any sooner. The default
-    /// is the machine's available parallelism. See
+    /// Requested worker parallelism; `0` is treated as `1`. Workers only
+    /// decide who claims which query: the forward-run cache and warm meta
+    /// store are shared whenever the batch has two or more queries to
+    /// solve, at any value. The number of workers actually used is
+    /// additionally clamped to the machine's available parallelism —
+    /// oversubscribing a core count only time-shares the CEGAR loops and
+    /// inflates per-phase wall-clock attribution without finishing any
+    /// sooner — and a single worker runs inline on the calling thread.
+    /// The default is the machine's available parallelism. See
     /// [`BatchConfig::thread_cap`] to override the clamp.
     pub jobs: usize,
     /// Upper bound on *spawned* worker threads. `None` (the default)
@@ -239,7 +238,8 @@ pub struct BatchStats {
     /// parallelism — see [`WorkerMeta`] for per-thread attribution).
     pub jobs: usize,
     /// Forward-run cache hits/misses (`misses` = RHS runs executed;
-    /// `hits` = RHS runs saved). All-zero when `jobs == 1` (no cache).
+    /// `hits` = RHS runs saved). All-zero when fewer than two queries
+    /// were solved (no cache).
     pub cache: CacheStats,
     /// Wall-clock time for the whole batch, microseconds.
     pub wall_micros: u128,
@@ -264,7 +264,7 @@ pub struct BatchStats {
     /// Total microseconds workers spent blocked on shared-structure
     /// locks: contended [`ForwardCache`] shard acquisitions, admission
     /// turnstile waits, and warm meta-store shard waits. Rendered as
-    /// `contention=` in the footer. Zero when `jobs == 1`.
+    /// `contention=` in the footer.
     pub contention_micros: u64,
     /// Faults the deterministic fault plane fired during this batch (the
     /// delta of [`pda_util::faultplane::faults_injected`] across the
@@ -278,7 +278,7 @@ pub struct BatchStats {
     /// it in for its own footers/health reply.
     pub watchdog_fired: u64,
     /// Per-worker effort attribution, in worker completion order (one
-    /// entry per worker that ran; a single entry when `jobs == 1`). Not
+    /// entry per worker that ran; a single entry for a lone worker). Not
     /// part of the rendered footer — the bench emits it as JSON.
     pub worker_meta: Vec<WorkerMeta>,
     /// Backward/meta-phase counters summed over all queries (including
@@ -451,9 +451,11 @@ impl<'p, S> ForwardCache<'p, S> {
     /// The memoized forward run for `assignment` under `max_facts`,
     /// executing `compute` at most once per key across all threads
     /// (barring panics or deadline aborts, which release the key for a
-    /// retry). Counts one miss for the caller that ran `compute` (or
-    /// blocked on the winner of a race) and one hit for a caller that
-    /// found the slot already filled.
+    /// retry). Counts one miss per execution of `compute` and one hit per
+    /// caller served a memoized result — including a caller that waited
+    /// for a sibling's computation — so `misses` is the number of RHS
+    /// runs executed, independent of the schedule. A waiter whose own
+    /// deadline expires counts neither.
     ///
     /// `deadline` bounds *waiting* as well as computing: a caller whose
     /// deadline expires while a sibling computes gives up with
@@ -486,29 +488,20 @@ impl<'p, S> ForwardCache<'p, S> {
                     }),
             )
         };
-        let mut counted = false;
         loop {
             let mut st = slot.state.lock().expect("forward-cache slot poisoned");
             match &*st {
                 SlotState::Done(r) => {
-                    if !counted {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                    }
+                    self.hits.fetch_add(1, Ordering::Relaxed);
                     return r.clone().map_err(Interrupt::TooBig);
                 }
                 SlotState::Empty => {
                     *st = SlotState::Running;
-                    if !counted {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                    }
+                    self.misses.fetch_add(1, Ordering::Relaxed);
                     drop(st);
                     break;
                 }
                 SlotState::Running => {
-                    if !counted {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        counted = true;
-                    }
                     if deadline.expired() {
                         return Err(Interrupt::DeadlineExceeded);
                     }
@@ -582,43 +575,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A result for a query whose solve panicked: the batch completes, the
-/// payload is preserved, no effort is attributed.
-fn fault_result<Param>(payload: Box<dyn std::any::Any + Send>, started: Instant) -> QueryResult<Param> {
+/// A result with no effort attributed: a query whose solve panicked (the
+/// payload is preserved), one the drain flag stopped before it started
+/// (withheld from the streaming sink so resumed runs re-solve it), or one
+/// whose memory reservation can never fit the shared pool (resolved
+/// without running or touching the forward cache).
+fn unrun_result<Param>(reason: Unresolved, micros: u128) -> QueryResult<Param> {
     QueryResult {
-        outcome: Outcome::Unresolved(Unresolved::EngineFault(panic_message(payload.as_ref()))),
+        outcome: Outcome::Unresolved(reason),
         iterations: 0,
-        micros: started.elapsed().as_micros(),
-        escalations: 0,
-        degradations: 0,
-        retries: 0,
-        meta: MetaStats::default(),
-    }
-}
-
-/// A result for a query the drain flag stopped before it started: no
-/// effort spent, nothing to persist (the batch runner withholds drained
-/// results from the streaming sink so resumed runs re-solve them).
-fn drained_result<Param>() -> QueryResult<Param> {
-    QueryResult {
-        outcome: Outcome::Unresolved(Unresolved::Drained),
-        iterations: 0,
-        micros: 0,
-        escalations: 0,
-        degradations: 0,
-        retries: 0,
-        meta: MetaStats::default(),
-    }
-}
-
-/// A result for a query whose memory reservation exceeds the shared pool
-/// outright: it can never be admitted, so it resolves without running
-/// (and without touching the forward cache).
-fn overcommit_result<Param>(started: Instant) -> QueryResult<Param> {
-    QueryResult {
-        outcome: Outcome::Unresolved(Unresolved::MemBudgetExceeded),
-        iterations: 0,
-        micros: started.elapsed().as_micros(),
+        micros,
         escalations: 0,
         degradations: 0,
         retries: 0,
@@ -634,17 +600,16 @@ fn reservation<P>(query: &Query<P>, tracer: &TracerConfig, pool_limit: u64) -> u
     effective_mem_budget(query, tracer).unwrap_or(pool_limit)
 }
 
-/// Resolves every query of one program, in parallel, sharing forward runs.
+/// Resolves every query of one program, sharing forward runs.
 ///
-/// With `jobs == 1` this is exactly `queries.iter().map(solve_query)` —
-/// the sequential driver — except that each solve is panic-isolated. With
-/// `jobs > 1` the queries are claimed from a shared counter by
-/// `min(jobs, queries.len())` scoped worker threads, and every CEGAR
-/// iteration's forward analysis goes through one [`ForwardCache`].
-/// Results come back in query order, and per-query outcomes, costs, and
-/// iteration counts are identical to the sequential run (see the module
-/// docs for the determinism argument); only the per-query `micros` fields
-/// and the batch wall time vary.
+/// Each query runs the same CEGAR loop as [`crate::tracer::solve_query`],
+/// panic-isolated, with every iteration's forward analysis going through
+/// one [`ForwardCache`] (when there are two or more queries). The queries
+/// are claimed in order by `min(jobs, queries.len())` workers, clamped to
+/// the machine. Results come back in query order, and per-query outcomes,
+/// costs, and iteration counts are identical to solving each query alone
+/// (see the module docs for the determinism argument); only the per-query
+/// `micros` fields and the batch wall time vary.
 ///
 /// The batch always completes: a panicking solve yields
 /// [`Unresolved::EngineFault`] for that query only, and deadline expiry
@@ -747,7 +712,10 @@ fn solve_supervised<Param>(
         let started = Instant::now();
         let mut qobs = QueryObs::new(i as u64, tracing, timed);
         let mut r = catch_unwind(AssertUnwindSafe(|| attempt_fn(&mut qobs)))
-            .unwrap_or_else(|payload| fault_result(payload, started));
+            .unwrap_or_else(|payload| {
+                let msg = panic_message(payload.as_ref());
+                unrun_result(Unresolved::EngineFault(msg), started.elapsed().as_micros())
+            });
         r.retries = attempt;
         let transient = match (&r.outcome, retry) {
             (Outcome::Unresolved(u), Some(p)) => p.should_retry(u),
@@ -802,289 +770,152 @@ where
     // the batch any sooner — it only time-shares the CEGAR loops, which
     // inflates every per-phase wall-clock attribution (a meta phase that
     // takes 10ms of CPU reads as 80ms of wall when eight threads share
-    // one core). The *path* (shared caches, warm store) is still selected
-    // by the requested `jobs`; only the thread count is clamped.
+    // one core).
     let workers = jobs.min(config.thread_cap.unwrap_or_else(default_jobs)).max(1);
+
+    // Sibling queries share forward runs and warm meta state whatever the
+    // worker count; a lone query has no sibling to share with, and within
+    // one query every iteration tries a new assignment, so a cache there
+    // could only retain memory. The warm store shares weakest-precondition
+    // formulas and primitive-pair verdicts, pure functions of their keys,
+    // without perturbing any per-query counter or event (see
+    // `pda_meta::WarmStore`).
+    let shared = pending.len() >= 2;
+    let cache: Option<ForwardCache<'p, C::State>> = shared.then(ForwardCache::new);
+    let warm: Option<Arc<WarmStore<C::Prim>>> =
+        shared.then(|| Arc::new(WarmStore::new(FORWARD_CACHE_SHARDS)));
+    let pool: Option<Arc<MemBudget>> =
+        config.pool_budget.map(|l| Arc::new(MemBudget::new(Some(l))));
+    let limit = pool.as_ref().and_then(|p| p.limit()).unwrap_or(u64::MAX);
+    let shed = AtomicU64::new(0);
+    let admission = Mutex::new(AdmissionState {
+        queue: (0..pending.len()).collect::<VecDeque<usize>>(),
+        active: 0,
+    });
+    let turnstile = Condvar::new();
+    #[allow(clippy::type_complexity)]
+    let done: Vec<Mutex<Option<(QueryResult<C::Param>, QueryObs)>>> =
+        pending.iter().map(|_| Mutex::new(None)).collect();
+
+    // One worker's claim-solve loop. Admission: pop the next
+    // fresh-or-deferred query and start it once its reservation fits the
+    // pool (with no pool every query fits). A query that does not fit is
+    // shed (requeued at the back, never failed) until a running query
+    // releases capacity; when nothing is running it is admitted
+    // regardless, since waiting could not help and this guarantees
+    // progress — so a lone worker never sheds. A reservation above the
+    // pool limit itself can never be admitted and resolves without
+    // running. A raised drain flag empties the queue as
+    // [`Unresolved::Drained`] while admitted queries finish normally.
+    let work = || {
+        let mut wm = WorkerMeta::default();
+        loop {
+            let mut st = admission.lock().expect("admission queue poisoned");
+            let claimed = loop {
+                if config.cancel.as_ref().is_some_and(|c| c.load(Ordering::SeqCst)) {
+                    break st.queue.pop_front().map(|k| (k, Claim::Drain));
+                }
+                // Deferred queries are requeued under this same lock, so
+                // an empty queue means no unstarted work is left.
+                let Some(k) = st.queue.pop_front() else { break None };
+                let r = reservation(&queries[pending[k]], &config.tracer, limit);
+                if r > limit {
+                    break Some((k, Claim::Reject));
+                }
+                if st.active == 0 || pool.as_ref().is_none_or(|p| p.fits(r)) {
+                    st.active += 1;
+                    break Some((k, Claim::Run));
+                }
+                st.queue.push_back(k);
+                shed.fetch_add(1, Ordering::Relaxed);
+                let t0 = Instant::now();
+                st = turnstile.wait(st).expect("admission queue poisoned");
+                wm.lock_wait_micros += t0.elapsed().as_micros() as u64;
+            };
+            drop(st);
+            let Some((k, claim)) = claimed else { break };
+            let i = pending[k];
+            let started = Instant::now();
+            let (r, qobs) = match claim {
+                Claim::Drain => {
+                    (unrun_result(Unresolved::Drained, 0), QueryObs::new(i as u64, false, false))
+                }
+                Claim::Reject => (
+                    unrun_result(Unresolved::MemBudgetExceeded, started.elapsed().as_micros()),
+                    QueryObs::new(i as u64, tracing, config.timed),
+                ),
+                Claim::Run => {
+                    let out = solve_supervised(
+                        i,
+                        tracing,
+                        config.timed,
+                        config.retry.as_ref(),
+                        batch_deadline,
+                        config.cancel.as_ref(),
+                        |qobs| {
+                            let mut s =
+                                Session::new(program, callees, client, &queries[i], &config.tracer)
+                                    .within(batch_deadline)
+                                    .observe(qobs);
+                            if let Some(c) = &cache {
+                                s = s.cache(c);
+                            }
+                            if let Some(w) = &warm {
+                                s = s.warm(Arc::clone(w));
+                            }
+                            if let Some(p) = &pool {
+                                s = s.pool(Arc::clone(p));
+                            }
+                            s.run()
+                        },
+                    );
+                    admission.lock().expect("admission queue poisoned").active -= 1;
+                    turnstile.notify_all();
+                    out
+                }
+            };
+            if !matches!(r.outcome, Outcome::Unresolved(Unresolved::Drained)) {
+                wm.queries += 1;
+                wm.meta_micros += r.meta.micros;
+                wm.busy_micros += started.elapsed().as_micros() as u64;
+                wm.lock_wait_micros += qobs.reg.get(Counter::LockWaitMicros);
+                if let Some(sink) = sink {
+                    sink(i, &r);
+                }
+            }
+            *done[k].lock().expect("result slot poisoned") = Some((r, qobs));
+        }
+        wm
+    };
+    let worker_meta: Vec<WorkerMeta> = if workers == 1 {
+        // A lone worker runs inline on the calling thread: no thread is
+        // spawned, so thread-local state (the watchdog heartbeat, the
+        // ambient deadline) reaches every query.
+        vec![work()]
+    } else {
+        let finished = Mutex::new(Vec::with_capacity(workers));
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                // Crash-class seams: fired outside any per-query isolation
+                // boundary, on the coordinator and on a worker past its loop.
+                fault_point("batch.worker.spawn");
+                scope.spawn(|| {
+                    let wm = work();
+                    fault_point("batch.worker.join");
+                    finished.lock().expect("worker meta poisoned").push(wm);
+                });
+            }
+        });
+        finished.into_inner().expect("worker meta poisoned")
+    };
 
     let mut slots: Vec<Option<(QueryResult<C::Param>, QueryObs)>> =
         (0..queries.len()).map(|_| None).collect();
     for (i, r) in skip {
         slots[i] = Some((r, QueryObs::new(i as u64, false, false)));
     }
-
-    let pool: Option<Arc<MemBudget>> =
-        config.pool_budget.map(|l| Arc::new(MemBudget::new(Some(l))));
-    let shed = AtomicU64::new(0);
-    let worker_meta: Mutex<Vec<WorkerMeta>> = Mutex::new(Vec::new());
-
-    let cache_stats;
-    let warm_waits: u64;
-    if jobs == 1 {
-        cache_stats = CacheStats::default();
-        warm_waits = 0;
-        // With no batch timeout this is byte-for-byte the sequential
-        // driver: `solve_query_within(.., Deadline::NEVER)` *is*
-        // `solve_query`, plus the panic-isolation boundary. With a pool,
-        // queries run one at a time so admission never defers — the only
-        // pool effect is rejecting reservations that can never fit, which
-        // is a pure function of the configs and so stays deterministic.
-        let mut wm = WorkerMeta::default();
-        for &i in &pending {
-            if config.cancel.as_ref().is_some_and(|c| c.load(Ordering::SeqCst)) {
-                slots[i] = Some((drained_result(), QueryObs::new(i as u64, false, false)));
-                continue;
-            }
-            let claim = Instant::now();
-            let rejected = pool.as_ref().is_some_and(|p| {
-                let limit = p.limit().unwrap_or(u64::MAX);
-                reservation(&queries[i], &config.tracer, limit) > limit
-            });
-            let (r, qobs) = if rejected {
-                (overcommit_result(claim), QueryObs::new(i as u64, tracing, config.timed))
-            } else {
-                solve_supervised(
-                    i,
-                    tracing,
-                    config.timed,
-                    config.retry.as_ref(),
-                    batch_deadline,
-                    config.cancel.as_ref(),
-                    |qobs| {
-                        solve_query_pooled(
-                            program,
-                            &|c| callees(c),
-                            client,
-                            &queries[i],
-                            &config.tracer,
-                            batch_deadline,
-                            qobs,
-                            pool.clone(),
-                        )
-                    },
-                )
-            };
-            wm.queries += 1;
-            wm.meta_micros += r.meta.micros;
-            wm.busy_micros += claim.elapsed().as_micros() as u64;
-            if let Some(sink) = sink {
-                sink(i, &r);
-            }
-            slots[i] = Some((r, qobs));
-        }
-        worker_meta.lock().expect("worker meta poisoned").push(wm);
-    } else {
-        let cache: ForwardCache<'p, C::State> = ForwardCache::new();
-        // One warm meta store for the whole batch: weakest-precondition
-        // formulas and primitive-pair verdicts are pure functions of
-        // their keys, so sharing them across the per-query InternCaches
-        // removes repeated work without perturbing any per-query counter
-        // or event (see `pda_meta::WarmStore`). `jobs == 1` stays cold —
-        // it is the sequential driver, bit for bit, and the honest
-        // baseline the parallel path is measured against.
-        let warm: Arc<WarmStore<C::Prim>> = Arc::new(WarmStore::new(FORWARD_CACHE_SHARDS));
-        #[allow(clippy::type_complexity)]
-        let shared: Vec<Mutex<Option<(QueryResult<C::Param>, QueryObs)>>> =
-            pending.iter().map(|_| Mutex::new(None)).collect();
-        match &pool {
-            None => {
-                let next = AtomicUsize::new(0);
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        // Crash-class seam: fired on the coordinator,
-                        // outside any per-query isolation boundary.
-                        fault_point("batch.worker.spawn");
-                        scope.spawn(|| {
-                            let mut wm = WorkerMeta::default();
-                            loop {
-                                let k = next.fetch_add(1, Ordering::Relaxed);
-                                if k >= pending.len() {
-                                    break;
-                                }
-                                let i = pending[k];
-                                if config
-                                    .cancel
-                                    .as_ref()
-                                    .is_some_and(|c| c.load(Ordering::SeqCst))
-                                {
-                                    *shared[k].lock().expect("result slot poisoned") = Some((
-                                        drained_result(),
-                                        QueryObs::new(i as u64, false, false),
-                                    ));
-                                    continue;
-                                }
-                                let claim = Instant::now();
-                                let (r, qobs) = solve_supervised(
-                                    i,
-                                    tracing,
-                                    config.timed,
-                                    config.retry.as_ref(),
-                                    batch_deadline,
-                                    config.cancel.as_ref(),
-                                    |qobs| {
-                                        solve_query_cached_pooled(
-                                            program,
-                                            callees,
-                                            client,
-                                            &queries[i],
-                                            &config.tracer,
-                                            &cache,
-                                            batch_deadline,
-                                            qobs,
-                                            None,
-                                            Some(Arc::clone(&warm)),
-                                        )
-                                    },
-                                );
-                                wm.queries += 1;
-                                wm.meta_micros += r.meta.micros;
-                                wm.busy_micros += claim.elapsed().as_micros() as u64;
-                                wm.lock_wait_micros +=
-                                    qobs.reg.get(Counter::LockWaitMicros);
-                                if let Some(sink) = sink {
-                                    sink(i, &r);
-                                }
-                                *shared[k].lock().expect("result slot poisoned") =
-                                    Some((r, qobs));
-                            }
-                            // Crash-class seam: a worker dying after its
-                            // loop, outside the per-query boundary.
-                            fault_point("batch.worker.join");
-                            worker_meta.lock().expect("worker meta poisoned").push(wm);
-                        });
-                    }
-                });
-            }
-            Some(pool) => {
-                let limit = pool.limit().unwrap_or(u64::MAX);
-                let admission = Mutex::new(AdmissionState {
-                    queue: (0..pending.len()).collect::<VecDeque<usize>>(),
-                    active: 0,
-                });
-                let turnstile = Condvar::new();
-                std::thread::scope(|scope| {
-                    for _ in 0..workers {
-                        fault_point("batch.worker.spawn");
-                        scope.spawn(|| {
-                            let mut wm = WorkerMeta::default();
-                            loop {
-                                // Admission: pop the next fresh-or-deferred
-                                // query and start it once its reservation fits
-                                // the pool. A query that does not fit is shed
-                                // (requeued at the back, never failed) until a
-                                // running query releases capacity; when nothing
-                                // is running it is admitted regardless, since
-                                // waiting could not help and this guarantees
-                                // progress. A reservation above the pool limit
-                                // itself can never be admitted and resolves
-                                // without running. A raised drain flag empties
-                                // the queue as [`Unresolved::Drained`] while
-                                // admitted queries finish normally.
-                                let mut st =
-                                    admission.lock().expect("admission queue poisoned");
-                                let claimed = loop {
-                                    if config
-                                        .cancel
-                                        .as_ref()
-                                        .is_some_and(|c| c.load(Ordering::SeqCst))
-                                    {
-                                        break st.queue.pop_front().map(|k| (k, Claim::Drain));
-                                    }
-                                    if let Some(k) = st.queue.pop_front() {
-                                        let r = reservation(
-                                            &queries[pending[k]],
-                                            &config.tracer,
-                                            limit,
-                                        );
-                                        if r > limit {
-                                            break Some((k, Claim::Reject));
-                                        }
-                                        if st.active == 0 || pool.fits(r) {
-                                            st.active += 1;
-                                            break Some((k, Claim::Run));
-                                        }
-                                        st.queue.push_back(k);
-                                        shed.fetch_add(1, Ordering::Relaxed);
-                                    } else if st.active == 0 {
-                                        break None;
-                                    }
-                                    let t0 = Instant::now();
-                                    st = turnstile.wait(st).expect("admission queue poisoned");
-                                    wm.lock_wait_micros += t0.elapsed().as_micros() as u64;
-                                };
-                                drop(st);
-                                let Some((k, claim)) = claimed else { break };
-                                let i = pending[k];
-                                let started = Instant::now();
-                                let (r, qobs) = match claim {
-                                    Claim::Drain => {
-                                        (drained_result(), QueryObs::new(i as u64, false, false))
-                                    }
-                                    Claim::Reject => (
-                                        overcommit_result(started),
-                                        QueryObs::new(i as u64, tracing, config.timed),
-                                    ),
-                                    Claim::Run => {
-                                        let out = solve_supervised(
-                                            i,
-                                            tracing,
-                                            config.timed,
-                                            config.retry.as_ref(),
-                                            batch_deadline,
-                                            config.cancel.as_ref(),
-                                            |qobs| {
-                                                solve_query_cached_pooled(
-                                                    program,
-                                                    callees,
-                                                    client,
-                                                    &queries[i],
-                                                    &config.tracer,
-                                                    &cache,
-                                                    batch_deadline,
-                                                    qobs,
-                                                    Some(Arc::clone(pool)),
-                                                    Some(Arc::clone(&warm)),
-                                                )
-                                            },
-                                        );
-                                        let mut st = admission
-                                            .lock()
-                                            .expect("admission queue poisoned");
-                                        st.active -= 1;
-                                        drop(st);
-                                        turnstile.notify_all();
-                                        out
-                                    }
-                                };
-                                if !matches!(
-                                    r.outcome,
-                                    Outcome::Unresolved(Unresolved::Drained)
-                                ) {
-                                    wm.queries += 1;
-                                    wm.meta_micros += r.meta.micros;
-                                    wm.busy_micros += started.elapsed().as_micros() as u64;
-                                    wm.lock_wait_micros +=
-                                        qobs.reg.get(Counter::LockWaitMicros);
-                                    if let Some(sink) = sink {
-                                        sink(i, &r);
-                                    }
-                                }
-                                *shared[k].lock().expect("result slot poisoned") =
-                                    Some((r, qobs));
-                            }
-                            fault_point("batch.worker.join");
-                            worker_meta.lock().expect("worker meta poisoned").push(wm);
-                        });
-                    }
-                });
-            }
-        }
-        for (k, slot) in shared.into_iter().enumerate() {
-            slots[pending[k]] = slot
-                .into_inner()
-                .expect("result slot poisoned");
-        }
-        cache_stats = cache.stats();
-        warm_waits = warm.wait_micros();
+    for (k, slot) in done.into_iter().enumerate() {
+        slots[pending[k]] = slot.into_inner().expect("result slot poisoned");
     }
 
     // Drain results, merge the per-query registries, and (if tracing)
@@ -1112,13 +943,13 @@ where
         sink.flush();
     }
 
-    let worker_meta = worker_meta.into_inner().expect("worker meta poisoned");
+    let warm_waits = warm.as_ref().map_or(0, |w| w.wait_micros());
     let contention_micros =
         worker_meta.iter().map(|w| w.lock_wait_micros).sum::<u64>() + warm_waits;
     let stats = BatchStats {
         queries: queries.len(),
         jobs,
-        cache: cache_stats,
+        cache: cache.as_ref().map(ForwardCache::stats).unwrap_or_default(),
         wall_micros: start.elapsed().as_micros(),
         engine_faults: results
             .iter()
@@ -1150,327 +981,13 @@ where
     (results, stats)
 }
 
-/// [`crate::tracer::solve_query`] with its forward analyses routed through `cache`,
-/// additionally bounded by the batch-wide `outer` deadline.
-///
-/// Mirrors [`crate::tracer::step`]'s CEGAR iteration exactly; the only
-/// difference is where the [`RhsResult`] comes from. Within one query's
-/// loop every iteration tries a *different* assignment (the previous one
-/// was just proven unviable), so the cache only ever pays off *across*
-/// queries — which is exactly the sharing the batch scheduler is for.
-pub fn solve_query_cached<'p, C: TracerClient>(
-    program: &'p Program,
-    callees: &dyn Fn(CallId) -> Vec<MethodId>,
-    client: &C,
-    query: &Query<C::Prim>,
-    config: &TracerConfig,
-    cache: &ForwardCache<'p, C::State>,
-    outer: Deadline,
-) -> QueryResult<C::Param> {
-    solve_query_cached_observed(
-        program,
-        callees,
-        client,
-        query,
-        config,
-        cache,
-        outer,
-        &mut QueryObs::untraced(),
-    )
-}
-
-/// [`solve_query_cached`] collecting spans, counters, and (if enabled)
-/// buffered trace events into `obs` — the cached counterpart of
-/// [`crate::tracer::solve_query_observed`].
-#[allow(clippy::too_many_arguments)]
-pub fn solve_query_cached_observed<'p, C: TracerClient>(
-    program: &'p Program,
-    callees: &dyn Fn(CallId) -> Vec<MethodId>,
-    client: &C,
-    query: &Query<C::Prim>,
-    config: &TracerConfig,
-    cache: &ForwardCache<'p, C::State>,
-    outer: Deadline,
-    obs: &mut QueryObs,
-) -> QueryResult<C::Param> {
-    solve_query_cached_pooled(
-        program, callees, client, query, config, cache, outer, obs, None, None,
-    )
-}
-
-/// [`solve_query_cached_observed`] with the query's byte charges
-/// additionally cascading into the shared batch `pool` (admission-control
-/// accounting; the pool never influences the running query's decisions)
-/// and its fresh [`InternCache`] optionally seeded from the batch-wide
-/// `warm` store (semantically transparent sharing of wp formulas and
-/// primitive-pair verdicts — see [`WarmStore`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_query_cached_pooled<'p, C: TracerClient>(
-    program: &'p Program,
-    callees: &dyn Fn(CallId) -> Vec<MethodId>,
-    client: &C,
-    query: &Query<C::Prim>,
-    config: &TracerConfig,
-    cache: &ForwardCache<'p, C::State>,
-    outer: Deadline,
-    obs: &mut QueryObs,
-    pool: Option<Arc<MemBudget>>,
-    warm: Option<Arc<WarmStore<C::Prim>>>,
-) -> QueryResult<C::Param> {
-    let mut icache = match warm {
-        Some(w) => InternCache::with_warm(w),
-        None => InternCache::default(),
-    };
-    solve_query_cached_warm_pooled(
-        program, callees, client, query, config, cache, &mut icache, outer, obs, pool,
-    )
-}
-
-/// [`solve_query_cached_observed`] with an external, *warm* intern/wp-memo
-/// cache: the analysis daemon keeps one [`InternCache`] resident per
-/// worker so repeated requests share interned cubes and
-/// weakest-precondition memo entries across requests. Outcomes are
-/// identical to a cold-cache solve — memoization is semantically
-/// transparent — only effort counters (wp hits/misses, micros) differ.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_query_cached_warm<'p, C: TracerClient>(
-    program: &'p Program,
-    callees: &dyn Fn(CallId) -> Vec<MethodId>,
-    client: &C,
-    query: &Query<C::Prim>,
-    config: &TracerConfig,
-    cache: &ForwardCache<'p, C::State>,
-    icache: &mut InternCache<C::Prim>,
-    outer: Deadline,
-    obs: &mut QueryObs,
-) -> QueryResult<C::Param> {
-    solve_query_cached_warm_pooled(
-        program, callees, client, query, config, cache, icache, outer, obs, None,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn solve_query_cached_warm_pooled<'p, C: TracerClient>(
-    program: &'p Program,
-    callees: &dyn Fn(CallId) -> Vec<MethodId>,
-    client: &C,
-    query: &Query<C::Prim>,
-    config: &TracerConfig,
-    cache: &ForwardCache<'p, C::State>,
-    icache: &mut InternCache<C::Prim>,
-    outer: Deadline,
-    obs: &mut QueryObs,
-    pool: Option<Arc<MemBudget>>,
-) -> QueryResult<C::Param> {
-    let start = Instant::now();
-    let entry = obs.reg.clone();
-    let deadline = effective_deadline(query, config, outer);
-    // Publish the query's deadline for out-of-band sleepers (injected
-    // stalls, `Fault::Stall` clients) that sit outside the limit structs.
-    let _ambient = deadline.enter_ambient();
-    let mut constraints: Vec<PFormula> = Vec::new();
-    let mut iterations = 0;
-    let mut escalations = 0;
-    let mut gov = Governor::new(query, config, pool);
-    let mut viable = ViableState::new(config.viable_engine);
-    // Contended forward-cache shard waits for this query, drained into
-    // the registry once at the end (the counter is effort attribution,
-    // never part of the event stream).
-    let lock_waits = AtomicU64::new(0);
-    let outcome = loop {
-        // One watchdog heartbeat per CEGAR iteration: a request that
-        // stops beating is non-cooperatively stuck, not merely slow.
-        pda_util::heartbeat::beat();
-        if deadline.expired() {
-            break Outcome::Unresolved(Unresolved::DeadlineExceeded);
-        }
-        if iterations >= config.max_iters {
-            break Outcome::Unresolved(Unresolved::IterationBudget);
-        }
-        match step_cached(
-            program,
-            callees,
-            client,
-            query,
-            config,
-            &mut constraints,
-            cache,
-            deadline,
-            &mut escalations,
-            icache,
-            &mut gov,
-            &mut viable,
-            obs,
-            iterations,
-            &lock_waits,
-        ) {
-            StepResult::Proven { param, cost } => {
-                iterations += 1;
-                break Outcome::Proven { param, cost };
-            }
-            StepResult::Impossible => break Outcome::Impossible,
-            StepResult::Refined { .. } => {
-                iterations += 1;
-                gov.account_retained(icache, &constraints, &viable, &mut obs.reg);
-                if gov.poll(icache, &mut viable, &mut obs.reg) {
-                    break Outcome::Unresolved(Unresolved::MemBudgetExceeded);
-                }
-            }
-            StepResult::Unresolved(u) => {
-                iterations += 1;
-                break Outcome::Unresolved(u);
-            }
-        }
-    };
-    obs.reg.add(Counter::Iterations, iterations as u64);
-    obs.reg.add(Counter::Escalations, escalations as u64);
-    obs.reg.add(Counter::LockWaitMicros, lock_waits.load(Ordering::Relaxed));
-    let meta = MetaStats::from_obs(&obs.reg.since(&entry));
-    QueryResult {
-        outcome,
-        iterations,
-        micros: start.elapsed().as_micros(),
-        escalations,
-        degradations: gov.degradations,
-        retries: 0,
-        meta,
-    }
-}
-
-/// One CEGAR iteration with the forward run served by `cache`.
-#[allow(clippy::too_many_arguments)]
-fn step_cached<'p, C: TracerClient>(
-    program: &'p Program,
-    callees: &dyn Fn(CallId) -> Vec<MethodId>,
-    client: &C,
-    query: &Query<C::Prim>,
-    config: &TracerConfig,
-    constraints: &mut Vec<PFormula>,
-    cache: &ForwardCache<'p, C::State>,
-    deadline: Deadline,
-    escalations: &mut u32,
-    icache: &mut InternCache<C::Prim>,
-    gov: &mut Governor,
-    viable: &mut ViableState,
-    obs: &mut QueryObs,
-    iter: usize,
-    lock_waits: &AtomicU64,
-) -> StepResult<C::Param> {
-    let t0 = Instant::now();
-    let solved = viable.solve(client, constraints, deadline, &mut obs.reg, gov.budget());
-    obs.reg.add(Counter::SolverMicros, t0.elapsed().as_micros() as u64);
-    let model = match solved {
-        Ok(Some(m)) => m,
-        Ok(None) => return StepResult::Impossible,
-        Err(_) => return StepResult::Unresolved(Unresolved::DeadlineExceeded),
-    };
-    let q = obs.query;
-    let iter = iter as u64;
-    obs.emit(Event::IterationStart { query: q, iter });
-    obs.emit(Event::ParamChosen {
-        query: q,
-        iter,
-        cost: model.cost,
-        param: model.assignment.iter().map(|&b| if b { '1' } else { '0' }).collect(),
-    });
-    let p = client.param_of_model(&model.assignment);
-    let d0 = client.initial_state();
-
-    // The governor may have shrunk the base fact budget below the
-    // configured/query budget (ladder rungs 7–8). A degraded budget uses
-    // a different cache key, so degraded runs never poison healthy ones.
-    let base_facts = gov.base_facts;
-    let mut attempt: u32 = 0;
-    let fwd = Span::enter(&obs.reg, SpanKind::Forward);
-    let run = loop {
-        let max_facts = config.escalation.budget(base_facts, attempt);
-        let limits = RhsLimits { max_facts, deadline };
-        match cache.forward(&model.assignment, max_facts, deadline, lock_waits, || {
-            rhs::run(program, &crate::client::AsAnalysis(client), &p, d0.clone(), callees, limits)
-        }) {
-            Ok(r) => break r,
-            Err(Interrupt::DeadlineExceeded) => {
-                fwd.exit(&mut obs.reg);
-                return StepResult::Unresolved(Unresolved::DeadlineExceeded);
-            }
-            Err(Interrupt::TooBig(_)) => {
-                if attempt < config.escalation.retries && !deadline.expired() {
-                    attempt += 1;
-                    *escalations += 1;
-                } else {
-                    fwd.exit(&mut obs.reg);
-                    return StepResult::Unresolved(Unresolved::AnalysisTooBig);
-                }
-            }
-        }
-    };
-    fwd.exit(&mut obs.reg);
-    obs.reg.inc(Counter::ForwardRuns);
-    obs.emit(Event::ForwardDone { query: q, iter, facts: run.n_facts() as u64 });
-    // The (possibly shared) fact/reason tables are this query's working
-    // set until the end of the step; charge them so the boundary poll —
-    // and the batch pool — see the iteration's true footprint.
-    let fwd_bytes = run.approx_bytes();
-    gov.budget().charge(fwd_bytes);
-    obs.reg.add(Counter::MemCharged, fwd_bytes);
-
-    let failing = |d: &C::State| query.not_q.holds(&p, d);
-    let Some(trace) = run.witness(query.point, &failing) else {
-        gov.budget().release(fwd_bytes);
-        return StepResult::Proven { param: p, cost: model.cost };
-    };
-    let atoms: Vec<pda_lang::Atom> = trace.iter().map(|s| s.atom).collect();
-
-    let before = obs.reg.clone();
-    let phi = match backward_phase(
-        client,
-        query,
-        config,
-        &gov.beam,
-        &p,
-        &d0,
-        &atoms,
-        icache,
-        &mut obs.reg,
-    ) {
-        Ok(phi) => phi,
-        Err(e) => {
-            gov.budget().release(fwd_bytes);
-            return StepResult::Unresolved(Unresolved::MetaFailure(e.to_string()));
-        }
-    };
-    let delta = obs.reg.since(&before);
-    // Transient cube traffic of the backward phase (deterministic
-    // per-cube estimate, charged and released in one breath — the peak
-    // tracker still observes it).
-    let cube_bytes = delta.get(Counter::CubesBuilt).saturating_mul(crate::tracer::CUBE_BYTES);
-    gov.budget().charge(cube_bytes);
-    obs.reg.add(Counter::MemCharged, cube_bytes);
-    gov.budget().release(cube_bytes);
-    obs.emit(Event::MetaDone {
-        query: q,
-        iter,
-        cubes: delta.get(Counter::CubesBuilt),
-        wp_hits: delta.get(Counter::WpHits),
-        wp_misses: delta.get(Counter::WpMisses),
-    });
-    obs.emit(Event::Pruned { query: q, iter, cubes: delta.get(Counter::ApproxDrops) });
-    debug_assert!(
-        phi.eval(&model.assignment),
-        "backward analysis failed to eliminate the current abstraction (Theorem 3.1)"
-    );
-    let viable = Span::enter(&obs.reg, SpanKind::Viable);
-    constraints.push(PFormula::not(phi));
-    viable.exit(&mut obs.reg);
-    gov.budget().release(fwd_bytes);
-    StepResult::Refined { param: p, cost: model.cost }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::nullcli::NullClient;
     use pda_analysis::PointsTo;
+    use pda_dataflow::rhs;
+    use pda_meta::InternCache;
 
     fn fixture() -> (pda_lang::Program, PointsTo) {
         let program = pda_lang::parse_program(
@@ -1514,21 +1031,69 @@ mod tests {
         let (r1, s1) = solve_queries_batch(&program, &callees, &client, &qs, &seq);
         let (r4, s4) = solve_queries_batch(&program, &callees, &client, &qs, &par);
         assert_eq!(s1.queries, 3);
-        assert_eq!(s1.cache.lookups(), 0, "jobs=1 must not touch the cache");
         for (a, b) in r1.iter().zip(&r4) {
             assert_eq!(a.outcome, b.outcome);
             assert_eq!(a.iterations, b.iterations);
         }
-        // Every query's loop starts from the same (empty) assignment, so
-        // at least two of the three first iterations must hit the cache.
+        // The distinct abstractions the three loops try, each alone: one
+        // forward run apiece is all the batch may execute.
+        let mut distinct = std::collections::HashSet::new();
+        for q in &qs {
+            let (_, log) =
+                crate::tracer::solve_query_logged(&program, &callees, &client, q, &seq.tracer);
+            distinct.extend(log.into_iter().map(|it| it.param));
+        }
+        let iterations = r4.iter().map(|r| r.iterations).sum::<usize>() as u64;
+        for s in [&s1, &s4] {
+            assert_eq!(s.cache.misses, distinct.len() as u64, "misses are RHS runs: {}", s.cache);
+            assert_eq!(
+                s.cache.lookups(),
+                iterations,
+                "every CEGAR iteration does exactly one forward lookup"
+            );
+        }
+        // Every query's loop starts from the same (empty) assignment.
         assert!(s4.cache.hits >= 2, "expected cross-query sharing, got {}", s4.cache);
-        assert_eq!(
-            s4.cache.lookups() as usize,
-            r4.iter().map(|r| r.iterations).sum::<usize>(),
-            "every CEGAR iteration does exactly one forward lookup"
-        );
         assert_eq!((s4.engine_faults, s4.deadline_exceeded, s4.resumed), (0, 0, 0));
         assert_eq!(s4.escalations, 0);
+    }
+
+    #[test]
+    fn batch_matches_individual_and_shares_runs() {
+        let program = pda_lang::parse_program(
+            r#"
+            class C {}
+            fn main() {
+                var x, y, z, w;
+                x = null;
+                y = x;
+                z = x;
+                w = new C;
+                query q1: local y;
+                query q2: local z;
+                query q3: local w;
+            }
+            "#,
+        )
+        .unwrap();
+        let pa = PointsTo::analyze(&program);
+        let client = NullClient::new(&program);
+        let callees = |c: CallId| pa.callees(c).to_vec();
+        let qs: Vec<_> =
+            program.queries.iter_enumerated().map(|(qid, _)| client.query(&program, qid)).collect();
+        let config = BatchConfig { jobs: 1, ..BatchConfig::default() };
+        let (batched, stats) = solve_queries_batch(&program, &callees, &client, &qs, &config);
+        let mut individual_runs = 0;
+        for (q, b) in qs.iter().zip(&batched) {
+            let alone = crate::tracer::solve_query(&program, &callees, &client, q, &config.tracer);
+            assert_eq!(alone.outcome, b.outcome);
+            assert_eq!(alone.iterations, b.iterations);
+            individual_runs += alone.iterations as u64;
+        }
+        // The shared cache runs the common first abstraction once for all
+        // three queries (the Section 6 query-group sharing).
+        assert!(stats.cache.misses < individual_runs, "{}", stats.cache);
+        assert_eq!(stats.cache.lookups(), individual_runs);
     }
 
     #[test]
@@ -1671,6 +1236,19 @@ mod tests {
             solve_queries_batch(&program, &callees, &client, &[], &BatchConfig::default());
         assert!(r.is_empty());
         assert_eq!(s.queries, 0);
+    }
+
+    #[test]
+    fn empty_query_set_runs_no_forward_pass() {
+        let program = pda_lang::parse_program("fn main() { }").unwrap();
+        let pa = PointsTo::analyze(&program);
+        let client = NullClient::new(&program);
+        let callees = |c: CallId| pa.callees(c).to_vec();
+        let (r, s) =
+            solve_queries_batch(&program, &callees, &client, &[], &BatchConfig::default());
+        assert!(r.is_empty());
+        assert_eq!(s.cache.misses, 0, "{}", s.cache);
+        assert_eq!(s.cache.lookups(), 0, "{}", s.cache);
     }
 
     /// Satellite regression for the footer unification: `BatchStats`'s
@@ -1890,19 +1468,11 @@ mod tests {
         let cache: ForwardCache<'_, _> = ForwardCache::new();
         let mut icache = InternCache::default();
         for q in &qs {
-            let cold =
-                solve_query_cached(&program, &callees, &client, q, &config, &cache, Deadline::NEVER);
-            let warm = solve_query_cached_warm(
-                &program,
-                &callees,
-                &client,
-                q,
-                &config,
-                &cache,
-                &mut icache,
-                Deadline::NEVER,
-                &mut QueryObs::untraced(),
-            );
+            let cold = Session::new(&program, &callees, &client, q, &config).cache(&cache).run();
+            let warm = Session::new(&program, &callees, &client, q, &config)
+                .cache(&cache)
+                .intern(&mut icache)
+                .run();
             assert_eq!(cold.outcome, warm.outcome);
             assert_eq!(cold.iterations, warm.iterations);
         }

@@ -60,28 +60,24 @@ pub mod batch;
 pub mod brute;
 pub mod client;
 pub mod faultcli;
-pub mod groups;
 pub mod nullcli;
 pub mod resilience;
 pub mod tracer;
 
 pub use baseline::{solve_query_coarse, CoarseAtoms};
 pub use batch::{
-    default_jobs, outcome_tag, solve_queries_batch, solve_queries_batch_traced,
-    solve_query_cached, solve_query_cached_observed, solve_query_cached_warm, BatchConfig,
+    default_jobs, outcome_tag, solve_queries_batch, solve_queries_batch_traced, BatchConfig,
     BatchStats, ForwardCache, RetryPolicy, WorkerMeta,
 };
 pub use brute::brute_force_optimum;
 pub use client::{AsAnalysis, AsMeta, Query, QueryLimits, TracerClient};
 pub use faultcli::{faulty_query, lift_query, Fault, FaultInjectingClient, FaultPrim};
-pub use groups::{solve_queries, GroupStats};
 pub use resilience::{
     compact_checkpoint, load_checkpoint, solve_queries_batch_checkpointed,
     solve_queries_batch_checkpointed_traced, CheckpointError, CheckpointWriter, ParamCodec,
 };
 pub use pda_meta::{InternCache, MetaStats};
 pub use tracer::{
-    solve_query, solve_query_logged, solve_query_observed, solve_query_within, Escalation,
-    IterationLog, MetaKernel, Outcome, QueryObs, QueryResult, TracerConfig, Unresolved,
-    ViableEngine,
+    solve_query, solve_query_logged, Escalation, IterationLog, MetaKernel, Outcome, QueryObs,
+    QueryResult, Session, TracerConfig, Unresolved, ViableEngine,
 };

@@ -1,17 +1,20 @@
-//! The single-query TRACER loop (Algorithm 1).
+//! The TRACER loop (Algorithm 1): one [`Session`] per query, one `run`
+//! loop, and one `step`, shared by every driver.
 
-use crate::client::{AsMeta, Query, TracerClient};
+use crate::batch::ForwardCache;
+use crate::client::{AsAnalysis, AsMeta, Query, TracerClient};
 use pda_dataflow::{rhs, Interrupt, RhsLimits};
 use pda_lang::{CallId, MethodId, Program};
 use pda_meta::{
     analyze_trace_interned_jobs, analyze_trace_obs, restrict, BeamConfig, InternCache, MetaStats,
-    Primitive,
+    Primitive, WarmStore,
 };
 use pda_solver::{Bdd, MinCostSolver, Model, PFormula};
 use pda_util::{
     fault_point, Counter, Deadline, DeadlineExceeded, Event, MemBudget, ObsRegistry, Span,
     SpanKind,
 };
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -134,27 +137,27 @@ impl std::fmt::Display for ViableEngine {
 /// (`synced` counts how many constraints are already absorbed), which is
 /// also what lets the governor drop the whole arena and fall back to DPLL
 /// mid-query without losing anything.
-pub(crate) struct ViableState {
+struct ViableState {
     engine: ViableEngine,
     bdd: Option<Bdd>,
     synced: usize,
 }
 
 impl ViableState {
-    pub(crate) fn new(engine: ViableEngine) -> ViableState {
+    fn new(engine: ViableEngine) -> ViableState {
         ViableState { engine, bdd: None, synced: 0 }
     }
 
     /// Estimated retained bytes of the resident BDD (0 under DPLL);
     /// folded into the governor's retained-state accounting each
     /// iteration boundary.
-    pub(crate) fn approx_bytes(&self) -> u64 {
+    fn approx_bytes(&self) -> u64 {
         self.bdd.as_ref().map_or(0, |b| b.approx_bytes() as u64)
     }
 
     /// Memory-governor degradation: drop the BDD arena and run the rest
     /// of the query on DPLL. Returns whether anything changed.
-    pub(crate) fn degrade_to_dpll(&mut self) -> bool {
+    fn degrade_to_dpll(&mut self) -> bool {
         let changed = self.engine == ViableEngine::Bdd;
         self.engine = ViableEngine::Dpll;
         self.bdd = None;
@@ -174,7 +177,7 @@ impl ViableState {
     /// # Errors
     ///
     /// Returns [`DeadlineExceeded`] when `deadline` expires mid-solve.
-    pub(crate) fn solve<C: crate::client::TracerClient>(
+    fn solve<C: crate::client::TracerClient>(
         &mut self,
         client: &C,
         constraints: &[PFormula],
@@ -384,6 +387,10 @@ pub struct QueryResult<Param> {
 /// formula. Returns [`Outcome::Proven`] with an optimum abstraction,
 /// [`Outcome::Impossible`] when the viable set empties, or
 /// [`Outcome::Unresolved`] on budget exhaustion.
+///
+/// A lone query runs uncached: within one loop every iteration tries a
+/// new assignment (the previous one was just proven unviable), so a
+/// forward-run cache could only retain memory.
 pub fn solve_query<C: TracerClient>(
     program: &Program,
     callees: &dyn Fn(CallId) -> Vec<MethodId>,
@@ -391,20 +398,13 @@ pub fn solve_query<C: TracerClient>(
     query: &Query<C::Prim>,
     config: &TracerConfig,
 ) -> QueryResult<C::Param> {
-    solve_query_within(program, callees, client, query, config, Deadline::NEVER)
+    Session::new(program, callees, client, query, config).run()
 }
 
 /// The deadline a query actually runs under: the earliest of the
-/// configured per-query timeout, the query's own limit override, and an
-/// outer (batch) deadline.
-pub(crate) fn effective_deadline<P>(
-    query: &Query<P>,
-    config: &TracerConfig,
-    outer: Deadline,
-) -> Deadline {
-    Deadline::timeout(config.timeout)
-        .min(Deadline::timeout(query.limits.timeout))
-        .min(outer)
+/// configured per-query timeout and the query's own limit override.
+fn effective_deadline<P>(query: &Query<P>, config: &TracerConfig) -> Deadline {
+    Deadline::timeout(config.timeout).min(Deadline::timeout(query.limits.timeout))
 }
 
 /// The memory budget a query actually runs under: the query's own limit
@@ -429,7 +429,7 @@ fn pformula_bytes(f: &PFormula) -> u64 {
 
 /// Rough per-cube byte estimate used to account the backward kernels'
 /// transient cube traffic (both kernels report [`Counter::CubesBuilt`]).
-pub(crate) const CUBE_BYTES: u64 = 96;
+const CUBE_BYTES: u64 = 96;
 
 /// The last rung of the degradation ladder; sustained pressure past it
 /// resolves the query as [`Unresolved::MemBudgetExceeded`].
@@ -449,16 +449,16 @@ const LADDER_RUNGS: u32 = 8;
 /// so transient spikes cost cache warmth, not beam width. Every pressure
 /// decision is a pure function of deterministic byte estimates, so
 /// governed runs reproduce bit-identically.
-pub(crate) struct Governor {
+struct Governor {
     budget: MemBudget,
     level: u32,
     prev_pressure: bool,
     /// Ladder rungs applied so far (mirrors [`Counter::Degradations`]).
-    pub(crate) degradations: u32,
+    degradations: u32,
     /// The effective (possibly shrunken) backward beam.
-    pub(crate) beam: BeamConfig,
+    beam: BeamConfig,
     /// The effective (possibly shrunken) base fact budget.
-    pub(crate) base_facts: usize,
+    base_facts: usize,
     factor: usize,
     last_retained: u64,
 }
@@ -467,11 +467,7 @@ impl Governor {
     /// A governor for one query: `pool` is the shared batch pool charges
     /// cascade into (admission control reads it; it never throttles a
     /// running query).
-    pub(crate) fn new<P>(
-        query: &Query<P>,
-        config: &TracerConfig,
-        pool: Option<Arc<MemBudget>>,
-    ) -> Governor {
+    fn new<P>(query: &Query<P>, config: &TracerConfig, pool: Option<Arc<MemBudget>>) -> Governor {
         let limit = effective_mem_budget(query, config);
         let budget = match pool {
             Some(p) => MemBudget::with_parent(limit, p),
@@ -489,16 +485,12 @@ impl Governor {
         }
     }
 
-    pub(crate) fn budget(&self) -> &MemBudget {
-        &self.budget
-    }
-
     /// Re-estimates the bytes retained across iterations (the intern
     /// cache, the learned constraint set, and the viable engine's
     /// resident BDD arena if any) and charges/releases the delta, so the
     /// ledger's `used()` tracks retained state between boundaries while
     /// transient charges come and go on top of it.
-    pub(crate) fn account_retained<P: Primitive>(
+    fn account_retained<P: Primitive>(
         &mut self,
         icache: &InternCache<P>,
         constraints: &[PFormula],
@@ -524,7 +516,7 @@ impl Governor {
     /// Polls the consumed pressure signal at an iteration boundary and
     /// applies at most one ladder rung. Returns `true` when the ladder is
     /// exhausted (the caller resolves [`Unresolved::MemBudgetExceeded`]).
-    pub(crate) fn poll<P: Primitive>(
+    fn poll<P: Primitive>(
         &mut self,
         icache: &mut InternCache<P>,
         viable: &mut ViableState,
@@ -578,119 +570,6 @@ impl Drop for Governor {
     }
 }
 
-/// Like [`solve_query`], but also bounded by an externally imposed
-/// `outer` deadline (the batch driver's whole-batch budget).
-pub fn solve_query_within<C: TracerClient>(
-    program: &Program,
-    callees: &dyn Fn(CallId) -> Vec<MethodId>,
-    client: &C,
-    query: &Query<C::Prim>,
-    config: &TracerConfig,
-    outer: Deadline,
-) -> QueryResult<C::Param> {
-    solve_query_observed(program, callees, client, query, config, outer, &mut QueryObs::untraced())
-}
-
-/// Like [`solve_query_within`], but collects spans, counters, and (if
-/// enabled on `obs`) buffered trace events into the caller's [`QueryObs`].
-///
-/// The returned [`QueryResult::meta`] reflects only this call's counter
-/// deltas, so an `obs` reused across queries still yields per-query stats.
-pub fn solve_query_observed<C: TracerClient>(
-    program: &Program,
-    callees: &dyn Fn(CallId) -> Vec<MethodId>,
-    client: &C,
-    query: &Query<C::Prim>,
-    config: &TracerConfig,
-    outer: Deadline,
-    obs: &mut QueryObs,
-) -> QueryResult<C::Param> {
-    solve_query_pooled(program, callees, client, query, config, outer, obs, None)
-}
-
-/// [`solve_query_observed`] with the query's byte charges additionally
-/// cascading into a shared batch `pool` (admission-control accounting;
-/// the pool never influences the running query's decisions).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_query_pooled<C: TracerClient>(
-    program: &Program,
-    callees: &dyn Fn(CallId) -> Vec<MethodId>,
-    client: &C,
-    query: &Query<C::Prim>,
-    config: &TracerConfig,
-    outer: Deadline,
-    obs: &mut QueryObs,
-    pool: Option<Arc<MemBudget>>,
-) -> QueryResult<C::Param> {
-    let start = Instant::now();
-    let entry = obs.reg.clone();
-    let deadline = effective_deadline(query, config, outer);
-    // Publish the query's deadline for out-of-band sleepers (injected
-    // stalls, `Fault::Stall` clients) that sit outside the limit structs.
-    let _ambient = deadline.enter_ambient();
-    let mut constraints: Vec<PFormula> = Vec::new();
-    let mut iterations = 0;
-    let mut escalations = 0;
-    let mut icache = InternCache::default();
-    let mut viable = ViableState::new(config.viable_engine);
-    let mut gov = Governor::new(query, config, pool);
-    let outcome = loop {
-        // One watchdog heartbeat per CEGAR iteration: a request that
-        // stops beating is non-cooperatively stuck, not merely slow.
-        pda_util::heartbeat::beat();
-        if deadline.expired() {
-            break Outcome::Unresolved(Unresolved::DeadlineExceeded);
-        }
-        if iterations >= config.max_iters {
-            break Outcome::Unresolved(Unresolved::IterationBudget);
-        }
-        match step(
-            program,
-            callees,
-            client,
-            query,
-            config,
-            &mut constraints,
-            deadline,
-            &mut escalations,
-            &mut icache,
-            &mut viable,
-            &mut gov,
-            obs,
-            iterations,
-        ) {
-            StepResult::Proven { param, cost } => {
-                iterations += 1;
-                break Outcome::Proven { param, cost };
-            }
-            StepResult::Impossible => break Outcome::Impossible,
-            StepResult::Refined { .. } => {
-                iterations += 1;
-                gov.account_retained(&icache, &constraints, &viable, &mut obs.reg);
-                if gov.poll(&mut icache, &mut viable, &mut obs.reg) {
-                    break Outcome::Unresolved(Unresolved::MemBudgetExceeded);
-                }
-            }
-            StepResult::Unresolved(u) => {
-                iterations += 1;
-                break Outcome::Unresolved(u);
-            }
-        }
-    };
-    obs.reg.add(Counter::Iterations, iterations as u64);
-    obs.reg.add(Counter::Escalations, escalations as u64);
-    let meta = MetaStats::from_obs(&obs.reg.since(&entry));
-    QueryResult {
-        outcome,
-        iterations,
-        micros: start.elapsed().as_micros(),
-        escalations,
-        degradations: gov.degradations,
-        retries: 0,
-        meta,
-    }
-}
-
 /// One recorded CEGAR iteration of [`solve_query_logged`].
 #[derive(Debug, Clone)]
 pub struct IterationLog<Param> {
@@ -717,289 +596,433 @@ pub fn solve_query_logged<C: TracerClient>(
     query: &Query<C::Prim>,
     config: &TracerConfig,
 ) -> (QueryResult<C::Param>, Vec<IterationLog<C::Param>>) {
-    let start = Instant::now();
-    let deadline = effective_deadline(query, config, Deadline::NEVER);
-    let mut constraints: Vec<PFormula> = Vec::new();
     let mut log = Vec::new();
-    let mut iterations = 0;
-    let mut escalations = 0;
-    let mut obs = QueryObs::untraced();
-    let mut icache = InternCache::default();
-    let mut viable = ViableState::new(config.viable_engine);
-    let mut gov = Governor::new(query, config, None);
-    let outcome = loop {
-        if deadline.expired() {
-            break Outcome::Unresolved(Unresolved::DeadlineExceeded);
-        }
-        if iterations >= config.max_iters {
-            break Outcome::Unresolved(Unresolved::IterationBudget);
-        }
-        let before = obs.reg.clone();
-        match step(
-            program,
-            callees,
-            client,
-            query,
-            config,
-            &mut constraints,
-            deadline,
-            &mut escalations,
-            &mut icache,
-            &mut viable,
-            &mut gov,
-            &mut obs,
-            iterations,
-        ) {
-            StepResult::Proven { param, cost } => {
-                iterations += 1;
-                log.push(IterationLog {
-                    param: param.clone(),
-                    cost,
-                    learned: None,
-                    degradations: 0,
-                    meta: MetaStats::from_obs(&obs.reg.since(&before)),
-                });
-                break Outcome::Proven { param, cost };
-            }
-            StepResult::Impossible => break Outcome::Impossible,
-            StepResult::Refined { param, cost } => {
-                iterations += 1;
-                let deg_before = gov.degradations;
-                gov.account_retained(&icache, &constraints, &viable, &mut obs.reg);
-                let exhausted = gov.poll(&mut icache, &mut viable, &mut obs.reg);
-                log.push(IterationLog {
-                    param,
-                    cost,
-                    learned: constraints.last().cloned(),
-                    degradations: gov.degradations - deg_before,
-                    meta: MetaStats::from_obs(&obs.reg.since(&before)),
-                });
-                if exhausted {
-                    break Outcome::Unresolved(Unresolved::MemBudgetExceeded);
-                }
-            }
-            StepResult::Unresolved(u) => {
-                iterations += 1;
-                break Outcome::Unresolved(u);
-            }
-        }
-    };
-    (
-        QueryResult {
-            outcome,
-            iterations,
-            micros: start.elapsed().as_micros(),
-            escalations,
-            degradations: gov.degradations,
-            retries: 0,
-            meta: MetaStats::from_obs(&obs.reg),
-        },
-        log,
-    )
+    let r = Session::new(program, callees, client, query, config).log(&mut log).run();
+    (r, log)
 }
 
-pub(crate) enum StepResult<Param> {
+/// State the session owns, or borrows from a caller that keeps it across
+/// queries (the analysis daemon's warm intern cache, a batch worker's
+/// per-attempt [`QueryObs`]).
+enum Held<'s, T> {
+    Owned(T),
+    Borrowed(&'s mut T),
+}
+
+impl<T> std::ops::Deref for Held<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        match self {
+            Held::Owned(t) => t,
+            Held::Borrowed(t) => t,
+        }
+    }
+}
+
+impl<T> std::ops::DerefMut for Held<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        match self {
+            Held::Owned(t) => t,
+            Held::Borrowed(t) => t,
+        }
+    }
+}
+
+/// One query's CEGAR loop (Algorithm 1) and everything it carries across
+/// iterations: the deadline, the memory governor, the viable-set
+/// engine state, the learned constraints, the interned meta-kernel cache,
+/// an optional shared [`ForwardCache`], the observability context, and an
+/// optional iteration log.
+///
+/// Every driver — [`solve_query`], [`solve_query_logged`], the batch
+/// scheduler, and the analysis daemon — builds a session and calls
+/// [`Session::run`]; the builder methods select what is shared:
+///
+/// ```
+/// use pda_tracer::{nullcli::NullClient, ForwardCache, QueryObs, Session, TracerConfig};
+///
+/// let program = pda_lang::parse_program(
+///     "fn main() { var x, y; x = null; y = x; query q: local y; }",
+/// ).unwrap();
+/// let pa = pda_analysis::PointsTo::analyze(&program);
+/// let client = NullClient::new(&program);
+/// let query = client.query(&program, program.query_by_label("q").unwrap());
+/// let config = TracerConfig::default();
+/// let callees = |c| pa.callees(c).to_vec();
+/// let cache = ForwardCache::new();
+/// let mut obs = QueryObs::untraced();
+/// let r = Session::new(&program, &callees, &client, &query, &config)
+///     .cache(&cache)
+///     .observe(&mut obs)
+///     .run();
+/// assert_eq!(r.iterations as u64, cache.stats().misses);
+/// ```
+pub struct Session<'s, 'p, C: TracerClient> {
+    program: &'p Program,
+    callees: &'s dyn Fn(CallId) -> Vec<MethodId>,
+    client: &'s C,
+    query: &'s Query<C::Prim>,
+    config: &'s TracerConfig,
+    deadline: Deadline,
+    gov: Governor,
+    viable: ViableState,
+    constraints: Vec<PFormula>,
+    escalations: u32,
+    icache: Held<'s, InternCache<C::Prim>>,
+    cache: Option<&'s ForwardCache<'p, C::State>>,
+    /// Contended forward-cache shard waits, drained into the registry
+    /// once at the end (effort attribution, never part of the event
+    /// stream).
+    lock_waits: AtomicU64,
+    obs: Held<'s, QueryObs>,
+    log: Option<&'s mut Vec<IterationLog<C::Param>>>,
+}
+
+enum StepResult<Param> {
     Proven { param: Param, cost: u64 },
     Impossible,
     Refined { param: Param, cost: u64 },
     Unresolved(Unresolved),
 }
 
-/// The backward phase of one CEGAR iteration: meta-analyze the
-/// counterexample trace under the configured kernel and restrict to a
-/// parameter formula. Shared by the sequential and cached drivers; the
-/// elapsed time and kernel counters accumulate into `obs`
-/// ([`Counter::MetaMicros`] plus the kernel effort counters), and the
-/// interned kernel's closure/memo state persists in `icache` across
-/// iterations (the tree kernel ignores it).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn backward_phase<C: TracerClient>(
-    client: &C,
-    query: &Query<C::Prim>,
-    config: &TracerConfig,
-    beam: &BeamConfig,
-    p: &C::Param,
-    d0: &C::State,
-    atoms: &[pda_lang::Atom],
-    icache: &mut InternCache<C::Prim>,
-    obs: &mut ObsRegistry,
-) -> Result<PFormula, pda_meta::MetaError> {
-    let t0 = Instant::now();
-    let phi = match config.kernel {
-        MetaKernel::Interned => analyze_trace_interned_jobs(
-            &AsMeta(client),
-            p,
-            d0,
-            atoms,
-            &query.not_q,
-            beam,
-            icache,
-            obs,
-            // Clamped to the machine, exactly like the batch scheduler's
-            // worker count: on a box with fewer cores than the requested
-            // degree, extra kernel threads only time-share and stretch
-            // every wall-clock span (the jobs>1 meta-inflation pathology
-            // this knob must never reintroduce). Direct kernel calls
-            // stay unclamped so tests can exercise the parallel merge
-            // paths on any machine.
-            config.meta_jobs.min(crate::batch::default_jobs()),
-        )
-        .map(|out| out.restrict()),
-        MetaKernel::Tree => {
-            analyze_trace_obs(&AsMeta(client), p, d0, atoms, &query.not_q, beam, obs)
-                .map(|dnf| restrict(&dnf, d0))
-        }
-    };
-    // The backward phase is always timed (the perf acceptance criterion
-    // compares kernels on it), so the span reuses the same measurement
-    // instead of taking a second clock reading.
-    let us = t0.elapsed().as_micros() as u64;
-    obs.add(Counter::MetaMicros, us);
-    obs.record_span_micros(SpanKind::Backward, us);
-    phi
-}
-
-/// One CEGAR iteration: pick minimum viable `p`, run forward, either prove
-/// or learn a new unviability constraint (pushed onto `constraints`).
-///
-/// `iter` is the zero-based iteration index, used only to tag trace
-/// events; `obs` collects spans, counters, and buffered events. The
-/// `iteration_start` event is emitted only once the solver has produced a
-/// model, so its stream count equals the driver's iteration counter.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn step<C: TracerClient>(
-    program: &Program,
-    callees: &dyn Fn(CallId) -> Vec<MethodId>,
-    client: &C,
-    query: &Query<C::Prim>,
-    config: &TracerConfig,
-    constraints: &mut Vec<PFormula>,
-    deadline: Deadline,
-    escalations: &mut u32,
-    icache: &mut InternCache<C::Prim>,
-    viable: &mut ViableState,
-    gov: &mut Governor,
-    obs: &mut QueryObs,
-    iter: usize,
-) -> StepResult<C::Param> {
-    // The solver phase is always timed (like the backward phase): the
-    // viable-engine acceptance criterion compares engines on it, so the
-    // split must be visible in footers even with span timing off.
-    let t0 = Instant::now();
-    let solved = viable.solve(client, constraints, deadline, &mut obs.reg, gov.budget());
-    obs.reg.add(Counter::SolverMicros, t0.elapsed().as_micros() as u64);
-    let model = match solved {
-        Ok(Some(m)) => m,
-        Ok(None) => return StepResult::Impossible,
-        Err(_) => return StepResult::Unresolved(Unresolved::DeadlineExceeded),
-    };
-    let q = obs.query;
-    let iter = iter as u64;
-    obs.emit(Event::IterationStart { query: q, iter });
-    obs.emit(Event::ParamChosen {
-        query: q,
-        iter,
-        cost: model.cost,
-        param: bitstring(&model.assignment),
-    });
-    let p = client.param_of_model(&model.assignment);
-    let d0 = client.initial_state();
-
-    // Forward run under the escalation ladder: on TooBig, retry the same
-    // abstraction with a geometrically larger fact budget while retries
-    // remain and the deadline is alive. The governor may have shrunk the
-    // base below the configured/query budget (ladder rungs 7–8).
-    let base_facts = gov.base_facts;
-    let mut attempt: u32 = 0;
-    let fwd = Span::enter(&obs.reg, SpanKind::Forward);
-    let run = loop {
-        let limits = RhsLimits {
-            max_facts: config.escalation.budget(base_facts, attempt),
-            deadline,
-        };
-        match rhs::run(
+impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
+    /// A session for `query` with no outer deadline, a fresh intern
+    /// cache, no forward-run cache, an untraced [`QueryObs`], and no log.
+    pub fn new(
+        program: &'p Program,
+        callees: &'s dyn Fn(CallId) -> Vec<MethodId>,
+        client: &'s C,
+        query: &'s Query<C::Prim>,
+        config: &'s TracerConfig,
+    ) -> Self {
+        Session {
             program,
-            &crate::client::AsAnalysis(client),
-            &p,
-            d0.clone(),
             callees,
-            limits,
-        ) {
-            Ok(r) => break r,
-            Err(Interrupt::DeadlineExceeded) => {
-                fwd.exit(&mut obs.reg);
-                return StepResult::Unresolved(Unresolved::DeadlineExceeded);
+            client,
+            query,
+            config,
+            deadline: effective_deadline(query, config),
+            gov: Governor::new(query, config, None),
+            viable: ViableState::new(config.viable_engine),
+            constraints: Vec::new(),
+            escalations: 0,
+            icache: Held::Owned(InternCache::new()),
+            cache: None,
+            lock_waits: AtomicU64::new(0),
+            obs: Held::Owned(QueryObs::untraced()),
+            log: None,
+        }
+    }
+
+    /// Also bounds the query by an externally imposed `outer` deadline
+    /// (a batch's whole-batch budget, a daemon request's window).
+    pub fn within(mut self, outer: Deadline) -> Self {
+        self.deadline = self.deadline.min(outer);
+        self
+    }
+
+    /// Routes every forward run through `cache`, shared with sibling
+    /// queries over the same program and client.
+    pub fn cache(mut self, cache: &'s ForwardCache<'p, C::State>) -> Self {
+        self.cache = Some(cache);
+        self
+    }
+
+    /// Uses the caller's intern/wp-memo cache, which stays warm across
+    /// queries of the same client. Memoization is semantically
+    /// transparent: outcomes are identical to a cold-cache solve, only
+    /// effort counters (wp hits/misses, micros) differ.
+    pub fn intern(mut self, icache: &'s mut InternCache<C::Prim>) -> Self {
+        self.icache = Held::Borrowed(icache);
+        self
+    }
+
+    /// Collects spans, counters, and (if enabled on `obs`) buffered trace
+    /// events into the caller's [`QueryObs`]. The returned
+    /// [`QueryResult::meta`] reflects only this run's counter deltas, so
+    /// an `obs` reused across queries still yields per-query stats.
+    pub fn observe(mut self, obs: &'s mut QueryObs) -> Self {
+        self.obs = Held::Borrowed(obs);
+        self
+    }
+
+    /// Records every iteration into `log` (see [`solve_query_logged`]).
+    fn log(mut self, log: &'s mut Vec<IterationLog<C::Param>>) -> Self {
+        self.log = Some(log);
+        self
+    }
+
+    /// Cascades the query's byte charges into a shared batch `pool`
+    /// (admission-control accounting; the pool never influences the
+    /// running query's decisions).
+    pub(crate) fn pool(mut self, pool: Arc<MemBudget>) -> Self {
+        self.gov = Governor::new(self.query, self.config, Some(pool));
+        self
+    }
+
+    /// Seeds a fresh intern cache from the batch-wide `warm` store
+    /// (semantically transparent sharing of wp formulas and
+    /// primitive-pair verdicts — see [`WarmStore`]).
+    pub(crate) fn warm(mut self, warm: Arc<WarmStore<C::Prim>>) -> Self {
+        self.icache = Held::Owned(InternCache::with_warm(warm));
+        self
+    }
+
+    /// Runs the CEGAR loop to a verdict or a budget.
+    pub fn run(mut self) -> QueryResult<C::Param> {
+        let start = Instant::now();
+        let entry = self.obs.reg.clone();
+        // Publish the query's deadline for out-of-band sleepers (injected
+        // stalls, `Fault::Stall` clients) that sit outside the limit structs.
+        let _ambient = self.deadline.enter_ambient();
+        let mut iterations = 0;
+        let outcome = loop {
+            // One watchdog heartbeat per CEGAR iteration: a request that
+            // stops beating is non-cooperatively stuck, not merely slow.
+            pda_util::heartbeat::beat();
+            if self.deadline.expired() {
+                break Outcome::Unresolved(Unresolved::DeadlineExceeded);
             }
-            Err(Interrupt::TooBig(_)) => {
-                if attempt < config.escalation.retries && !deadline.expired() {
-                    attempt += 1;
-                    *escalations += 1;
-                } else {
-                    fwd.exit(&mut obs.reg);
-                    return StepResult::Unresolved(Unresolved::AnalysisTooBig);
+            if iterations >= self.config.max_iters {
+                break Outcome::Unresolved(Unresolved::IterationBudget);
+            }
+            // Per-iteration snapshots cost a registry clone, so only a
+            // logging session takes them.
+            let before = self.log.is_some().then(|| self.obs.reg.clone());
+            let (param, cost, proven) = match self.step(iterations) {
+                StepResult::Impossible => break Outcome::Impossible,
+                StepResult::Unresolved(u) => {
+                    iterations += 1;
+                    break Outcome::Unresolved(u);
                 }
+                StepResult::Proven { param, cost } => (param, cost, true),
+                StepResult::Refined { param, cost } => (param, cost, false),
+            };
+            iterations += 1;
+            let rungs = self.gov.degradations;
+            let exhausted = !proven && {
+                let icache = &mut *self.icache;
+                self.gov.account_retained(
+                    icache,
+                    &self.constraints,
+                    &self.viable,
+                    &mut self.obs.reg,
+                );
+                self.gov.poll(icache, &mut self.viable, &mut self.obs.reg)
+            };
+            if let (Some(log), Some(before)) = (self.log.as_deref_mut(), before) {
+                log.push(IterationLog {
+                    param: param.clone(),
+                    cost,
+                    learned: if proven { None } else { self.constraints.last().cloned() },
+                    degradations: self.gov.degradations - rungs,
+                    meta: MetaStats::from_obs(&self.obs.reg.since(&before)),
+                });
             }
+            if proven {
+                break Outcome::Proven { param, cost };
+            }
+            if exhausted {
+                break Outcome::Unresolved(Unresolved::MemBudgetExceeded);
+            }
+        };
+        let reg = &mut self.obs.reg;
+        reg.add(Counter::Iterations, iterations as u64);
+        reg.add(Counter::Escalations, u64::from(self.escalations));
+        reg.add(Counter::LockWaitMicros, self.lock_waits.load(Ordering::Relaxed));
+        let meta = MetaStats::from_obs(&reg.since(&entry));
+        QueryResult {
+            outcome,
+            iterations,
+            micros: start.elapsed().as_micros(),
+            escalations: self.escalations,
+            degradations: self.gov.degradations,
+            retries: 0,
+            meta,
         }
-    };
-    fwd.exit(&mut obs.reg);
-    obs.reg.inc(Counter::ForwardRuns);
-    obs.emit(Event::ForwardDone { query: q, iter, facts: run.n_facts() as u64 });
-    // The fact/reason tables live until the end of this step; charge them
-    // so the boundary poll sees the iteration's true working set.
-    let fwd_bytes = run.approx_bytes();
-    gov.budget().charge(fwd_bytes);
-    obs.reg.add(Counter::MemCharged, fwd_bytes);
+    }
 
-    let failing = |d: &C::State| query.not_q.holds(&p, d);
-    let Some(trace) = run.witness(query.point, &failing) else {
-        gov.budget().release(fwd_bytes);
-        return StepResult::Proven { param: p, cost: model.cost };
-    };
-    let atoms: Vec<pda_lang::Atom> = trace.iter().map(|s| s.atom).collect();
+    /// One CEGAR iteration: pick minimum viable `p`, run forward, either
+    /// prove or learn a new unviability constraint (pushed onto
+    /// `constraints`).
+    ///
+    /// `iter` is the zero-based iteration index, used only to tag trace
+    /// events. The `iteration_start` event is emitted only once the solver
+    /// has produced a model, so its stream count equals the driver's
+    /// iteration counter.
+    fn step(&mut self, iter: usize) -> StepResult<C::Param> {
+        let (client, query, config, deadline) =
+            (self.client, self.query, self.config, self.deadline);
+        // The solver phase is always timed (like the backward phase): the
+        // viable-engine acceptance criterion compares engines on it, so the
+        // split must be visible in footers even with span timing off.
+        let t0 = Instant::now();
+        let solved = self.viable.solve(
+            client,
+            &self.constraints,
+            deadline,
+            &mut self.obs.reg,
+            &self.gov.budget,
+        );
+        self.obs.reg.add(Counter::SolverMicros, t0.elapsed().as_micros() as u64);
+        let model = match solved {
+            Ok(Some(m)) => m,
+            Ok(None) => return StepResult::Impossible,
+            Err(_) => return StepResult::Unresolved(Unresolved::DeadlineExceeded),
+        };
+        let q = self.obs.query;
+        let iter = iter as u64;
+        self.obs.emit(Event::IterationStart { query: q, iter });
+        self.obs.emit(Event::ParamChosen {
+            query: q,
+            iter,
+            cost: model.cost,
+            param: bitstring(&model.assignment),
+        });
+        let p = client.param_of_model(&model.assignment);
+        let d0 = client.initial_state();
 
-    let before = obs.reg.clone();
-    let phi = match backward_phase(
-        client,
-        query,
-        config,
-        &gov.beam,
-        &p,
-        &d0,
-        &atoms,
-        icache,
-        &mut obs.reg,
-    ) {
-        Ok(phi) => phi,
-        Err(e) => {
-            gov.budget().release(fwd_bytes);
-            return StepResult::Unresolved(Unresolved::MetaFailure(e.to_string()));
-        }
-    };
-    let delta = obs.reg.since(&before);
-    // Transient cube traffic of the backward phase, as a deterministic
-    // per-cube estimate (charged and released in one breath — the peak
-    // tracker still observes it).
-    let cube_bytes = delta.get(Counter::CubesBuilt).saturating_mul(CUBE_BYTES);
-    gov.budget().charge(cube_bytes);
-    obs.reg.add(Counter::MemCharged, cube_bytes);
-    gov.budget().release(cube_bytes);
-    obs.emit(Event::MetaDone {
-        query: q,
-        iter,
-        cubes: delta.get(Counter::CubesBuilt),
-        wp_hits: delta.get(Counter::WpHits),
-        wp_misses: delta.get(Counter::WpMisses),
-    });
-    obs.emit(Event::Pruned { query: q, iter, cubes: delta.get(Counter::ApproxDrops) });
-    debug_assert!(
-        phi.eval(&model.assignment),
-        "backward analysis failed to eliminate the current abstraction (Theorem 3.1)"
-    );
-    let viable = Span::enter(&obs.reg, SpanKind::Viable);
-    constraints.push(PFormula::not(phi));
-    viable.exit(&mut obs.reg);
-    gov.budget().release(fwd_bytes);
-    StepResult::Refined { param: p, cost: model.cost }
+        // Forward run under the escalation ladder: on TooBig, retry the
+        // same abstraction with a geometrically larger fact budget while
+        // retries remain and the deadline is alive. The governor may have
+        // shrunk the base below the configured/query budget (ladder rungs
+        // 7–8); a degraded budget is a different cache key, so degraded
+        // runs never poison healthy ones.
+        let mut attempt: u32 = 0;
+        let mut executed = 0;
+        let fwd = Span::enter(&self.obs.reg, SpanKind::Forward);
+        let run = loop {
+            let max_facts = config.escalation.budget(self.gov.base_facts, attempt);
+            let limits = RhsLimits { max_facts, deadline };
+            let mut compute = || {
+                executed += 1;
+                rhs::run(self.program, &AsAnalysis(client), &p, d0.clone(), self.callees, limits)
+            };
+            let result = match self.cache {
+                Some(c) => {
+                    c.forward(&model.assignment, max_facts, deadline, &self.lock_waits, compute)
+                }
+                None => compute().map(Arc::new),
+            };
+            match result {
+                Ok(r) => break Ok(r),
+                Err(Interrupt::TooBig(_))
+                    if attempt < config.escalation.retries && !deadline.expired() =>
+                {
+                    attempt += 1;
+                    self.escalations += 1;
+                }
+                Err(Interrupt::TooBig(_)) => break Err(Unresolved::AnalysisTooBig),
+                Err(Interrupt::DeadlineExceeded) => break Err(Unresolved::DeadlineExceeded),
+            }
+        };
+        fwd.exit(&mut self.obs.reg);
+        // RHS runs this query executed itself; runs a sibling executed
+        // reach it as cache hits.
+        self.obs.reg.add(Counter::ForwardRuns, executed);
+        let run = match run {
+            Ok(run) => run,
+            Err(u) => return StepResult::Unresolved(u),
+        };
+        self.obs.emit(Event::ForwardDone { query: q, iter, facts: run.n_facts() as u64 });
+        // The (possibly shared) fact/reason tables are this query's
+        // working set until the end of the step; charge them so the
+        // boundary poll — and the batch pool — see the iteration's true
+        // footprint.
+        let fwd_bytes = run.approx_bytes();
+        self.gov.budget.charge(fwd_bytes);
+        self.obs.reg.add(Counter::MemCharged, fwd_bytes);
+
+        let failing = |d: &C::State| query.not_q.holds(&p, d);
+        let Some(trace) = run.witness(query.point, &failing) else {
+            self.gov.budget.release(fwd_bytes);
+            return StepResult::Proven { param: p, cost: model.cost };
+        };
+        let atoms: Vec<pda_lang::Atom> = trace.iter().map(|s| s.atom).collect();
+
+        let before = self.obs.reg.clone();
+        let phi = match self.backward(&p, &d0, &atoms) {
+            Ok(phi) => phi,
+            Err(e) => {
+                self.gov.budget.release(fwd_bytes);
+                return StepResult::Unresolved(Unresolved::MetaFailure(e.to_string()));
+            }
+        };
+        let delta = self.obs.reg.since(&before);
+        // Transient cube traffic of the backward phase, as a deterministic
+        // per-cube estimate (charged and released in one breath — the peak
+        // tracker still observes it).
+        let cube_bytes = delta.get(Counter::CubesBuilt).saturating_mul(CUBE_BYTES);
+        self.gov.budget.charge(cube_bytes);
+        self.obs.reg.add(Counter::MemCharged, cube_bytes);
+        self.gov.budget.release(cube_bytes);
+        self.obs.emit(Event::MetaDone {
+            query: q,
+            iter,
+            cubes: delta.get(Counter::CubesBuilt),
+            wp_hits: delta.get(Counter::WpHits),
+            wp_misses: delta.get(Counter::WpMisses),
+        });
+        self.obs.emit(Event::Pruned { query: q, iter, cubes: delta.get(Counter::ApproxDrops) });
+        debug_assert!(
+            phi.eval(&model.assignment),
+            "backward analysis failed to eliminate the current abstraction (Theorem 3.1)"
+        );
+        let viable = Span::enter(&self.obs.reg, SpanKind::Viable);
+        self.constraints.push(PFormula::not(phi));
+        viable.exit(&mut self.obs.reg);
+        self.gov.budget.release(fwd_bytes);
+        StepResult::Refined { param: p, cost: model.cost }
+    }
+
+    /// The backward phase of one CEGAR iteration: meta-analyze the
+    /// counterexample trace under the configured kernel and restrict to a
+    /// parameter formula. The elapsed time and kernel counters accumulate
+    /// into the registry ([`Counter::MetaMicros`] plus the kernel effort
+    /// counters), and the interned kernel's closure/memo state persists in
+    /// the intern cache across iterations (the tree kernel ignores it).
+    fn backward(
+        &mut self,
+        p: &C::Param,
+        d0: &C::State,
+        atoms: &[pda_lang::Atom],
+    ) -> Result<PFormula, pda_meta::MetaError> {
+        let meta = AsMeta(self.client);
+        let not_q = &self.query.not_q;
+        let beam = &self.gov.beam;
+        let obs = &mut self.obs.reg;
+        let t0 = Instant::now();
+        let phi = match self.config.kernel {
+            MetaKernel::Interned => analyze_trace_interned_jobs(
+                &meta,
+                p,
+                d0,
+                atoms,
+                not_q,
+                beam,
+                &mut self.icache,
+                obs,
+                // Clamped to the machine, exactly like the batch scheduler's
+                // worker count: on a box with fewer cores than the requested
+                // degree, extra kernel threads only time-share and stretch
+                // every wall-clock span (the jobs>1 meta-inflation pathology
+                // this knob must never reintroduce). Direct kernel calls
+                // stay unclamped so tests can exercise the parallel merge
+                // paths on any machine.
+                self.config.meta_jobs.min(crate::batch::default_jobs()),
+            )
+            .map(|out| out.restrict()),
+            MetaKernel::Tree => analyze_trace_obs(&meta, p, d0, atoms, not_q, beam, obs)
+                .map(|dnf| restrict(&dnf, d0)),
+        };
+        // The backward phase is always timed (the perf acceptance criterion
+        // compares kernels on it), so the span reuses the same measurement
+        // instead of taking a second clock reading.
+        let us = t0.elapsed().as_micros() as u64;
+        obs.add(Counter::MetaMicros, us);
+        obs.record_span_micros(SpanKind::Backward, us);
+        phi
+    }
 }
 
 impl<Param> std::fmt::Display for Outcome<Param> {

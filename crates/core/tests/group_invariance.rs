@@ -1,9 +1,10 @@
-//! Query-group bookkeeping invariants: outcomes are independent of query
-//! order, and grouped results match individually-solved results.
+//! Forward-run sharing invariants (the Section 6 query groups, done by
+//! the batch scheduler's forward-run cache): outcomes are independent of
+//! query order, and batched results match individually-solved results.
 
 use pda_analysis::PointsTo;
 use pda_tracer::nullcli::NullClient;
-use pda_tracer::{solve_queries, solve_query, Outcome, TracerConfig};
+use pda_tracer::{solve_queries_batch, solve_query, BatchConfig, Outcome};
 
 const SRC: &str = r#"
     class C {}
@@ -33,13 +34,9 @@ fn outcomes_in_order(order: &[usize]) -> Vec<(usize, Option<u64>)> {
         .map(|(qid, _)| client.query(&program, qid))
         .collect();
     let queries: Vec<_> = order.iter().map(|&i| all[i].clone()).collect();
-    let (results, _) = solve_queries(
-        &program,
-        &|c| pa.callees(c).to_vec(),
-        &client,
-        &queries,
-        &TracerConfig::default(),
-    );
+    let config = BatchConfig { jobs: 1, ..BatchConfig::default() };
+    let (results, _) =
+        solve_queries_batch(&program, &|c| pa.callees(c).to_vec(), &client, &queries, &config);
     let mut out: Vec<(usize, Option<u64>)> = order
         .iter()
         .zip(&results)
@@ -77,16 +74,19 @@ fn grouped_matches_individual_per_query() {
         .iter_enumerated()
         .map(|(qid, _)| client.query(&program, qid))
         .collect();
-    let (grouped, stats) =
-        solve_queries(&program, &callees, &client, &queries, &TracerConfig::default());
-    assert!(stats.forward_runs > 0);
-    for (q, g) in queries.iter().zip(&grouped) {
-        let ind = solve_query(&program, &callees, &client, q, &TracerConfig::default());
-        match (&ind.outcome, &g.outcome) {
-            (Outcome::Proven { cost: a, .. }, Outcome::Proven { cost: b, .. }) => {
-                assert_eq!(a, b)
-            }
-            (x, y) => assert_eq!(x, y),
-        }
+    let config = BatchConfig { jobs: 1, ..BatchConfig::default() };
+    let (batched, stats) = solve_queries_batch(&program, &callees, &client, &queries, &config);
+    let mut individual_runs = 0;
+    for (q, g) in queries.iter().zip(&batched) {
+        let ind = solve_query(&program, &callees, &client, q, &config.tracer);
+        assert_eq!(ind.outcome, g.outcome);
+        assert_eq!(ind.iterations, g.iterations);
+        individual_runs += ind.iterations as u64;
     }
+    // Forward runs executed are the cache misses; every query starts from
+    // the empty abstraction, so the batch runs fewer than the queries
+    // would alone.
+    assert!(stats.cache.misses > 0);
+    assert!(stats.cache.misses < individual_runs, "{}", stats.cache);
+    assert_eq!(stats.cache.lookups(), individual_runs);
 }

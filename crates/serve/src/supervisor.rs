@@ -24,9 +24,9 @@ use crate::proto::{parse_request, LineBuilder, Op, Request, Target};
 use pda_lang::{CallId, MethodId, Program};
 use pda_tracer::{
     compact_checkpoint, default_jobs, load_checkpoint, outcome_tag,
-    solve_queries_batch_checkpointed, solve_query_cached_warm, BatchConfig, CheckpointWriter,
-    ForwardCache, InternCache, MetaStats, Outcome, ParamCodec, Query, QueryObs, QueryResult,
-    RetryPolicy, TracerClient, TracerConfig, Unresolved,
+    solve_queries_batch_checkpointed, BatchConfig, CheckpointWriter, ForwardCache, InternCache,
+    MetaStats, Outcome, ParamCodec, Query, QueryObs, QueryResult, RetryPolicy, Session,
+    TracerClient, TracerConfig, Unresolved,
 };
 use pda_util::{faultplane, heartbeat, Deadline, Event, FileSink, TraceSink};
 use std::collections::HashMap;
@@ -620,17 +620,18 @@ where
                 // no watchdog this simply blocks the connection.
                 std::thread::sleep(Duration::from_millis(ms));
             }
-            solve_query_cached_warm(
+            Session::new(
                 self.program,
                 self.callees,
                 self.client,
                 &self.queries[index],
                 &self.config.tracer,
-                cache,
-                &mut conn.icache,
-                deadline,
-                &mut qobs,
             )
+            .within(deadline)
+            .cache(cache)
+            .intern(&mut conn.icache)
+            .observe(&mut qobs)
+            .run()
         }));
         let r = match solved {
             Ok(r) => r,
@@ -686,17 +687,18 @@ where
                     if inject_panic {
                         panic!("injected fault (solve op)");
                     }
-                    solve_query_cached_warm(
+                    Session::new(
                         self.program,
                         self.callees,
                         self.client,
                         &self.queries[index],
                         &self.config.tracer,
-                        &cache,
-                        &mut icache,
-                        deadline,
-                        &mut qobs,
                     )
+                    .within(deadline)
+                    .cache(&cache)
+                    .intern(&mut icache)
+                    .observe(&mut qobs)
+                    .run()
                 }));
                 let r = match solved {
                     Ok(r) => r,

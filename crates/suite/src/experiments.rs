@@ -1,6 +1,7 @@
 //! The experiment harness: runs both client analyses over a benchmark
-//! with the grouped TRACER and aggregates the statistics behind the
-//! paper's Tables 2–4 and Figures 12–14.
+//! through the batch scheduler (whose shared forward-run cache does the
+//! work of the paper's Section 6 query groups) and aggregates the
+//! statistics behind the paper's Tables 2–4 and Figures 12–14.
 
 use crate::bench::Benchmark;
 use pda_dataflow::RhsLimits;
@@ -8,11 +9,11 @@ use pda_escape::EscapeClient;
 use pda_lang::{CallKind, Node, SiteId};
 use pda_meta::{BeamConfig, MetaStats};
 use pda_tracer::{
-    solve_queries, solve_queries_batch, BatchConfig, Escalation, Outcome, Query, QueryResult,
-    TracerClient, TracerConfig, ViableEngine,
+    solve_queries_batch, BatchConfig, Escalation, Outcome, Query, QueryResult, TracerClient,
+    TracerConfig, ViableEngine,
 };
 use pda_typestate::{TsMode, TypestateClient};
-use pda_util::{CacheStats, Idx, Summary};
+use pda_util::{CacheStats, Counter, Idx, ObsRegistry, Summary};
 use std::collections::{BTreeMap, HashSet};
 use std::time::Instant;
 
@@ -21,7 +22,7 @@ use std::time::Instant;
 pub struct ExperimentConfig {
     /// Backward beam width (the paper's `k`; 5 by default, Figure 13).
     pub k: usize,
-    /// CEGAR iteration budget per query group (timeout analogue).
+    /// CEGAR iteration budget per query (timeout analogue).
     pub max_iters: usize,
     /// Forward fact budget per run.
     pub max_facts: usize,
@@ -30,10 +31,11 @@ pub struct ExperimentConfig {
     pub max_queries: usize,
     /// For type-state: cap on sites queried per call point.
     pub sites_per_call: usize,
-    /// Worker threads for the batch scheduler. `1` (the default) keeps
-    /// the sequential grouped driver; `> 1` solves each query
-    /// independently on a worker pool with a shared forward-run cache
-    /// (`pda_tracer::solve_queries_batch`).
+    /// Workers for the batch scheduler (`pda_tracer::solve_queries_batch`;
+    /// `1`, the default, solves the queries in order on the calling
+    /// thread). Every batch of two or more queries shares forward runs
+    /// through one cache whatever this is, so verdicts, costs, and
+    /// iteration counts do not depend on it.
     pub jobs: usize,
     /// In-query data parallelism for the backward meta-kernel: chunk
     /// workers for `product_i` and subsumption scans (`1`, the default,
@@ -103,7 +105,8 @@ pub struct QueryOutcome {
     pub label: String,
     /// Resolution bucket.
     pub resolution: Resolution,
-    /// CEGAR iterations (forward runs of the query's group lineage).
+    /// CEGAR iterations (forward runs the query's loop consumed, shared
+    /// or not).
     pub iterations: usize,
     /// Wall time attributed to the query, µs.
     pub micros: u128,
@@ -125,19 +128,33 @@ pub struct AnalysisRun {
     pub outcomes: Vec<QueryOutcome>,
     /// Total wall time, µs.
     pub wall_micros: u128,
-    /// Total forward runs (shared across grouped queries, or cache
-    /// misses under the batch scheduler).
-    pub forward_runs: usize,
-    /// Worker threads used (1 = sequential grouped driver).
+    /// Batch workers requested.
     pub jobs: usize,
-    /// Forward-run cache statistics (all-zero when `jobs == 1`; the
-    /// sequential driver shares runs via groups, not the cache).
-    pub cache: CacheStats,
-    /// Meta-kernel effort counters summed over the run.
-    pub meta: MetaStats,
+    /// The run's batches' registries ([`pda_tracer::BatchStats::to_obs`])
+    /// merged: cache, fault, solver, span, and meta-kernel counters.
+    pub obs: ObsRegistry,
 }
 
 impl AnalysisRun {
+    /// Forward (RHS) runs executed; cache hits are runs saved.
+    pub fn forward_runs(&self) -> u64 {
+        self.obs.get(Counter::ForwardRuns)
+    }
+
+    /// Forward-run cache statistics (all-zero for batches of one query,
+    /// which run uncached).
+    pub fn cache(&self) -> CacheStats {
+        CacheStats {
+            hits: self.obs.get(Counter::CacheHits),
+            misses: self.obs.get(Counter::CacheMisses),
+        }
+    }
+
+    /// Meta-kernel effort counters summed over the run.
+    pub fn meta(&self) -> MetaStats {
+        MetaStats::from_obs(&self.obs)
+    }
+
     /// Batch throughput in queries per second.
     pub fn queries_per_sec(&self) -> f64 {
         if self.wall_micros == 0 {
@@ -240,36 +257,29 @@ fn sample<T>(mut xs: Vec<T>, max: usize) -> Vec<T> {
     xs
 }
 
-/// Dispatches one query batch: the sequential grouped driver (Section 6)
-/// when `cfg.jobs == 1`, the parallel batch scheduler with its shared
-/// forward-run cache otherwise. Returns per-query results, forward runs
-/// executed, and the cache counters (zero for the sequential path).
+/// Solves one query batch through the batch scheduler. Returns per-query
+/// results and the batch's registry ([`pda_tracer::BatchStats::to_obs`]).
 fn solve_all<C>(
     program: &pda_lang::Program,
     callees: &(dyn Fn(pda_lang::CallId) -> Vec<pda_lang::MethodId> + Sync),
     client: &C,
     queries: &[Query<C::Prim>],
     cfg: &ExperimentConfig,
-) -> (Vec<QueryResult<C::Param>>, usize, CacheStats, MetaStats)
+) -> (Vec<QueryResult<C::Param>>, ObsRegistry)
 where
     C: TracerClient + Sync,
     C::Param: Send,
     C::State: Send + Sync,
     C::Prim: Send + Sync,
 {
-    if cfg.jobs > 1 {
-        let batch = BatchConfig { tracer: cfg.tracer(), jobs: cfg.jobs, ..BatchConfig::default() };
-        let (results, stats) = solve_queries_batch(program, callees, client, queries, &batch);
-        (results, stats.cache.misses as usize, stats.cache, stats.meta)
-    } else {
-        let (results, stats) = solve_queries(program, callees, client, queries, &cfg.tracer());
-        (results, stats.forward_runs, CacheStats::default(), stats.meta)
-    }
+    let batch = BatchConfig { tracer: cfg.tracer(), jobs: cfg.jobs, ..BatchConfig::default() };
+    let (results, stats) = solve_queries_batch(program, callees, client, queries, &batch);
+    (results, stats.to_obs())
 }
 
 /// Runs the thread-escape analysis over a benchmark: one query per
 /// instance-field access in reachable application code (Section 6),
-/// solved with shared (grouped) forward runs.
+/// solved as one batch with shared forward runs.
 pub fn run_escape(bench: &Benchmark, cfg: &ExperimentConfig) -> AnalysisRun {
     let start = Instant::now();
     let client = EscapeClient::new(&bench.program);
@@ -282,8 +292,7 @@ pub fn run_escape(bench: &Benchmark, cfg: &ExperimentConfig) -> AnalysisRun {
         .map(|&(point, var)| client.access_query(point, var))
         .collect();
     let callees = bench.callees();
-    let (results, forward_runs, cache, meta) =
-        solve_all(&bench.program, &callees, &client, &queries, cfg);
+    let (results, obs) = solve_all(&bench.program, &callees, &client, &queries, cfg);
     let outcomes = results
         .iter()
         .zip(&accesses)
@@ -307,10 +316,8 @@ pub fn run_escape(bench: &Benchmark, cfg: &ExperimentConfig) -> AnalysisRun {
         analysis: "thread-escape",
         outcomes,
         wall_micros: start.elapsed().as_micros(),
-        forward_runs,
         jobs: cfg.jobs.max(1),
-        cache,
-        meta,
+        obs,
     }
 }
 
@@ -348,7 +355,7 @@ pub fn typestate_query_points(
 
 /// Runs the type-state analysis (stress property, Section 6) over a
 /// benchmark. Queries sharing a tracked site share a client instance and
-/// grouped forward runs.
+/// one batch, so they share forward runs.
 pub fn run_typestate(bench: &Benchmark, cfg: &ExperimentConfig) -> AnalysisRun {
     let start = Instant::now();
     let points = typestate_query_points(bench, cfg);
@@ -372,9 +379,7 @@ pub fn run_typestate(bench: &Benchmark, cfg: &ExperimentConfig) -> AnalysisRun {
     }
     let callees = bench.callees();
     let mut outcomes = Vec::new();
-    let mut forward_runs = 0;
-    let mut cache = CacheStats::default();
-    let mut meta = MetaStats::default();
+    let mut obs = ObsRegistry::default();
     for (h, pcs) in by_site {
         let client = TypestateClient::new(
             &bench.program,
@@ -384,11 +389,8 @@ pub fn run_typestate(bench: &Benchmark, cfg: &ExperimentConfig) -> AnalysisRun {
         );
         let queries: Vec<Query<pda_typestate::TsPrim>> =
             pcs.iter().map(|&pc| client.stress_query(pc)).collect();
-        let (results, runs, site_cache, site_meta) =
-            solve_all(&bench.program, &callees, &client, &queries, cfg);
-        forward_runs += runs;
-        cache.merge(site_cache);
-        meta.merge(&site_meta);
+        let (results, site_obs) = solve_all(&bench.program, &callees, &client, &queries, cfg);
+        obs.merge(&site_obs);
         for (r, &pc) in results.iter().zip(&pcs) {
             outcomes.push(QueryOutcome {
                 label: format!("pc{}@{}", pc.index(), bench.program.site_label(h)),
@@ -411,10 +413,8 @@ pub fn run_typestate(bench: &Benchmark, cfg: &ExperimentConfig) -> AnalysisRun {
         analysis: "type-state",
         outcomes,
         wall_micros: start.elapsed().as_micros(),
-        forward_runs,
         jobs: cfg.jobs.max(1),
-        cache,
-        meta,
+        obs,
     }
 }
 
@@ -465,9 +465,7 @@ pub fn run_typestate_automaton(bench: &Benchmark, cfg: &ExperimentConfig) -> Ana
     }
     let callees = bench.callees();
     let mut outcomes = Vec::new();
-    let mut forward_runs = 0;
-    let mut cache = CacheStats::default();
-    let mut meta = MetaStats::default();
+    let mut obs = ObsRegistry::default();
     for (h, pcs) in by_site {
         let Some(client) = TypestateClient::for_declared_automaton(&bench.program, &bench.pa, h)
         else {
@@ -475,11 +473,8 @@ pub fn run_typestate_automaton(bench: &Benchmark, cfg: &ExperimentConfig) -> Ana
         };
         let queries: Vec<Query<pda_typestate::TsPrim>> =
             pcs.iter().map(|&pc| client.stress_query(pc)).collect();
-        let (results, runs, site_cache, site_meta) =
-            solve_all(&bench.program, &callees, &client, &queries, cfg);
-        forward_runs += runs;
-        cache.merge(site_cache);
-        meta.merge(&site_meta);
+        let (results, site_obs) = solve_all(&bench.program, &callees, &client, &queries, cfg);
+        obs.merge(&site_obs);
         for (r, &pc) in results.iter().zip(&pcs) {
             outcomes.push(QueryOutcome {
                 label: format!("pc{}@{}", pc.index(), bench.program.site_label(h)),
@@ -502,10 +497,8 @@ pub fn run_typestate_automaton(bench: &Benchmark, cfg: &ExperimentConfig) -> Ana
         analysis: "type-state (automaton)",
         outcomes,
         wall_micros: start.elapsed().as_micros(),
-        forward_runs,
         jobs: cfg.jobs.max(1),
-        cache,
-        meta,
+        obs,
     }
 }
 
@@ -559,16 +552,43 @@ mod tests {
         let par = run_escape(&b, &ExperimentConfig { jobs: 4, ..small_cfg() });
         assert_eq!(par.jobs, 4);
         assert_eq!(seq.jobs, 1);
-        assert_eq!(seq.cache.lookups(), 0, "sequential path must not touch the cache");
-        assert_eq!(par.forward_runs, par.cache.misses as usize);
-        assert!(par.cache.hits > 0, "expected cross-query forward-run sharing");
-        // Grouped (sequential) and batch (parallel) drivers agree on every
-        // verdict and on the optimum cost; iteration *attribution* differs
-        // by design (groups amortize runs differently).
+        // One worker or four, the batch shares the same forward runs.
+        assert_eq!(seq.cache(), par.cache());
+        assert_eq!(par.forward_runs(), par.cache().misses);
+        assert!(par.cache().hits > 0, "expected cross-query forward-run sharing");
         let key = |r: &AnalysisRun| {
-            r.outcomes.iter().map(|o| (o.label.clone(), o.resolution, o.cost)).collect::<Vec<_>>()
+            r.outcomes
+                .iter()
+                .map(|o| (o.label.clone(), o.resolution, o.cost, o.iterations))
+                .collect::<Vec<_>>()
         };
         assert_eq!(key(&seq), key(&par));
+    }
+
+    #[test]
+    fn sequential_run_honours_timeout_and_escalation() {
+        let b = Benchmark::load(crate::suite().remove(0));
+        let expired = ExperimentConfig {
+            jobs: 1,
+            timeout: Some(std::time::Duration::ZERO),
+            ..small_cfg()
+        };
+        let run = run_escape(&b, &expired);
+        assert!(!run.outcomes.is_empty());
+        assert!(
+            run.outcomes.iter().all(|o| o.resolution == Resolution::Unresolved),
+            "an expired deadline must leave every query unresolved at jobs=1"
+        );
+        // A one-fact budget is TooBig on every run; the ladder must retry
+        // it rather than give up at once.
+        let starved = ExperimentConfig {
+            jobs: 1,
+            max_facts: 1,
+            escalation: Escalation::standard(),
+            ..small_cfg()
+        };
+        let run = run_escape(&b, &starved);
+        assert!(run.obs.get(Counter::Escalations) > 0, "escalation never reached jobs=1");
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! per benchmark to mirror the paper's relative sizes. Names are kept so
 //! the regenerated tables read like the paper's.
 //!
-//! [`experiments`] drives both client analyses over every benchmark with
-//! the grouped TRACER and aggregates exactly the statistics behind the
-//! paper's Tables 1–4 and Figures 12–14; the `pda-bench` binaries print
-//! them.
+//! [`experiments`] drives both client analyses over every benchmark
+//! through the batch scheduler and aggregates exactly the statistics
+//! behind the paper's Tables 1–4 and Figures 12–14; the `pda-bench`
+//! binaries print them.
 
 #![warn(missing_docs)]
 

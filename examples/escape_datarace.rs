@@ -12,7 +12,7 @@
 
 use pda_analysis::PointsTo;
 use pda_escape::EscapeClient;
-use pda_tracer::{solve_queries, Outcome, TracerConfig};
+use pda_tracer::{solve_queries_batch, BatchConfig, Outcome};
 use pda_util::Idx;
 
 const PROGRAM: &str = r#"
@@ -59,16 +59,14 @@ fn main() {
         .map(|&(point, var)| client.access_query(point, var))
         .collect();
     let callees = |c: pda_lang::CallId| pa.callees(c).to_vec();
-    let (results, stats) = solve_queries(
-        &program,
-        &callees,
-        &client,
-        &queries,
-        &TracerConfig::default(),
-    );
+    let config = BatchConfig { jobs: 1, ..BatchConfig::default() };
+    let (results, stats) = solve_queries_batch(&program, &callees, &client, &queries, &config);
 
     println!("field accesses in reachable code: {}", accesses.len());
-    println!("forward runs shared across queries: {}\n", stats.forward_runs);
+    println!(
+        "forward runs: {} executed, {} shared across queries\n",
+        stats.cache.misses, stats.cache.hits
+    );
     for ((point, var), r) in accesses.iter().zip(&results) {
         let line = program.points[*point].line;
         let what = format!("line {line}: access on `{}`", program.var_name(*var));

@@ -8,8 +8,10 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q =="
-cargo test -q
+echo "== cargo test -q --no-fail-fast =="
+# Every test binary runs even when an earlier one fails, so one failure
+# cannot hide another.
+cargo test -q --no-fail-fast
 
 echo "== cargo clippy --all-targets -- -D warnings =="
 cargo clippy --all-targets -- -D warnings
@@ -210,24 +212,33 @@ echo "chaos smoke ok: crash at journal.append left a resumable journal; watchdog
 echo "== scaling smoke: seeded scale bench, jobs 1 vs 8 =="
 # The scale bin replays the hedc batch at jobs=1 and jobs=8 (grid capped
 # for CI speed) and self-asserts per-query outcome identity against the
-# sequential reference (a panic exits non-zero). CI additionally pins
-# the meta-inflation guard: aggregate backward-phase attribution at
-# jobs=8 must stay within 1.5x of jobs=1 — before the thread clamp,
-# oversubscribed workers time-sharing the core stretched it several
-# fold. Wall-clock *speedup* is deliberately not asserted here: shared
-# CI boxes time-share too, and the recorded BENCH_scale.json carries
-# the perf claim.
+# jobs=1 reference (a panic exits non-zero). CI gates on the two
+# deterministic facts behind the meta-inflation guard rather than on a
+# wall-clock ratio: (1) no grid point uses more workers than the host
+# has cores — oversubscribed workers time-sharing a core are what
+# stretched every backward-phase span — and (2) every grid point
+# executes the same forward runs (equal cache misses), since the batch
+# shares one cache at any job count. The meta ratio is printed for the
+# record; it swings with host load and is not asserted.
 scale_out="$(PDA_JOBS_GRID=1,8 PDA_BENCH_OUT=target/ci_scale.json ./target/release/scale)"
 echo "$scale_out"
 echo "$scale_out" | grep -q 'outcomes_identical=true' \
     || { echo "ci: scaling smoke missing its summary line" >&2; exit 1; }
 meta_ratio="$(echo "$scale_out" | sed -nE 's/^scale: .*meta_ratio_j8_vs_j1=([0-9.]+).*/\1/p')"
-awk -v r="$meta_ratio" 'BEGIN { exit !(r != "" && r <= 1.5) }' \
-    || { echo "ci: meta-phase inflation returned — jobs=8 aggregate meta is ${meta_ratio:-missing}x jobs=1 (limit 1.5x)" >&2; exit 1; }
 grep -q '"outcomes_identical": true' target/ci_scale.json \
     || { echo "ci: BENCH_scale.json missing outcomes_identical" >&2; exit 1; }
 grep -q '"jobs":8' target/ci_scale.json && grep -q '"jobs":1' target/ci_scale.json \
     || { echo "ci: BENCH_scale.json missing grid points" >&2; exit 1; }
-echo "scaling smoke ok: outcomes identical, meta ratio ${meta_ratio}x"
+cores="$(nproc)"
+workers="$(grep -oE '"workers":[0-9]+' target/ci_scale.json | cut -d: -f2)"
+[ -n "$workers" ] || { echo "ci: BENCH_scale.json records no worker counts" >&2; exit 1; }
+for w in $workers; do
+    [ "$w" -le "$cores" ] \
+        || { echo "ci: a grid point used $w workers on a $cores-core host" >&2; exit 1; }
+done
+misses="$(grep -oE '"cache_misses":[0-9]+' target/ci_scale.json | cut -d: -f2 | sort -u)"
+[ "$(echo "$misses" | wc -l)" -eq 1 ] && [ "${misses:-0}" -gt 0 ] \
+    || { echo "ci: forward runs executed differ across grid points: $(echo $misses)" >&2; exit 1; }
+echo "scaling smoke ok: outcomes identical, workers <= $cores, $misses forward runs at every point, meta ratio ${meta_ratio:-missing}x"
 
 echo "ci: all checks passed"

@@ -289,7 +289,9 @@ fn every_registered_seam_survives_crash_point_torture() {
         .map(|(q, _)| escape.local_query(&corpus, q))
         .collect();
     let run = |retry: Option<RetryPolicy>, path: &Path| {
-        let cfg = BatchConfig { jobs: 2, retry, ..BatchConfig::default() };
+        // Two threads even on a one-core host: a lone worker runs inline
+        // and crosses no `batch.worker.*` seam.
+        let cfg = BatchConfig { jobs: 2, thread_cap: Some(2), retry, ..BatchConfig::default() };
         solve_queries_batch_checkpointed(
             &corpus,
             &|c| corpus_pa.callees(c).to_vec(),

@@ -22,11 +22,11 @@ use pda_analysis::PointsTo;
 use pda_escape::EscapeClient;
 use pda_solver::{Bdd, MinCostSolver, PFormula};
 use pda_tracer::{
-    solve_queries_batch, solve_queries_batch_checkpointed, solve_query, solve_query_cached_warm,
-    BatchConfig, ForwardCache, InternCache, Outcome, QueryObs, TracerConfig, ViableEngine,
+    solve_queries_batch, solve_queries_batch_checkpointed, solve_query, BatchConfig, ForwardCache,
+    InternCache, Outcome, QueryObs, Session, TracerConfig, ViableEngine,
 };
 use pda_typestate::{TsMode, TypestateClient};
-use pda_util::{Deadline, SplitMix64};
+use pda_util::SplitMix64;
 
 include!("corpus.rs");
 
@@ -192,17 +192,11 @@ fn warm_cache_solves_are_engine_invariant() {
             let mut fps = Vec::new();
             for (i, query) in queries.iter().enumerate() {
                 let mut obs = QueryObs::new(i as u64, false, false);
-                let r = solve_query_cached_warm(
-                    &program,
-                    &callees,
-                    &client,
-                    query,
-                    &config,
-                    &cache,
-                    &mut icache,
-                    Deadline::NEVER,
-                    &mut obs,
-                );
+                let r = Session::new(&program, &callees, &client, query, &config)
+                    .cache(&cache)
+                    .intern(&mut icache)
+                    .observe(&mut obs)
+                    .run();
                 fps.push(fingerprint(&r));
             }
             warm_runs.push(fps);
