@@ -818,23 +818,28 @@ fn solve_report(source: &str, opts: &SolveOpts<'_>) -> Result<String, CliError> 
     let mut extra_obs = ObsRegistry::default();
 
     // Thread-escape queries (which share one client) run upfront as one
-    // batch on the worker pool with a shared forward-run cache whenever
-    // batching buys something: parallelism, checkpoint/resume (the
+    // batch with a shared forward-run cache whenever there are two or more
+    // of them — sibling queries then share forward runs at any `--jobs`,
+    // and jobs=1 runs the batch inline — and also for a lone query when
+    // batching buys something else: parallelism, checkpoint/resume (the
     // checkpoint streams per-query batch results), or observability.
     // Per-query verdicts are identical to the sequential driver and get
-    // rendered below in declaration order.
+    // rendered below in declaration order. The `batch:` footer is printed
+    // only when one of those options asked for the batch driver, so a
+    // plain jobs=1 report keeps its verdict lines and nothing else.
     let mut batched: Vec<(pda_lang::QueryId, pda_tracer::QueryResult<pda_util::BitSet>)> =
         Vec::new();
     let mut batch_stats = None;
-    if opts.jobs > 1 || opts.checkpoint.is_some() || opts.retry_faults.is_some() || observing {
-        let client = EscapeClient::new(&program);
-        let local: Vec<pda_lang::QueryId> = program
-            .queries
-            .iter_enumerated()
-            .filter(|(_, d)| opts.label.is_none_or(|want| d.label == want))
-            .filter(|(_, d)| matches!(d.kind, pda_lang::QueryKind::Local { .. }))
-            .map(|(qid, _)| qid)
-            .collect();
+    let client = EscapeClient::new(&program);
+    let local: Vec<pda_lang::QueryId> = program
+        .queries
+        .iter_enumerated()
+        .filter(|(_, d)| opts.label.is_none_or(|want| d.label == want))
+        .filter(|(_, d)| matches!(d.kind, pda_lang::QueryKind::Local { .. }))
+        .map(|(qid, _)| qid)
+        .collect();
+    let footer = opts.jobs > 1 || opts.checkpoint.is_some() || opts.retry_faults.is_some() || observing;
+    if footer || local.len() >= 2 {
         let queries: Vec<_> = local.iter().map(|&qid| client.local_query(&program, qid)).collect();
         if !queries.is_empty() {
             let batch = BatchConfig {
@@ -866,7 +871,7 @@ fn solve_report(source: &str, opts: &SolveOpts<'_>) -> Result<String, CliError> 
                 ),
             };
             batched = local.into_iter().zip(results).collect();
-            batch_stats = Some(stats);
+            batch_stats = footer.then_some(stats);
         }
     }
     // Type-state queries below continue the trace's query numbering after
@@ -887,7 +892,6 @@ fn solve_report(source: &str, opts: &SolveOpts<'_>) -> Result<String, CliError> 
                 let r = match batched.iter().position(|(id, _)| *id == qid) {
                     Some(i) => batched.swap_remove(i).1,
                     None => {
-                        let client = EscapeClient::new(&program);
                         let query = client.local_query(&program, qid);
                         solve_query(&program, &callees, &client, &query, &config)
                     }
@@ -1233,6 +1237,56 @@ mod tests {
         assert!(par_report.contains("batch: 1 queries, jobs="), "{par_report}");
         assert!(par_report.contains("meta: "), "{par_report}");
         assert!(!seq_report.contains("batch:"));
+    }
+
+    /// Two or more thread-escape queries go through the batch driver (and
+    /// its shared forward-run cache) at jobs=1 too. The rendered verdict
+    /// lines match jobs=2 and the one-query-at-a-time solves, and the
+    /// plain jobs=1 report gains no footer.
+    #[test]
+    fn sequential_escape_queries_share_forward_runs_with_identical_lines() {
+        const MULTI: &str = r#"
+            global g;
+            class File { fn open(); fn close(); }
+            typestate File {
+                init closed;
+                closed -> open -> opened;
+                opened -> close -> closed;
+            }
+            class Box { field item; }
+            fn main() {
+                var f, b, x, y;
+                f = new File;
+                f.open();
+                f.close();
+                b = new Box;
+                x = new Box;
+                y = new Box;
+                b.item = x;
+                query protocol: state f in { closed };
+                query localb: local b;
+                query localx: local x;
+                query localy: local y;
+                if (*) { g = b; }
+            }
+        "#;
+        let verdicts = |r: &str| {
+            r.lines()
+                .filter(|l| !l.starts_with("batch:") && !l.starts_with("meta:"))
+                .map(String::from)
+                .collect::<Vec<_>>()
+        };
+        let seq = run_on_source(&solve_cmd(None, 1), MULTI).unwrap();
+        let par = run_on_source(&solve_cmd(None, 2), MULTI).unwrap();
+        assert_eq!(verdicts(&seq), verdicts(&par));
+        assert!(!seq.contains("batch:"), "{seq}");
+        assert!(par.contains("batch: 3 queries, jobs=2"), "{par}");
+        let one_at_a_time: Vec<String> = ["protocol", "localb", "localx", "localy"]
+            .iter()
+            .flat_map(|label| verdicts(&run_on_source(&solve_cmd(Some(label), 1), MULTI).unwrap()))
+            .collect();
+        assert_eq!(verdicts(&seq), one_at_a_time);
+        assert_eq!(seq.lines().count(), 4, "{seq}");
     }
 
     #[test]

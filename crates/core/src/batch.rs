@@ -856,7 +856,8 @@ where
                             let mut s =
                                 Session::new(program, callees, client, &queries[i], &config.tracer)
                                     .within(batch_deadline)
-                                    .observe(qobs);
+                                    .observe(qobs)
+                                    .workers(workers);
                             if let Some(c) = &cache {
                                 s = s.cache(c);
                             }

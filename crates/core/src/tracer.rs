@@ -676,6 +676,9 @@ pub struct Session<'s, 'p, C: TracerClient> {
     lock_waits: AtomicU64,
     obs: Held<'s, QueryObs>,
     log: Option<&'s mut Vec<IterationLog<C::Param>>>,
+    /// Batch workers running sessions side by side (1 outside a batch):
+    /// they share the machine's cores with this session's kernel threads.
+    workers: usize,
 }
 
 enum StepResult<Param> {
@@ -711,6 +714,7 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
             lock_waits: AtomicU64::new(0),
             obs: Held::Owned(QueryObs::untraced()),
             log: None,
+            workers: 1,
         }
     }
 
@@ -757,6 +761,14 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
     /// running query's decisions).
     pub(crate) fn pool(mut self, pool: Arc<MemBudget>) -> Self {
         self.gov = Governor::new(self.query, self.config, Some(pool));
+        self
+    }
+
+    /// Declares that `workers` batch workers run sessions concurrently,
+    /// so the backward kernel's degree is clamped to this session's share
+    /// of the cores (see [`meta_degree`]).
+    pub(crate) fn workers(mut self, workers: usize) -> Self {
+        self.workers = workers;
         self
     }
 
@@ -1002,14 +1014,13 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
                 beam,
                 &mut self.icache,
                 obs,
-                // Clamped to the machine, exactly like the batch scheduler's
-                // worker count: on a box with fewer cores than the requested
-                // degree, extra kernel threads only time-share and stretch
-                // every wall-clock span (the jobs>1 meta-inflation pathology
-                // this knob must never reintroduce). Direct kernel calls
-                // stay unclamped so tests can exercise the parallel merge
-                // paths on any machine.
-                self.config.meta_jobs.min(crate::batch::default_jobs()),
+                // Direct kernel calls stay unclamped so tests can exercise
+                // the parallel merge paths on any machine.
+                meta_degree(
+                    self.config.meta_jobs,
+                    self.workers,
+                    crate::batch::default_jobs(),
+                ),
             )
             .map(|out| out.restrict()),
             MetaKernel::Tree => analyze_trace_obs(&meta, p, d0, atoms, not_q, beam, obs)
@@ -1023,6 +1034,17 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
         obs.record_span_micros(SpanKind::Backward, us);
         phi
     }
+}
+
+/// The backward kernel's thread count for a session: the requested
+/// `meta_jobs`, clamped to the cores left to each of `workers` concurrent
+/// batch workers (at least one). On a box with fewer cores than threads,
+/// extra kernel threads only time-share with the busy workers and stretch
+/// every wall-clock span — the jobs>1 meta-inflation pathology this knob
+/// must never reintroduce. The kernel is degree-invariant, so the clamp
+/// never changes an outcome.
+fn meta_degree(requested: usize, workers: usize, cores: usize) -> usize {
+    requested.min((cores / workers.max(1)).max(1))
 }
 
 impl<Param> std::fmt::Display for Outcome<Param> {
@@ -1055,6 +1077,22 @@ mod tests {
     use super::*;
     use crate::nullcli::NullClient;
     use pda_analysis::PointsTo;
+
+    /// The kernel's degree is the request clamped to each concurrent
+    /// worker's share of the cores, never below one thread.
+    #[test]
+    fn meta_degree_shares_cores_among_batch_workers() {
+        // Outside a batch: the machine's cores.
+        assert_eq!(meta_degree(4, 1, 2), 2);
+        assert_eq!(meta_degree(1, 1, 16), 1);
+        // Two workers on two cores leave one core each.
+        assert_eq!(meta_degree(4, 2, 2), 1);
+        // More workers than cores still run the kernel on one thread.
+        assert_eq!(meta_degree(2, 8, 2), 1);
+        // Spare cores go to the kernel, up to the request.
+        assert_eq!(meta_degree(8, 2, 8), 4);
+        assert_eq!(meta_degree(3, 2, 8), 3);
+    }
 
     fn solve(src: &str, label: &str) -> (pda_lang::Program, QueryResult<pda_util::BitSet>) {
         let program = pda_lang::parse_program(src).unwrap();

@@ -15,9 +15,10 @@
 //! counterexample trace the backward meta-analysis of Section 4 consumes.
 
 use crate::traits::{call_binding_atoms, call_return_atom, ParametricAnalysis, TraceStep};
-use pda_lang::{Atom, CallId, CallKind, MethodId, Node, NodeId, PointId, Program};
-use pda_util::Deadline;
-use std::collections::{BTreeSet, HashMap};
+use pda_lang::{Atom, CallId, CallInfo, CallKind, MethodId, Node, NodeId, PointId, Program};
+use pda_util::{fx_hash, Deadline, FxHashMap};
+use std::collections::hash_map::Entry;
+use std::collections::BTreeSet;
 
 /// Resource limits for one tabulation run.
 #[derive(Debug, Clone, Copy)]
@@ -77,44 +78,91 @@ impl std::fmt::Display for Interrupt {
 impl std::error::Error for Interrupt {}
 
 type Sid = u32;
+/// A path edge `(method, context entry state, node, state)`; the same
+/// shape also names a context's caller `(caller method, caller entry,
+/// call node, pre-state)`.
 type Fact = (MethodId, Sid, NodeId, Sid);
 
-#[derive(Debug, Clone)]
+/// Why a fact was first derived: the back-pointer trace reconstruction
+/// follows. The atoms an edge executed are not stored — they are a pure
+/// function of the source node, the call's info and the callee, and
+/// [`RhsResult::local_trace`] rebuilds them on demand.
+#[derive(Debug, Clone, Copy)]
 enum Reason {
     Seed,
-    Flow {
-        from_node: NodeId,
-        from_state: Sid,
-        steps: Vec<TraceStep>,
-    },
+    /// A CFG edge out of `from_node` (see [`RhsResult::flow_steps`]).
+    Flow { from_node: NodeId, from_state: Sid },
+    /// A callee summary `callee_entry → callee_exit` applied at
+    /// `call_node`, followed by the result copy, if any.
     Return {
         call_node: NodeId,
         caller_pre: Sid,
         callee: MethodId,
         callee_entry: Sid,
         callee_exit: Sid,
-        glue: Vec<TraceStep>,
     },
 }
 
+/// Slot marker for an empty [`StateTable`] index slot.
+const EMPTY: Sid = Sid::MAX;
+
+/// Interned abstract states, each stored once: `states[sid]` is the state,
+/// `hashes[sid]` its [`fx_hash`], and `slots` an open-addressing index of
+/// sids (linear probing, at most half full) addressed by that hash. A
+/// lookup compares the probed sid's hash and then `states[sid]` itself, so
+/// no second copy of any state is kept as a map key.
 struct StateTable<S> {
     states: Vec<S>,
-    ids: HashMap<S, Sid>,
+    hashes: Vec<u64>,
+    slots: Vec<Sid>,
 }
 
-impl<S: Clone + Eq + std::hash::Hash> StateTable<S> {
+impl<S: Eq + std::hash::Hash> StateTable<S> {
     fn new() -> Self {
-        StateTable { states: Vec::new(), ids: HashMap::new() }
+        StateTable { states: Vec::new(), hashes: Vec::new(), slots: vec![EMPTY; 16] }
+    }
+
+    /// The home slot of `hash` in an index of `len` (a power of two)
+    /// slots: the high bits of a Fibonacci-hashing product.
+    fn home(hash: u64, len: usize) -> usize {
+        (hash.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - len.trailing_zeros())) as usize
     }
 
     fn intern(&mut self, s: S) -> Sid {
-        if let Some(&id) = self.ids.get(&s) {
-            return id;
+        let hash = fx_hash(&s);
+        let mask = self.slots.len() - 1;
+        let mut i = Self::home(hash, self.slots.len());
+        loop {
+            let sid = self.slots[i];
+            if sid == EMPTY {
+                break;
+            }
+            if self.hashes[sid as usize] == hash && self.states[sid as usize] == s {
+                return sid;
+            }
+            i = (i + 1) & mask;
         }
         let id = self.states.len() as Sid;
-        self.states.push(s.clone());
-        self.ids.insert(s, id);
+        self.states.push(s);
+        self.hashes.push(hash);
+        self.slots[i] = id;
+        if self.states.len() * 2 > self.slots.len() {
+            self.grow();
+        }
         id
+    }
+
+    fn grow(&mut self) {
+        let len = self.slots.len() * 2;
+        let mut slots = vec![EMPTY; len];
+        for (sid, &hash) in self.hashes.iter().enumerate() {
+            let mut i = Self::home(hash, len);
+            while slots[i] != EMPTY {
+                i = (i + 1) & (len - 1);
+            }
+            slots[i] = sid as Sid;
+        }
+        self.slots = slots;
     }
 
     fn get(&self, id: Sid) -> &S {
@@ -129,13 +177,16 @@ impl<S: Clone + Eq + std::hash::Hash> StateTable<S> {
 /// full fact table.
 pub struct RhsResult<'a, S> {
     program: &'a Program,
-    states: StateTable<S>,
-    reasons: HashMap<Fact, Reason>,
+    /// Interned states by id (the run's lookup index is dropped).
+    states: Vec<S>,
+    reasons: FxHashMap<Fact, Reason>,
     /// First caller of each non-root context, recorded at context
     /// creation, hence acyclic: `(callee, entry) → (caller method, caller
     /// entry, call node, pre-state)`.
-    ctx_parent: HashMap<(MethodId, Sid), (MethodId, Sid, NodeId, Sid)>,
+    ctx_parent: FxHashMap<(MethodId, Sid), Fact>,
     d0: Sid,
+    /// [`RhsResult::approx_bytes`], fixed when the run finishes.
+    approx_bytes: u64,
 }
 
 /// Runs the tabulation for the `p` instance of `analysis` from initial
@@ -164,23 +215,31 @@ pub fn run<'a, A: ParametricAnalysis>(
         callees,
         limits,
         states: StateTable::new(),
-        reasons: HashMap::new(),
+        reasons: FxHashMap::default(),
         worklist: Vec::new(),
-        summaries: HashMap::new(),
-        callers: HashMap::new(),
-        ctx_parent: HashMap::new(),
+        summaries: FxHashMap::default(),
+        callers: FxHashMap::default(),
+        ctx_parent: FxHashMap::default(),
     };
     let d0id = solver.states.intern(d0);
     let entry = program.methods[program.main].cfg.entry;
     solver.propagate((program.main, d0id, entry, d0id), Reason::Seed);
     solver.run()?;
-    Ok(RhsResult {
-        program,
-        states: solver.states,
-        reasons: solver.reasons,
-        ctx_parent: solver.ctx_parent,
-        d0: d0id,
-    })
+    let (states, reasons, ctx_parent) = (solver.states.states, solver.reasons, solver.ctx_parent);
+    let approx_bytes = estimate_bytes::<A::State>(reasons.len(), states.len(), ctx_parent.len());
+    Ok(RhsResult { program, states, reasons, ctx_parent, d0: d0id, approx_bytes })
+}
+
+/// Deterministic byte estimate of a finished run's retained tables: entry
+/// counts × `size_of`, so identical runs charge identical amounts on every
+/// machine.
+fn estimate_bytes<S>(facts: usize, states: usize, contexts: usize) -> u64 {
+    use std::mem::size_of;
+    facts
+        .saturating_mul(size_of::<Fact>() + size_of::<Reason>())
+        .saturating_add(states.saturating_mul(size_of::<S>()))
+        .saturating_add(contexts.saturating_mul(size_of::<(MethodId, Sid)>() + size_of::<Fact>()))
+        as u64
 }
 
 struct Solver<'a, A: ParametricAnalysis> {
@@ -190,25 +249,23 @@ struct Solver<'a, A: ParametricAnalysis> {
     callees: &'a dyn Fn(CallId) -> Vec<MethodId>,
     limits: RhsLimits,
     states: StateTable<A::State>,
-    reasons: HashMap<Fact, Reason>,
+    reasons: FxHashMap<Fact, Reason>,
     worklist: Vec<Fact>,
     /// `(method, entry) → exit states`.
-    summaries: HashMap<(MethodId, Sid), BTreeSet<Sid>>,
-    /// `(method, entry) → call sites waiting on its summaries`.
-    /// Entries are `(caller method, caller entry, call node, pre-state)`.
-    #[allow(clippy::type_complexity)]
-    callers: HashMap<(MethodId, Sid), Vec<(MethodId, Sid, NodeId, Sid)>>,
+    summaries: FxHashMap<(MethodId, Sid), BTreeSet<Sid>>,
+    /// `(method, entry) → call sites waiting on its summaries`, each a
+    /// caller [`Fact`].
+    callers: FxHashMap<(MethodId, Sid), Vec<Fact>>,
     /// First caller per context (see [`RhsResult::ctx_parent`]).
-    ctx_parent: HashMap<(MethodId, Sid), (MethodId, Sid, NodeId, Sid)>,
+    ctx_parent: FxHashMap<(MethodId, Sid), Fact>,
 }
 
-impl<A: ParametricAnalysis> Solver<'_, A> {
+impl<'a, A: ParametricAnalysis> Solver<'a, A> {
     fn propagate(&mut self, fact: Fact, reason: Reason) {
-        if self.reasons.contains_key(&fact) {
-            return;
+        if let Entry::Vacant(slot) = self.reasons.entry(fact) {
+            slot.insert(reason);
+            self.worklist.push(fact);
         }
-        self.reasons.insert(fact, reason);
-        self.worklist.push(fact);
     }
 
     fn transfer(&mut self, a: &Atom, d: Sid) -> Sid {
@@ -237,30 +294,31 @@ impl<A: ParametricAnalysis> Solver<'_, A> {
 
     fn process(&mut self, fact: Fact) {
         let (m, de, n, d) = fact;
-        let node = self.program.methods[m].cfg.nodes[n].clone();
+        let program: &'a Program = self.program;
+        let node = &program.methods[m].cfg.nodes[n];
+        let flow = Reason::Flow { from_node: n, from_state: d };
         match node.kind {
             Node::Entry => {
                 for &succ in &node.succs {
-                    self.propagate(
-                        (m, de, succ, d),
-                        Reason::Flow { from_node: n, from_state: d, steps: Vec::new() },
-                    );
+                    self.propagate((m, de, succ, d), flow);
                 }
             }
-            Node::Atom(a, point) => {
+            Node::Atom(a, _) => {
                 let d2 = self.transfer(&a, d);
-                let steps = vec![TraceStep { atom: a, point }];
                 for &succ in &node.succs {
-                    self.propagate(
-                        (m, de, succ, d2),
-                        Reason::Flow { from_node: n, from_state: d, steps: steps.clone() },
-                    );
+                    self.propagate((m, de, succ, d2), flow);
                 }
             }
             Node::Exit => {
                 if self.summaries.entry((m, de)).or_default().insert(d) {
-                    for caller in self.callers.get(&(m, de)).cloned().unwrap_or_default() {
-                        self.apply_summary(caller, m, de, d);
+                    // `apply_summary` never touches `callers`, so the list
+                    // is lent out and put back instead of cloned.
+                    if let Some(waiting) = self.callers.get_mut(&(m, de)) {
+                        let waiting = std::mem::take(waiting);
+                        for &caller in &waiting {
+                            self.apply_summary(caller, m, de, d);
+                        }
+                        self.callers.insert((m, de), waiting);
                     }
                 }
             }
@@ -268,111 +326,73 @@ impl<A: ParametricAnalysis> Solver<'_, A> {
         }
     }
 
-    /// The atoms executed at the call site itself, before any callee body:
-    /// the `Invoke` type-state transition for virtual calls.
-    fn call_site_steps(&self, c: CallId) -> Vec<TraceStep> {
-        let info = &self.program.calls[c];
-        match info.kind {
-            CallKind::Virtual { recv, method } => vec![TraceStep {
-                atom: Atom::Invoke { recv, method },
-                point: info.point,
-            }],
-            CallKind::Static(_) => Vec::new(),
-        }
-    }
-
     fn process_call(&mut self, fact: Fact, c: CallId, succs: &[NodeId]) {
         let (m, de, n, d) = fact;
-        let info = self.program.calls[c].clone();
-        let site_steps = self.call_site_steps(c);
-        let mut d1 = d;
-        for s in &site_steps {
-            d1 = self.transfer(&s.atom, d1);
-        }
+        let program: &'a Program = self.program;
+        let info = &program.calls[c];
+        let d1 = match site_atom(info) {
+            Some(a) => self.transfer(&a, d),
+            None => d,
+        };
         let targets = (self.callees)(c);
-        let with_body: Vec<MethodId> = targets
-            .iter()
-            .copied()
-            .filter(|&t| self.program.methods[t].body.is_some())
-            .collect();
-        let bodyless = targets.len() != with_body.len() || targets.is_empty();
+        let has_body = |t: MethodId| program.methods[t].body.is_some();
 
         // Bodyless targets (and unresolvable calls): havoc the result and
         // fall through directly.
-        if bodyless {
-            let mut steps = site_steps.clone();
-            let mut d2 = d1;
-            if let Some(dst) = info.dst {
-                let a = Atom::Havoc { dst };
-                d2 = self.transfer(&a, d2);
-                steps.push(TraceStep { atom: a, point: info.point });
-            }
+        if targets.is_empty() || !targets.iter().all(|&t| has_body(t)) {
+            let d2 = match info.dst {
+                Some(dst) => self.transfer(&Atom::Havoc { dst }, d1),
+                None => d1,
+            };
             for &succ in succs {
-                self.propagate(
-                    (m, de, succ, d2),
-                    Reason::Flow { from_node: n, from_state: d, steps: steps.clone() },
-                );
+                self.propagate((m, de, succ, d2), Reason::Flow { from_node: n, from_state: d });
             }
         }
 
-        for callee in with_body {
-            let binds = call_binding_atoms(self.program, &info, callee);
+        for callee in targets.into_iter().filter(|&t| has_body(t)) {
             let mut dentry = d1;
-            for a in &binds {
-                dentry = self.transfer(a, dentry);
+            for a in call_binding_atoms(program, info, callee) {
+                dentry = self.transfer(&a, dentry);
             }
-            let centry = self.program.methods[callee].cfg.entry;
-            self.callers
-                .entry((callee, dentry))
-                .or_default()
-                .push((m, de, n, d));
-            self.ctx_parent
-                .entry((callee, dentry))
-                .or_insert((m, de, n, d));
+            let centry = program.methods[callee].cfg.entry;
+            self.callers.entry((callee, dentry)).or_default().push(fact);
+            self.ctx_parent.entry((callee, dentry)).or_insert(fact);
             self.propagate((callee, dentry, centry, dentry), Reason::Seed);
-            for dexit in self
-                .summaries
-                .get(&(callee, dentry))
-                .cloned()
-                .unwrap_or_default()
-            {
-                self.apply_summary((m, de, n, d), callee, dentry, dexit);
+            // `apply_summary` never touches `summaries` either.
+            if let Some(exits) = self.summaries.get_mut(&(callee, dentry)) {
+                let exits = std::mem::take(exits);
+                for &dexit in &exits {
+                    self.apply_summary(fact, callee, dentry, dexit);
+                }
+                self.summaries.insert((callee, dentry), exits);
             }
         }
     }
 
-    fn apply_summary(
-        &mut self,
-        caller: (MethodId, Sid, NodeId, Sid),
-        callee: MethodId,
-        callee_entry: Sid,
-        callee_exit: Sid,
-    ) {
+    fn apply_summary(&mut self, caller: Fact, callee: MethodId, callee_entry: Sid, callee_exit: Sid) {
         let (m, de, n, d_pre) = caller;
-        let Node::Call(c) = self.program.methods[m].cfg.nodes[n].kind else {
+        let program: &'a Program = self.program;
+        let node = &program.methods[m].cfg.nodes[n];
+        let Node::Call(c) = node.kind else {
             unreachable!("caller node must be a call");
         };
-        let info = self.program.calls[c].clone();
-        let mut glue = Vec::new();
-        let mut d3 = callee_exit;
-        if let Some(a) = call_return_atom(self.program, &info, callee) {
-            d3 = self.transfer(&a, d3);
-            glue.push(TraceStep { atom: a, point: info.point });
+        let d3 = match call_return_atom(program, &program.calls[c], callee) {
+            Some(a) => self.transfer(&a, callee_exit),
+            None => callee_exit,
+        };
+        let reason = Reason::Return { call_node: n, caller_pre: d_pre, callee, callee_entry, callee_exit };
+        for &succ in &node.succs {
+            self.propagate((m, de, succ, d3), reason);
         }
-        let succs = self.program.methods[m].cfg.nodes[n].succs.clone();
-        for succ in succs {
-            self.propagate(
-                (m, de, succ, d3),
-                Reason::Return {
-                    call_node: n,
-                    caller_pre: d_pre,
-                    callee,
-                    callee_entry,
-                    callee_exit,
-                    glue: glue.clone(),
-                },
-            );
-        }
+    }
+}
+
+/// The atom executed at a call site itself, before any callee body: the
+/// `Invoke` type-state transition for virtual calls.
+fn site_atom(info: &CallInfo) -> Option<Atom> {
+    match info.kind {
+        CallKind::Virtual { recv, method } => Some(Atom::Invoke { recv, method }),
+        CallKind::Static(_) => None,
     }
 }
 
@@ -380,7 +400,7 @@ impl<S> std::fmt::Debug for RhsResult<'_, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RhsResult")
             .field("facts", &self.reasons.len())
-            .field("states", &self.states.states.len())
+            .field("states", &self.states.len())
             .field("contexts", &(self.ctx_parent.len() + 1))
             .finish()
     }
@@ -398,38 +418,21 @@ impl<S: Clone + Eq + std::hash::Hash> RhsResult<'_, S> {
     /// identical amounts on every machine. Heap data *inside* client
     /// states is not visible from here, so this is a floor, not an exact
     /// measurement — the memory governor only needs charges to be
-    /// deterministic and monotone in the work done.
+    /// deterministic and monotone in the work done. Computed once, when
+    /// the run finishes.
     pub fn approx_bytes(&self) -> u64 {
-        let fact_entry =
-            std::mem::size_of::<Fact>().saturating_add(std::mem::size_of::<Reason>());
-        let steps: usize = self
-            .reasons
-            .values()
-            .map(|r| match r {
-                Reason::Seed => 0,
-                Reason::Flow { steps, .. } => steps.len(),
-                Reason::Return { glue, .. } => glue.len(),
-            })
-            .sum();
-        self.reasons
-            .len()
-            .saturating_mul(fact_entry)
-            .saturating_add(steps.saturating_mul(std::mem::size_of::<TraceStep>()))
-            .saturating_add(self.states.states.len().saturating_mul(std::mem::size_of::<S>()))
-            .saturating_add(self.ctx_parent.len().saturating_mul(
-                std::mem::size_of::<(MethodId, Sid)>()
-                    + std::mem::size_of::<(MethodId, Sid, NodeId, Sid)>(),
-            )) as u64
+        self.approx_bytes
     }
 
-    /// All abstract states arriving at `point` (over every context).
+    /// All abstract states arriving at `point` (over every context), in
+    /// an order fixed by the run (the fact table's hasher is unseeded).
     pub fn states_at(&self, point: PointId) -> Vec<&S> {
         let info = &self.program.points[point];
         let mut out = Vec::new();
         let mut seen = BTreeSet::new();
         for &(m, _, n, d) in self.reasons.keys() {
             if m == info.method && n == info.node && seen.insert(d) {
-                out.push(self.states.get(d));
+                out.push(&self.states[d as usize]);
             }
         }
         out
@@ -444,7 +447,7 @@ impl<S: Clone + Eq + std::hash::Hash> RhsResult<'_, S> {
             .reasons
             .keys()
             .filter(|&&(m, _, n, d)| {
-                m == info.method && n == info.node && pred(self.states.get(d))
+                m == info.method && n == info.node && pred(&self.states[d as usize])
             })
             .min_by_key(|&&(_, de, _, d)| (de, d))?;
         Some(self.full_trace(*fact))
@@ -452,7 +455,7 @@ impl<S: Clone + Eq + std::hash::Hash> RhsResult<'_, S> {
 
     /// The initial state id (for diagnostics).
     pub fn initial(&self) -> &S {
-        self.states.get(self.d0)
+        &self.states[self.d0 as usize]
     }
 
     /// Full trace from program start to `fact`: the caller chain down to
@@ -471,21 +474,43 @@ impl<S: Clone + Eq + std::hash::Hash> RhsResult<'_, S> {
         prefix
     }
 
-    /// The call-site and binding steps for entering `callee` at the call
-    /// node `cnode` of caller `cm`.
-    fn enter_steps(&self, cm: MethodId, cnode: NodeId, callee: MethodId) -> Vec<TraceStep> {
+    /// The call info of the call node `cnode` in method `cm`.
+    fn call_at(&self, cm: MethodId, cnode: NodeId) -> &CallInfo {
         let Node::Call(c) = self.program.methods[cm].cfg.nodes[cnode].kind else {
             unreachable!("caller node must be a call");
         };
-        let info = &self.program.calls[c];
-        let mut steps = Vec::new();
-        if let CallKind::Virtual { recv, method } = info.kind {
-            steps.push(TraceStep { atom: Atom::Invoke { recv, method }, point: info.point });
+        &self.program.calls[c]
+    }
+
+    /// The call-site and binding steps for entering `callee` at the call
+    /// node `cnode` of caller `cm`.
+    fn enter_steps(&self, cm: MethodId, cnode: NodeId, callee: MethodId) -> Vec<TraceStep> {
+        let info = self.call_at(cm, cnode);
+        site_atom(info)
+            .into_iter()
+            .chain(call_binding_atoms(self.program, info, callee))
+            .map(|atom| TraceStep { atom, point: info.point })
+            .collect()
+    }
+
+    /// The steps a [`Reason::Flow`] edge out of `from_node` in method `m`
+    /// executed, exactly as the tabulation applied them: none out of an
+    /// entry, the node's atom, or — out of a call node, whose only flow
+    /// edges are the bodyless fall-through — the call-site `Invoke` and
+    /// the result havoc.
+    fn flow_steps(&self, m: MethodId, from_node: NodeId) -> Vec<TraceStep> {
+        match self.program.methods[m].cfg.nodes[from_node].kind {
+            Node::Entry | Node::Exit => Vec::new(),
+            Node::Atom(atom, point) => vec![TraceStep { atom, point }],
+            Node::Call(_) => {
+                let info = self.call_at(m, from_node);
+                site_atom(info)
+                    .into_iter()
+                    .chain(info.dst.map(|dst| Atom::Havoc { dst }))
+                    .map(|atom| TraceStep { atom, point: info.point })
+                    .collect()
+            }
         }
-        for a in call_binding_atoms(self.program, info, callee) {
-            steps.push(TraceStep { atom: a, point: info.point });
-        }
-        steps
     }
 
     /// Local trace within `fact`'s context, from the context entry.
@@ -500,18 +525,24 @@ impl<S: Clone + Eq + std::hash::Hash> RhsResult<'_, S> {
             if n == entry && d == de {
                 break;
             }
-            match self.reasons.get(&cur).expect("fact without reason") {
+            match *self.reasons.get(&cur).expect("fact without reason") {
                 Reason::Seed => break,
-                Reason::Flow { from_node, from_state, steps } => {
-                    rev_segments.push(steps.clone());
-                    cur = (m, de, *from_node, *from_state);
+                Reason::Flow { from_node, from_state } => {
+                    rev_segments.push(self.flow_steps(m, from_node));
+                    cur = (m, de, from_node, from_state);
                 }
-                Reason::Return { call_node, caller_pre, callee, callee_entry, callee_exit, glue } => {
-                    rev_segments.push(glue.clone());
-                    let cexit = self.program.methods[*callee].cfg.exit;
-                    rev_segments.push(self.local_trace((*callee, *callee_entry, cexit, *callee_exit)));
-                    rev_segments.push(self.enter_steps(m, *call_node, *callee));
-                    cur = (m, de, *call_node, *caller_pre);
+                Reason::Return { call_node, caller_pre, callee, callee_entry, callee_exit } => {
+                    let info = self.call_at(m, call_node);
+                    rev_segments.push(
+                        call_return_atom(self.program, info, callee)
+                            .map(|atom| TraceStep { atom, point: info.point })
+                            .into_iter()
+                            .collect(),
+                    );
+                    let cexit = self.program.methods[callee].cfg.exit;
+                    rev_segments.push(self.local_trace((callee, callee_entry, cexit, callee_exit)));
+                    rev_segments.push(self.enter_steps(m, call_node, callee));
+                    cur = (m, de, call_node, caller_pre);
                 }
             }
         }

@@ -46,21 +46,25 @@ pub fn replay<A: ParametricAnalysis>(
 }
 
 /// The parameter-binding atoms executed when `call` enters `callee`
-/// (receiver and arguments copied into formals). Shared by the inliner
-/// convention, the RHS engine, and trace reconstruction so all three agree
-/// on the trace alphabet.
-pub fn call_binding_atoms(program: &Program, call: &CallInfo, callee: MethodId) -> Vec<Atom> {
-    let m = &program.methods[callee];
-    let mut actuals: Vec<pda_lang::VarId> = Vec::new();
-    if let pda_lang::CallKind::Virtual { recv, .. } = call.kind {
-        actuals.push(recv);
-    }
-    actuals.extend(call.args.iter().copied());
-    m.params
+/// (receiver and arguments copied into formals), yielded without
+/// allocating: the tabulation runs this once per call edge. Shared by the
+/// inliner convention, the RHS engine, and trace reconstruction so all
+/// three agree on the trace alphabet.
+pub fn call_binding_atoms<'p>(
+    program: &'p Program,
+    call: &'p CallInfo,
+    callee: MethodId,
+) -> impl Iterator<Item = Atom> + 'p {
+    let recv = match call.kind {
+        pda_lang::CallKind::Virtual { recv, .. } => Some(recv),
+        pda_lang::CallKind::Static(_) => None,
+    };
+    let actuals = recv.into_iter().chain(call.args.iter().copied());
+    program.methods[callee]
+        .params
         .iter()
         .zip(actuals)
         .map(|(&formal, actual)| Atom::Copy { dst: formal, src: actual })
-        .collect()
 }
 
 /// The result-copy atom executed when `call` returns from `callee`, if the
@@ -91,7 +95,7 @@ mod tests {
             }
             _ => unreachable!(),
         };
-        let binds = call_binding_atoms(&p, call, callee);
+        let binds: Vec<Atom> = call_binding_atoms(&p, call, callee).collect();
         assert_eq!(binds.len(), 3); // this, a, b
         assert!(matches!(binds[0], Atom::Copy { .. }));
         let ret = call_return_atom(&p, call, callee).unwrap();
@@ -109,7 +113,7 @@ mod tests {
             pda_lang::CallKind::Static(m) => m,
             _ => unreachable!(),
         };
-        assert!(call_binding_atoms(&p, call, callee).is_empty());
+        assert_eq!(call_binding_atoms(&p, call, callee).count(), 0);
         assert!(call_return_atom(&p, call, callee).is_none());
     }
 }

@@ -1,6 +1,7 @@
 //! Case tables: each atomic command as a disjoint, total list of guarded
-//! symbolic updates, from which both the forward transfer (Figure 5) and
-//! the backward weakest preconditions (Figure 11) are derived.
+//! symbolic updates, from which the backward weakest preconditions
+//! (Figure 11) are derived and against which the direct forward transfer
+//! (Figure 5) is tested.
 
 use crate::domain::{Cell, Env, EscPrim, Val};
 use pda_lang::Atom;
@@ -40,6 +41,7 @@ pub(crate) struct Case {
 
 const NE: u8 = 0b101; // N or E
 
+#[cfg(test)]
 fn guard_matches(guard: &Guard, d: &Env) -> bool {
     guard.iter().all(|&(c, mask)| d.get(c).mask() & mask != 0)
 }
@@ -129,18 +131,66 @@ pub(crate) fn cases(atom: &Atom) -> Vec<Case> {
     }
 }
 
-/// Forward transfer: interpret the (unique) matching case.
+/// Forward transfer (Figure 5), written out directly: the hot path of
+/// every forward run, so it reads only the cells its atom tests and never
+/// builds the case table. Tests check it against [`interpret`] — the
+/// table's own reading — on every small environment.
 pub(crate) fn apply(p: &BitSet, atom: &Atom, d: &Env) -> Env {
+    let set = |cell: Cell, v: Val| {
+        let mut out = d.clone();
+        out.set(cell, v);
+        out
+    };
+    match *atom {
+        Atom::New { dst, site } => {
+            set(Cell::Var(dst), if p.contains(site.0 as usize) { Val::L } else { Val::E })
+        }
+        Atom::Copy { dst, src } => set(Cell::Var(dst), d.get(Cell::Var(src))),
+        Atom::Null { dst } => set(Cell::Var(dst), Val::N),
+        Atom::GGet { dst, .. } | Atom::Havoc { dst } => set(Cell::Var(dst), Val::E),
+        Atom::GSet { src, .. } | Atom::Spawn { src } => {
+            if d.get(Cell::Var(src)) == Val::L {
+                d.escape_all()
+            } else {
+                d.clone()
+            }
+        }
+        Atom::Load { dst, base, field } => {
+            let v = if d.get(Cell::Var(base)) == Val::L {
+                d.get(Cell::Field(field))
+            } else {
+                Val::E
+            };
+            set(Cell::Var(dst), v)
+        }
+        Atom::Store { base, field, src } => {
+            let f = Cell::Field(field);
+            let (b, fv, s) = (d.get(Cell::Var(base)), d.get(f), d.get(Cell::Var(src)));
+            match (b, fv, s) {
+                // Storing into an L object joins src into the collective
+                // field summary; L and E through one field cannot be
+                // summarized and escape.
+                (Val::L, Val::N, Val::L | Val::E) => set(f, s),
+                (Val::L, Val::L, Val::E) | (Val::L, Val::E, Val::L) => d.escape_all(),
+                // Storing an L object into an escaped (or null) base
+                // escapes it.
+                (Val::N | Val::E, _, Val::L) => d.escape_all(),
+                _ => d.clone(),
+            }
+        }
+        Atom::Invoke { .. } | Atom::Nop => d.clone(),
+    }
+}
+
+/// Forward transfer by interpreting the (unique) matching case of
+/// [`cases`]: the reference [`apply`] is tested against.
+#[cfg(test)]
+fn interpret(p: &BitSet, atom: &Atom, d: &Env) -> Env {
     let table = cases(atom);
     let case = table
         .iter()
         .find(|c| guard_matches(&c.guard, d))
         .expect("case table must be total");
-    debug_assert_eq!(
-        table.iter().filter(|c| guard_matches(&c.guard, d)).count(),
-        1,
-        "case table must be disjoint for {atom:?}"
-    );
     match &case.effect {
         Effect::Esc => d.escape_all(),
         Effect::Assign(assigns) => {
@@ -277,6 +327,25 @@ mod tests {
             for d in all_envs(2, 1) {
                 let n = table.iter().filter(|c| guard_matches(&c.guard, &d)).count();
                 assert_eq!(n, 1, "atom {atom:?} has {n} matching cases for {d:?}");
+            }
+        }
+    }
+
+    /// The direct transfer is the table's reading, exhaustively: every
+    /// sampled atom, every environment over 2 variables and 1 field, and
+    /// all four parameters over 2 sites.
+    #[test]
+    fn direct_apply_matches_table_interpretation() {
+        for atom in sample_atoms() {
+            for pbits in 0..4u32 {
+                let p = BitSet::from_iter(2, (0..2).filter(|i| (pbits >> i) & 1 == 1));
+                for d in all_envs(2, 1) {
+                    assert_eq!(
+                        apply(&p, &atom, &d),
+                        interpret(&p, &atom, &d),
+                        "atom {atom:?}, p={p}, d={d:?}"
+                    );
+                }
             }
         }
     }

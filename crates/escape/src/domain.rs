@@ -60,10 +60,29 @@ impl fmt::Display for Cell {
 ///
 /// Stored densely: variables first, then fields. The environment's shape
 /// (`n_vars`) is fixed per client instance.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Env {
     n_vars: usize,
     cells: Vec<Val>,
+}
+
+/// Hashes the shape, then the cells packed 2 bits each into `u64` words
+/// (32 cells a word), so a forward run's state table hashes an
+/// environment in a handful of word writes rather than one write per
+/// cell. Equal environments (the derived `Eq`) have equal shapes and
+/// cells, hence equal packed words and equal hashes.
+impl std::hash::Hash for Env {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_usize(self.n_vars);
+        state.write_usize(self.cells.len());
+        for chunk in self.cells.chunks(32) {
+            let word = chunk
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (i, &v)| w | (v as u64) << (2 * i));
+            state.write_u64(word);
+        }
+    }
 }
 
 impl Env {
@@ -310,6 +329,51 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `a == b ⇒ hash(a) == hash(b)` for the packed hash, over every
+    /// environment of 2 variables and 1 field and across shapes with the
+    /// same cell count; unequal environments of one shape hash apart.
+    #[test]
+    fn equal_envs_hash_equal() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        type Sip = BuildHasherDefault<std::collections::hash_map::DefaultHasher>;
+        let all = |n_vars: usize, n_fields: usize| -> Vec<Env> {
+            let n = n_vars + n_fields;
+            (0..3usize.pow(n as u32))
+                .map(|mut code| {
+                    let mut d = Env::initial(n_vars, n_fields);
+                    for i in 0..n {
+                        d.cells[i] = Val::ALL[code % 3];
+                        code /= 3;
+                    }
+                    d
+                })
+                .collect()
+        };
+        let mut envs = all(2, 1);
+        envs.extend(all(1, 2));
+        envs.extend(all(0, 3));
+        // Long environments spanning more than one packed word.
+        let mut wide = Env::initial(40, 30);
+        wide.set(Cell::Field(FieldId(29)), Val::E);
+        envs.push(wide.clone());
+        wide.set(Cell::Var(VarId(33)), Val::L);
+        envs.push(wide);
+        for a in &envs {
+            for b in &envs {
+                let (fa, fb) = (pda_util::fx_hash(a), pda_util::fx_hash(b));
+                let (sa, sb) = (Sip::default().hash_one(a), Sip::default().hash_one(b));
+                if a == b {
+                    assert_eq!(fa, fb, "{a:?}");
+                    assert_eq!(sa, sb, "{a:?}");
+                } else if a.n_vars == b.n_vars && a.cells.len() == b.cells.len() {
+                    assert_ne!(fa, fb, "{a:?} vs {b:?}");
+                }
+            }
+            assert_eq!(a, &a.clone());
+            assert_eq!(pda_util::fx_hash(a), pda_util::fx_hash(&a.clone()));
         }
     }
 

@@ -30,6 +30,9 @@
 //!   aborts at exact, reproducible visits.
 //! * [`heartbeat`] — the thread-local progress counter the serve
 //!   watchdog uses to tell a slow request from a non-cooperative stall.
+//! * [`FxHashMap`] — a hash map keyed through [`FxHasher`], a fast,
+//!   unseeded multiply-rotate hasher for the engines' internal id and
+//!   state tables (deterministic iteration order, no DoS resistance).
 //! * [`par`] — `std`-only work-pool and lock-striping helpers
 //!   ([`scoped_chunk_map`], [`StripedLock`]) behind the batch scheduler's
 //!   sharded forward cache and the meta-kernel's data-parallel paths.
@@ -49,6 +52,7 @@
 mod bitset;
 mod deadline;
 pub mod faultplane;
+mod fxhash;
 pub mod heartbeat;
 mod idx;
 pub mod json;
@@ -61,6 +65,7 @@ mod stats;
 pub use bitset::BitSet;
 pub use deadline::{AmbientDeadlineGuard, Deadline, DeadlineExceeded};
 pub use faultplane::{fault_point, fault_point_io, FaultFile, FaultPlan};
+pub use fxhash::{fx_hash, FxBuildHasher, FxHashMap, FxHasher};
 pub use heartbeat::{beat, install_heartbeat, HeartbeatGuard};
 pub use idx::IdxVec;
 pub use membudget::{parse_bytes, MemBudget};

@@ -16,6 +16,14 @@ cargo test -q --no-fail-fast
 echo "== cargo clippy --all-targets -- -D warnings =="
 cargo clippy --all-targets -- -D warnings
 
+echo "== perfbench tests: public-API replay vs production =="
+# The benchmark package has its own workspace, so the workspace test run
+# above does not reach it. Its determinism tests replay every CEGAR
+# iteration through the layer crates' public API (`rhs::run`,
+# `RhsResult::witness`, the meta kernel, the solver) and require the
+# replay to reproduce the production driver's effort counts exactly.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== perf smoke: seeded batch bench vs expected outcomes =="
 # The bench is fully seeded (hedc, seed 13), so every `outcome N:` line
 # and the two cross-kernel/cross-jobs identity lines are deterministic.
