@@ -419,6 +419,29 @@ mod tests {
         assert_eq!(out2.get(Cell::Var(VarId(1))), Val::L);
     }
 
+    /// The client's wp fast paths (identity for cells an atom does not
+    /// write) are exactly what the case table derives: same formula,
+    /// not merely an equivalent one, since the meta kernel's output
+    /// depends on wp syntax.
+    #[test]
+    fn client_wp_prim_matches_wp_cell() {
+        use pda_tracer::TracerClient as _;
+        let program = pda_lang::parse_program("fn main() { }").unwrap();
+        let client = crate::EscapeClient::new(&program);
+        let cells = [Cell::Var(VarId(0)), Cell::Var(VarId(1)), Cell::Field(FieldId(0))];
+        for atom in sample_atoms() {
+            for &cell in &cells {
+                for &val in &Val::ALL {
+                    assert_eq!(
+                        client.wp_prim(&atom, &EscPrim::CellIs(cell, val)),
+                        wp_cell(&atom, cell, val),
+                        "atom {atom:?}, {cell}.{val}"
+                    );
+                }
+            }
+        }
+    }
+
     /// Requirement (2), exhaustively: σ(wp_cell(a, c, o)) is the exact
     /// preimage of `{d | d(c) = o}` under the forward transfer, for all
     /// sampled atoms, cells, values, parameters, and environments.

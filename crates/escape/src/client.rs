@@ -111,6 +111,17 @@ impl TracerClient for EscapeClient {
                 // invoke-heavy, which makes this the dominant share of
                 // all universe-closure wp calls.
                 Atom::Invoke { .. } | Atom::Nop => Formula::prim(*prim),
+                // Single unguarded update of `dst`: every other cell
+                // keeps its value, and `wp_cell` folds to the prim too.
+                Atom::New { dst, .. }
+                | Atom::Copy { dst, .. }
+                | Atom::Null { dst }
+                | Atom::GGet { dst, .. }
+                | Atom::Havoc { dst }
+                    if cell != Cell::Var(*dst) =>
+                {
+                    Formula::prim(*prim)
+                }
                 _ => cases::wp_cell(atom, cell, val),
             },
         }
