@@ -5,6 +5,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The golden-file tests rewrite tests/golden/* instead of comparing
+# against them whenever PDA_BLESS is set (to any value), so a gate run
+# with it exported would pass whatever the code does.
+if [ -n "${PDA_BLESS+set}" ]; then
+    echo "ci: PDA_BLESS is set; the golden tests would re-bless instead of checking. Unset it." >&2
+    exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --release
 
