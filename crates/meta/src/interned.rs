@@ -18,13 +18,17 @@
 //! * a wp memo keyed by `(atom id, packed literal)` converts each weakest
 //!   precondition to DNF once per *solve* instead of once per literal
 //!   occurrence — entries whose conversion never hit emergency pruning
-//!   are `p`-independent and survive across iterations.
+//!   are `p`-independent and survive across iterations;
+//! * per atom, a row of the primitive ids whose raw wp is not the
+//!   identity lets the walk skip every step whose atom changes no
+//!   primitive of the current DNF (the cone-of-influence skip) — most
+//!   steps of a counterexample, since an atom writes one or two cells.
 //!
 //! **Bit-identity contract.** The driver's min-cost solver breaks cost
 //! ties by clause *syntax*, so the learned parameter formulas — and hence
 //! whole `solve_query` outcomes — only reproduce the tree path if this
 //! kernel mirrors it *syntactically*, not just semantically. The mirror
-//! rests on four invariants, checked by the differential tests:
+//! rests on five invariants, checked by the differential tests:
 //!
 //! 1. ids are assigned in primitive `Ord` order, so packed-literal order
 //!    equals [`Lit`] order and `Vec<u32>` lexicographic order equals
@@ -43,7 +47,20 @@
 //!    stable/unstable classification itself is safe to cache);
 //! 4. everything that *does* depend on the current `p`/`d_I` — the
 //!    per-step truth table and the `eval_state(d_I)` row — is recomputed
-//!    on every call and never cached.
+//!    on every call and never cached;
+//! 5. **skip exactness**: a step whose atom's row meets none of `f`'s
+//!    primitives is skipped, and the skip returns what the full step
+//!    would. Every literal's wp is then itself, so `wp_dnf` rebuilds each
+//!    cube by re-inserting its literals in ascending order; that cannot
+//!    clash when `contradicts` is symmetric over the universe (checked
+//!    per table, the skip is off otherwise). `f` is an `approx` fixed
+//!    point — sorted, subsumption-free, at most `k` cubes — because the
+//!    skip starts only after the initial `approx`, so `approx` would hand
+//!    it back unchanged. The step's Theorem 3 membership check still runs,
+//!    so `MembershipLost` fires at the same step as without the skip.
+//!    Only effort counters move: skipped steps build no cubes and touch
+//!    no memo entry. Debug builds re-ask the client for every skipped
+//!    step's wp and assert the identity.
 
 use crate::approx::BeamConfig;
 use crate::backward::{MetaClient, MetaError, ParamOf, StateOf};
@@ -84,7 +101,9 @@ fn sig_bit(l: PLit) -> u64 {
     1u64 << (lit_id(l) & 63)
 }
 
-/// A dense boolean matrix over primitive ids (row-major bitset).
+/// A dense boolean matrix whose columns are primitive ids (row-major
+/// bitset): square for the pairwise tables, one row per atom for the
+/// per-atom wp rows.
 struct Matrix {
     words: usize,
     bits: Vec<u64>,
@@ -92,16 +111,33 @@ struct Matrix {
 
 impl Matrix {
     fn new(n: usize) -> Matrix {
-        let words = n.div_ceil(64).max(1);
-        Matrix { words, bits: vec![0; words.saturating_mul(n)] }
+        Matrix::rect(n, n)
+    }
+
+    fn rect(rows: usize, cols: usize) -> Matrix {
+        let words = cols.div_ceil(64).max(1);
+        Matrix { words, bits: vec![0; words.saturating_mul(rows)] }
+    }
+
+    /// Appends all-zero rows up to `rows`.
+    fn grow_rows(&mut self, rows: usize) {
+        let need = rows.saturating_mul(self.words);
+        if self.bits.len() < need {
+            self.bits.resize(need, 0);
+        }
     }
 
     fn set(&mut self, i: usize, j: usize) {
+        debug_assert!(j < self.words * 64, "column {j} outside the matrix");
         self.bits[i * self.words + j / 64] |= 1u64 << (j % 64);
     }
 
     fn get(&self, i: usize, j: usize) -> bool {
         self.bits[i * self.words + j / 64] >> (j % 64) & 1 == 1
+    }
+
+    fn row(&self, i: usize) -> &[u64] {
+        &self.bits[i * self.words..(i + 1) * self.words]
     }
 }
 
@@ -124,6 +160,10 @@ struct TableCore {
     /// implication degenerates to literal equality, enabling the
     /// signature-subset fast path.
     trivial: bool,
+    /// `contradicts` is symmetric: re-inserting a consistent cube's
+    /// literals in any order cannot clash, which the cone-of-influence
+    /// skip relies on (module-doc invariant 5).
+    contradicts_symmetric: bool,
 }
 
 impl TableCore {
@@ -495,6 +535,9 @@ impl<P: Primitive> WarmStore<P> {
 ///   contradiction matrices, rebuilt only when the universe grows (a
 ///   superset universe preserves the id-order isomorphism, so outputs
 ///   stay bit-identical — see the module docs);
+/// * one row per atom of the primitive ids its raw wp changes (exactly
+///   the atom's `wp_raw` keys, since identity is stored by absence) —
+///   the cone-of-influence rows the backward walk skips steps by;
 /// * the wp memo (cleared on table rebuilds, since entries embed ids).
 ///
 /// A cache must only be reused with the same client; the abstraction and
@@ -505,6 +548,10 @@ pub struct InternCache<P: Primitive> {
     aid_of: HashMap<Atom, u32>,
     universe: BTreeSet<P>,
     wp_raw: HashMap<(u32, P), Formula<P>>,
+    /// Bit `(aid, id)`: atom `aid`'s raw wp of prim `id` is not the
+    /// identity, i.e. `wp_raw` holds `(aid, prims[id])`. Columns follow
+    /// the current table's ids.
+    touches: Matrix,
     table: Option<PrimTable<P>>,
     memo: WpMemo<P>,
     /// Optional shared warm store consulted (read-through) before asking
@@ -528,6 +575,7 @@ impl<P: Primitive> InternCache<P> {
             aid_of: HashMap::new(),
             universe: BTreeSet::new(),
             wp_raw: HashMap::new(),
+            touches: Matrix::rect(0, 0),
             table: None,
             memo: WpMemo { stride: 0, entries: Vec::new() },
             warm: None,
@@ -572,6 +620,12 @@ impl<P: Primitive> InternCache<P> {
     /// already stored; `(new atom, old prim)` pairs are the snapshot loop;
     /// every genuinely new prim goes through `work`, which pairs it with
     /// *all* atoms, old and new.
+    ///
+    /// The snapshot loop also extends the fresh atoms' [`Self::touches`]
+    /// rows: the snapshot is the universe in `Ord` order, which is the
+    /// current table's id order. Pairs with a new prim need no row bit
+    /// here — a grown universe forces [`Self::rebuild_table`], which
+    /// re-indexes every row from `wp_raw`.
     fn close_universe<C: MetaClient<Prim = P>>(
         &mut self,
         client: &C,
@@ -595,8 +649,9 @@ impl<P: Primitive> InternCache<P> {
                 work.push(q);
             }
         }
+        self.touches.grow_rows(self.atoms.len());
         for &aid in fresh_atoms {
-            for q in &pre {
+            for (id, q) in pre.iter().enumerate() {
                 let atom = self.atoms[aid as usize];
                 let w = client.wp_prim(&atom, q);
                 // Identity wp — the atom leaves the prim untouched — is by
@@ -616,6 +671,7 @@ impl<P: Primitive> InternCache<P> {
                         work.push(r);
                     }
                 }
+                self.touches.set(aid as usize, id);
                 self.wp_raw.insert((aid, q.clone()), w);
             }
         }
@@ -640,8 +696,9 @@ impl<P: Primitive> InternCache<P> {
     }
 
     /// Deterministic estimate of the bytes this cache retains across CEGAR
-    /// iterations: atoms, the closed primitive universe, raw wp formulas,
-    /// the intern table with its matrices, and the wp memo. Counts ×
+    /// iterations: atoms, the closed primitive universe, raw wp formulas
+    /// and their per-atom rows, the intern table with its matrices, and
+    /// the wp memo. Counts ×
     /// `size_of` only — never allocator or RSS measurements — so the
     /// memory governor's pressure decisions reproduce bit-identically.
     pub fn approx_bytes(&self) -> u64 {
@@ -659,6 +716,7 @@ impl<P: Primitive> InternCache<P> {
         for w in self.wp_raw.values() {
             bytes = bytes.saturating_add(formula_nodes(w).saturating_mul(node));
         }
+        bytes = bytes.saturating_add((self.touches.bits.len() as u64).saturating_mul(8));
         if let Some(t) = &self.table {
             bytes = bytes
                 .saturating_add((t.core.implies.bits.len() as u64).saturating_mul(8))
@@ -699,8 +757,9 @@ impl<P: Primitive> InternCache<P> {
         evicted
     }
 
-    /// Reinterns the universe in `Ord` order and precomputes the matrices;
-    /// the memo resets because its entries embed the old generation's ids.
+    /// Reinterns the universe in `Ord` order, precomputes the matrices and
+    /// re-indexes the per-atom wp rows; the memo resets because its
+    /// entries embed the old generation's ids.
     /// With a warm store attached, the n² matrix pass is shared at whole-
     /// core granularity across every query that closes over the same
     /// universe.
@@ -710,6 +769,11 @@ impl<P: Primitive> InternCache<P> {
         let id_of: HashMap<P, u32> =
             prims.iter().enumerate().map(|(i, q)| (q.clone(), i as u32)).collect();
         let param_atom: Vec<_> = prims.iter().map(|q| q.param_atom()).collect();
+        let mut touches = Matrix::rect(self.atoms.len(), n);
+        for (aid, q) in self.wp_raw.keys() {
+            touches.set(*aid as usize, id_of[q] as usize);
+        }
+        self.touches = touches;
         let core = match &self.warm {
             Some(ws) => ws.core_for(&prims, || compute_core(&prims)),
             None => Arc::new(compute_core(&prims)),
@@ -744,12 +808,15 @@ fn compute_core<P: Primitive>(prims: &[P]) -> TableCore {
             }
         }
     }
+    let contradicts_symmetric =
+        (0..n).all(|i| (0..i).all(|j| contradicts.get(i, j) == contradicts.get(j, i)));
     TableCore {
         implies,
         contradicts,
         any_contradiction,
         implies_identity: identity,
         trivial: identity && !any_contradiction,
+        contradicts_symmetric,
     }
 }
 
@@ -1058,6 +1125,41 @@ fn wp_dnf_i<P: Primitive>(
     out
 }
 
+/// Sets `support` to the prim ids occurring in `f`.
+fn fill_support(f: &[ICube], support: &mut [u64]) {
+    support.fill(0);
+    for c in f {
+        for &l in &c.lits {
+            support[lit_id(l) / 64] |= 1u64 << (lit_id(l) % 64);
+        }
+    }
+}
+
+/// Whether two id bitsets share a bit.
+fn meets(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
+}
+
+/// The debug-build oracle behind the skip: re-asks the client for the wp
+/// of every support prim across `atom` and requires the identity. Reads
+/// neither the memo nor any counter, so debug and release runs count
+/// alike.
+fn debug_check_identity<C: MetaClient>(
+    client: &C,
+    atom: &Atom,
+    support: &[u64],
+    table: &PrimTable<C::Prim>,
+) {
+    for (id, q) in table.prims.iter().enumerate() {
+        if support[id / 64] >> (id % 64) & 1 == 1 {
+            assert!(
+                client.wp_prim(atom, q) == Formula::prim(q.clone()),
+                "skipped a step whose atom {atom:?} changes support prim {q}"
+            );
+        }
+    }
+}
+
 /// The result of an interned trace analysis: the final trace-entry DNF in
 /// interned form, plus a snapshot of the metadata needed to restrict or
 /// export it (so the result does not borrow the cache).
@@ -1182,9 +1284,9 @@ where
     }
     cache.memo.grow(cache.atoms.len());
 
-    // Split the borrows: the walk reads the table and raw wps, mutates
-    // only the memo.
-    let InternCache { wp_raw, table, memo, .. } = cache;
+    // Split the borrows: the walk reads the table, raw wps and rows,
+    // mutates only the memo.
+    let InternCache { atoms, wp_raw, touches, table, memo, .. } = cache;
     let table = table.as_ref().expect("table built above");
     let n = table.prims.len();
 
@@ -1209,12 +1311,29 @@ where
     let approxed = approx_i(f, cfg, &k, steps, obs);
     span.exit(obs);
     f = approxed.ok_or(MetaError::MembershipLost { step: steps })?;
+    // Cone-of-influence skip (module-doc invariant 5): `support` holds
+    // the prim ids occurring in `f`, refreshed after every step that ran.
+    let skip = table.core.contradicts_symmetric;
+    let mut support = vec![0u64; twords];
+    fill_support(&f, &mut support);
     for i in (0..steps).rev() {
-        f = wp_dnf_i(&k, memo, k.atom_of_step[i], &f, cfg, i, obs);
+        let aid = k.atom_of_step[i];
+        if skip && !meets(touches.row(aid as usize), &support) {
+            if cfg!(debug_assertions) {
+                debug_check_identity(client, &atoms[aid as usize], &support, table);
+            }
+            obs.inc(Counter::MetaStepsSkipped);
+            if !f.iter().any(|c| k.holds_at(c, i)) {
+                return Err(MetaError::MembershipLost { step: i });
+            }
+            continue;
+        }
+        f = wp_dnf_i(&k, memo, aid, &f, cfg, i, obs);
         let span = Span::enter(obs, SpanKind::Approx);
         let approxed = approx_i(f, cfg, &k, i, obs);
         span.exit(obs);
         f = approxed.ok_or(MetaError::MembershipLost { step: i })?;
+        fill_support(&f, &mut support);
     }
     Ok(TraceAnalysis {
         prims: table.prims.clone(),
@@ -1820,6 +1939,131 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// On the toy bit client every atom writes one bit, so most steps
+    /// of the test traces leave the current DNF alone: the skip must
+    /// fire, and (as the exhaustive differential above already checks)
+    /// change nothing but effort counters.
+    #[test]
+    fn skip_fires_and_saves_work_on_bits() {
+        let trace = [null(3), havoc(4), null(0), copy(1, 0), havoc(2), null(5)];
+        let not_q = Formula::prim(BP::Bit(1));
+        let cfg = BeamConfig::default();
+        let mut obs = ObsRegistry::default();
+        let mut cache = InternCache::new();
+        let r = analyze_trace_interned(&Bits, &0b1, &0, &trace, &not_q, &cfg, &mut cache, &mut obs)
+            .unwrap();
+        assert_eq!(r.to_dnf(), analyze_trace(&Bits, &0b1, &0, &trace, &not_q, &cfg).unwrap());
+        // Only `copy(1, 0)` and `null(0)` touch the support.
+        assert_eq!(obs.get(Counter::MetaStepsSkipped), 4, "{obs:?}");
+    }
+
+    /// Identity-wp client over [`AP`], whose `contradicts` is asymmetric.
+    struct AsymC;
+
+    impl MetaClient for AsymC {
+        type Prim = AP;
+        fn transfer(&self, _p: &u32, _a: &Atom, d: &u32) -> u32 {
+            *d
+        }
+        fn wp_prim(&self, _a: &Atom, prim: &AP) -> Formula<AP> {
+            Formula::prim(*prim)
+        }
+    }
+
+    /// Under an asymmetric `contradicts` the skip stays off. It would not
+    /// be exact: the cube `{a2, a3}` is built by inserting `a2` into
+    /// `{a3}` (no clash in that direction), but the full step re-inserts
+    /// in ascending order, `a3` into `{a2}`, which clashes — so the tree
+    /// kernel loses membership at the last step, where a skip would not.
+    #[test]
+    fn asymmetric_contradicts_keeps_the_skip_off() {
+        let cfg = BeamConfig::default();
+        let not_qs = [
+            Formula::and(vec![Formula::prim(AP(3)), Formula::prim(AP(2))]),
+            Formula::or(vec![
+                Formula::and(vec![Formula::prim(AP(3)), Formula::prim(AP(2))]),
+                Formula::prim(AP(0)),
+            ]),
+            Formula::or(vec![
+                Formula::prim(AP(1)),
+                Formula::and(vec![Formula::prim(AP(2)), Formula::nprim(AP(3))]),
+            ]),
+        ];
+        let traces: [&[Atom]; 3] = [&[havoc(5)], &[null(6), havoc(5)], &[]];
+        let mut lost = 0;
+        for not_q in &not_qs {
+            for trace in traces {
+                for d0 in 0..16u32 {
+                    let tree = analyze_trace(&AsymC, &0, &d0, trace, not_q, &cfg);
+                    let mut obs = ObsRegistry::default();
+                    let mut cache = InternCache::new();
+                    let fast = analyze_trace_interned(
+                        &AsymC, &0, &d0, trace, not_q, &cfg, &mut cache, &mut obs,
+                    );
+                    assert!(!cache.table.as_ref().unwrap().core.contradicts_symmetric);
+                    assert_eq!(obs.get(Counter::MetaStepsSkipped), 0, "skip must stay off");
+                    match (tree, fast) {
+                        (Ok(t), Ok(f)) => assert_eq!(t, f.to_dnf()),
+                        (Err(a), Err(b)) => {
+                            assert_eq!(a, b);
+                            lost += 1;
+                        }
+                        (a, b) => panic!(
+                            "outcome diverged on {trace:?} d0={d0:b}: tree {a:?} vs interned {:?}",
+                            b.map(|f| f.to_dnf())
+                        ),
+                    }
+                }
+            }
+        }
+        // d0 with bits 2 and 3 set, non-empty trace, first query: the
+        // clash fires in both kernels.
+        assert!(lost > 0, "the clash case was never exercised");
+    }
+
+    /// A deliberately unsound client: wp claims every atom is the
+    /// identity, while `havoc` actually flips its bit.
+    struct Liar;
+
+    impl MetaClient for Liar {
+        type Prim = BP;
+        fn transfer(&self, _p: &u32, atom: &Atom, d: &u32) -> u32 {
+            match *atom {
+                Atom::Havoc { dst } => d ^ (1 << dst.0),
+                _ => *d,
+            }
+        }
+        fn wp_prim(&self, _a: &Atom, prim: &BP) -> Formula<BP> {
+            Formula::prim(*prim)
+        }
+    }
+
+    /// Every step of the trace is skipped (wp is the identity
+    /// everywhere), yet the Theorem 3 check still runs on each: the
+    /// membership loss is reported at the same step as the tree kernel's.
+    #[test]
+    fn skipped_steps_still_check_membership() {
+        let not_q = Formula::prim(BP::Bit(1));
+        let cfg = BeamConfig::default();
+        // states: 0, 0b10, 0b110, 0b10 — bit 1 appears at step 0's havoc.
+        let trace = [havoc(1), havoc(2), havoc(2)];
+        let tree = analyze_trace(&Liar, &0, &0, &trace, &not_q, &cfg);
+        assert_eq!(tree, Err(MetaError::MembershipLost { step: 0 }));
+        let mut obs = ObsRegistry::default();
+        let mut cache = InternCache::new();
+        let fast =
+            analyze_trace_interned(&Liar, &0, &0, &trace, &not_q, &cfg, &mut cache, &mut obs);
+        assert_eq!(fast.err(), Some(MetaError::MembershipLost { step: 0 }));
+        assert_eq!(obs.get(Counter::MetaStepsSkipped), 3, "the failing step was skipped too");
+        // The loss sits mid-trace when the flip does.
+        let trace = [havoc(2), havoc(1), havoc(2)];
+        let tree = analyze_trace(&Liar, &0, &0, &trace, &not_q, &cfg);
+        assert_eq!(tree, Err(MetaError::MembershipLost { step: 1 }));
+        let fast =
+            analyze_trace_interned(&Liar, &0, &0, &trace, &not_q, &cfg, &mut cache, &mut obs);
+        assert_eq!(fast.err(), Some(MetaError::MembershipLost { step: 1 }));
     }
 
     #[test]

@@ -111,10 +111,15 @@ pub enum Counter {
     IoFaults,
     /// Non-cooperative stalls reclaimed by the serve watchdog.
     WatchdogFired,
+    /// Backward trace steps skipped because their atom changes no
+    /// primitive of the current DNF (the meta kernel's cone-of-influence
+    /// skip). An effort meter only: no trace event, `MetaStats` field,
+    /// checkpoint record or footer line carries it.
+    MetaStepsSkipped,
 }
 
 /// Number of [`Counter`] slots.
-pub const N_COUNTERS: usize = Counter::WatchdogFired as usize + 1;
+pub const N_COUNTERS: usize = Counter::MetaStepsSkipped as usize + 1;
 
 // ---- spans ----
 
