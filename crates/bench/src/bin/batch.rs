@@ -1,60 +1,58 @@
-//! Batch-scheduler driver: wall-clock comparison of the tree vs interned
-//! meta-kernels with one worker, plus the batch scheduler with `N`
-//! workers. Every phase shares forward runs through the batch's cache.
+//! Batch-scheduler driver: the batch scheduler with one worker and with
+//! `N` workers, followed by a per-iteration oracle replay. Every phase
+//! shares forward runs through the batch's cache.
 //!
 //! Loads the first suite benchmark with at least 16 thread-escape queries
 //! (hedc with the default suite), and runs its query batch three ways:
 //!
-//! 1. `--jobs 1` with the **tree** meta-kernel (the reference semantics);
-//! 2. `--jobs 1` with the **interned** meta-kernel (the production hot
-//!    path) — every per-query outcome must be bit-identical to run 1, and
-//!    the backward/meta phase is expected to be ≥ 1.5x faster;
-//! 3. `--jobs N` with the interned kernel.
+//! 1. `--jobs 1`;
+//! 2. `--jobs N` — every per-query outcome must be identical to run 1;
+//! 3. the oracle phase: each query solved alone with its iterations
+//!    logged, and every iteration replayed through the reference engines
+//!    (DPLL for the viable-set choice, the tree kernel for the backward
+//!    meta-analysis) by [`pda_bench::oracle::check_iterations`]. It runs
+//!    last, so it neither consumes nor trips a fault plan's armed hits.
 //!
 //! Unless running in deadline mode, the run is summarized into a
 //! machine-readable `BENCH_batch.json` (path override:
-//! `PDA_BENCH_OUT`) so later PRs have a perf trajectory to compare
-//! against, and per-query `outcome N: ...` lines are printed for the CI
-//! perf smoke to diff against the checked-in expected summary.
+//! `PDA_BENCH_OUT`; each phase runs once, recorded as `repeats`) so later
+//! PRs have a perf trajectory to compare against, and per-query
+//! `outcome N: ...` lines are printed for the CI perf smoke to diff
+//! against the checked-in expected summary. The two engine identity lines
+//! both report the oracle replay, which checks the two reference engines
+//! together.
 //!
 //! Environment: `PDA_JOBS` sets the parallel worker count (default 8);
-//! `PDA_META_JOBS` sets the in-query meta-kernel data parallelism for
-//! every phase (default 1; outcomes and traces are bit-identical at any
-//! value); `PDA_MAX_QUERIES` caps the batch size (default 32, floor 16);
+//! `PDA_MAX_QUERIES` caps the batch size (default 32, floor 16);
 //! `PDA_MEM_BUDGET` sets a per-query memory budget in estimated bytes
 //! (`k`/`m`/`g` suffixes accepted) — the governor degrades deterministically
 //! under pressure, so outcome lines stay diffable; `PDA_POOL_BUDGET` sets
 //! the shared batch pool for the parallel phase (admission control);
 //! `PDA_DEADLINE_MS` sets a per-query wall-clock deadline — under a
 //! deadline, queries may legitimately resolve as `DeadlineExceeded` and
-//! the equality/cache/JSON steps are skipped (wall-clock aborts are
-//! schedule-dependent by nature); the run still exercises the whole
+//! the equality/cache/oracle/JSON steps are skipped (wall-clock aborts
+//! are schedule-dependent by nature); the run still exercises the whole
 //! resilient batch path and reports the resilience counters.
 //! `PDA_FAULT_PLAN` arms the deterministic fault-injection plane for the
 //! whole run (same grammar as `--fault-plan`; see `pda_util::faultplane`),
-//! and `PDA_RETRY_FAULTS=N` gives every phase a deterministic retry
+//! and `PDA_RETRY_FAULTS=N` gives every batch phase a deterministic retry
 //! ladder so injected transient faults are absorbed and the outcome
 //! lines stay diffable under chaos.
 //! `PDA_TRACE=prefix` additionally streams the structured JSONL event
-//! trace of the interned runs to `<prefix>_j1.jsonl` / `<prefix>_jN.jsonl`
+//! trace of the two batch runs to `<prefix>_j1.jsonl` / `<prefix>_jN.jsonl`
 //! and self-validates it: every line must parse, the two files must be
 //! byte-identical (the trace is job-count invariant), and the event
 //! counts must match the run's own counters (skipped in deadline mode).
-//!
-//! A final viable-engine phase (skipped in deadline mode) re-runs the
-//! sequential interned batch under both constraint engines — DPLL
-//! branch-and-bound and the resident ROBDD — asserts byte-identical
-//! per-query outcomes, and reports the solver-phase wall split
-//! (min-of-`PDA_REPEATS` runs per engine, default 3) in the summary and
-//! `BENCH_batch.json`.
 
+use pda_bench::oracle::check_iterations;
 use pda_escape::EscapeClient;
 use pda_suite::Benchmark;
 use pda_tracer::{
-    solve_queries_batch, solve_queries_batch_traced, BatchConfig, BatchStats, MetaKernel,
-    MetaStats, Outcome, QueryResult, RetryPolicy, ViableEngine,
+    default_jobs, solve_queries_batch_traced, solve_query_logged, BatchConfig, BatchStats,
+    MetaStats, Outcome, QueryResult, RetryPolicy,
 };
-use pda_util::{BitSet, Counter, Event, FileSink, TraceSink};
+use pda_util::{BitSet, Event, FileSink, TraceSink};
+use std::time::Instant;
 
 fn outcome_key(r: &QueryResult<BitSet>) -> String {
     let verdict = match &r.outcome {
@@ -170,43 +168,13 @@ fn main() {
         std::env::var("PDA_MEM_BUDGET").ok().and_then(|v| pda_util::parse_bytes(&v));
     let pool_budget =
         std::env::var("PDA_POOL_BUDGET").ok().and_then(|v| pda_util::parse_bytes(&v));
-    let meta_jobs: usize = std::env::var("PDA_META_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
-    // `PDA_VIABLE_ENGINE` selects the constraint engine for the main
-    // phases (outcomes are bit-identical either way); the final
-    // engine-split phase always runs both explicitly.
-    let viable_engine = std::env::var("PDA_VIABLE_ENGINE")
-        .ok()
-        .and_then(|v| ViableEngine::parse(&v).ok())
-        .unwrap_or_default();
-    let tracer = |kernel: MetaKernel| pda_tracer::TracerConfig {
+    let tracer = pda_tracer::TracerConfig {
         timeout: deadline_ms.map(std::time::Duration::from_millis),
-        kernel,
         mem_budget,
-        meta_jobs,
-        viable_engine,
         ..pda_tracer::TracerConfig::default()
     };
 
-    // Phase 1: one worker, tree kernel (the oracle).
-    let tree_cfg = BatchConfig {
-        jobs: 1,
-        tracer: tracer(MetaKernel::Tree),
-        retry: retry.clone(),
-        ..BatchConfig::default()
-    };
-    let (tree, tree_stats) =
-        solve_queries_batch(&bench.program, &callees, &client, &queries, &tree_cfg);
-    println!(
-        "jobs=1 kernel=tree      wall {:>9.1} ms   {}",
-        tree_stats.wall_micros as f64 / 1e3,
-        tree_stats
-    );
-
-    // Structured-trace sinks for the interned runs. The trace carries no
+    // Structured-trace sinks for the two batch runs. The trace carries no
     // wall-clock data, so tracing does not perturb the timed phases
     // beyond buffer pushes; with `PDA_TRACE` unset both sinks are `None`
     // and the event paths compile to untraced no-ops.
@@ -219,10 +187,10 @@ fn main() {
     };
     let (seq_sink, par_sink) = (mk_sink("j1"), mk_sink("jN"));
 
-    // Phase 2: one worker, interned kernel — the same work, packed.
-    let int_cfg = BatchConfig {
+    // Phase 1: one worker.
+    let seq_cfg = BatchConfig {
         jobs: 1,
-        tracer: tracer(MetaKernel::Interned),
+        tracer: tracer.clone(),
         retry: retry.clone(),
         ..BatchConfig::default()
     };
@@ -231,19 +199,15 @@ fn main() {
         &callees,
         &client,
         &queries,
-        &int_cfg,
+        &seq_cfg,
         seq_sink.as_ref().map(|s| s as &dyn TraceSink),
     );
-    println!(
-        "jobs=1 kernel=interned  wall {:>9.1} ms   {}",
-        seq_stats.wall_micros as f64 / 1e3,
-        seq_stats
-    );
+    println!("jobs=1  wall {:>9.1} ms   {}", seq_stats.wall_micros as f64 / 1e3, seq_stats);
 
-    // Phase 3: `jobs` workers, interned kernel.
+    // Phase 2: `jobs` workers.
     let par_cfg = BatchConfig {
         jobs,
-        tracer: tracer(MetaKernel::Interned),
+        tracer: tracer.clone(),
         pool_budget,
         retry: retry.clone(),
         ..BatchConfig::default()
@@ -256,20 +220,10 @@ fn main() {
         &par_cfg,
         par_sink.as_ref().map(|s| s as &dyn TraceSink),
     );
-    println!(
-        "jobs={jobs} kernel=interned  wall {:>9.1} ms   {}",
-        par_stats.wall_micros as f64 / 1e3,
-        par_stats
-    );
+    println!("jobs={jobs}  wall {:>9.1} ms   {}", par_stats.wall_micros as f64 / 1e3, par_stats);
 
-    let meta_speedup = tree_stats.meta.micros as f64 / seq_stats.meta.micros.max(1) as f64;
     let par_speedup = seq_stats.wall_micros as f64 / par_stats.wall_micros.max(1) as f64;
-    println!(
-        "\nbackward/meta phase: {:.1} ms tree vs {:.1} ms interned — {meta_speedup:.2}x",
-        tree_stats.meta.micros as f64 / 1e3,
-        seq_stats.meta.micros as f64 / 1e3
-    );
-    println!("parallel speedup (jobs={jobs} vs jobs=1): {par_speedup:.2}x");
+    println!("\nparallel speedup (jobs={jobs} vs jobs=1): {par_speedup:.2}x");
     println!(
         "forward runs: {} looked up, {} executed with the shared cache ({} saved, hit rate {:.1}%)",
         seq.iter().map(|r| r.iterations).sum::<usize>(),
@@ -281,40 +235,57 @@ fn main() {
     println!(
         "resilience: deadline_exceeded={} engine_faults={} escalations={} degradations={} shed={} \
          retries={} faults_injected={} io_faults={}",
-        tree_stats.deadline_exceeded + seq_stats.deadline_exceeded + par_stats.deadline_exceeded,
-        tree_stats.engine_faults + seq_stats.engine_faults + par_stats.engine_faults,
-        tree_stats.escalations + seq_stats.escalations + par_stats.escalations,
-        tree_stats.degradations + seq_stats.degradations + par_stats.degradations,
-        tree_stats.shed + seq_stats.shed + par_stats.shed,
-        tree_stats.retries + seq_stats.retries + par_stats.retries,
-        tree_stats.faults_injected + seq_stats.faults_injected + par_stats.faults_injected,
-        tree_stats.io_faults + seq_stats.io_faults + par_stats.io_faults,
+        seq_stats.deadline_exceeded + par_stats.deadline_exceeded,
+        seq_stats.engine_faults + par_stats.engine_faults,
+        seq_stats.escalations + par_stats.escalations,
+        seq_stats.degradations + par_stats.degradations,
+        seq_stats.shed + par_stats.shed,
+        seq_stats.retries + par_stats.retries,
+        seq_stats.faults_injected + par_stats.faults_injected,
+        seq_stats.io_faults + par_stats.io_faults,
     );
 
     if deadline_ms.is_some() {
         // Wall-clock aborts depend on machine speed and scheduling, so
-        // per-query equality across kernels/job counts is not a meaningful
+        // per-query equality across job counts is not a meaningful
         // check here; completing the whole batch without a crash is.
-        println!("deadline mode: skipping equality, cache-hit, and JSON steps");
+        println!("deadline mode: skipping equality, cache-hit, oracle, and JSON steps");
         return;
     }
+
+    // Oracle phase (last, see the module docs): every query solved
+    // alone under the same configuration, its outcome compared with the
+    // sequential batch's, and every iteration replayed through DPLL and
+    // the tree kernel.
+    let t0 = Instant::now();
+    let mut checked = 0;
+    let mut oracle_ok = true;
+    for (i, query) in queries.iter().enumerate() {
+        let (r, log) = solve_query_logged(&bench.program, &callees, &client, query, &tracer);
+        match check_iterations(&bench.program, &callees, &client, query, &r, &log) {
+            Ok(n) => checked += n,
+            Err(e) => {
+                println!("oracle: query {i}: {e}");
+                oracle_ok = false;
+            }
+        }
+        if outcome_key(&r) != outcome_key(&seq[i]) {
+            println!("oracle: query {i}: solved alone: {}", outcome_key(&r));
+            oracle_ok = false;
+        }
+    }
+    println!(
+        "oracle replay: {checked} iterations checked against DPLL and the tree kernel in {:.1} ms",
+        t0.elapsed().as_secs_f64() * 1e3
+    );
 
     // The stable per-query summary the CI perf smoke diffs against its
     // checked-in copy.
     for (i, r) in seq.iter().enumerate() {
         println!("outcome {i}: {}", outcome_key(r));
     }
-
-    let kernels_identical = tree
-        .iter()
-        .zip(&seq)
-        .all(|(a, b)| outcome_key(a) == outcome_key(b));
-    println!("tree/interned outcomes identical: {kernels_identical}");
-    assert!(kernels_identical, "interned kernel diverged from the tree oracle");
-    let par_identical = seq
-        .iter()
-        .zip(&par)
-        .all(|(a, b)| outcome_key(a) == outcome_key(b));
+    println!("tree/interned outcomes identical: {oracle_ok}");
+    let par_identical = seq.iter().zip(&par).all(|(a, b)| outcome_key(a) == outcome_key(b));
     println!("per-query outcomes identical across job counts: {par_identical}");
     assert!(par_identical, "batch scheduler diverged from the sequential driver");
     assert!(par_stats.cache.hits > 0, "expected nonzero cache hits");
@@ -330,8 +301,7 @@ fn main() {
         assert_eq!(j1, jn, "trace must be byte-identical across job counts");
         let iter_starts =
             events.iter().filter(|e| matches!(e, Event::IterationStart { .. })).count();
-        let resolved =
-            events.iter().filter(|e| matches!(e, Event::QueryResolved { .. })).count();
+        let resolved = events.iter().filter(|e| matches!(e, Event::QueryResolved { .. })).count();
         assert_eq!(
             iter_starts,
             seq.iter().map(|r| r.iterations).sum::<usize>(),
@@ -345,67 +315,22 @@ fn main() {
         );
     }
 
-    // Viable-engine split: the same sequential interned batch under both
-    // constraint engines. Outcomes must be byte-identical (the ROBDD's
-    // min-cost extraction shares DPLL's canonical tie-break); the
-    // solver-phase wall is taken as the min over `PDA_REPEATS` runs per
-    // engine, because a single solver phase is microseconds-scale and
-    // scheduling noise on a shared box is one-sided.
-    let repeats: usize = std::env::var("PDA_REPEATS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-        .max(1);
-    let engine_run = |engine: ViableEngine| -> (Vec<QueryResult<BitSet>>, u64) {
-        let cfg = BatchConfig {
-            jobs: 1,
-            tracer: pda_tracer::TracerConfig {
-                viable_engine: engine,
-                ..tracer(MetaKernel::Interned)
-            },
-            retry: retry.clone(),
-            ..BatchConfig::default()
-        };
-        let (mut results, stats) =
-            solve_queries_batch(&bench.program, &callees, &client, &queries, &cfg);
-        let mut solver_micros = stats.obs.get(Counter::SolverMicros);
-        for _ in 1..repeats {
-            let (next, next_stats) =
-                solve_queries_batch(&bench.program, &callees, &client, &queries, &cfg);
-            let micros = next_stats.obs.get(Counter::SolverMicros);
-            if micros < solver_micros {
-                solver_micros = micros;
-                results = next;
-            }
-        }
-        (results, solver_micros)
-    };
-    let (dpll, dpll_solver_micros) = engine_run(ViableEngine::Dpll);
-    let (bdd, bdd_solver_micros) = engine_run(ViableEngine::Bdd);
-    let engines_identical = dpll.len() == bdd.len()
-        && dpll.iter().zip(&bdd).all(|(a, b)| outcome_key(a) == outcome_key(b))
-        && seq.iter().zip(&dpll).all(|(a, b)| outcome_key(a) == outcome_key(b));
-    println!(
-        "solver phase (min of {repeats}): {dpll_solver_micros} µs dpll vs \
-         {bdd_solver_micros} µs bdd",
-    );
-    println!("viable-engine outcomes identical: {engines_identical}");
-    assert!(engines_identical, "BDD viable engine diverged from the DPLL oracle");
+    println!("viable-engine outcomes identical: {oracle_ok}");
+    assert!(oracle_ok, "a logged iteration diverged from the reference engines");
 
     let out_path = std::env::var("PDA_BENCH_OUT").unwrap_or_else(|_| "BENCH_batch.json".into());
     let json = format!(
         "{{\n  \"benchmark\": \"{}\",\n  \"seed\": {seed},\n  \"queries\": {},\n  \"jobs\": {jobs},\n  \
-         \"tree\": {},\n  \"interned\": {},\n  \"parallel\": {},\n  \
-         \"meta_speedup\": {meta_speedup:.3},\n  \"parallel_speedup\": {par_speedup:.3},\n  \
-         \"viable\": {{\"dpll_solver_micros\": {dpll_solver_micros}, \
-         \"bdd_solver_micros\": {bdd_solver_micros}, \"outcomes_identical\": {engines_identical}}},\n  \
+         \"host_cores\": {},\n  \"repeats\": 1,\n  \
+         \"sequential\": {},\n  \"parallel\": {},\n  \
+         \"parallel_speedup\": {par_speedup:.3},\n  \"oracle_iterations\": {checked},\n  \
          \"outcomes_identical\": {}\n}}\n",
         bench.name,
         queries.len(),
-        run_json(&tree, &tree_stats),
+        default_jobs(),
         run_json(&seq, &seq_stats),
         run_json(&par, &par_stats),
-        kernels_identical && par_identical,
+        oracle_ok && par_identical,
     );
     std::fs::write(&out_path, &json).expect("write BENCH_batch.json");
     println!("\nwrote {out_path}");

@@ -5,9 +5,7 @@
 //!
 //! Loads the same seeded suite benchmark as the `batch` bin (hedc with
 //! the default suite) and solves its thread-escape batch at
-//! `jobs ∈ {1, 2, 4, 8, 16}` with the interned kernel, plus `jobs = 8`
-//! crossed with `--meta-jobs ∈ {2, 4}` (in-query data parallelism in the
-//! backward kernel). For every point it records:
+//! `jobs ∈ {1, 2, 4, 8, 16}`. For every point it records:
 //!
 //! * `wall_micros` — whole-batch wall time;
 //! * `meta_micros` — aggregate backward/meta attribution summed over
@@ -23,18 +21,18 @@
 //!
 //! Output: one line per grid point, a `scale:` summary line for the CI
 //! scaling smoke, and a machine-readable `BENCH_scale.json` (path
-//! override: `PDA_BENCH_OUT`).
+//! override: `PDA_BENCH_OUT`) that also records the host's core count
+//! and the repeats per point.
 //!
 //! Environment: `PDA_MAX_QUERIES` caps the batch (default 32, floor 16);
 //! `PDA_JOBS_GRID` overrides the jobs grid (comma-separated);
-//! `PDA_VIABLE_ENGINE` selects the viable-set constraint engine
-//! (`dpll`, the default, or `bdd`; outcomes are bit-identical);
+//! `PDA_REPEATS` takes the fastest of N runs per point (default 1);
 //! `PDA_BENCH_OUT` overrides the output path.
 
 use pda_escape::EscapeClient;
 use pda_suite::Benchmark;
 use pda_tracer::{
-    solve_queries_batch, BatchConfig, BatchStats, MetaKernel, Outcome, QueryResult, ViableEngine,
+    default_jobs, solve_queries_batch, BatchConfig, BatchStats, Outcome, QueryResult,
 };
 use pda_util::BitSet;
 
@@ -49,7 +47,6 @@ fn outcome_key(r: &QueryResult<BitSet>) -> String {
 
 struct Point {
     jobs: usize,
-    meta_jobs: usize,
     wall_micros: u128,
     meta_micros: u64,
     contention_micros: u64,
@@ -61,11 +58,10 @@ struct Point {
 
 fn point_json(p: &Point) -> String {
     format!(
-        "{{\"jobs\":{},\"meta_jobs\":{},\"wall_micros\":{},\"meta_micros\":{},\
+        "{{\"jobs\":{},\"wall_micros\":{},\"meta_micros\":{},\
          \"contention_micros\":{},\"cache_hits\":{},\"cache_misses\":{},\"workers\":{},\
          \"outcomes_identical\":{}}}",
         p.jobs,
-        p.meta_jobs,
         p.wall_micros,
         p.meta_micros,
         p.contention_micros,
@@ -111,21 +107,8 @@ fn main() {
         jobs_grid
     );
 
-    let viable_engine = std::env::var("PDA_VIABLE_ENGINE")
-        .ok()
-        .and_then(|v| ViableEngine::parse(&v).ok())
-        .unwrap_or_default();
-    let run = |jobs: usize, meta_jobs: usize| -> (Vec<QueryResult<BitSet>>, BatchStats) {
-        let cfg = BatchConfig {
-            jobs,
-            tracer: pda_tracer::TracerConfig {
-                kernel: MetaKernel::Interned,
-                meta_jobs,
-                viable_engine,
-                ..pda_tracer::TracerConfig::default()
-            },
-            ..BatchConfig::default()
-        };
+    let run = |jobs: usize| -> (Vec<QueryResult<BitSet>>, BatchStats) {
+        let cfg = BatchConfig { jobs, ..BatchConfig::default() };
         solve_queries_batch(&bench.program, &callees, &client, &queries, &cfg)
     };
 
@@ -140,10 +123,10 @@ fn main() {
     // applying the same rule to every point — baseline included — keeps
     // the comparison fair. Outcome identity is asserted on the reported
     // (fastest) run; determinism across repeats is the test suite's job.
-    let min_of = |jobs: usize, meta_jobs: usize| -> (Vec<QueryResult<BitSet>>, BatchStats) {
-        let mut best = run(jobs, meta_jobs);
+    let min_of = |jobs: usize| -> (Vec<QueryResult<BitSet>>, BatchStats) {
+        let mut best = run(jobs);
         for _ in 1..repeats {
-            let next = run(jobs, meta_jobs);
+            let next = run(jobs);
             if next.1.wall_micros < best.1.wall_micros {
                 best = next;
             }
@@ -152,27 +135,16 @@ fn main() {
     };
 
     // The sequential reference every grid point is compared against.
-    let (baseline, base_stats) = min_of(1, 1);
+    let (baseline, base_stats) = min_of(1);
     let base_keys: Vec<String> = baseline.iter().map(outcome_key).collect();
 
-    let grid: Vec<(usize, usize)> = jobs_grid
-        .iter()
-        .map(|&j| (j, 1))
-        .chain([(8, 2), (8, 4)])
-        .collect();
-
     let mut points: Vec<Point> = Vec::new();
-    for &(jobs, meta_jobs) in &grid {
-        let (results, stats) = if (jobs, meta_jobs) == (1, 1) {
-            (baseline.clone(), base_stats.clone())
-        } else {
-            min_of(jobs, meta_jobs)
-        };
-        let identical =
-            results.iter().map(outcome_key).zip(&base_keys).all(|(a, b)| a == *b);
+    for &jobs in &jobs_grid {
+        let (results, stats) =
+            if jobs == 1 { (baseline.clone(), base_stats.clone()) } else { min_of(jobs) };
+        let identical = results.iter().map(outcome_key).zip(&base_keys).all(|(a, b)| a == *b);
         let p = Point {
             jobs,
-            meta_jobs,
             wall_micros: stats.wall_micros,
             meta_micros: stats.meta.micros,
             contention_micros: stats.contention_micros,
@@ -182,7 +154,7 @@ fn main() {
             outcomes_identical: identical,
         };
         println!(
-            "jobs={jobs:<2} meta_jobs={meta_jobs}  wall {:>9.1} ms  meta {:>9.1} ms  \
+            "jobs={jobs:<2}  wall {:>9.1} ms  meta {:>9.1} ms  \
              contention {:>7} µs  cache {}/{}  workers={}  identical={identical}",
             p.wall_micros as f64 / 1e3,
             p.meta_micros as f64 / 1e3,
@@ -191,18 +163,13 @@ fn main() {
             p.cache_hits + p.cache_misses,
             p.workers,
         );
-        assert!(identical, "jobs={jobs} meta_jobs={meta_jobs} diverged from the sequential run");
+        assert!(identical, "jobs={jobs} diverged from the sequential run");
         points.push(p);
     }
 
-    let at = |jobs: usize, meta_jobs: usize| {
-        points
-            .iter()
-            .find(|p| p.jobs == jobs && p.meta_jobs == meta_jobs)
-            .expect("grid point present")
-    };
-    let j1 = at(1, 1);
-    let j8 = at(8, 1);
+    let at = |jobs: usize| points.iter().find(|p| p.jobs == jobs).expect("grid point present");
+    let j1 = at(1);
+    let j8 = at(8);
     let speedup = j1.wall_micros as f64 / j8.wall_micros.max(1) as f64;
     let meta_ratio = j8.meta_micros as f64 / j1.meta_micros.max(1) as f64;
     let all_identical = points.iter().all(|p| p.outcomes_identical);
@@ -214,11 +181,12 @@ fn main() {
     let out_path = std::env::var("PDA_BENCH_OUT").unwrap_or_else(|_| "BENCH_scale.json".into());
     let json = format!(
         "{{\n  \"benchmark\": \"{}\",\n  \"seed\": {seed},\n  \"queries\": {},\n  \
-         \"points\": [\n    {}\n  ],\n  \
+         \"host_cores\": {},\n  \"repeats\": {repeats},\n  \"points\": [\n    {}\n  ],\n  \
          \"jobs8_speedup\": {speedup:.3},\n  \"meta_ratio_j8_vs_j1\": {meta_ratio:.3},\n  \
          \"outcomes_identical\": {all_identical}\n}}\n",
         bench.name,
         queries.len(),
+        default_jobs(),
         points.iter().map(point_json).collect::<Vec<_>>().join(",\n    "),
     );
     std::fs::write(&out_path, &json).expect("write BENCH_scale.json");

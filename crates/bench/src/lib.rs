@@ -23,6 +23,8 @@
 
 use pda_suite::{AnalysisRun, Benchmark, ExperimentConfig};
 
+pub mod oracle;
+
 /// Builds the experiment configuration, honoring the `PDA_MAX_QUERIES`,
 /// `PDA_MAX_ITERS`, `PDA_JOBS`, `PDA_DEADLINE_MS`, and `PDA_ESCALATE`
 /// environment overrides.

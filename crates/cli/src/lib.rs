@@ -6,8 +6,9 @@
 //!   statistics.
 //! * `pda queries <file.jay>` — list the source queries with their kinds.
 //! * `pda solve <file.jay> [--query LABEL] [--k N] [--max-iters N]
-//!   [--jobs N] [--deadline MS] [--escalate N] [--checkpoint PATH]
-//!   [--trace OUT.jsonl] [--metrics]`
+//!   [--jobs N] [--deadline MS] [--escalate N] [--mem-budget BYTES]
+//!   [--pool-budget BYTES] [--retry-faults N] [--checkpoint PATH]
+//!   [--trace OUT.jsonl] [--metrics] [--fault-plan PLAN]`
 //!   — run TRACER on one labeled query (or all), choosing the client by
 //!   the query kind (`local` → thread-escape, `state` → type-state).
 //!   `--trace` streams the structured JSONL event log to a file;
@@ -27,7 +28,6 @@ use pda_meta::BeamConfig;
 use pda_tracer::{
     default_jobs, outcome_tag, solve_queries_batch_checkpointed_traced, solve_queries_batch_traced,
     solve_query, BatchConfig, Escalation, Outcome, QueryObs, Session, TracerConfig,
-    ViableEngine,
 };
 use pda_typestate::TypestateClient;
 use pda_util::{Event, FileSink, Idx, ObsRegistry, TraceSink};
@@ -91,9 +91,9 @@ pub enum Command {
         file: String,
     },
     /// `pda solve <file> [--query LABEL] [--k N] [--max-iters N]
-    /// [--jobs N] [--meta-jobs N] [--deadline MS] [--escalate N] [--mem-budget BYTES]
-    /// [--pool-budget BYTES] [--checkpoint PATH] [--trace PATH]
-    /// [--metrics]`
+    /// [--jobs N] [--deadline MS] [--escalate N] [--mem-budget BYTES]
+    /// [--pool-budget BYTES] [--retry-faults N] [--checkpoint PATH]
+    /// [--trace PATH] [--metrics] [--fault-plan PLAN]`
     Solve {
         /// Input path.
         file: String,
@@ -106,10 +106,6 @@ pub enum Command {
         /// Worker threads (1 = today's sequential driver; default = the
         /// machine's available parallelism).
         jobs: usize,
-        /// In-query data parallelism for the backward meta-kernel
-        /// (1 = serial kernel, the default; results are bit-identical
-        /// at any value).
-        meta_jobs: usize,
         /// Per-query wall-clock deadline in milliseconds.
         deadline_ms: Option<u64>,
         /// Fact-budget escalation retries on forward-run `TooBig`.
@@ -131,17 +127,14 @@ pub enum Command {
         /// Append the per-span latency table to the report (and enable
         /// span wall-clock measurement).
         metrics: bool,
-        /// Viable-set constraint engine: DPLL branch-and-bound (the
-        /// default) or the resident ROBDD. Outcomes are bit-identical.
-        viable_engine: ViableEngine,
         /// Deterministic fault plan armed for the run (chaos testing;
         /// `point@hit=action` entries or `seed:N`, see `pda_util::faultplane`).
         fault_plan: Option<String>,
     },
     /// `pda serve <file> [--socket PATH] [--journal PATH] [--jobs N]
-    /// [--meta-jobs N] [--thread-cap N] [--deadline MS] [--retry-faults N]
-    /// [--k N] [--max-iters N] [--viable-engine E] [--trace PATH]
-    /// [--allow-inject]`
+    /// [--thread-cap N] [--deadline MS] [--retry-faults N] [--k N]
+    /// [--max-iters N] [--trace PATH] [--allow-inject] [--fault-plan PLAN]
+    /// [--watchdog-ms MS]`
     Serve {
         /// Input path.
         file: String,
@@ -152,10 +145,7 @@ pub enum Command {
         journal: Option<String>,
         /// Worker threads for the `batch` op.
         jobs: usize,
-        /// In-query data parallelism for the backward meta-kernel.
-        meta_jobs: usize,
-        /// Upper bound on threads the daemon may occupy (batch workers
-        /// and the solve op's meta-kernel degree alike). `None` clamps
+        /// Upper bound on the `batch` op's worker threads. `None` clamps
         /// to the machine's available parallelism.
         thread_cap: Option<usize>,
         /// Default per-request wall-clock deadline in milliseconds.
@@ -171,8 +161,6 @@ pub enum Command {
         trace: Option<String>,
         /// Honor `"inject":"panic"` requests (tests and CI only).
         allow_inject: bool,
-        /// Viable-set constraint engine for every request.
-        viable_engine: ViableEngine,
         /// Deterministic fault plan armed for the daemon's life.
         fault_plan: Option<String>,
         /// Abandon solve attempts that make no heartbeat progress for
@@ -203,18 +191,13 @@ USAGE:
     pda check   <file.jay>                 parse, validate, report stats
     pda queries <file.jay>                 list source queries
     pda solve   <file.jay> [--query LABEL] [--k N] [--max-iters N] [--jobs N]
-                [--meta-jobs N] [--deadline MS] [--escalate N] [--mem-budget BYTES]
-                [--pool-budget BYTES] [--checkpoint PATH]
+                [--deadline MS] [--escalate N] [--mem-budget BYTES]
+                [--pool-budget BYTES] [--retry-faults N] [--checkpoint PATH]
+                [--trace PATH] [--metrics] [--fault-plan PLAN]
                                            find optimum abstractions
                                            (--jobs 1 = sequential; default:
                                            available parallelism, batched
                                            with a shared forward-run cache)
-                                           --meta-jobs   in-query data
-                                                         parallelism for the
-                                                         backward meta-kernel
-                                                         (results identical at
-                                                         any value; default 1,
-                                                         env PDA_META_JOBS)
                                            --deadline    per-query wall-clock
                                                          budget, milliseconds
                                            --escalate    retry TooBig forward
@@ -242,14 +225,6 @@ USAGE:
                                            --metrics     append the per-span
                                                          latency table to the
                                                          report
-                                           --viable-engine dpll|bdd
-                                                         viable-set constraint
-                                                         engine: DPLL search
-                                                         (default) or the
-                                                         resident ROBDD;
-                                                         outcomes identical
-                                                         (env
-                                                         PDA_VIABLE_ENGINE)
                                            --fault-plan  arm the deterministic
                                                          fault-injection plane:
                                                          `point@hit=action`
@@ -259,17 +234,16 @@ USAGE:
                                                          or `seed:N[:permille]`
                                                          (env PDA_FAULT_PLAN)
     pda serve   <file.jay> [--socket PATH] [--journal PATH] [--jobs N]
-                [--meta-jobs N] [--thread-cap N] [--deadline MS]
-                [--retry-faults N] [--k N] [--max-iters N]
-                [--viable-engine E] [--trace PATH] [--allow-inject]
+                [--thread-cap N] [--deadline MS] [--retry-faults N]
+                [--k N] [--max-iters N] [--trace PATH] [--allow-inject]
+                [--fault-plan PLAN] [--watchdog-ms MS]
                                            run the crash-safe analysis daemon
                                            (JSONL over the Unix socket, or
                                            stdin/stdout without --socket);
                                            --journal resumes finished queries
                                            across restarts, SIGTERM drains
                                            gracefully, --thread-cap bounds
-                                           daemon threads (batch workers and
-                                           solve-op meta-kernel alike),
+                                           the batch op's worker threads,
                                            --allow-inject enables
                                            fault-injection requests,
                                            --fault-plan arms the deterministic
@@ -282,32 +256,6 @@ USAGE:
                                            print the response
     pda gen     <benchmark>                print a generated suite program
 ";
-
-/// The `--meta-jobs` default: `PDA_META_JOBS` from the environment if
-/// set and parseable, else `1` (the serial backward kernel). Unlike
-/// `--jobs`, the default is *not* the machine parallelism: in-query data
-/// parallelism only pays off on large DNF products, so it stays opt-in.
-fn default_meta_jobs() -> usize {
-    std::env::var("PDA_META_JOBS").ok().and_then(|v| v.parse::<usize>().ok()).map_or(1, |n| n.max(1))
-}
-
-/// The `--viable-engine` default: `PDA_VIABLE_ENGINE` from the
-/// environment if set and recognizable, else DPLL. Outcomes are
-/// bit-identical either way, so a bad value falls back silently rather
-/// than failing a command the flag was never passed to.
-fn default_viable_engine() -> ViableEngine {
-    std::env::var("PDA_VIABLE_ENGINE")
-        .ok()
-        .and_then(|v| ViableEngine::parse(&v).ok())
-        .unwrap_or_default()
-}
-
-fn parse_engine(args: &[String], i: usize) -> Result<ViableEngine, CliError> {
-    match args.get(i + 1) {
-        Some(v) => ViableEngine::parse(v).map_or_else(|e| usage(format!("--viable-engine: {e}")), Ok),
-        None => usage("--viable-engine needs dpll|bdd"),
-    }
-}
 
 fn parse_num<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> Result<T, CliError> {
     args.get(i + 1)
@@ -350,7 +298,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
             let mut k = 5usize;
             let mut max_iters = 100usize;
             let mut jobs = default_jobs();
-            let mut meta_jobs = default_meta_jobs();
             let mut deadline_ms = None;
             let mut escalate = None;
             let mut mem_budget = None;
@@ -359,7 +306,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
             let mut checkpoint = None;
             let mut trace = None;
             let mut metrics = false;
-            let mut viable_engine = default_viable_engine();
             let mut fault_plan = None;
             let mut i = 2;
             while i < args.len() {
@@ -373,9 +319,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                     "--k" => k = parse_num(&args, i, "--k")?,
                     "--max-iters" => max_iters = parse_num(&args, i, "--max-iters")?,
                     "--jobs" => jobs = parse_num::<usize>(&args, i, "--jobs")?.max(1),
-                    "--meta-jobs" => {
-                        meta_jobs = parse_num::<usize>(&args, i, "--meta-jobs")?.max(1);
-                    }
                     "--deadline" => deadline_ms = Some(parse_num(&args, i, "--deadline")?),
                     "--escalate" => escalate = Some(parse_num(&args, i, "--escalate")?),
                     "--mem-budget" => mem_budget = Some(parse_size(&args, i, "--mem-budget")?),
@@ -400,7 +343,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                         i += 1;
                         continue;
                     }
-                    "--viable-engine" => viable_engine = parse_engine(&args, i)?,
                     "--fault-plan" => {
                         let Some(spec) = args.get(i + 1) else {
                             return usage("--fault-plan needs a plan spec");
@@ -417,7 +359,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                 k,
                 max_iters,
                 jobs,
-                meta_jobs,
                 deadline_ms,
                 escalate,
                 mem_budget,
@@ -426,7 +367,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                 checkpoint,
                 trace,
                 metrics,
-                viable_engine,
                 fault_plan,
             })
         }
@@ -437,7 +377,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
             let mut socket = None;
             let mut journal = None;
             let mut jobs = default_jobs();
-            let mut meta_jobs = default_meta_jobs();
             let mut thread_cap = None;
             let mut deadline_ms = None;
             let mut retry_faults = None;
@@ -445,7 +384,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
             let mut max_iters = 100usize;
             let mut trace = None;
             let mut allow_inject = false;
-            let mut viable_engine = default_viable_engine();
             let mut fault_plan = None;
             let mut watchdog_ms = None;
             let mut i = 2;
@@ -464,9 +402,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                         journal = Some(path.clone());
                     }
                     "--jobs" => jobs = parse_num::<usize>(&args, i, "--jobs")?.max(1),
-                    "--meta-jobs" => {
-                        meta_jobs = parse_num::<usize>(&args, i, "--meta-jobs")?.max(1);
-                    }
                     "--thread-cap" => {
                         thread_cap = Some(parse_num::<usize>(&args, i, "--thread-cap")?.max(1));
                     }
@@ -487,7 +422,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                         i += 1;
                         continue;
                     }
-                    "--viable-engine" => viable_engine = parse_engine(&args, i)?,
                     "--fault-plan" => {
                         let Some(spec) = args.get(i + 1) else {
                             return usage("--fault-plan needs a plan spec");
@@ -506,7 +440,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                 socket,
                 journal,
                 jobs,
-                meta_jobs,
                 thread_cap,
                 deadline_ms,
                 retry_faults,
@@ -514,7 +447,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                 max_iters,
                 trace,
                 allow_inject,
-                viable_engine,
                 fault_plan,
                 watchdog_ms,
             })
@@ -549,7 +481,6 @@ pub fn run_on_source(cmd: &Command, source: &str) -> Result<String, CliError> {
             k,
             max_iters,
             jobs,
-            meta_jobs,
             deadline_ms,
             escalate,
             mem_budget,
@@ -558,7 +489,6 @@ pub fn run_on_source(cmd: &Command, source: &str) -> Result<String, CliError> {
             checkpoint,
             trace,
             metrics,
-            viable_engine,
             fault_plan,
             ..
         } => {
@@ -568,7 +498,6 @@ pub fn run_on_source(cmd: &Command, source: &str) -> Result<String, CliError> {
                 k: *k,
                 max_iters: *max_iters,
                 jobs: *jobs,
-                meta_jobs: *meta_jobs,
                 deadline_ms: *deadline_ms,
                 escalate: *escalate,
                 mem_budget: *mem_budget,
@@ -577,7 +506,6 @@ pub fn run_on_source(cmd: &Command, source: &str) -> Result<String, CliError> {
                 checkpoint: checkpoint.as_deref(),
                 trace: trace.as_deref(),
                 metrics: *metrics,
-                viable_engine: *viable_engine,
             };
             let report = solve_report(source, &opts);
             dump_fault_hits();
@@ -693,7 +621,6 @@ struct SolveOpts<'a> {
     k: usize,
     max_iters: usize,
     jobs: usize,
-    meta_jobs: usize,
     deadline_ms: Option<u64>,
     escalate: Option<u32>,
     mem_budget: Option<u64>,
@@ -702,7 +629,6 @@ struct SolveOpts<'a> {
     checkpoint: Option<&'a str>,
     trace: Option<&'a str>,
     metrics: bool,
-    viable_engine: ViableEngine,
 }
 
 /// Runs the analysis daemon until drained; the returned report is the
@@ -716,7 +642,6 @@ fn run_serve(cmd: &Command, source: &str) -> Result<String, CliError> {
         socket,
         journal,
         jobs,
-        meta_jobs,
         thread_cap,
         deadline_ms,
         retry_faults,
@@ -724,7 +649,6 @@ fn run_serve(cmd: &Command, source: &str) -> Result<String, CliError> {
         max_iters,
         trace,
         allow_inject,
-        viable_engine,
         fault_plan,
         watchdog_ms,
         ..
@@ -750,8 +674,6 @@ fn run_serve(cmd: &Command, source: &str) -> Result<String, CliError> {
         tracer: TracerConfig {
             beam: BeamConfig::with_k(*k),
             max_iters: *max_iters,
-            meta_jobs: *meta_jobs,
-            viable_engine: *viable_engine,
             ..TracerConfig::default()
         },
         jobs: *jobs,
@@ -794,8 +716,6 @@ fn solve_report(source: &str, opts: &SolveOpts<'_>) -> Result<String, CliError> 
             .escalate
             .map_or_else(Escalation::default, |retries| Escalation { retries, ..Escalation::standard() }),
         mem_budget: opts.mem_budget,
-        meta_jobs: opts.meta_jobs,
-        viable_engine: opts.viable_engine,
         ..TracerConfig::default()
     };
     let callees = |c: pda_lang::CallId| pa.callees(c).to_vec();
@@ -1046,7 +966,6 @@ mod tests {
             k: 5,
             max_iters: 50,
             jobs,
-            meta_jobs: 1,
             deadline_ms,
             escalate: None,
             mem_budget: None,
@@ -1055,7 +974,6 @@ mod tests {
             checkpoint,
             trace: None,
             metrics: false,
-            viable_engine: ViableEngine::Dpll,
             fault_plan: None,
         }
     }
@@ -1074,7 +992,6 @@ mod tests {
                 k: 3,
                 max_iters: 9,
                 jobs: default_jobs(),
-                meta_jobs: default_meta_jobs(),
                 deadline_ms: None,
                 escalate: None,
                 mem_budget: None,
@@ -1083,8 +1000,7 @@ mod tests {
                 checkpoint: None,
                 trace: None,
                 metrics: false,
-                viable_engine: ViableEngine::Dpll,
-                fault_plan: None,
+                    fault_plan: None,
             }
         );
         assert_eq!(
@@ -1092,7 +1008,7 @@ mod tests {
                 "solve", "f.jay", "--jobs", "4", "--deadline", "250", "--escalate", "2",
                 "--mem-budget", "64k", "--pool-budget", "2m", "--retry-faults", "3",
                 "--checkpoint", "state.jsonl", "--metrics", "--trace", "out.jsonl",
-                "--viable-engine", "bdd", "--fault-plan", "journal.write@2=ioerr:perm"
+                "--fault-plan", "journal.write@2=ioerr:perm"
             ])
             .unwrap(),
             Command::Solve {
@@ -1101,7 +1017,6 @@ mod tests {
                 k: 5,
                 max_iters: 100,
                 jobs: 4,
-                meta_jobs: default_meta_jobs(),
                 deadline_ms: Some(250),
                 escalate: Some(2),
                 mem_budget: Some(64 << 10),
@@ -1110,7 +1025,6 @@ mod tests {
                 checkpoint: Some("state.jsonl".into()),
                 trace: Some("out.jsonl".into()),
                 metrics: true,
-                viable_engine: ViableEngine::Bdd,
                 fault_plan: Some("journal.write@2=ioerr:perm".into()),
             }
         );
@@ -1118,7 +1032,7 @@ mod tests {
             a(&[
                 "serve", "f.jay", "--socket", "/tmp/pda.sock", "--journal", "j.jsonl",
                 "--jobs", "2", "--thread-cap", "3", "--deadline", "500", "--retry-faults", "1",
-                "--allow-inject", "--trace", "t.jsonl", "--viable-engine", "bdd",
+                "--allow-inject", "--trace", "t.jsonl",
                 "--watchdog-ms", "200", "--fault-plan", "record"
             ])
             .unwrap(),
@@ -1127,7 +1041,6 @@ mod tests {
                 socket: Some("/tmp/pda.sock".into()),
                 journal: Some("j.jsonl".into()),
                 jobs: 2,
-                meta_jobs: default_meta_jobs(),
                 thread_cap: Some(3),
                 deadline_ms: Some(500),
                 retry_faults: Some(1),
@@ -1135,13 +1048,12 @@ mod tests {
                 max_iters: 100,
                 trace: Some("t.jsonl".into()),
                 allow_inject: true,
-                viable_engine: ViableEngine::Bdd,
                 fault_plan: Some("record".into()),
                 watchdog_ms: Some(200),
             }
         );
-        assert!(a(&["solve", "f", "--viable-engine", "cnf"]).is_err());
-        assert!(a(&["solve", "f", "--viable-engine"]).is_err());
+        assert!(a(&["solve", "f", "--no-such-flag", "1"]).is_err());
+        assert!(a(&["serve", "f", "--no-such-flag", "1"]).is_err());
         assert!(a(&["serve", "f", "--thread-cap", "many"]).is_err());
         assert!(a(&["serve", "f", "--watchdog-ms", "soon"]).is_err());
         assert!(a(&["serve", "f", "--fault-plan"]).is_err());
@@ -1178,6 +1090,43 @@ mod tests {
             a(&["solve", "f", "--metrics", "--jobs", "2"]).unwrap(),
             Command::Solve { metrics: true, jobs: 2, .. }
         ));
+    }
+
+    /// The flags `parse_args` matches for a subcommand: the `"--flag" =>`
+    /// arms of its block in this file's source.
+    fn parsed_flags(block_start: &str, block_end: &str) -> std::collections::BTreeSet<String> {
+        let src = include_str!("lib.rs");
+        let a = src.find(block_start).expect("block start");
+        let b = a + src[a..].find(block_end).expect("block end");
+        src[a..b]
+            .lines()
+            .filter_map(|l| l.trim().strip_prefix('"')?.split_once("\" =>").map(|(f, _)| f))
+            .filter(|f| f.starts_with("--"))
+            .map(String::from)
+            .collect()
+    }
+
+    /// The flags in a subcommand's synopsis in [`USAGE`]: the `[--flag`
+    /// entries of the `pda <cmd>` line and its bracketed continuations.
+    fn synopsis_flags(cmd: &str) -> std::collections::BTreeSet<String> {
+        let mut lines = USAGE.lines().skip_while(|l| !l.trim_start().starts_with(&format!("pda {cmd} ")));
+        let first = lines.next().expect("subcommand in USAGE");
+        std::iter::once(first)
+            .chain(lines.take_while(|l| l.trim_start().starts_with('[')))
+            .flat_map(|l| l.split('[').skip(1))
+            .filter_map(|t| t.split([' ', ']']).next())
+            .filter(|f| f.starts_with("--"))
+            .map(String::from)
+            .collect()
+    }
+
+    #[test]
+    fn every_parsed_flag_appears_in_its_synopsis() {
+        let solve = parsed_flags("Some(\"solve\") => {", "Some(\"serve\") => {");
+        let serve = parsed_flags("Some(\"serve\") => {", "Some(\"request\") =>");
+        assert!(solve.contains("--fault-plan") && serve.contains("--watchdog-ms"), "{solve:?}");
+        assert_eq!(solve, synopsis_flags("solve"), "pda solve synopsis");
+        assert_eq!(serve, synopsis_flags("serve"), "pda serve synopsis");
     }
 
     #[test]
@@ -1363,7 +1312,6 @@ mod tests {
             k: 5,
             max_iters: 50,
             jobs: 1,
-            meta_jobs: 1,
             deadline_ms: None,
             escalate: None,
             mem_budget: None,
@@ -1372,7 +1320,6 @@ mod tests {
             checkpoint: None,
             trace: Some(path.to_string_lossy().into_owned()),
             metrics: true,
-            viable_engine: ViableEngine::Dpll,
             fault_plan: None,
         };
         let report = run_on_source(&cmd, SRC).unwrap();

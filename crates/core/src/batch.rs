@@ -856,8 +856,7 @@ where
                             let mut s =
                                 Session::new(program, callees, client, &queries[i], &config.tracer)
                                     .within(batch_deadline)
-                                    .observe(qobs)
-                                    .workers(workers);
+                                    .observe(qobs);
                             if let Some(c) = &cache {
                                 s = s.cache(c);
                             }
@@ -1258,10 +1257,11 @@ mod tests {
     /// must survive the migration byte for byte.
     #[test]
     fn display_footer_fields_survive_obs_migration() {
-        // Solver-phase micros ride the merged per-query registry (not a
-        // `BatchStats` scalar) — pin that pass-through too.
+        // Forward- and solver-phase micros ride the merged per-query
+        // registry (not `BatchStats` scalars) — pin that pass-through too.
         let mut merged = ObsRegistry::default();
         merged.set(Counter::SolverMicros, 13);
+        merged.set(Counter::ForwardMicros, 19);
         let stats = BatchStats {
             queries: 32,
             jobs: 8,
@@ -1295,7 +1295,7 @@ mod tests {
             stats.to_string(),
             "32 queries, jobs=8: 16.0 q/s, cache 57/89 hits (64.0%), 57 forward runs saved, \
              faults=1 deadlines=2 escalations=3 retries=7 resumed=4 degradations=5 shed=6 \
-             injected=11 io_injected=10 watchdog=14 contention=9µs solver=13µs\n\
+             injected=11 io_injected=10 watchdog=14 contention=9µs forward=19µs solver=13µs\n\
              meta: 12 cubes, wp 8/10 memo hits, subsumption 5/20 fast-rejected, 3 drops, 42µs"
         );
         // The meta: line is the MetaStats Display, verbatim.

@@ -319,39 +319,56 @@ mod tests {
         assert_ne!(a, FaultPrim::Inner(NullPrim::Var(VarId(0))));
     }
 
-    /// Faulty weakest preconditions must be rejected identically by both
-    /// meta-kernels: the interned kernel evaluates `eval_state`/`holds`
-    /// eagerly at kernel-build time, which may *spring* one-shot traps
-    /// earlier than the lazy tree path, but the observable verdict (the
-    /// Theorem 3 membership break) has to be the same.
+    /// Faulty weakest preconditions are rejected by both meta-kernels:
+    /// the CEGAR loop (interned kernel) resolves as a meta failure, and
+    /// the tree kernel, replayed on the counterexample of that same
+    /// failing iteration, loses the Theorem 3 membership invariant too.
     #[test]
     fn broken_wp_is_rejected_by_both_kernels() {
-        use crate::tracer::{MetaKernel, Outcome, Unresolved};
+        use crate::client::{AsAnalysis, AsMeta};
+        use crate::tracer::{solve_query_logged, Outcome, Unresolved};
         let (program, pa, client, query) = setup();
         let callees = |c: pda_lang::CallId| pa.callees(c).to_vec();
         let wrapped = FaultInjectingClient::new(&client);
-        let mut outcomes = vec![];
-        for kernel in [MetaKernel::Tree, MetaKernel::Interned] {
-            let config = TracerConfig { kernel, ..TracerConfig::default() };
-            let faulty = faulty_query(query.clone(), Fault::BreakWp);
-            let r = solve_query(&program, &callees, &wrapped, &faulty, &config);
-            assert!(
-                matches!(r.outcome, Outcome::Unresolved(Unresolved::MetaFailure(_))),
-                "{kernel:?}: {:?}",
-                r.outcome
-            );
-            outcomes.push((r.outcome, r.iterations));
+        let config = TracerConfig::default();
+        let faulty = faulty_query(query, Fault::BreakWp);
+        let (r, log) = solve_query_logged(&program, &callees, &wrapped, &faulty, &config);
+        assert!(
+            matches!(r.outcome, Outcome::Unresolved(Unresolved::MetaFailure(_))),
+            "{:?}",
+            r.outcome
+        );
+        // The failing iteration is the one after the log: it tried the
+        // minimum of the constraints learned so far.
+        let n = wrapped.n_atoms();
+        let mut solver = pda_solver::MinCostSolver::new(n, vec![1; n]);
+        for entry in &log {
+            solver.require(entry.learned.clone().expect("refining iteration"));
         }
-        assert_eq!(outcomes[0], outcomes[1]);
-
-        // And a healthy lifted query is kernel-invariant too.
-        let mut healthy = vec![];
-        for kernel in [MetaKernel::Tree, MetaKernel::Interned] {
-            let config = TracerConfig { kernel, ..TracerConfig::default() };
-            let r = solve_query(&program, &callees, &wrapped, &lift_query(query.clone()), &config);
-            healthy.push((r.outcome, r.iterations));
-        }
-        assert_eq!(healthy[0], healthy[1]);
+        let p = wrapped.param_of_model(&solver.solve().expect("viable").assignment);
+        let d0 = wrapped.initial_state();
+        let run = pda_dataflow::rhs::run(
+            &program,
+            &AsAnalysis(&wrapped),
+            &p,
+            d0.clone(),
+            &callees,
+            pda_dataflow::RhsLimits::default(),
+        )
+        .expect("forward run fits");
+        let trace = run
+            .witness(faulty.point, &|d: &_| faulty.not_q.holds(&p, d))
+            .expect("the failing iteration has a counterexample");
+        let atoms: Vec<_> = trace.iter().map(|s| s.atom).collect();
+        let tree = pda_meta::analyze_trace(
+            &AsMeta(&wrapped),
+            &p,
+            &d0,
+            &atoms,
+            &faulty.not_q,
+            &config.beam,
+        );
+        assert!(matches!(tree, Err(pda_meta::MetaError::MembershipLost { .. })), "{tree:?}");
     }
 
     #[test]

@@ -78,6 +78,6 @@ pub use resilience::{
 };
 pub use pda_meta::{InternCache, MetaStats};
 pub use tracer::{
-    solve_query, solve_query_logged, Escalation, IterationLog, MetaKernel, Outcome, QueryObs,
-    QueryResult, Session, TracerConfig, Unresolved, ViableEngine,
+    solve_query, solve_query_logged, Escalation, IterationLog, Outcome, QueryObs, QueryResult,
+    Session, TracerConfig, Unresolved,
 };

@@ -5,11 +5,8 @@ use crate::batch::ForwardCache;
 use crate::client::{AsAnalysis, AsMeta, Query, TracerClient};
 use pda_dataflow::{rhs, Interrupt, RhsLimits};
 use pda_lang::{CallId, MethodId, Program};
-use pda_meta::{
-    analyze_trace_interned_jobs, analyze_trace_obs, restrict, BeamConfig, InternCache, MetaStats,
-    Primitive, WarmStore,
-};
-use pda_solver::{Bdd, MinCostSolver, Model, PFormula};
+use pda_meta::{analyze_trace_interned, BeamConfig, InternCache, MetaStats, Primitive, WarmStore};
+use pda_solver::{Bdd, Model, PFormula};
 use pda_util::{
     fault_point, Counter, Deadline, DeadlineExceeded, Event, MemBudget, ObsRegistry, Span,
     SpanKind,
@@ -71,108 +68,44 @@ fn bitstring(assignment: &[bool]) -> String {
     assignment.iter().map(|&b| if b { '1' } else { '0' }).collect()
 }
 
-/// Which implementation of the backward meta-analysis the driver runs.
-///
-/// Both produce bit-identical learned constraints (and hence outcomes) —
-/// the tree kernel is the reference semantics retained as a differential
-/// oracle, the interned kernel is the production hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MetaKernel {
-    /// Packed-cube kernel with intern table, subsumption signatures, and
-    /// the per-trace wp memo ([`pda_meta::analyze_trace_interned`]).
-    #[default]
-    Interned,
-    /// The tree-`Formula` reference path ([`pda_meta::analyze_trace`]).
-    Tree,
-}
-
-/// Which engine maintains the viable set (`⋀ᵢ ¬φᵢ`) and extracts its
-/// minimum-cost models.
-///
-/// Both engines are bit-identical on verdicts, iteration counts, and
-/// chosen optimum models: they share the canonical tie-break (the
-/// lexicographically least assignment among equal-cost minima), so the
-/// choice is purely a performance/memory trade-off. DPLL rebuilds a CNF
-/// per CEGAR iteration; the BDD stays resident across iterations and
-/// absorbs each learned constraint with an incremental conjoin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ViableEngine {
-    /// Per-iteration Tseitin CNF + DPLL branch and bound
-    /// ([`MinCostSolver`]). The reference engine and the memory-pressure
-    /// fallback.
-    #[default]
-    Dpll,
-    /// Resident ROBDD over the parameter atoms ([`Bdd`]): conjoin-only
-    /// updates, constant-time emptiness, cached min-cost sweep.
-    Bdd,
-}
-
-impl ViableEngine {
-    /// Parses the `--viable-engine` / `PDA_VIABLE_ENGINE` spelling.
-    ///
-    /// # Errors
-    ///
-    /// Returns the unrecognized input.
-    pub fn parse(s: &str) -> Result<ViableEngine, String> {
-        match s {
-            "dpll" => Ok(ViableEngine::Dpll),
-            "bdd" => Ok(ViableEngine::Bdd),
-            other => Err(format!("unknown viable engine '{other}' (expected dpll|bdd)")),
-        }
-    }
-}
-
-impl std::fmt::Display for ViableEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ViableEngine::Dpll => write!(f, "dpll"),
-            ViableEngine::Bdd => write!(f, "bdd"),
-        }
-    }
-}
-
-/// Per-query viable-set solver state, threaded through the CEGAR loop so
-/// the BDD engine's graph survives across iterations. The constraint
-/// `Vec` stays the source of truth — the BDD mirrors it conjoin-by-conjoin
-/// (`synced` counts how many constraints are already absorbed), which is
-/// also what lets the governor drop the whole arena and fall back to DPLL
-/// mid-query without losing anything.
+/// Per-query viable-set state, threaded through the CEGAR loop so the
+/// resident BDD survives across iterations. The constraint `Vec` stays
+/// the source of truth — the BDD mirrors it conjoin-by-conjoin (`synced`
+/// counts how many constraints are already absorbed), which is also what
+/// lets the governor drop the whole arena mid-query without losing
+/// anything: the next solve rebuilds it from the `Vec`.
 struct ViableState {
-    engine: ViableEngine,
     bdd: Option<Bdd>,
     synced: usize,
 }
 
 impl ViableState {
-    fn new(engine: ViableEngine) -> ViableState {
-        ViableState { engine, bdd: None, synced: 0 }
+    fn new() -> ViableState {
+        ViableState { bdd: None, synced: 0 }
     }
 
-    /// Estimated retained bytes of the resident BDD (0 under DPLL);
+    /// Estimated retained bytes of the resident BDD (0 once dropped);
     /// folded into the governor's retained-state accounting each
     /// iteration boundary.
     fn approx_bytes(&self) -> u64 {
         self.bdd.as_ref().map_or(0, |b| b.approx_bytes() as u64)
     }
 
-    /// Memory-governor degradation: drop the BDD arena and run the rest
-    /// of the query on DPLL. Returns whether anything changed.
-    fn degrade_to_dpll(&mut self) -> bool {
-        let changed = self.engine == ViableEngine::Bdd;
-        self.engine = ViableEngine::Dpll;
-        self.bdd = None;
+    /// Memory-governor degradation: drop the BDD arena; the next solve
+    /// rebuilds it from the constraint `Vec`. Returns whether an arena
+    /// was dropped.
+    fn drop_arena(&mut self) -> bool {
         self.synced = 0;
-        changed
+        self.bdd.take().is_some()
     }
 
     /// Minimum-cost model of `⋀ constraints` (canonical tie-break), or
     /// `None` when the viable set is empty.
     ///
-    /// Under [`ViableEngine::Bdd`] only constraints beyond `synced` are
-    /// conjoined (the resident graph already holds the prefix) and the
-    /// cached cost sweep re-runs only after a conjoin; node growth is
-    /// reported to [`Counter::SolverNodes`] for parity with the DPLL
-    /// search-node counter.
+    /// Only constraints beyond `synced` are conjoined (the resident graph
+    /// already holds the prefix) and the cached cost sweep re-runs only
+    /// after a conjoin; node growth is reported to
+    /// [`Counter::SolverNodes`].
     ///
     /// # Errors
     ///
@@ -183,42 +116,29 @@ impl ViableState {
         constraints: &[PFormula],
         deadline: Deadline,
         obs: &mut ObsRegistry,
-        budget: &MemBudget,
     ) -> Result<Option<Model>, DeadlineExceeded> {
-        let n = client.n_atoms();
-        match self.engine {
-            ViableEngine::Dpll => {
-                let costs = (0..n).map(|i| client.atom_cost(i)).collect();
-                let mut solver = MinCostSolver::new(n, costs);
-                for c in constraints.iter() {
-                    solver.require(c.clone());
-                }
-                solver.solve_within_budgeted(deadline, obs, Some(budget))
+        let span = Span::enter(obs, SpanKind::Solver);
+        let result = (|| {
+            if deadline.expired() {
+                return Err(DeadlineExceeded);
             }
-            ViableEngine::Bdd => {
-                let span = Span::enter(obs, SpanKind::Solver);
-                let result = (|| {
-                    if deadline.expired() {
-                        return Err(DeadlineExceeded);
-                    }
-                    let bdd = self.bdd.get_or_insert_with(|| {
-                        Bdd::new(n, (0..n).map(|i| client.atom_cost(i)).collect())
-                    });
-                    let before = bdd.node_count();
-                    for c in &constraints[self.synced..] {
-                        bdd.conjoin(c);
-                    }
-                    self.synced = constraints.len();
-                    obs.add(Counter::SolverNodes, (bdd.node_count() - before) as u64);
-                    if deadline.expired() {
-                        return Err(DeadlineExceeded);
-                    }
-                    Ok(bdd.solve())
-                })();
-                span.exit(obs);
-                result
+            let n = client.n_atoms();
+            let bdd = self
+                .bdd
+                .get_or_insert_with(|| Bdd::new(n, (0..n).map(|i| client.atom_cost(i)).collect()));
+            let before = bdd.node_count();
+            for c in &constraints[self.synced..] {
+                bdd.conjoin(c);
             }
-        }
+            self.synced = constraints.len();
+            obs.add(Counter::SolverNodes, (bdd.node_count() - before) as u64);
+            if deadline.expired() {
+                return Err(DeadlineExceeded);
+            }
+            Ok(bdd.solve())
+        })();
+        span.exit(obs);
+        result
     }
 }
 
@@ -238,25 +158,12 @@ pub struct TracerConfig {
     pub timeout: Option<Duration>,
     /// Fact-budget escalation ladder applied on forward-run `TooBig`.
     pub escalation: Escalation,
-    /// Backward meta-analysis kernel (default: interned).
-    pub kernel: MetaKernel,
     /// Per-query memory budget in estimated bytes. Under sustained
     /// pressure the memory governor walks its degradation ladder (evict
     /// memos, shrink the beam, shrink the fact budget) before resolving
     /// as [`Unresolved::MemBudgetExceeded`]. `None` (the default) keeps
     /// byte accounting on but never degrades.
     pub mem_budget: Option<u64>,
-    /// In-query data-parallelism degree for the interned kernel's cube
-    /// loops (`--meta-jobs` / `PDA_META_JOBS`). `1` (the default) is the
-    /// fully serial kernel; higher values fan the widest cube products
-    /// and subsumption scans out over a scoped thread pool with a
-    /// deterministic merge, so results stay bit-identical at any value.
-    /// The tree kernel ignores it.
-    pub meta_jobs: usize,
-    /// Viable-set engine (`--viable-engine` / `PDA_VIABLE_ENGINE`;
-    /// default DPLL). Bit-identical outcomes either way — see
-    /// [`ViableEngine`].
-    pub viable_engine: ViableEngine,
 }
 
 impl Default for TracerConfig {
@@ -267,10 +174,7 @@ impl Default for TracerConfig {
             rhs_limits: RhsLimits::default(),
             timeout: None,
             escalation: Escalation::default(),
-            kernel: MetaKernel::default(),
             mem_budget: None,
-            meta_jobs: 1,
-            viable_engine: ViableEngine::default(),
         }
     }
 }
@@ -374,8 +278,7 @@ pub struct QueryResult<Param> {
     /// batch scheduler's deterministic backoff ladder; 0 outside
     /// retry-enabled drivers).
     pub retries: u32,
-    /// Backward/meta-phase effort counters summed over all iterations
-    /// (all-zero except `micros` under [`MetaKernel::Tree`]).
+    /// Backward/meta-phase effort counters summed over all iterations.
     pub meta: MetaStats,
 }
 
@@ -537,12 +440,11 @@ impl Governor {
             }
             2 => {
                 // Drop both caches rebuilt on demand: the intern table and
-                // the viable engine's BDD arena (the engine falls back to
-                // DPLL for the rest of the query — sound, it re-solves the
-                // same constraint Vec, just non-incrementally).
+                // the BDD arena (the next solve rebuilds it from the same
+                // constraint Vec, so the search is unchanged).
                 fault_point("intern.reset");
                 *icache = InternCache::new();
-                if viable.degrade_to_dpll() {
+                if viable.drop_arena() {
                     obs.inc(Counter::MemEvictions);
                 }
                 obs.inc(Counter::MemEvictions);
@@ -577,6 +479,9 @@ pub struct IterationLog<Param> {
     pub param: Param,
     /// Its cost.
     pub cost: u64,
+    /// The backward beam this iteration ran under: the configured one,
+    /// unless the memory governor had shrunk it.
+    pub beam: BeamConfig,
     /// The unviability constraint learned from this iteration's
     /// counterexample (`None` on the final, proving iteration).
     pub learned: Option<PFormula>,
@@ -676,9 +581,6 @@ pub struct Session<'s, 'p, C: TracerClient> {
     lock_waits: AtomicU64,
     obs: Held<'s, QueryObs>,
     log: Option<&'s mut Vec<IterationLog<C::Param>>>,
-    /// Batch workers running sessions side by side (1 outside a batch):
-    /// they share the machine's cores with this session's kernel threads.
-    workers: usize,
 }
 
 enum StepResult<Param> {
@@ -706,7 +608,7 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
             config,
             deadline: effective_deadline(query, config),
             gov: Governor::new(query, config, None),
-            viable: ViableState::new(config.viable_engine),
+            viable: ViableState::new(),
             constraints: Vec::new(),
             escalations: 0,
             icache: Held::Owned(InternCache::new()),
@@ -714,7 +616,6 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
             lock_waits: AtomicU64::new(0),
             obs: Held::Owned(QueryObs::untraced()),
             log: None,
-            workers: 1,
         }
     }
 
@@ -764,14 +665,6 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
         self
     }
 
-    /// Declares that `workers` batch workers run sessions concurrently,
-    /// so the backward kernel's degree is clamped to this session's share
-    /// of the cores (see [`meta_degree`]).
-    pub(crate) fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
     /// Seeds a fresh intern cache from the batch-wide `warm` store
     /// (semantically transparent sharing of wp formulas and
     /// primitive-pair verdicts — see [`WarmStore`]).
@@ -811,7 +704,7 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
                 StepResult::Refined { param, cost } => (param, cost, false),
             };
             iterations += 1;
-            let rungs = self.gov.degradations;
+            let (rungs, beam) = (self.gov.degradations, self.gov.beam);
             let exhausted = !proven && {
                 let icache = &mut *self.icache;
                 self.gov.account_retained(
@@ -826,6 +719,7 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
                 log.push(IterationLog {
                     param: param.clone(),
                     cost,
+                    beam,
                     learned: if proven { None } else { self.constraints.last().cloned() },
                     degradations: self.gov.degradations - rungs,
                     meta: MetaStats::from_obs(&self.obs.reg.since(&before)),
@@ -865,17 +759,11 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
     fn step(&mut self, iter: usize) -> StepResult<C::Param> {
         let (client, query, config, deadline) =
             (self.client, self.query, self.config, self.deadline);
-        // The solver phase is always timed (like the backward phase): the
-        // viable-engine acceptance criterion compares engines on it, so the
-        // split must be visible in footers even with span timing off.
+        // The solver, forward and backward phases are always timed, so
+        // the per-layer split is visible in footers even with span timing
+        // off.
         let t0 = Instant::now();
-        let solved = self.viable.solve(
-            client,
-            &self.constraints,
-            deadline,
-            &mut self.obs.reg,
-            &self.gov.budget,
-        );
+        let solved = self.viable.solve(client, &self.constraints, deadline, &mut self.obs.reg);
         self.obs.reg.add(Counter::SolverMicros, t0.elapsed().as_micros() as u64);
         let model = match solved {
             Ok(Some(m)) => m,
@@ -902,7 +790,7 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
         // runs never poison healthy ones.
         let mut attempt: u32 = 0;
         let mut executed = 0;
-        let fwd = Span::enter(&self.obs.reg, SpanKind::Forward);
+        let t_fwd = Instant::now();
         let run = loop {
             let max_facts = config.escalation.budget(self.gov.base_facts, attempt);
             let limits = RhsLimits { max_facts, deadline };
@@ -928,7 +816,9 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
                 Err(Interrupt::DeadlineExceeded) => break Err(Unresolved::DeadlineExceeded),
             }
         };
-        fwd.exit(&mut self.obs.reg);
+        let us = t_fwd.elapsed().as_micros() as u64;
+        self.obs.reg.add(Counter::ForwardMicros, us);
+        self.obs.reg.record_span_micros(SpanKind::Forward, us);
         // RHS runs this query executed itself; runs a sibling executed
         // reach it as cache hits.
         self.obs.reg.add(Counter::ForwardRuns, executed);
@@ -988,63 +878,37 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
     }
 
     /// The backward phase of one CEGAR iteration: meta-analyze the
-    /// counterexample trace under the configured kernel and restrict to a
+    /// counterexample trace with the interned kernel and restrict to a
     /// parameter formula. The elapsed time and kernel counters accumulate
     /// into the registry ([`Counter::MetaMicros`] plus the kernel effort
-    /// counters), and the interned kernel's closure/memo state persists in
-    /// the intern cache across iterations (the tree kernel ignores it).
+    /// counters), and the kernel's closure/memo state persists in the
+    /// intern cache across iterations.
     fn backward(
         &mut self,
         p: &C::Param,
         d0: &C::State,
         atoms: &[pda_lang::Atom],
     ) -> Result<PFormula, pda_meta::MetaError> {
-        let meta = AsMeta(self.client);
-        let not_q = &self.query.not_q;
-        let beam = &self.gov.beam;
         let obs = &mut self.obs.reg;
         let t0 = Instant::now();
-        let phi = match self.config.kernel {
-            MetaKernel::Interned => analyze_trace_interned_jobs(
-                &meta,
-                p,
-                d0,
-                atoms,
-                not_q,
-                beam,
-                &mut self.icache,
-                obs,
-                // Direct kernel calls stay unclamped so tests can exercise
-                // the parallel merge paths on any machine.
-                meta_degree(
-                    self.config.meta_jobs,
-                    self.workers,
-                    crate::batch::default_jobs(),
-                ),
-            )
-            .map(|out| out.restrict()),
-            MetaKernel::Tree => analyze_trace_obs(&meta, p, d0, atoms, not_q, beam, obs)
-                .map(|dnf| restrict(&dnf, d0)),
-        };
-        // The backward phase is always timed (the perf acceptance criterion
-        // compares kernels on it), so the span reuses the same measurement
-        // instead of taking a second clock reading.
+        let phi = analyze_trace_interned(
+            &AsMeta(self.client),
+            p,
+            d0,
+            atoms,
+            &self.query.not_q,
+            &self.gov.beam,
+            &mut self.icache,
+            obs,
+        )
+        .map(|out| out.restrict());
+        // The span reuses the same measurement instead of taking a second
+        // clock reading.
         let us = t0.elapsed().as_micros() as u64;
         obs.add(Counter::MetaMicros, us);
         obs.record_span_micros(SpanKind::Backward, us);
         phi
     }
-}
-
-/// The backward kernel's thread count for a session: the requested
-/// `meta_jobs`, clamped to the cores left to each of `workers` concurrent
-/// batch workers (at least one). On a box with fewer cores than threads,
-/// extra kernel threads only time-share with the busy workers and stretch
-/// every wall-clock span — the jobs>1 meta-inflation pathology this knob
-/// must never reintroduce. The kernel is degree-invariant, so the clamp
-/// never changes an outcome.
-fn meta_degree(requested: usize, workers: usize, cores: usize) -> usize {
-    requested.min((cores / workers.max(1)).max(1))
 }
 
 impl<Param> std::fmt::Display for Outcome<Param> {
@@ -1077,22 +941,6 @@ mod tests {
     use super::*;
     use crate::nullcli::NullClient;
     use pda_analysis::PointsTo;
-
-    /// The kernel's degree is the request clamped to each concurrent
-    /// worker's share of the cores, never below one thread.
-    #[test]
-    fn meta_degree_shares_cores_among_batch_workers() {
-        // Outside a batch: the machine's cores.
-        assert_eq!(meta_degree(4, 1, 2), 2);
-        assert_eq!(meta_degree(1, 1, 16), 1);
-        // Two workers on two cores leave one core each.
-        assert_eq!(meta_degree(4, 2, 2), 1);
-        // More workers than cores still run the kernel on one thread.
-        assert_eq!(meta_degree(2, 8, 2), 1);
-        // Spare cores go to the kernel, up to the request.
-        assert_eq!(meta_degree(8, 2, 8), 4);
-        assert_eq!(meta_degree(3, 2, 8), 3);
-    }
 
     fn solve(src: &str, label: &str) -> (pda_lang::Program, QueryResult<pda_util::BitSet>) {
         let program = pda_lang::parse_program(src).unwrap();
@@ -1233,6 +1081,31 @@ mod tests {
         }
         // Minimum viable cost can only grow as the viable set shrinks.
         assert!(log.windows(2).all(|w| w[0].cost <= w[1].cost));
+    }
+
+    /// The always-on phase timers measure disjoint stretches of the
+    /// loop, so together they never exceed the query's own wall time,
+    /// and the forward phase records one span per iteration.
+    #[test]
+    fn phase_micros_fit_inside_query_micros() {
+        let (program, _) = solve(SIMPLE, "q");
+        let pa = PointsTo::analyze(&program);
+        let client = NullClient::new(&program);
+        let query = client.query(&program, program.query_by_label("q").unwrap());
+        let config = TracerConfig::default();
+        let mut obs = QueryObs::untraced();
+        let r = Session::new(&program, &|c| pa.callees(c).to_vec(), &client, &query, &config)
+            .observe(&mut obs)
+            .run();
+        assert!(r.iterations >= 2);
+        let phases = [Counter::ForwardMicros, Counter::MetaMicros, Counter::SolverMicros]
+            .map(|c| obs.reg.get(c));
+        assert!(
+            phases.iter().sum::<u64>() as u128 <= r.micros,
+            "phases {phases:?} exceed the query's {} µs",
+            r.micros
+        );
+        assert_eq!(obs.reg.span_stats(SpanKind::Forward).count, r.iterations as u64);
     }
 
     #[test]

@@ -122,28 +122,9 @@ pub fn analyze_trace<C: MetaClient>(
 where
     StateOf<C>: Clone,
 {
-    analyze_trace_obs(client, p, d_init, trace, not_q, cfg, &mut ObsRegistry::default())
-}
-
-/// [`analyze_trace`] with observability: kernel effort counters (cubes,
-/// subsumption checks, drops) and the `approx` span are recorded into
-/// `obs`. The result is identical to [`analyze_trace`]'s.
-///
-/// # Errors
-///
-/// Same contract as [`analyze_trace`].
-pub fn analyze_trace_obs<C: MetaClient>(
-    client: &C,
-    p: &ParamOf<C>,
-    d_init: &StateOf<C>,
-    trace: &[Atom],
-    not_q: &Formula<C::Prim>,
-    cfg: &BeamConfig,
-    obs: &mut ObsRegistry,
-) -> Result<Dnf<C::Prim>, MetaError>
-where
-    StateOf<C>: Clone,
-{
+    // Effort counters are meters of the production kernel; the
+    // reference walk records into a throwaway registry.
+    let obs = &mut ObsRegistry::default();
     // Replay forward: states[i] arrives before trace[i]; states[n] is final.
     let mut states: Vec<StateOf<C>> = Vec::with_capacity(trace.len() + 1);
     states.push(d_init.clone());

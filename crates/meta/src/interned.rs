@@ -24,11 +24,12 @@
 //!   primitive of the current DNF (the cone-of-influence skip) — most
 //!   steps of a counterexample, since an atom writes one or two cells.
 //!
-//! **Bit-identity contract.** The driver's min-cost solver breaks cost
-//! ties by clause *syntax*, so the learned parameter formulas — and hence
-//! whole `solve_query` outcomes — only reproduce the tree path if this
-//! kernel mirrors it *syntactically*, not just semantically. The mirror
-//! rests on five invariants, checked by the differential tests:
+//! **Bit-identity contract.** The tree path is the reference the CEGAR
+//! loop is checked against iteration by iteration, and that check
+//! compares the learned parameter formulas *syntactically*, so this
+//! kernel mirrors the tree path syntactically, not just semantically.
+//! The mirror rests on five invariants, checked by the differential
+//! tests:
 //!
 //! 1. ids are assigned in primitive `Ord` order, so packed-literal order
 //!    equals [`Lit`] order and `Vec<u32>` lexicographic order equals
@@ -66,7 +67,7 @@ use crate::approx::BeamConfig;
 use crate::backward::{MetaClient, MetaError, ParamOf, StateOf};
 use crate::formula::{Cube, Dnf, Formula, Lit, Primitive};
 use pda_lang::Atom;
-use pda_util::{fault_point, scoped_chunk_map, Counter, ObsRegistry, Span, SpanKind, StripedLock};
+use pda_util::{fault_point, Counter, ObsRegistry, Span, SpanKind, StripedLock};
 use pda_solver::PFormula;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap};
@@ -832,8 +833,6 @@ struct Kernel<'c, P: Primitive> {
     twords: usize,
     /// `atom_of_step[i]` is the cache-global atom id of trace step `i`.
     atom_of_step: Vec<u32>,
-    /// Worker count for the data-parallel cube paths; `1` = fully serial.
-    jobs: usize,
 }
 
 impl<P: Primitive> Kernel<'_, P> {
@@ -875,20 +874,7 @@ fn emergency_prune_i<P: Primitive>(
     out
 }
 
-/// Minimum `xs × ys` pair count before `product_i` fans out over threads
-/// (below it, spawn overhead dwarfs the conjunction work).
-const PAR_MIN_PAIRS: usize = 64;
-
-/// Minimum `kept` length before `simplify_i` fans its subsumption scan
-/// out over threads.
-const PAR_MIN_SCAN: usize = 512;
-
-/// Mirror of `approx::product`. With `k.jobs > 1` the cross product fans
-/// out over contiguous `xs` ranges — but only when the full product fits
-/// under `max_cubes`, where the serial loop provably never calls
-/// [`emergency_prune_i`]: each chunk then pushes exactly the cubes the
-/// serial loop would, and concatenating chunks in `xs` order reproduces
-/// the serial output (and `CubesBuilt` count) bit for bit.
+/// Mirror of `approx::product`.
 fn product_i<P: Primitive>(
     xs: &[ICube],
     ys: &[ICube],
@@ -899,28 +885,6 @@ fn product_i<P: Primitive>(
     pruned: &mut bool,
 ) -> Vec<ICube> {
     let pairs = xs.len().saturating_mul(ys.len());
-    if k.jobs > 1 && xs.len() > 1 && pairs >= PAR_MIN_PAIRS && pairs <= cfg.max_cubes {
-        let core = &k.table.core;
-        let chunks = scoped_chunk_map(xs, k.jobs, |_, xchunk| {
-            let mut built = 0u64;
-            let mut part = Vec::with_capacity(xchunk.len().saturating_mul(ys.len()));
-            for x in xchunk {
-                for y in ys {
-                    if let Some(c) = x.conjoin(y, core) {
-                        built += 1;
-                        part.push(c);
-                    }
-                }
-            }
-            (part, built)
-        });
-        let mut out = Vec::with_capacity(pairs);
-        for (part, built) in chunks {
-            obs.add(Counter::CubesBuilt, built);
-            out.extend(part);
-        }
-        return out;
-    }
     let mut out = Vec::with_capacity(pairs.min(cfg.max_cubes.saturating_add(1)));
     for x in xs {
         for y in ys {
@@ -983,14 +947,7 @@ fn nnf_dnf_i<P: Primitive>(
     }
 }
 
-/// Mirror of `approx::simplify`. The kept-scan — "is `c` subsumed by
-/// anything already kept?" — is a pure disjunction over `kept`, so with
-/// `k.jobs > 1` and a long enough `kept` it fans out over contiguous
-/// ranges: the boolean verdict is schedule-independent, and the kept
-/// sequence (hence the output) is bit-identical to serial. Only the
-/// short-circuit point moves, so the `SubsumptionChecks` /
-/// `SubsumptionFastRejects` *counters* depend (deterministically) on the
-/// job count — they are effort meters, never part of the event stream.
+/// Mirror of `approx::simplify`.
 fn simplify_i<P: Primitive>(
     mut cubes: Vec<ICube>,
     k: &Kernel<'_, P>,
@@ -1000,28 +957,7 @@ fn simplify_i<P: Primitive>(
     cubes.dedup();
     let mut kept: Vec<ICube> = Vec::new();
     for c in cubes {
-        let subsumed = if k.jobs > 1 && kept.len() >= PAR_MIN_SCAN {
-            let core = &k.table.core;
-            let verdicts = scoped_chunk_map(&kept, k.jobs, |_, chunk| {
-                let mut local = ObsRegistry::default();
-                let hit = chunk.iter().any(|kc| c.implies(kc, core, &mut local));
-                (
-                    hit,
-                    local.get(Counter::SubsumptionChecks),
-                    local.get(Counter::SubsumptionFastRejects),
-                )
-            });
-            let mut any = false;
-            for (hit, checks, rejects) in verdicts {
-                obs.add(Counter::SubsumptionChecks, checks);
-                obs.add(Counter::SubsumptionFastRejects, rejects);
-                any |= hit;
-            }
-            any
-        } else {
-            kept.iter().any(|kc| c.implies(kc, &k.table.core, obs))
-        };
-        if !subsumed {
+        if !kept.iter().any(|kc| c.implies(kc, &k.table.core, obs)) {
             kept.push(c);
         }
     }
@@ -1242,31 +1178,6 @@ pub fn analyze_trace_interned<C: MetaClient>(
 where
     StateOf<C>: Clone,
 {
-    analyze_trace_interned_jobs(client, p, d_init, trace, not_q, cfg, cache, obs, 1)
-}
-
-/// [`analyze_trace_interned`] with an explicit data-parallelism degree for
-/// the cube-level hot loops (`product_i` fan-out, `simplify_i` kept
-/// scans). `meta_jobs <= 1` is exactly the serial kernel; any higher
-/// value produces bit-identical cubes and outcomes — the parallel paths
-/// only fire where chunked results merge back in a deterministic order
-/// that reproduces the serial sequence (see the per-function docs) — so
-/// the knob trades wall clock, never results.
-#[allow(clippy::too_many_arguments)]
-pub fn analyze_trace_interned_jobs<C: MetaClient>(
-    client: &C,
-    p: &ParamOf<C>,
-    d_init: &StateOf<C>,
-    trace: &[Atom],
-    not_q: &Formula<C::Prim>,
-    cfg: &BeamConfig,
-    cache: &mut InternCache<C::Prim>,
-    obs: &mut ObsRegistry,
-    meta_jobs: usize,
-) -> Result<TraceAnalysis<C::Prim>, MetaError>
-where
-    StateOf<C>: Clone,
-{
     // Forward replay, exactly as the tree path does it.
     let mut states: Vec<StateOf<C>> = Vec::with_capacity(trace.len() + 1);
     states.push(d_init.clone());
@@ -1302,7 +1213,7 @@ where
             }
         }
     }
-    let k = Kernel { table, wp_raw, truth, twords, atom_of_step, jobs: meta_jobs.max(1) };
+    let k = Kernel { table, wp_raw, truth, twords, atom_of_step };
 
     let steps = trace.len();
     let mut pruned = false;
@@ -1882,63 +1793,6 @@ mod tests {
             }
         }
         assert!(compared >= 30, "expected broad coverage, got {compared}");
-    }
-
-    /// `meta_jobs > 1` must be invisible in the results: same cubes, same
-    /// restriction, same `CubesBuilt`, at every tested degree — including
-    /// an input wide enough (8 × 10 cross product) to actually enter the
-    /// parallel `product_i` path.
-    #[test]
-    fn meta_jobs_outputs_are_bit_identical_to_serial() {
-        let wide_not_q = Formula::and(vec![
-            Formula::or((0..8).map(|i| Formula::prim(BP::Bit(i))).collect()),
-            Formula::or((8..18).map(|i| Formula::prim(BP::Bit(i))).collect()),
-        ]);
-        let mut not_qs = test_not_qs();
-        not_qs.push(wide_not_q);
-        let cfgs = [BeamConfig::default(), BeamConfig::exhaustive()];
-        for meta_jobs in [2, 4] {
-            for trace in &test_traces() {
-                for not_q in &not_qs {
-                    for cfg in &cfgs {
-                        let (p, d0) = (0b101u32, 0x3ffffu32);
-                        let mut s1 = ObsRegistry::default();
-                        let mut c1 = InternCache::new();
-                        let serial = analyze_trace_interned(
-                            &Bits, &p, &d0, trace, not_q, cfg, &mut c1, &mut s1,
-                        );
-                        let mut s2 = ObsRegistry::default();
-                        let mut c2 = InternCache::new();
-                        let par = analyze_trace_interned_jobs(
-                            &Bits, &p, &d0, trace, not_q, cfg, &mut c2, &mut s2, meta_jobs,
-                        );
-                        match (serial, par) {
-                            (Ok(x), Ok(y)) => {
-                                assert_eq!(
-                                    x.to_dnf(),
-                                    y.to_dnf(),
-                                    "meta_jobs={meta_jobs} diverged on {trace:?}"
-                                );
-                                assert_eq!(x.restrict(), y.restrict());
-                            }
-                            (Err(x), Err(y)) => assert_eq!(x, y),
-                            (x, y) => panic!(
-                                "outcome diverged at meta_jobs={meta_jobs} on {trace:?}: {:?} vs {:?}",
-                                x.map(|f| f.to_dnf()),
-                                y.map(|f| f.to_dnf())
-                            ),
-                        }
-                        assert_eq!(
-                            s1.get(Counter::CubesBuilt),
-                            s2.get(Counter::CubesBuilt),
-                            "CubesBuilt drifted at meta_jobs={meta_jobs} on {trace:?}"
-                        );
-                        assert_eq!(s1.get(Counter::WpHits), s2.get(Counter::WpHits));
-                        assert_eq!(s1.get(Counter::WpMisses), s2.get(Counter::WpMisses));
-                    }
-                }
-            }
-        }
     }
 
     /// On the toy bit client every atom writes one bit, so most steps

@@ -35,8 +35,8 @@
 //! abstractions handed to `pda-solver`.
 //!
 //! Two kernels implement that walk. The tree kernel above is the
-//! reference semantics; [`interned::analyze_trace_interned`] is the
-//! production hot path — it lowers the client's tree formulas once per
+//! reference semantics, kept as the test oracle;
+//! [`interned::analyze_trace_interned`] is the production kernel — it lowers the client's tree formulas once per
 //! trace into interned primitives, packed-literal cubes with subsumption
 //! signatures, and a per-trace wp memo, and is bit-identical to the tree
 //! kernel by construction (see the module docs of [`interned`]).
@@ -50,9 +50,7 @@ pub mod interned;
 pub mod stats;
 
 pub use approx::{approx, approx_obs, simplify, simplify_obs, to_dnf_obs, BeamConfig};
-pub use backward::{analyze_trace, analyze_trace_obs, check_wp_exact, restrict, MetaClient, MetaError};
+pub use backward::{analyze_trace, check_wp_exact, restrict, MetaClient, MetaError};
 pub use formula::{Cube, Dnf, Formula, Lit, Primitive};
-pub use interned::{
-    analyze_trace_interned, analyze_trace_interned_jobs, InternCache, TraceAnalysis, WarmStore,
-};
+pub use interned::{analyze_trace_interned, InternCache, TraceAnalysis, WarmStore};
 pub use stats::MetaStats;

@@ -23,7 +23,7 @@
 use crate::proto::{parse_request, LineBuilder, Op, Request, Target};
 use pda_lang::{CallId, MethodId, Program};
 use pda_tracer::{
-    compact_checkpoint, default_jobs, load_checkpoint, outcome_tag,
+    compact_checkpoint, load_checkpoint, outcome_tag,
     solve_queries_batch_checkpointed, BatchConfig, CheckpointWriter, ForwardCache, InternCache,
     MetaStats, Outcome, ParamCodec, Query, QueryObs, QueryResult, RetryPolicy, Session,
     TracerClient, TracerConfig, Unresolved,
@@ -48,14 +48,9 @@ pub struct ServeConfig {
     pub tracer: TracerConfig,
     /// Worker threads for the `batch` op.
     pub jobs: usize,
-    /// Upper bound on threads the daemon may occupy, mirroring
-    /// [`BatchConfig::thread_cap`]: the `batch` op passes it through to
-    /// the batch scheduler, and the `solve` op clamps the in-query
-    /// meta-kernel degree (`tracer.meta_jobs`) by it — the batch workers
-    /// already honored the cap, but a direct `solve` request used to
-    /// reach `analyze_trace_interned_jobs` with the unclamped degree.
-    /// `None` (the default) clamps to the machine's available
-    /// parallelism, exactly like the batch scheduler.
+    /// Upper bound on worker threads of the `batch` op, passed through
+    /// to [`BatchConfig::thread_cap`]. `None` (the default) clamps to the
+    /// machine's available parallelism, exactly like the batch scheduler.
     pub thread_cap: Option<usize>,
     /// Default per-request wall-clock deadline in milliseconds, used
     /// when the request carries none.
@@ -192,18 +187,9 @@ where
         client: &'p C,
         queries: Vec<Query<C::Prim>>,
         labels: Vec<String>,
-        mut config: ServeConfig,
+        config: ServeConfig,
     ) -> Supervisor<'p, C> {
         assert_eq!(queries.len(), labels.len(), "one label per query");
-        // Clamp the in-query meta-kernel degree by the thread cap once,
-        // up front, with the same expression the batch scheduler applies
-        // to its worker count — so a direct `solve` request can never
-        // occupy more kernel threads than a `batch` op would.
-        config.tracer.meta_jobs = config
-            .tracer
-            .meta_jobs
-            .min(config.thread_cap.unwrap_or_else(default_jobs))
-            .max(1);
         Supervisor {
             program,
             callees,
@@ -230,12 +216,6 @@ where
     /// line per request) to `sink`.
     pub fn attach_trace(&mut self, sink: FileSink) {
         self.trace = Some(sink);
-    }
-
-    /// The effective per-request tracer configuration (after the
-    /// [`ServeConfig::thread_cap`] clamp on `meta_jobs`).
-    pub fn tracer_config(&self) -> &TracerConfig {
-        &self.config.tracer
     }
 
     /// Attaches a journal file. An existing file is loaded (finished

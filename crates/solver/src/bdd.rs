@@ -20,8 +20,8 @@
 //! most significant, `false < true`). Because paths visit atoms in
 //! ascending order, preferring the `lo` (false) edge on cost ties and
 //! defaulting reduced-out atoms to false is exactly that rule — the same
-//! one [`crate::MinCostSolver`] implements, which is what keeps the two
-//! viable engines bit-identical on chosen optima.
+//! one [`crate::MinCostSolver`] implements, which is what lets that DPLL
+//! search serve as this engine's reference oracle, down to the model.
 
 use crate::dpll::Model;
 use crate::PFormula;

@@ -2,7 +2,7 @@
 
 use crate::cnf::Cnf;
 use crate::PFormula;
-use pda_util::{fault_point, Counter, Deadline, DeadlineExceeded, MemBudget, ObsRegistry, Span, SpanKind};
+use pda_util::{Counter, Deadline, DeadlineExceeded, ObsRegistry, Span, SpanKind};
 
 /// A satisfying assignment together with its cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,9 +23,9 @@ pub struct Model {
 /// Among equal-cost minima the solver returns the **canonical** model:
 /// the lexicographically least assignment under `Vec<bool>` order (atom 0
 /// most significant, `false < true`). The rule is engine-independent —
-/// the BDD viable engine's lo-edge-preferring extraction produces the
-/// same model — which is what lets `ViableEngine::{Dpll,Bdd}` stay
-/// bit-identical on chosen optima, not just on costs.
+/// the production [`crate::Bdd`]'s lo-edge-preferring extraction produces
+/// the same model — which is what lets this search serve as the BDD's
+/// reference oracle on chosen optima, not just on costs.
 ///
 /// # Examples
 ///
@@ -107,29 +107,8 @@ impl MinCostSolver {
         deadline: Deadline,
         obs: &mut ObsRegistry,
     ) -> Result<Option<Model>, DeadlineExceeded> {
-        self.solve_within_budgeted(deadline, obs, None)
-    }
-
-    /// Like [`MinCostSolver::solve_within_observed`], but charges the
-    /// materialized CNF clause database against `budget` for the duration
-    /// of the solve (released on return), adding the bytes to
-    /// [`Counter::MemCharged`]. The budget is an accounting tap polled by
-    /// the TRACER memory governor between CEGAR iterations — it never
-    /// alters the search itself, so results are identical with or without
-    /// a budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeadlineExceeded`] under exactly the conditions of
-    /// [`MinCostSolver::solve_within`].
-    pub fn solve_within_budgeted(
-        &self,
-        deadline: Deadline,
-        obs: &mut ObsRegistry,
-        budget: Option<&MemBudget>,
-    ) -> Result<Option<Model>, DeadlineExceeded> {
         let span = Span::enter(obs, SpanKind::Solver);
-        let result = self.solve_inner(deadline, obs, budget);
+        let result = self.solve_inner(deadline, obs);
         span.exit(obs);
         result
     }
@@ -138,30 +117,13 @@ impl MinCostSolver {
         &self,
         deadline: Deadline,
         obs: &mut ObsRegistry,
-        budget: Option<&MemBudget>,
     ) -> Result<Option<Model>, DeadlineExceeded> {
-        fault_point("dpll.solve");
         let mut cnf = Cnf::new(self.n_atoms);
         for c in &self.constraints {
             cnf.require(c);
         }
         if cnf.clauses.iter().any(|c| c.is_empty()) {
             return Ok(None);
-        }
-        // Deterministic counts-times-size_of estimate of the clause
-        // database, charged for the lifetime of the search.
-        let clause_bytes = cnf.clauses.iter().fold(
-            (cnf.clauses.len() as u64)
-                .saturating_mul(std::mem::size_of::<Vec<crate::cnf::Lit>>() as u64),
-            |acc, c| {
-                acc.saturating_add(
-                    (c.len() as u64).saturating_mul(std::mem::size_of::<crate::cnf::Lit>() as u64),
-                )
-            },
-        );
-        if let Some(b) = budget {
-            b.charge(clause_bytes);
-            obs.add(Counter::MemCharged, clause_bytes);
         }
         let mut search = Search {
             n_atoms: self.n_atoms,
@@ -184,9 +146,6 @@ impl MinCostSolver {
             Some(_) => None,
         };
         obs.add(Counter::SolverNodes, search.nodes);
-        if let Some(b) = budget {
-            b.release(clause_bytes);
-        }
         if search.aborted {
             return Err(DeadlineExceeded);
         }
@@ -546,19 +505,6 @@ mod tests {
         assert_eq!(m, s.solve().unwrap());
         assert!(obs.get(Counter::SolverNodes) > 0);
         assert_eq!(obs.span_stats(SpanKind::Solver).count, 1);
-    }
-
-    #[test]
-    fn budgeted_solve_charges_and_matches_unbudgeted() {
-        let mut s = MinCostSolver::with_unit_costs(3);
-        s.require(PFormula::or(vec![PFormula::lit(0, true), PFormula::lit(2, true)]));
-        let b = MemBudget::unlimited();
-        let mut obs = ObsRegistry::default();
-        let m = s.solve_within_budgeted(Deadline::NEVER, &mut obs, Some(&b)).unwrap();
-        assert_eq!(m, s.solve());
-        assert!(b.total_charged() > 0, "clause database must be charged");
-        assert_eq!(b.used(), 0, "clause bytes released after the solve");
-        assert!(obs.get(Counter::MemCharged) > 0);
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //! tracked variables resp. `L`-sites, matching the paper's cost preorders
 //! `p ⪯ p' ⟺ |p| ≤ |p'|`.
 //!
-//! This crate implements that query: [`PFormula`] (formulas over atoms),
-//! Tseitin conversion to CNF, and a DPLL branch-and-bound search
-//! ([`MinCostSolver`]) that returns a cheapest model or reports
-//! unsatisfiability — the paper's *impossibility* outcome.
+//! This crate implements that query: [`PFormula`] (formulas over atoms)
+//! and two engines that return the same cheapest model or report
+//! unsatisfiability — the paper's *impossibility* outcome. [`Bdd`], a
+//! resident ROBDD that absorbs one constraint per CEGAR iteration, is the
+//! production engine; [`MinCostSolver`] (Tseitin conversion to CNF plus a
+//! DPLL branch-and-bound search, rebuilt from scratch per call) is the
+//! reference engine the tests check it against.
 //!
 //! # Example
 //!

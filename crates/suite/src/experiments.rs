@@ -10,7 +10,7 @@ use pda_lang::{CallKind, Node, SiteId};
 use pda_meta::{BeamConfig, MetaStats};
 use pda_tracer::{
     solve_queries_batch, BatchConfig, Escalation, Outcome, Query, QueryResult, TracerClient,
-    TracerConfig, ViableEngine,
+    TracerConfig,
 };
 use pda_typestate::{TsMode, TypestateClient};
 use pda_util::{CacheStats, Counter, Idx, ObsRegistry, Summary};
@@ -37,20 +37,12 @@ pub struct ExperimentConfig {
     /// through one cache whatever this is, so verdicts, costs, and
     /// iteration counts do not depend on it.
     pub jobs: usize,
-    /// In-query data parallelism for the backward meta-kernel: chunk
-    /// workers for `product_i` and subsumption scans (`1`, the default,
-    /// is the serial kernel; results are bit-identical at any value).
-    pub meta_jobs: usize,
     /// Per-query wall-clock deadline (`None` = unlimited, the default).
     pub timeout: Option<std::time::Duration>,
     /// Fact-budget escalation ladder on forward-run `TooBig` aborts.
     pub escalation: Escalation,
     /// Per-query memory budget in estimated bytes (`None` = unlimited).
     pub mem_budget: Option<u64>,
-    /// Viable-set constraint engine (DPLL branch-and-bound or the
-    /// resident ROBDD; outcomes are bit-identical — see
-    /// [`pda_tracer::ViableEngine`]).
-    pub viable_engine: ViableEngine,
 }
 
 impl Default for ExperimentConfig {
@@ -62,11 +54,9 @@ impl Default for ExperimentConfig {
             max_queries: 40,
             sites_per_call: 2,
             jobs: 1,
-            meta_jobs: 1,
             timeout: None,
             escalation: Escalation::default(),
             mem_budget: None,
-            viable_engine: ViableEngine::default(),
         }
     }
 }
@@ -79,10 +69,7 @@ impl ExperimentConfig {
             rhs_limits: RhsLimits { max_facts: self.max_facts, ..RhsLimits::default() },
             timeout: self.timeout,
             escalation: self.escalation,
-            kernel: Default::default(),
             mem_budget: self.mem_budget,
-            meta_jobs: self.meta_jobs,
-            viable_engine: self.viable_engine,
         }
     }
 }

@@ -33,9 +33,8 @@
 //! * [`FxHashMap`] — a hash map keyed through [`FxHasher`], a fast,
 //!   unseeded multiply-rotate hasher for the engines' internal id and
 //!   state tables (deterministic iteration order, no DoS resistance).
-//! * [`par`] — `std`-only work-pool and lock-striping helpers
-//!   ([`scoped_chunk_map`], [`StripedLock`]) behind the batch scheduler's
-//!   sharded forward cache and the meta-kernel's data-parallel paths.
+//! * [`par`] — `std`-only lock striping ([`StripedLock`]) behind the
+//!   batch scheduler's sharded forward cache and the warm meta store.
 //!
 //! # Examples
 //!
@@ -73,7 +72,7 @@ pub use obs::{
     Counter, Event, FileSink, NullSink, ObsRegistry, Recorder, Span, SpanKind, SpanStats,
     TraceSink,
 };
-pub use par::{fnv1a, scoped_chunk_map, StripedLock};
+pub use par::{fnv1a, StripedLock};
 pub use rng::SplitMix64;
 pub use stats::{CacheStats, Summary};
 

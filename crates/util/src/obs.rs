@@ -64,7 +64,7 @@ pub enum Counter {
     DeadlineExceeded,
     /// Queries restored from a checkpoint.
     Resumed,
-    /// DPLL search-tree nodes visited.
+    /// BDD nodes created by the viable-set solver.
     SolverNodes,
     /// Cubes materialized by the meta-analysis.
     CubesBuilt,
@@ -97,11 +97,9 @@ pub enum Counter {
     /// contention is attributable from the footer without perturbing
     /// trace byte-identity.
     LockWaitMicros,
-    /// Wall time inside the viable-set solver (DPLL search or BDD
-    /// conjoin + min-cost sweep), µs. Always-on like
-    /// [`Counter::MetaMicros`], so the batch footers and
-    /// `BENCH_batch.json` can split solver wall out per engine even with
-    /// span timing off.
+    /// Wall time inside the viable-set solver (BDD conjoin + min-cost
+    /// sweep), µs. Always-on like [`Counter::MetaMicros`], so the batch
+    /// footers can split the solver out even with span timing off.
     SolverMicros,
     /// Faults fired by the deterministic fault plane
     /// (`--fault-plan`/`PDA_FAULT_PLAN`), all action classes.
@@ -116,10 +114,15 @@ pub enum Counter {
     /// skip). An effort meter only: no trace event, `MetaStats` field,
     /// checkpoint record or footer line carries it.
     MetaStepsSkipped,
+    /// Wall time inside the forward phase (RHS runs, escalation retries
+    /// and forward-cache lookups), µs. Always-on like
+    /// [`Counter::SolverMicros`]; like every wall-clock counter it stays
+    /// out of trace events.
+    ForwardMicros,
 }
 
 /// Number of [`Counter`] slots.
-pub const N_COUNTERS: usize = Counter::MetaStepsSkipped as usize + 1;
+pub const N_COUNTERS: usize = Counter::ForwardMicros as usize + 1;
 
 // ---- spans ----
 
@@ -127,7 +130,7 @@ pub const N_COUNTERS: usize = Counter::MetaStepsSkipped as usize + 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum SpanKind {
-    /// DPLL minimum-cost SAT solve.
+    /// Minimum-cost viable-set solve (BDD conjoin + cost sweep).
     Solver,
     /// Forward RHS dataflow run.
     Forward,
@@ -366,7 +369,7 @@ impl ObsRegistry {
         format!(
             "{} queries, jobs={}: {:.1} q/s, cache {}/{} hits ({:.1}%), {} forward runs saved, \
              faults={} deadlines={} escalations={} retries={} resumed={} degradations={} shed={} \
-             injected={} io_injected={} watchdog={} contention={}µs solver={}µs\n{}",
+             injected={} io_injected={} watchdog={} contention={}µs forward={}µs solver={}µs\n{}",
             queries,
             self.get(Counter::Jobs),
             qps,
@@ -385,6 +388,7 @@ impl ObsRegistry {
             self.get(Counter::IoFaults),
             self.get(Counter::WatchdogFired),
             self.get(Counter::LockWaitMicros),
+            self.get(Counter::ForwardMicros),
             self.get(Counter::SolverMicros),
             render_meta_line(
                 self.get(Counter::CubesBuilt),
@@ -872,6 +876,7 @@ mod tests {
         reg.set(Counter::Retries, 4);
         reg.set(Counter::LockWaitMicros, 11);
         reg.set(Counter::SolverMicros, 21);
+        reg.set(Counter::ForwardMicros, 17);
         reg.set(Counter::FaultsInjected, 6);
         reg.set(Counter::IoFaults, 2);
         reg.set(Counter::WatchdogFired, 1);
@@ -879,7 +884,7 @@ mod tests {
             reg.render(),
             "32 queries, jobs=8: 16.0 q/s, cache 57/89 hits (64.0%), 57 forward runs saved, \
              faults=0 deadlines=0 escalations=1 retries=4 resumed=0 degradations=3 shed=2 \
-             injected=6 io_injected=2 watchdog=1 contention=11µs solver=21µs\n\
+             injected=6 io_injected=2 watchdog=1 contention=11µs forward=17µs solver=21µs\n\
              meta: 7 cubes, wp 3/4 memo hits, subsumption 0/9 fast-rejected, 2 drops, 15µs"
         );
     }

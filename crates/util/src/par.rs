@@ -1,82 +1,14 @@
-//! Work-pool and lock-striping helpers for the data-parallel paths.
+//! Lock striping for shared concurrent maps.
 //!
-//! Two small, `std`-only pieces shared by the batch scheduler and the
-//! interned meta-kernel:
-//!
-//! * [`scoped_chunk_map`] — splits a slice into near-equal contiguous
-//!   chunks and maps a function over them on a [`std::thread::scope`]
-//!   pool, returning per-chunk results **in chunk order**. The chunking
-//!   is a pure function of `(len, jobs)`, so a caller that merges chunk
-//!   results in index order gets output independent of thread schedule.
-//!   Panics from worker chunks are re-raised on the calling thread with
-//!   their original payload (no wrapping), so fault-injection messages
-//!   survive the parallel path verbatim.
-//! * [`StripedLock`] — `N` mutex-protected shards selected by a caller
-//!   hash, so independent keys stop convoying on a single `Mutex`. The
-//!   accessor meters *contended* lock waits into an [`AtomicU64`] of
-//!   microseconds: the clock is read only when `try_lock` fails, so the
-//!   uncontended fast path costs no timing syscalls.
+//! [`StripedLock`] holds `N` mutex-protected shards selected by a caller
+//! hash, so independent keys stop convoying on a single `Mutex`. The
+//! accessor meters *contended* lock waits into an [`AtomicU64`] of
+//! microseconds: the clock is read only when `try_lock` fails, so the
+//! uncontended fast path costs no timing syscalls.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
-
-/// Splits `items` into `jobs` near-equal contiguous chunks and applies
-/// `f(chunk_index, chunk)` to each on a scoped thread pool, returning the
-/// results in chunk order.
-///
-/// The first chunk runs on the calling thread (no spawn when `jobs <= 1`
-/// or the slice is empty). Chunk boundaries depend only on
-/// `(items.len(), jobs)`: chunk sizes are `ceil(len / jobs)` with the
-/// remainder spread over the leading chunks, so a deterministic merge is
-/// simply concatenation in return order.
-///
-/// # Panics
-///
-/// If any chunk's `f` panics, the payload is re-raised here via
-/// [`std::panic::resume_unwind`] — callers see the original panic, not a
-/// join error.
-pub fn scoped_chunk_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    let jobs = jobs.max(1).min(items.len().max(1));
-    if jobs <= 1 {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        return vec![f(0, items)];
-    }
-    let base = items.len() / jobs;
-    let rem = items.len() % jobs;
-    let mut chunks: Vec<&[T]> = Vec::with_capacity(jobs);
-    let mut off = 0;
-    for c in 0..jobs {
-        let len = base + usize::from(c < rem);
-        chunks.push(&items[off..off + len]);
-        off += len;
-    }
-    let mut out: Vec<R> = Vec::with_capacity(jobs);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(c, chunk)| scope.spawn(move || f(c, chunk)))
-            .collect();
-        out.push(f(0, chunks[0]));
-        for h in handles {
-            match h.join() {
-                Ok(r) => out.push(r),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    out
-}
 
 /// A lock-striped value store: `N` independent [`Mutex`] shards selected
 /// by a caller-supplied hash, so threads touching distinct keys rarely
@@ -144,44 +76,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn chunk_map_preserves_order_and_covers_all_items() {
-        let items: Vec<u32> = (0..23).collect();
-        for jobs in [1, 2, 3, 4, 8, 23, 100] {
-            let chunks = scoped_chunk_map(&items, jobs, |_, c| c.to_vec());
-            let flat: Vec<u32> = chunks.concat();
-            assert_eq!(flat, items, "jobs={jobs}");
-            assert_eq!(chunks.len(), jobs.min(items.len()));
-            // Near-equal: sizes differ by at most one.
-            let sizes: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
-            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(max - min <= 1, "jobs={jobs} sizes={sizes:?}");
-        }
-    }
-
-    #[test]
-    fn chunk_map_empty_and_single() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(scoped_chunk_map(&empty, 4, |_, c| c.len()).is_empty());
-        assert_eq!(scoped_chunk_map(&[7u32], 4, |_, c| c[0]), vec![7]);
-    }
-
-    #[test]
-    fn chunk_map_propagates_original_panic_payload() {
-        let items: Vec<u32> = (0..8).collect();
-        let caught = std::panic::catch_unwind(|| {
-            scoped_chunk_map(&items, 4, |c, _| {
-                if c == 2 {
-                    panic!("injected chunk fault");
-                }
-                0u32
-            })
-        });
-        let payload = caught.expect_err("chunk panic must propagate");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
-        assert_eq!(msg, "injected chunk fault", "payload must survive verbatim");
-    }
 
     #[test]
     fn striped_lock_shards_and_meters() {

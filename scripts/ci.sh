@@ -32,9 +32,16 @@ echo "== perfbench tests: public-API replay vs production =="
 # replay to reproduce the production driver's effort counts exactly.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+# The batch bench's lines that scripts/expected_batch_outcomes.txt pins:
+# per-query outcomes and the three identity lines.
+outcome_lines() {
+    grep -E '^(outcome [0-9]+:|tree/interned outcomes identical:|per-query outcomes identical across job counts:|viable-engine outcomes identical:)'
+}
+
 echo "== perf smoke: seeded batch bench vs expected outcomes =="
 # The bench is fully seeded (hedc, seed 13), so every `outcome N:` line
-# and the two cross-kernel/cross-jobs identity lines are deterministic.
+# and the three identity lines (the per-iteration oracle replay against
+# the tree kernel and DPLL, and the cross-jobs check) are deterministic.
 # A panic exits non-zero (set -e); a verdict drift or a deadline hit on
 # an unconstrained run is a regression. Bench JSON goes to target/ so
 # the committed BENCH_batch.json artifact is not clobbered. PDA_TRACE
@@ -44,7 +51,7 @@ echo "== perf smoke: seeded batch bench vs expected outcomes =="
 perf="$(PDA_TRACE=target/ci_trace PDA_BENCH_OUT=target/ci_bench.json ./target/release/batch)"
 echo "$perf"
 diff scripts/expected_batch_outcomes.txt \
-    <(echo "$perf" | grep -E '^(outcome [0-9]+:|tree/interned outcomes identical:|per-query outcomes identical across job counts:|viable-engine outcomes identical:)') \
+    <(echo "$perf" | outcome_lines) \
     || { echo "ci: batch outcomes drifted from scripts/expected_batch_outcomes.txt" >&2; exit 1; }
 echo "$perf" | grep -q 'resilience: deadline_exceeded=0 engine_faults=0' \
     || { echo "ci: perf smoke hit deadlines or engine faults on an unconstrained run" >&2; exit 1; }
@@ -55,32 +62,12 @@ echo "== trace smoke: structured JSONL trace vs bench counters =="
 trace_line="$(echo "$perf" | grep '^trace: ')" \
     || { echo "ci: perf smoke did not emit a trace summary" >&2; exit 1; }
 iters_trace="$(echo "$trace_line" | sed -E 's/.* ([0-9]+) iterations.*/\1/')"
-iters_json="$(grep '"interned"' target/ci_bench.json | sed -E 's/.*"iterations":([0-9]+).*/\1/')"
+iters_json="$(grep '"sequential"' target/ci_bench.json | sed -E 's/.*"iterations":([0-9]+).*/\1/')"
 queries_trace="$(echo "$trace_line" | sed -E 's/.* ([0-9]+) queries.*/\1/')"
 queries_json="$(grep '"queries": ' target/ci_bench.json | sed -E 's/.*"queries": ([0-9]+).*/\1/')"
 [ "$iters_trace" = "$iters_json" ] && [ "$queries_trace" = "$queries_json" ] \
     || { echo "ci: trace counts (iters=$iters_trace queries=$queries_trace) disagree with bench JSON (iters=$iters_json queries=$queries_json)" >&2; exit 1; }
 echo "trace smoke ok: $iters_trace iterations, $queries_trace queries"
-
-echo "== viable-engine smoke: BDD vs DPLL on the seeded hedc bench =="
-# The perf smoke's engine-split phase already asserted per-query outcome
-# identity inside the bin (a panic exits non-zero). Here CI re-runs the
-# whole bench with the ROBDD engine driving *every* phase and diffs the
-# outcome lines byte-for-byte against the same checked-in expectations,
-# then pins the perf claim from the default run's JSON: the BDD
-# solver-phase wall (min-of-repeats) must not exceed DPLL's. The BDD
-# keeps the viable set resident across CEGAR iterations (conjoin-only
-# updates), so many-iteration queries are where the win comes from.
-vperf="$(PDA_VIABLE_ENGINE=bdd PDA_BENCH_OUT=target/ci_bench_bdd.json ./target/release/batch)"
-echo "$vperf"
-diff scripts/expected_batch_outcomes.txt \
-    <(echo "$vperf" | grep -E '^(outcome [0-9]+:|tree/interned outcomes identical:|per-query outcomes identical across job counts:|viable-engine outcomes identical:)') \
-    || { echo "ci: BDD-engine batch outcomes drifted from scripts/expected_batch_outcomes.txt" >&2; exit 1; }
-dpll_us="$(sed -nE 's/.*"dpll_solver_micros": ([0-9]+).*/\1/p' target/ci_bench.json)"
-bdd_us="$(sed -nE 's/.*"bdd_solver_micros": ([0-9]+).*/\1/p' target/ci_bench.json)"
-awk -v d="$dpll_us" -v b="$bdd_us" 'BEGIN { exit !(d != "" && b != "" && b + 0 <= d + 0) }' \
-    || { echo "ci: BDD solver phase (${bdd_us:-missing} µs) exceeded DPLL's (${dpll_us:-missing} µs) on the hedc bench" >&2; exit 1; }
-echo "viable-engine smoke ok: solver phase ${bdd_us} µs bdd <= ${dpll_us} µs dpll, outcomes identical"
 
 echo "== governor smoke: batch under a 4 MiB per-query memory budget =="
 # 4 MiB is tuned (empirically, but the byte accounting is deterministic)
@@ -93,7 +80,7 @@ echo "== governor smoke: batch under a 4 MiB per-query memory budget =="
 gov="$(PDA_MEM_BUDGET=4m PDA_BENCH_OUT=target/ci_bench_governed.json ./target/release/batch)"
 echo "$gov"
 diff scripts/expected_batch_outcomes.txt \
-    <(echo "$gov" | grep -E '^(outcome [0-9]+:|tree/interned outcomes identical:|per-query outcomes identical across job counts:|viable-engine outcomes identical:)') \
+    <(echo "$gov" | outcome_lines) \
     || { echo "ci: governed batch outcomes drifted — a degradation rung changed a verdict or iteration count" >&2; exit 1; }
 degs="$(echo "$gov" | sed -nE 's/^resilience:.* degradations=([0-9]+).*/\1/p')"
 [ -n "$degs" ] && [ "$degs" -ge 1 ] \
@@ -154,17 +141,17 @@ echo "daemon smoke ok: fault isolated, generation quarantined, drained 0 with a 
 
 echo "== chaos smoke: seeded bench under a fixed fault plan =="
 # Arm the deterministic fault plane for one full bench run: a panic in
-# the DPLL kernel, an injected I/O error during a warm-store rebuild
+# the BDD min-cost sweep, an injected I/O error during a warm-store rebuild
 # (both absorbed by the retry policy), and a 25ms stall while a warm
 # cache slot is filling (a slow worker, not a failure). The run must
 # produce outcome lines byte-identical to the clean golden file, and
 # the resilience line must prove all three arms actually fired.
-chaos="$(PDA_FAULT_PLAN='dpll.solve@5=panic;cache.slot_fill@2=stall:25;warm.rebuild@1=ioerr' \
+chaos="$(PDA_FAULT_PLAN='bdd.mincost@5=panic;cache.slot_fill@2=stall:25;warm.rebuild@1=ioerr' \
     PDA_RETRY_FAULTS=2 PDA_BENCH_OUT=target/ci_bench_chaos.json ./target/release/batch)"
 echo "$chaos" | grep -q 'fault plane armed from PDA_FAULT_PLAN' \
     || { echo "ci: chaos bench never armed the fault plane" >&2; exit 1; }
 diff scripts/expected_batch_outcomes.txt \
-    <(echo "$chaos" | grep -E '^(outcome [0-9]+:|tree/interned outcomes identical:|per-query outcomes identical across job counts:|viable-engine outcomes identical:)') \
+    <(echo "$chaos" | outcome_lines) \
     || { echo "ci: chaos bench verdicts drifted from the golden outcomes" >&2; exit 1; }
 chaos_line="$(echo "$chaos" | grep '^resilience:')"
 echo "$chaos_line" | grep -Eq 'engine_faults=0 .* faults_injected=3 io_faults=1' \

@@ -28,7 +28,7 @@ use pda_analysis::PointsTo;
 use pda_escape::EscapeClient;
 use pda_tracer::{
     load_checkpoint, nullcli::NullClient, solve_queries_batch_checkpointed, BatchConfig,
-    BatchStats, CheckpointError, QueryResult, RetryPolicy, TracerConfig, ViableEngine,
+    BatchStats, CheckpointError, QueryResult, RetryPolicy, TracerConfig,
 };
 use pda_util::{faultplane, BitSet};
 use std::collections::BTreeSet;
@@ -245,8 +245,8 @@ fn torture(name: &str, run: &Runner<'_>, skip: &[&str], covered: &mut BTreeSet<S
 fn every_registered_seam_survives_crash_point_torture() {
     let mut covered: BTreeSet<String> = BTreeSet::new();
 
-    // Workload 1+2: tiny NullClient batch, jobs=1, both viable engines —
-    // deterministic ordinals for the solver and journal seams.
+    // Workload 1: tiny NullClient batch, jobs=1 — deterministic ordinals
+    // for the solver and journal seams.
     let program = pda_lang::parse_program(NULL_SRC).unwrap();
     let pa = PointsTo::analyze(&program);
     let null_client = NullClient::new(&program);
@@ -255,27 +255,20 @@ fn every_registered_seam_survives_crash_point_torture() {
         .iter_enumerated()
         .map(|(q, _)| null_client.query(&program, q))
         .collect();
-    for engine in [ViableEngine::Dpll, ViableEngine::Bdd] {
-        let run = |retry: Option<RetryPolicy>, path: &Path| {
-            let cfg = BatchConfig {
-                jobs: 1,
-                tracer: TracerConfig { viable_engine: engine, ..TracerConfig::default() },
-                retry,
-                ..BatchConfig::default()
-            };
-            solve_queries_batch_checkpointed(
-                &program,
-                &|c| pa.callees(c).to_vec(),
-                &null_client,
-                &null_queries,
-                &cfg,
-                path,
-            )
-        };
-        torture(&format!("null-{engine:?}"), &run, &[], &mut covered);
-    }
+    let run = |retry: Option<RetryPolicy>, path: &Path| {
+        let cfg = BatchConfig { jobs: 1, retry, ..BatchConfig::default() };
+        solve_queries_batch_checkpointed(
+            &program,
+            &|c| pa.callees(c).to_vec(),
+            &null_client,
+            &null_queries,
+            &cfg,
+            path,
+        )
+    };
+    torture("null", &run, &[], &mut covered);
 
-    // Workload 3: EscapeClient corpus program, jobs=2 — the parallel
+    // Workload 2: EscapeClient corpus program, jobs=2 — the parallel
     // scheduler's shared-cache and warm-store seams. The worker
     // spawn/join seams are crash-class: recorded for coverage, tortured
     // in the CI subprocess smoke.
@@ -303,7 +296,7 @@ fn every_registered_seam_survives_crash_point_torture() {
     };
     torture("escape-par", &run, &["batch.worker.spawn", "batch.worker.join"], &mut covered);
 
-    // Workload 4: the governor workload under a starvation budget —
+    // Workload 3: the governor workload under a starvation budget —
     // degradation-ladder seams (`governor.rung`, and `intern.reset` at
     // rung 2).
     let gov = pda_lang::parse_program(GOVERNOR_SRC).unwrap();
@@ -339,7 +332,6 @@ fn every_registered_seam_survives_crash_point_torture() {
     // least one workload — a silently dead fault point is a hole in the
     // torture surface.
     for required in [
-        "dpll.solve",
         "bdd.conjoin",
         "bdd.mincost",
         "warm.rebuild",

@@ -14,7 +14,7 @@
 
 use pda_escape::EscapeClient;
 use pda_suite::Benchmark;
-use pda_tracer::{solve_queries_batch_traced, BatchConfig, MetaKernel, TracerConfig};
+use pda_tracer::{solve_queries_batch_traced, BatchConfig};
 use pda_util::{Event, Recorder, TraceSink};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/hedc_trace.jsonl");
@@ -41,11 +41,7 @@ fn traced_run(bench: &Benchmark, n_queries: usize, jobs: usize) -> Vec<Event> {
         .map(|&(point, var)| client.access_query(point, var))
         .collect();
     let callees = bench.callees();
-    let config = BatchConfig {
-        tracer: TracerConfig { kernel: MetaKernel::Interned, ..TracerConfig::default() },
-        jobs,
-        ..BatchConfig::default()
-    };
+    let config = BatchConfig { jobs, ..BatchConfig::default() };
     let recorder = Recorder::new();
     let (_, _) = solve_queries_batch_traced(
         &bench.program,

@@ -1,28 +1,29 @@
-//! Differential validation of the interned meta-kernel against the tree
-//! kernel (the reference semantics).
+//! Differential validation of the interned meta-kernel (production)
+//! against the tree kernel (the reference semantics).
 //!
 //! The interned kernel is designed to be **bit-identical** to the tree
-//! path — same DNFs, same restriction formulas, hence the same SAT
-//! clauses and the same solver tie-breaking. Three layers check that:
+//! path — same DNFs, same restriction formulas, hence the same viable
+//! sets and the same chosen abstractions. Three layers check that:
 //!
-//! 1. end-to-end `solve_query` over the shared corpus, both real clients
-//!    (thread-escape and type-state), tree vs interned kernel: outcome,
-//!    iteration count, and escalation count must match exactly;
-//! 2. batch solving at `jobs ∈ {1, 8}` under both kernels: all four runs
-//!    must agree on every verdict;
+//! 1. every corpus query, both real clients (thread-escape and
+//!    type-state): [`check_iterations`] replays each CEGAR iteration of a
+//!    logged solve through the tree kernel (and DPLL), which must
+//!    reproduce the logged constraint syntactically;
+//! 2. batch solving at `jobs ∈ {1, 8}`: both runs agree with those
+//!    oracle-checked lone solves on every verdict;
 //! 3. randomized backward runs (SplitMix64-seeded traces and `not_q`
 //!    formulas over the definite-null meta-domain): the interned kernel's
 //!    DNF and restriction are *syntactically equal* to the tree kernel's.
 
 use pda_analysis::PointsTo;
+use pda_bench::oracle::check_iterations;
 use pda_escape::EscapeClient;
-use pda_lang::{Atom, VarId};
-use pda_meta::{
-    analyze_trace, analyze_trace_interned, restrict, BeamConfig, Formula, InternCache,
-};
+use pda_lang::{Atom, CallId, MethodId, Program, VarId};
+use pda_meta::{analyze_trace, analyze_trace_interned, restrict, BeamConfig, Formula, InternCache};
 use pda_tracer::{
     nullcli::{NullClient, NullPrim},
-    solve_query, solve_queries_batch, AsMeta, BatchConfig, MetaKernel, Outcome, TracerConfig,
+    solve_queries_batch, solve_query_logged, AsMeta, BatchConfig, Outcome, Query, QueryResult,
+    TracerClient, TracerConfig,
 };
 use pda_typestate::{TsMode, TypestateClient};
 use pda_util::BitSet;
@@ -30,85 +31,75 @@ use std::collections::BTreeSet;
 
 include!("corpus.rs");
 
-fn kernel_config(kernel: MetaKernel) -> TracerConfig {
-    TracerConfig { kernel, ..TracerConfig::default() }
+/// The bit-identity fingerprint of a result: everything except wall-clock
+/// time and the effort counters.
+fn fingerprint<P: Clone>(r: &QueryResult<P>) -> (Outcome<P>, usize, u32) {
+    (r.outcome.clone(), r.iterations, r.escalations)
 }
 
-/// The bit-identity fingerprint of a result: everything except wall-clock
-/// time and the meta counters (which differ across kernels by design).
-fn fingerprint<P: Clone>(r: &pda_tracer::QueryResult<P>) -> (Outcome<P>, usize, u32) {
-    (r.outcome.clone(), r.iterations, r.escalations)
+/// Solves `query` alone with its iterations logged, replays every
+/// iteration through the reference engines, and returns the result's
+/// fingerprint plus the number of iterations checked.
+fn oracle_checked<C: TracerClient<Param = BitSet>>(
+    program: &Program,
+    callees: &dyn Fn(CallId) -> Vec<MethodId>,
+    client: &C,
+    query: &Query<C::Prim>,
+    what: &str,
+) -> ((Outcome<BitSet>, usize, u32), usize) {
+    let (r, log) = solve_query_logged(program, callees, client, query, &TracerConfig::default());
+    match check_iterations(program, callees, client, query, &r, &log) {
+        Ok(n) => (fingerprint(&r), n),
+        Err(e) => panic!("{what}: {e}"),
+    }
+}
+
+fn escape_queries(
+    program: &Program,
+    client: &EscapeClient,
+) -> Vec<(String, Query<pda_escape::EscPrim>)> {
+    program
+        .queries
+        .iter_enumerated()
+        .filter(|(_, d)| matches!(d.kind, pda_lang::QueryKind::Local { .. }))
+        .map(|(qid, d)| (d.label.clone(), client.local_query(program, qid)))
+        .collect()
 }
 
 #[test]
 fn solve_query_is_kernel_invariant_for_escape() {
+    let mut checked = 0;
     for src in PROGRAMS {
         let program = pda_lang::parse_program(src).unwrap();
         let pa = PointsTo::analyze(&program);
-        let callees = |c: pda_lang::CallId| pa.callees(c).to_vec();
+        let callees = |c: CallId| pa.callees(c).to_vec();
         let client = EscapeClient::new(&program);
-        for (qid, decl) in program.queries.iter_enumerated() {
-            if !matches!(decl.kind, pda_lang::QueryKind::Local { .. }) {
-                continue;
-            }
-            let query = client.local_query(&program, qid);
-            let tree =
-                solve_query(&program, &callees, &client, &query, &kernel_config(MetaKernel::Tree));
-            let interned = solve_query(
-                &program,
-                &callees,
-                &client,
-                &query,
-                &kernel_config(MetaKernel::Interned),
-            );
-            assert_eq!(
-                fingerprint(&tree),
-                fingerprint(&interned),
-                "kernels diverged on {} in:\n{src}",
-                decl.label
-            );
+        for (label, query) in escape_queries(&program, &client) {
+            checked +=
+                oracle_checked(&program, &callees, &client, &query, &format!("{label} in:\n{src}"))
+                    .1;
         }
     }
+    assert!(checked > 0);
 }
 
 #[test]
 fn solve_query_is_kernel_invariant_for_typestate() {
+    let mut checked = 0;
     for src in PROGRAMS {
         let program = pda_lang::parse_program(src).unwrap();
         let pa = PointsTo::analyze(&program);
-        let callees = |c: pda_lang::CallId| pa.callees(c).to_vec();
+        let callees = |c: CallId| pa.callees(c).to_vec();
         for site in (0..program.sites.len()).map(|i| pda_lang::SiteId(i as u32)) {
             let client = TypestateClient::new(&program, &pa, site, TsMode::stress());
-            for (_, decl) in program.queries.iter_enumerated() {
-                let query = pda_tracer::Query {
-                    point: decl.point,
-                    not_q: Formula::prim(pda_typestate::TsPrim::Err),
-                    source: None,
-                    limits: Default::default(),
-                };
-                let tree = solve_query(
-                    &program,
-                    &callees,
-                    &client,
-                    &query,
-                    &kernel_config(MetaKernel::Tree),
-                );
-                let interned = solve_query(
-                    &program,
-                    &callees,
-                    &client,
-                    &query,
-                    &kernel_config(MetaKernel::Interned),
-                );
-                assert_eq!(
-                    fingerprint(&tree),
-                    fingerprint(&interned),
-                    "kernels diverged on {} (site {site}) in:\n{src}",
-                    decl.label
-                );
+            for decl in program.queries.iter() {
+                let query = client.stress_query(decl.point);
+                let what = format!("{} (site {site}) in:\n{src}", decl.label);
+                checked += oracle_checked(&program, &callees, &client, &query, &what).1;
             }
         }
     }
+    assert!(checked > 0);
 }
 
 #[test]
@@ -116,34 +107,21 @@ fn batch_is_kernel_invariant_at_jobs_1_and_8() {
     for src in PROGRAMS {
         let program = pda_lang::parse_program(src).unwrap();
         let pa = PointsTo::analyze(&program);
-        let callees = |c: pda_lang::CallId| pa.callees(c).to_vec();
+        let callees = |c: CallId| pa.callees(c).to_vec();
         let client = EscapeClient::new(&program);
-        let queries: Vec<_> = program
-            .queries
-            .iter_enumerated()
-            .filter(|(_, d)| matches!(d.kind, pda_lang::QueryKind::Local { .. }))
-            .map(|(qid, _)| client.local_query(&program, qid))
-            .collect();
+        let (labels, queries): (Vec<_>, Vec<_>) =
+            escape_queries(&program, &client).into_iter().unzip();
         assert!(!queries.is_empty());
-
-        let mut runs = Vec::new();
-        for kernel in [MetaKernel::Tree, MetaKernel::Interned] {
-            for jobs in [1usize, 8] {
-                let cfg = BatchConfig { tracer: kernel_config(kernel), jobs, ..BatchConfig::default() };
-                let (results, _) = solve_queries_batch(&program, &callees, &client, &queries, &cfg);
-                runs.push((kernel, jobs, results));
-            }
-        }
-        let (_, _, reference) = &runs[0];
-        for (kernel, jobs, results) in &runs[1..] {
-            assert_eq!(reference.len(), results.len());
-            for (i, (a, b)) in reference.iter().zip(results).enumerate() {
-                assert_eq!(
-                    fingerprint(a),
-                    fingerprint(b),
-                    "batch verdict diverged for query {i} under {kernel:?} jobs={jobs} in:\n{src}"
-                );
-            }
+        let reference: Vec<_> = labels
+            .iter()
+            .zip(&queries)
+            .map(|(l, q)| oracle_checked(&program, &callees, &client, q, l).0)
+            .collect();
+        for jobs in [1usize, 8] {
+            let cfg = BatchConfig { jobs, ..BatchConfig::default() };
+            let (results, _) = solve_queries_batch(&program, &callees, &client, &queries, &cfg);
+            let fps: Vec<_> = results.iter().map(fingerprint).collect();
+            assert_eq!(fps, reference, "batch at jobs={jobs} diverged in:\n{src}");
         }
     }
 }
@@ -208,27 +186,18 @@ fn random_backward_runs_are_kernel_identical() {
         let trace: Vec<Atom> = (0..1 + rng.below(6)).map(|_| random_atom(&mut rng)).collect();
         let not_q = random_formula(&mut rng, 3);
         let cfg = &cfgs[(round % cfgs.len() as u64) as usize];
-        let p = BitSet::from_iter(
-            N_VARS as usize,
-            (0..N_VARS as usize).filter(|_| rng.below(2) == 0),
-        );
-        let d0: BTreeSet<VarId> = (0..N_VARS as u32).filter(|_| rng.below(2) == 0).map(VarId).collect();
+        let p =
+            BitSet::from_iter(N_VARS as usize, (0..N_VARS as usize).filter(|_| rng.below(2) == 0));
+        let d0: BTreeSet<VarId> =
+            (0..N_VARS as u32).filter(|_| rng.below(2) == 0).map(VarId).collect();
 
         let tree = analyze_trace(&AsMeta(&client), &p, &d0, &trace, &not_q, cfg);
         let mut obs = pda_util::ObsRegistry::default();
         // Alternate fresh and shared caches: both must match the tree.
         let mut fresh = InternCache::new();
         let cache = if round % 2 == 0 { &mut fresh } else { &mut shared };
-        let interned = analyze_trace_interned(
-            &AsMeta(&client),
-            &p,
-            &d0,
-            &trace,
-            &not_q,
-            cfg,
-            cache,
-            &mut obs,
-        );
+        let interned =
+            analyze_trace_interned(&AsMeta(&client), &p, &d0, &trace, &not_q, cfg, cache, &mut obs);
         match (tree, interned) {
             (Ok(t), Ok(f)) => {
                 assert_eq!(
@@ -251,99 +220,4 @@ fn random_backward_runs_are_kernel_identical() {
         }
     }
     assert!(compared >= 200, "only {compared} successful comparisons");
-}
-
-// ---- meta-jobs data parallelism ----
-
-/// The full bit-identity contract for `meta_jobs > 1`, as integration
-/// surface: DNF, restriction, *and* the per-run counters (`CubesBuilt`,
-/// `WpHits`, `WpMisses`) that `MetaDone` trace events put on the wire —
-/// against the serial kernel, with both a fresh cache per run and a warm
-/// cache reused across rounds (the batch driver's steady state).
-#[test]
-fn meta_jobs_runs_are_bit_identical_fresh_and_warm() {
-    use pda_meta::analyze_trace_interned_jobs as run_jobs;
-    use pda_util::{Counter, ObsRegistry};
-
-    let mut rng = SplitMix64(0xBEEF_0002);
-    let program = pda_lang::parse_program("fn main() { var a, b, c, d; }").unwrap();
-    let client = NullClient::new(&program);
-    let cfg = BeamConfig::default();
-    let counters = [Counter::CubesBuilt, Counter::WpHits, Counter::WpMisses];
-
-    // Warm lineages: one serial, one per parallel degree. Identical
-    // inputs must keep them in lockstep, so the warm comparisons also
-    // prove the *caches* evolve identically.
-    let mut warm_serial: InternCache<NullPrim> = InternCache::new();
-    let mut warm_par = [InternCache::<NullPrim>::new(), InternCache::<NullPrim>::new()];
-
-    for _round in 0..150 {
-        let trace: Vec<Atom> = (0..1 + rng.below(6)).map(|_| random_atom(&mut rng)).collect();
-        let not_q = random_formula(&mut rng, 3);
-        let p = BitSet::from_iter(
-            N_VARS as usize,
-            (0..N_VARS as usize).filter(|_| rng.below(2) == 0),
-        );
-        let d0: BTreeSet<VarId> =
-            (0..N_VARS as u32).filter(|_| rng.below(2) == 0).map(VarId).collect();
-
-        let run = |cache: &mut InternCache<NullPrim>, meta_jobs: usize| {
-            let mut obs = ObsRegistry::default();
-            let r = run_jobs(
-                &AsMeta(&client), &p, &d0, &trace, &not_q, &cfg, cache, &mut obs, meta_jobs,
-            );
-            let counts: Vec<u64> = counters.iter().map(|&c| obs.get(c)).collect();
-            (r.map(|f| (f.to_dnf(), f.restrict())), counts)
-        };
-
-        let fresh_ref = run(&mut InternCache::new(), 1);
-        let warm_ref = run(&mut warm_serial, 1);
-        for (i, meta_jobs) in [2usize, 4].into_iter().enumerate() {
-            let fresh = run(&mut InternCache::new(), meta_jobs);
-            assert_eq!(
-                fresh_ref, fresh,
-                "fresh-cache run diverged at meta_jobs={meta_jobs} on {trace:?}, not_q {not_q}"
-            );
-            let warm = run(&mut warm_par[i], meta_jobs);
-            assert_eq!(
-                warm_ref, warm,
-                "warm-cache run diverged at meta_jobs={meta_jobs} on {trace:?}, not_q {not_q}"
-            );
-        }
-    }
-}
-
-/// End-to-end plumbing check: `TracerConfig::meta_jobs` must be invisible
-/// in `solve_query` results over the whole corpus.
-#[test]
-fn solve_query_is_meta_jobs_invariant() {
-    for src in PROGRAMS {
-        let program = pda_lang::parse_program(src).unwrap();
-        let pa = PointsTo::analyze(&program);
-        let callees = |c: pda_lang::CallId| pa.callees(c).to_vec();
-        let client = EscapeClient::new(&program);
-        for (qid, decl) in program.queries.iter_enumerated() {
-            if !matches!(decl.kind, pda_lang::QueryKind::Local { .. }) {
-                continue;
-            }
-            let query = client.local_query(&program, qid);
-            let solve = |meta_jobs: usize| {
-                let cfg = TracerConfig {
-                    kernel: MetaKernel::Interned,
-                    meta_jobs,
-                    ..TracerConfig::default()
-                };
-                fingerprint(&solve_query(&program, &callees, &client, &query, &cfg))
-            };
-            let serial = solve(1);
-            for meta_jobs in [2, 4] {
-                assert_eq!(
-                    serial,
-                    solve(meta_jobs),
-                    "meta_jobs={meta_jobs} changed {} in:\n{src}",
-                    decl.label
-                );
-            }
-        }
-    }
 }

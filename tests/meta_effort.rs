@@ -4,7 +4,7 @@
 //! For every corpus program (and the seeded suite's hedc benchmark) ×
 //! {thread-escape, type-state}, each query is solved on its own and
 //! records its outcome, the chosen abstraction and its cost, the CEGAR
-//! iteration count, the DPLL search nodes, and the meta kernel's cubes
+//! iteration count, the BDD nodes created, and the meta kernel's cubes
 //! built and wp-memo hits/misses. A change to the backward walk that
 //! alters which constraints are learned moves the first five columns; a
 //! change that only saves work moves the last three. Wall time never

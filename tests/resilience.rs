@@ -346,59 +346,3 @@ fn checkpoint_truncated_at_every_byte_offset_recovers_the_complete_prefix() {
     std::fs::remove_file(&trunc).ok();
 }
 
-/// The full parallelism grid — batch workers crossed with in-query
-/// `meta_jobs` under the interned kernel — stays deterministic with an
-/// injected panic in the batch: healthy queries match the fault-free
-/// sequential baseline at every combination, and the faulted query
-/// resolves as the same `EngineFault` everywhere.
-#[test]
-fn faulted_batch_is_deterministic_across_jobs_and_meta_jobs() {
-    use pda_tracer::MetaKernel;
-
-    let fx = Fixture::new(SRC);
-    let callees = |c: pda_lang::CallId| fx.pa.callees(c).to_vec();
-    let config = TracerConfig { kernel: MetaKernel::Interned, ..TracerConfig::default() };
-
-    let baseline: Vec<_> = fx
-        .queries()
-        .iter()
-        .map(|q| solve_query(&fx.program, &callees, &fx.client, q, &config))
-        .collect();
-
-    let wrapped = FaultInjectingClient::new(&fx.client);
-    let healthy = fx.queries().len();
-
-    let mut per_combo = Vec::new();
-    for (jobs, meta_jobs) in [(1usize, 1usize), (1, 4), (2, 2), (8, 1), (8, 4)] {
-        // Rebuilt per run: a fault's one-shot latch is per query instance.
-        let mut queries: Vec<_> = fx.queries().into_iter().map(lift_query).collect();
-        queries.push(faulty_query(
-            fx.queries()[0].clone(),
-            Fault::Panic("injected panic".into()),
-        ));
-        let batch = BatchConfig {
-            tracer: TracerConfig { meta_jobs, ..config.clone() },
-            jobs,
-            ..BatchConfig::default()
-        };
-        let (results, stats) =
-            solve_queries_batch(&fx.program, &callees, &wrapped, &queries, &batch);
-        assert_eq!(stats.engine_faults, 1, "jobs={jobs} meta_jobs={meta_jobs}");
-        for (i, (r, b)) in results.iter().zip(&baseline).enumerate() {
-            assert_eq!(
-                key(r),
-                key(b),
-                "healthy query {i} diverged at jobs={jobs} meta_jobs={meta_jobs}"
-            );
-        }
-        assert_eq!(
-            results[healthy].outcome,
-            Outcome::Unresolved(Unresolved::EngineFault("injected panic".into())),
-            "jobs={jobs} meta_jobs={meta_jobs}"
-        );
-        per_combo.push(results.iter().map(key).collect::<Vec<_>>());
-    }
-    for combo in &per_combo[1..] {
-        assert_eq!(&per_combo[0], combo, "result vector diverged across the grid");
-    }
-}

@@ -25,8 +25,7 @@ use pda_serve::{
 };
 use pda_suite::Benchmark;
 use pda_tracer::{
-    default_jobs, outcome_tag, solve_queries_batch, BatchConfig, Outcome, ParamCodec, Query,
-    RetryPolicy, TracerConfig,
+    outcome_tag, solve_queries_batch, BatchConfig, Outcome, ParamCodec, Query, RetryPolicy,
 };
 use pda_util::json::parse_json_line;
 use std::collections::HashMap;
@@ -621,57 +620,3 @@ fn socket_daemon_serves_and_drains_on_shutdown() {
     assert!(!socket.exists(), "a drained daemon removes its socket file");
 }
 
-/// Regression: `thread_cap` must bound the solve op's in-query
-/// meta-kernel degree exactly like the batch scheduler bounds its
-/// workers. Before the fix, a direct `solve` request reached
-/// `analyze_trace_interned_jobs` with the unclamped `meta_jobs` — a
-/// daemon configured with a thread cap could still fan the backward
-/// kernel out past it.
-#[test]
-fn thread_cap_clamps_solve_op_meta_jobs() {
-    let (bench, _) = hedc_workload();
-    let client = EscapeClient::new(&bench.program);
-    let (labels, queries) = access_queries(&bench, &client, 2);
-    let callees = bench.callees();
-
-    let make = |meta_jobs: usize, thread_cap: Option<usize>| {
-        Supervisor::new(
-            &bench.program,
-            &callees,
-            &client,
-            queries.clone(),
-            labels.clone(),
-            ServeConfig {
-                tracer: TracerConfig { meta_jobs, ..TracerConfig::default() },
-                thread_cap,
-                ..ServeConfig::default()
-            },
-        )
-    };
-
-    // An absurd requested degree is capped at the configured bound —
-    // the same `min(cap).max(1)` the batch scheduler applies.
-    let capped = make(64, Some(2));
-    assert_eq!(capped.tracer_config().meta_jobs, 2);
-    // `None` keeps the machine clamp, identical to the batch default.
-    let uncapped = make(64, None);
-    assert_eq!(uncapped.tracer_config().meta_jobs, 64.min(default_jobs()).max(1));
-    // A zero cap never zeroes the kernel out.
-    assert_eq!(make(64, Some(0)).tracer_config().meta_jobs, 1);
-
-    // The clamp is semantically transparent: a capped daemon serves the
-    // same verdicts as the batch driver.
-    let (batch, _) = solve_queries_batch(
-        &bench.program,
-        &callees,
-        &client,
-        &queries,
-        &BatchConfig::default(),
-    );
-    let mut conn = ConnState::new(capped.generation());
-    for (i, reference) in batch.iter().enumerate() {
-        let f = fields(&capped.handle_line(&mut conn, &solve_line(i)).text);
-        assert_eq!(f["ok"], "true");
-        assert_eq!(f["outcome"], outcome_tag(&reference.outcome));
-    }
-}

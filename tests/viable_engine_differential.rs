@@ -1,43 +1,83 @@
-//! Differential validation of the BDD viable-set engine against DPLL
-//! (the reference minimum-cost search).
+//! Differential validation of the BDD viable-set engine (production)
+//! against DPLL (the reference minimum-cost search).
 //!
 //! The ROBDD engine is designed to be **bit-identical** to DPLL: same
 //! satisfiability verdicts, same minimum cost, and the *same extracted
 //! model* — both engines canonicalize ties to the lexicographically
-//! least minimum-cost assignment. Three layers check that:
+//! least minimum-cost assignment. Four layers check that:
 //!
 //! 1. seeded random CNF-ish instances (SplitMix64): a resident `Bdd`
 //!    conjoining constraints one at a time — exactly the CEGAR usage
 //!    pattern — must agree with a fresh `MinCostSolver` over the full
 //!    prefix after *every* conjoin, down to the exact model;
-//! 2. every corpus query, both real clients, `ViableEngine::Dpll` vs
-//!    `ViableEngine::Bdd`: outcome, iteration count, and escalation
-//!    count must match exactly, fresh and warm (resident intern cache);
-//! 3. batch solving at `jobs ∈ {1, 8}` under both engines: all four
-//!    runs must agree on every verdict;
-//! 4. crash recovery: a BDD batch killed mid-run (torn checkpoint)
-//!    resumes to results bit-identical to an uninterrupted DPLL run.
+//! 2. every thread-escape and type-state query of the seeded suite's
+//!    hedc benchmark (the realistic program of `tests/meta_effort.rs`):
+//!    [`check_iterations`] replays each CEGAR iteration of a logged
+//!    solve through DPLL (and the tree kernel), which must pick the
+//!    logged abstraction at the logged cost; the corpus queries get the
+//!    same replay in `tests/kernel_differential.rs`;
+//! 3. the warm daemon path and batch solving at `jobs ∈ {1, 8}` match
+//!    those oracle-checked lone solves query for query;
+//! 4. crash recovery: a batch killed mid-run (torn checkpoint) resumes to
+//!    results bit-identical to the uninterrupted, oracle-checked solves.
 
 use pda_analysis::PointsTo;
+use pda_bench::oracle::check_iterations;
 use pda_escape::EscapeClient;
+use pda_lang::{CallId, MethodId, PointId, Program};
 use pda_solver::{Bdd, MinCostSolver, PFormula};
 use pda_tracer::{
-    solve_queries_batch, solve_queries_batch_checkpointed, solve_query, BatchConfig, ForwardCache,
-    InternCache, Outcome, QueryObs, Session, TracerConfig, ViableEngine,
+    solve_queries_batch, solve_queries_batch_checkpointed, solve_query_logged, BatchConfig,
+    ForwardCache, InternCache, Outcome, Query, QueryObs, QueryResult, Session, TracerClient,
+    TracerConfig,
 };
 use pda_typestate::{TsMode, TypestateClient};
-use pda_util::SplitMix64;
+use pda_util::{BitSet, SplitMix64};
+use std::collections::{BTreeMap, HashSet};
 
 include!("corpus.rs");
 
-fn engine_config(engine: ViableEngine) -> TracerConfig {
-    TracerConfig { viable_engine: engine, ..TracerConfig::default() }
+/// The bit-identity fingerprint of a result: everything except wall-clock
+/// time and the effort counters.
+fn fingerprint<P: Clone>(r: &QueryResult<P>) -> (Outcome<P>, usize, u32) {
+    (r.outcome.clone(), r.iterations, r.escalations)
 }
 
-/// The bit-identity fingerprint of a result: everything except wall-clock
-/// time and the effort counters (which differ across engines by design).
-fn fingerprint<P: Clone>(r: &pda_tracer::QueryResult<P>) -> (Outcome<P>, usize, u32) {
-    (r.outcome.clone(), r.iterations, r.escalations)
+/// Solves `query` alone with its iterations logged, replays every
+/// iteration through the reference engines, and returns the result's
+/// fingerprint plus the number of iterations checked.
+fn oracle_checked<C: TracerClient<Param = BitSet>>(
+    program: &Program,
+    callees: &dyn Fn(CallId) -> Vec<MethodId>,
+    client: &C,
+    query: &Query<C::Prim>,
+    what: &str,
+) -> ((Outcome<BitSet>, usize, u32), usize) {
+    let (r, log) = solve_query_logged(program, callees, client, query, &TracerConfig::default());
+    match check_iterations(program, callees, client, query, &r, &log) {
+        Ok(n) => (fingerprint(&r), n),
+        Err(e) => panic!("{what}: {e}"),
+    }
+}
+
+/// The corpus program's thread-escape queries.
+fn escape_queries(program: &Program, client: &EscapeClient) -> Vec<Query<pda_escape::EscPrim>> {
+    program
+        .queries
+        .iter_enumerated()
+        .filter(|(_, d)| matches!(d.kind, pda_lang::QueryKind::Local { .. }))
+        .map(|(qid, _)| client.local_query(program, qid))
+        .collect()
+}
+
+/// The first suite benchmark with at least 16 thread-escape queries
+/// (hedc with the default suite).
+fn hedc() -> pda_suite::Benchmark {
+    pda_suite::suite()
+        .into_iter()
+        .map(pda_suite::Benchmark::load)
+        .find(|b| EscapeClient::accesses(&b.program, b.app_methods()).len() >= 16)
+        .expect("some suite benchmark has >=16 escape queries")
 }
 
 /// A random shallow formula over `n` atoms: a disjunction of literals
@@ -93,173 +133,101 @@ fn resident_bdd_matches_fresh_dpll_on_random_instances() {
     }
 }
 
-/// Layer 2a: end-to-end over the corpus, thread-escape client, fresh
-/// caches per query.
+/// Layer 2a: every hedc thread-escape access query.
 #[test]
 fn solve_query_is_engine_invariant_for_escape() {
-    for src in PROGRAMS {
-        let program = pda_lang::parse_program(src).unwrap();
-        let pa = PointsTo::analyze(&program);
-        let callees = |c: pda_lang::CallId| pa.callees(c).to_vec();
-        let client = EscapeClient::new(&program);
-        for (qid, decl) in program.queries.iter_enumerated() {
-            if !matches!(decl.kind, pda_lang::QueryKind::Local { .. }) {
-                continue;
-            }
-            let query = client.local_query(&program, qid);
-            let dpll = solve_query(
-                &program,
-                &callees,
-                &client,
-                &query,
-                &engine_config(ViableEngine::Dpll),
-            );
-            let bdd = solve_query(
-                &program,
-                &callees,
-                &client,
-                &query,
-                &engine_config(ViableEngine::Bdd),
-            );
-            assert_eq!(
-                fingerprint(&dpll),
-                fingerprint(&bdd),
-                "engines diverged on {} in:\n{src}",
-                decl.label
-            );
-        }
+    let bench = hedc();
+    let callees = |c: CallId| bench.pa.callees(c).to_vec();
+    let client = EscapeClient::new(&bench.program);
+    let mut checked = 0;
+    for (point, var) in EscapeClient::accesses(&bench.program, bench.app_methods()) {
+        let query = client.access_query(point, var);
+        let what = format!("hedc escape p{}v{}", point.0, var.0);
+        checked += oracle_checked(&bench.program, &callees, &client, &query, &what).1;
     }
+    assert!(checked > 0);
 }
 
-/// Layer 2b: end-to-end over the corpus, type-state client, every site.
+/// Layer 2b: every hedc type-state stress query at the suite harness's
+/// query points, one client per tracked site, as the experiment tables
+/// pose them.
 #[test]
 fn solve_query_is_engine_invariant_for_typestate() {
-    for src in PROGRAMS {
-        let program = pda_lang::parse_program(src).unwrap();
-        let pa = PointsTo::analyze(&program);
-        let callees = |c: pda_lang::CallId| pa.callees(c).to_vec();
-        for site in (0..program.sites.len()).map(|i| pda_lang::SiteId(i as u32)) {
-            let client = TypestateClient::new(&program, &pa, site, TsMode::stress());
-            for (_, decl) in program.queries.iter_enumerated() {
-                let query = client.stress_query(decl.point);
-                let dpll = solve_query(
-                    &program,
-                    &callees,
-                    &client,
-                    &query,
-                    &engine_config(ViableEngine::Dpll),
-                );
-                let bdd = solve_query(
-                    &program,
-                    &callees,
-                    &client,
-                    &query,
-                    &engine_config(ViableEngine::Bdd),
-                );
-                assert_eq!(
-                    fingerprint(&dpll),
-                    fingerprint(&bdd),
-                    "engines diverged at {} site {site:?} in:\n{src}",
-                    decl.label
-                );
-            }
+    let bench = hedc();
+    let program = &bench.program;
+    let callees = |c: CallId| bench.pa.callees(c).to_vec();
+    let harness = pda_suite::experiments::ExperimentConfig::default();
+    let skip: HashSet<_> = program
+        .methods
+        .iter()
+        .filter(|m| program.names.resolve(m.name).starts_with("lib_"))
+        .map(|m| m.name)
+        .collect();
+    let mut by_site: BTreeMap<pda_lang::SiteId, Vec<PointId>> = BTreeMap::new();
+    for (point, site) in pda_suite::experiments::typestate_query_points(&bench, &harness) {
+        by_site.entry(site).or_default().push(point);
+    }
+    let mut checked = 0;
+    for (site, points) in by_site {
+        let client =
+            TypestateClient::new(program, &bench.pa, site, TsMode::Stress { skip: skip.clone() });
+        for pt in points {
+            let what = format!("hedc typestate site {} p{}", site.0, pt.0);
+            checked +=
+                oracle_checked(program, &callees, &client, &client.stress_query(pt), &what).1;
         }
     }
+    assert!(checked > 0);
 }
 
-/// Layer 2c: the warm daemon path — one resident intern cache serving
-/// every corpus query in sequence, per engine. Warm memoization is
-/// semantically transparent, so the warm BDD run must match the fresh
-/// DPLL fingerprints query for query.
+/// Layer 3a: the warm daemon path — one resident intern cache and one
+/// forward cache serving every corpus query in sequence. Warm
+/// memoization is semantically transparent, so the warm run must match
+/// the oracle-checked fresh solves query for query.
 #[test]
 fn warm_cache_solves_are_engine_invariant() {
     for src in PROGRAMS {
         let program = pda_lang::parse_program(src).unwrap();
         let pa = PointsTo::analyze(&program);
-        let callees = |c: pda_lang::CallId| pa.callees(c).to_vec();
+        let callees = |c: CallId| pa.callees(c).to_vec();
         let client = EscapeClient::new(&program);
-        let queries: Vec<_> = program
-            .queries
-            .iter_enumerated()
-            .filter(|(_, d)| matches!(d.kind, pda_lang::QueryKind::Local { .. }))
-            .map(|(qid, _)| client.local_query(&program, qid))
-            .collect();
-        let mut warm_runs = Vec::new();
-        for engine in [ViableEngine::Dpll, ViableEngine::Bdd] {
-            let config = engine_config(engine);
-            let cache = ForwardCache::new();
-            let mut icache = InternCache::default();
-            let mut fps = Vec::new();
-            for (i, query) in queries.iter().enumerate() {
-                let mut obs = QueryObs::new(i as u64, false, false);
-                let r = Session::new(&program, &callees, &client, query, &config)
-                    .cache(&cache)
-                    .intern(&mut icache)
-                    .observe(&mut obs)
-                    .run();
-                fps.push(fingerprint(&r));
-            }
-            warm_runs.push(fps);
-        }
-        assert_eq!(warm_runs[0], warm_runs[1], "warm engines diverged in:\n{src}");
-        // And warm matches fresh (the sequential solve_query driver).
-        for (i, (qid, _)) in program
-            .queries
-            .iter_enumerated()
-            .filter(|(_, d)| matches!(d.kind, pda_lang::QueryKind::Local { .. }))
-            .enumerate()
-        {
-            let query = client.local_query(&program, qid);
-            let fresh = solve_query(
-                &program,
-                &callees,
-                &client,
-                &query,
-                &engine_config(ViableEngine::Bdd),
-            );
-            assert_eq!(fingerprint(&fresh), warm_runs[1][i], "warm BDD != fresh BDD in:\n{src}");
+        let config = TracerConfig::default();
+        let cache = ForwardCache::new();
+        let mut icache = InternCache::default();
+        for (i, query) in escape_queries(&program, &client).iter().enumerate() {
+            let mut obs = QueryObs::new(i as u64, false, false);
+            let warm = Session::new(&program, &callees, &client, query, &config)
+                .cache(&cache)
+                .intern(&mut icache)
+                .observe(&mut obs)
+                .run();
+            let (fresh, _) = oracle_checked(&program, &callees, &client, query, src);
+            assert_eq!(fingerprint(&warm), fresh, "query {i}: warm != fresh in:\n{src}");
         }
     }
 }
 
-/// Layer 4: crash recovery is engine-invariant. A BDD-engine batch
-/// "killed" mid-run — its checkpoint truncated to the header, a prefix
-/// of records, and a torn half-written tail line — resumes under the
-/// BDD engine, re-solving only the missing queries, and the recovered
-/// results are bit-identical to an *uninterrupted DPLL* run of the same
-/// batch. This pins that neither the resident-BDD state nor the resume
-/// path leaks into verdicts: a restored-and-resumed BDD batch is
-/// indistinguishable from the reference engine run fresh.
+/// Layer 4: crash recovery. A batch "killed" mid-run — its checkpoint
+/// truncated to the header, a prefix of records, and a torn half-written
+/// tail line — resumes, re-solving only the missing queries, and the
+/// recovered results are bit-identical to an uninterrupted run and to
+/// the oracle-checked lone solves. This pins that neither the
+/// resident-BDD state nor the resume path leaks into verdicts.
 #[test]
 fn bdd_checkpoint_resume_matches_uninterrupted_dpll() {
     for src in PROGRAMS {
         let program = pda_lang::parse_program(src).unwrap();
         let pa = PointsTo::analyze(&program);
-        let callees = |c: pda_lang::CallId| pa.callees(c).to_vec();
+        let callees = |c: CallId| pa.callees(c).to_vec();
         let client = EscapeClient::new(&program);
-        let queries: Vec<_> = program
-            .queries
-            .iter_enumerated()
-            .filter(|(_, d)| matches!(d.kind, pda_lang::QueryKind::Local { .. }))
-            .map(|(qid, _)| client.local_query(&program, qid))
-            .collect();
+        let queries = escape_queries(&program, &client);
         if queries.len() < 2 {
             continue;
         }
+        let reference: Vec<_> =
+            queries.iter().map(|q| oracle_checked(&program, &callees, &client, q, src).0).collect();
 
-        // The uninterrupted reference run, on the oracle engine.
-        let dpll_cfg = BatchConfig {
-            tracer: engine_config(ViableEngine::Dpll),
-            ..BatchConfig::default()
-        };
-        let (reference, _) =
-            solve_queries_batch(&program, &callees, &client, &queries, &dpll_cfg);
-
-        let bdd_cfg = BatchConfig {
-            jobs: 2,
-            tracer: engine_config(ViableEngine::Bdd),
-            ..BatchConfig::default()
-        };
+        let cfg = BatchConfig { jobs: 2, ..BatchConfig::default() };
         let path = std::env::temp_dir().join(format!(
             "pda-viable-ckpt-{}-{}.jsonl",
             std::process::id(),
@@ -267,75 +235,57 @@ fn bdd_checkpoint_resume_matches_uninterrupted_dpll() {
         ));
         std::fs::remove_file(&path).ok();
 
-        // Run the BDD batch to completion once so the checkpoint holds a
-        // full record stream, then simulate the kill: keep the header and
-        // the first record, and leave a torn half-written line behind.
-        let (full, stats) = solve_queries_batch_checkpointed(
-            &program, &callees, &client, &queries, &bdd_cfg, &path,
-        )
-        .unwrap();
+        // Run the batch to completion once so the checkpoint holds a full
+        // record stream, then simulate the kill: keep the header and the
+        // first record, and leave a torn half-written line behind.
+        let (full, stats) =
+            solve_queries_batch_checkpointed(&program, &callees, &client, &queries, &cfg, &path)
+                .unwrap();
         assert_eq!(stats.resumed, 0);
         let text = std::fs::read_to_string(&path).unwrap();
         let keep: Vec<&str> = text.lines().take(2).collect();
         std::fs::write(&path, format!("{}\n{{\"i\":1,\"outc", keep.join("\n"))).unwrap();
 
-        let (resumed, stats) = solve_queries_batch_checkpointed(
-            &program, &callees, &client, &queries, &bdd_cfg, &path,
-        )
-        .unwrap();
+        let (resumed, stats) =
+            solve_queries_batch_checkpointed(&program, &callees, &client, &queries, &cfg, &path)
+                .unwrap();
         assert_eq!(stats.resumed, 1, "exactly the surviving record is restored");
         for (i, ((r, f), d)) in resumed.iter().zip(&full).zip(&reference).enumerate() {
             assert_eq!(
                 fingerprint(r),
                 fingerprint(f),
-                "query {i}: resumed BDD != uninterrupted BDD in:\n{src}"
+                "query {i}: resumed != uninterrupted in:\n{src}"
             );
-            assert_eq!(
-                fingerprint(r),
-                fingerprint(d),
-                "query {i}: resumed BDD != uninterrupted DPLL in:\n{src}"
-            );
+            assert_eq!(&fingerprint(r), d, "query {i}: resumed != oracle-checked solve in:\n{src}");
         }
         std::fs::remove_file(&path).ok();
     }
 }
 
-/// Layer 3: the batch scheduler at `jobs ∈ {1, 8}` crossed with both
-/// engines — all four runs agree on every verdict, iteration count, and
+/// Layer 3b: the batch scheduler at `jobs ∈ {1, 8}` on the corpus's
+/// type-state queries (one batch per tracked site) agrees with the
+/// oracle-checked lone solves on every verdict, iteration count, and
 /// model.
 #[test]
 fn batch_verdicts_are_engine_and_jobs_invariant() {
     for src in PROGRAMS {
         let program = pda_lang::parse_program(src).unwrap();
         let pa = PointsTo::analyze(&program);
-        let callees = |c: pda_lang::CallId| pa.callees(c).to_vec();
-        let client = EscapeClient::new(&program);
-        let queries: Vec<_> = program
-            .queries
-            .iter_enumerated()
-            .filter(|(_, d)| matches!(d.kind, pda_lang::QueryKind::Local { .. }))
-            .map(|(qid, _)| client.local_query(&program, qid))
-            .collect();
-        let mut runs = Vec::new();
-        for engine in [ViableEngine::Dpll, ViableEngine::Bdd] {
+        let callees = |c: CallId| pa.callees(c).to_vec();
+        for site in (0..program.sites.len()).map(|i| pda_lang::SiteId(i as u32)) {
+            let client = TypestateClient::new(&program, &pa, site, TsMode::stress());
+            let queries: Vec<_> =
+                program.queries.iter().map(|d| client.stress_query(d.point)).collect();
+            let reference: Vec<_> = queries
+                .iter()
+                .map(|q| oracle_checked(&program, &callees, &client, q, src).0)
+                .collect();
             for jobs in [1usize, 8] {
-                let cfg = BatchConfig {
-                    jobs,
-                    tracer: engine_config(engine),
-                    ..BatchConfig::default()
-                };
-                let (results, _) =
-                    solve_queries_batch(&program, &callees, &client, &queries, &cfg);
-                runs.push((engine, jobs, results.iter().map(fingerprint).collect::<Vec<_>>()));
+                let cfg = BatchConfig { jobs, ..BatchConfig::default() };
+                let (results, _) = solve_queries_batch(&program, &callees, &client, &queries, &cfg);
+                let fps: Vec<_> = results.iter().map(fingerprint).collect();
+                assert_eq!(fps, reference, "site {site} batch at jobs={jobs} diverged in:\n{src}");
             }
-        }
-        let (e0, j0, reference) = &runs[0];
-        for (engine, jobs, fps) in &runs[1..] {
-            assert_eq!(
-                fps, reference,
-                "batch run engine={engine} jobs={jobs} diverged from engine={e0} jobs={j0} \
-                 in:\n{src}"
-            );
         }
     }
 }
