@@ -55,15 +55,15 @@ use crate::tracer::{
 };
 use pda_dataflow::{Interrupt, RhsResult, TooBig};
 use pda_lang::{CallId, MethodId, Program};
-use pda_meta::{MetaStats, WarmStore};
+use pda_meta::MetaStats;
 use pda_util::{
-    fault_point, faultplane, fnv1a, CacheStats, Counter, Deadline, Event, MemBudget, ObsRegistry,
-    SplitMix64, StripedLock, TraceSink,
+    fault_point, faultplane, CacheStats, Counter, Deadline, Event, MemBudget, ObsRegistry,
+    SplitMix64, TraceSink,
 };
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Deterministic retry-with-backoff for transient per-query faults.
@@ -145,9 +145,9 @@ pub struct WorkerMeta {
     pub meta_micros: u64,
     /// Total wall time this worker spent solving (claim to finish), µs.
     pub busy_micros: u64,
-    /// Microseconds this worker spent blocked on shared-structure locks:
-    /// contended [`ForwardCache`] shard acquisitions for its queries plus
-    /// admission-turnstile waits.
+    /// Microseconds this worker spent blocked: its queries' waits in the
+    /// [`ForwardCache`] (contended map acquisitions and waits on a
+    /// sibling's running forward run) plus admission-turnstile waits.
     pub lock_wait_micros: u64,
 }
 
@@ -157,9 +157,9 @@ pub struct BatchConfig {
     /// Per-query TRACER configuration.
     pub tracer: TracerConfig,
     /// Requested worker parallelism; `0` is treated as `1`. Workers only
-    /// decide who claims which query: the forward-run cache and warm meta
-    /// store are shared whenever the batch has two or more queries to
-    /// solve, at any value. The number of workers actually used is
+    /// decide who claims which query: the forward-run cache is shared
+    /// whenever the batch has two or more queries to solve, at any
+    /// value. The number of workers actually used is
     /// additionally clamped to the machine's available parallelism —
     /// oversubscribing a core count only time-shares the CEGAR loops and
     /// inflates per-phase wall-clock attribution without finishing any
@@ -261,10 +261,10 @@ pub struct BatchStats {
     /// Transient-fault retry attempts consumed across all queries. Zero
     /// unless [`BatchConfig::retry`] is set.
     pub retries: u64,
-    /// Total microseconds workers spent blocked on shared-structure
-    /// locks: contended [`ForwardCache`] shard acquisitions, admission
-    /// turnstile waits, and warm meta-store shard waits. Rendered as
-    /// `contention=` in the footer.
+    /// Total microseconds workers spent blocked: contended
+    /// [`ForwardCache`] map acquisitions, waits on a sibling's running
+    /// forward run of the same key, and admission-turnstile waits.
+    /// Rendered as `contention=` in the footer.
     pub contention_micros: u64,
     /// Faults the deterministic fault plane fired during this batch (the
     /// delta of [`pda_util::faultplane::faults_injected`] across the
@@ -372,31 +372,16 @@ impl std::fmt::Display for BatchStats {
 /// cached; waiters poll their own deadline while blocked, so a slow
 /// computation never pins a sibling query past its budget.
 ///
-/// The slot map is lock-striped ([`StripedLock`],
-/// [`FORWARD_CACHE_SHARDS`] shards) keyed by an [`fnv1a`] hash of the
-/// assignment bits and fact budget, so workers looking up *distinct*
-/// assignments never serialize on one map mutex; only the per-slot state
-/// machine synchronizes same-key callers. The hash is deterministic
-/// (FNV-1a, not the per-process-seeded std hasher), so shard assignment
-/// — and therefore the contention profile — is reproducible run to run.
+/// The slot map sits behind one plain [`Mutex`], held only to find or
+/// insert a slot; every wait on a sibling's computation happens on that
+/// slot's own state machine. Contended map acquisitions are rare and
+/// short (0–2.6 ms per seeded hedc batch, 2–128 µs per ~2 s pass of the
+/// `escape-shared` benchmark workload), so one mutex is enough.
 pub struct ForwardCache<'p, S> {
     #[allow(clippy::type_complexity)]
-    slots: StripedLock<HashMap<(Vec<bool>, usize), Arc<Slot<'p, S>>>>,
+    slots: Mutex<HashMap<(Vec<bool>, usize), Arc<Slot<'p, S>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-/// Shard count for the [`ForwardCache`] slot map. 16 shards keep the
-/// expected collision probability for a handful of workers low while the
-/// per-shard maps stay dense enough to be cheap.
-const FORWARD_CACHE_SHARDS: usize = 16;
-
-/// Deterministic shard hash for a forward-cache key.
-fn slot_hash(assignment: &[bool], max_facts: usize) -> u64 {
-    let mut bytes: Vec<u8> = Vec::with_capacity(assignment.len() + 8);
-    bytes.extend(assignment.iter().map(|&b| u8::from(b)));
-    bytes.extend_from_slice(&(max_facts as u64).to_le_bytes());
-    fnv1a(&bytes)
 }
 
 struct Slot<'p, S> {
@@ -434,7 +419,7 @@ impl<'p, S> ForwardCache<'p, S> {
     /// An empty cache.
     pub fn new() -> Self {
         ForwardCache {
-            slots: StripedLock::new(FORWARD_CACHE_SHARDS),
+            slots: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -461,10 +446,12 @@ impl<'p, S> ForwardCache<'p, S> {
     /// deadline expires while a sibling computes gives up with
     /// [`Interrupt::DeadlineExceeded`] without disturbing the slot.
     ///
-    /// Contended waits for the slot-map shard are metered into
-    /// `lock_waits` (microseconds); the uncontended path reads no clock.
-    /// Waits on a *running* sibling's computation are deliberately not
-    /// metered — those are productive deduplication, not contention.
+    /// Time spent blocked is metered into `lock_waits` (microseconds):
+    /// a contended slot-map acquisition (the uncontended path is a
+    /// `try_lock` that reads no clock) and every wait on a *running*
+    /// sibling's computation of the same key. The caller's forward-phase
+    /// time can thus leave the waits out and count only runs it executed
+    /// or read.
     ///
     /// # Errors
     ///
@@ -479,7 +466,16 @@ impl<'p, S> ForwardCache<'p, S> {
         compute: impl FnOnce() -> Result<RhsResult<'p, S>, Interrupt>,
     ) -> Result<Arc<RhsResult<'p, S>>, Interrupt> {
         let slot = {
-            let mut slots = self.slots.lock(slot_hash(assignment, max_facts), lock_waits);
+            let mut slots = match self.slots.try_lock() {
+                Ok(g) => g,
+                Err(TryLockError::WouldBlock) => {
+                    let t0 = Instant::now();
+                    let g = self.slots.lock().expect("forward-cache map poisoned");
+                    lock_waits.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+                    g
+                }
+                Err(TryLockError::Poisoned(_)) => panic!("forward-cache map poisoned"),
+            };
             Arc::clone(
                 slots
                     .entry((assignment.to_vec(), max_facts))
@@ -509,6 +505,7 @@ impl<'p, S> ForwardCache<'p, S> {
                     // fires on every slot transition, so no wakeup is
                     // missed. The timeout only serves the waiter's own
                     // deadline.
+                    let t0 = Instant::now();
                     let waited = match deadline.remaining() {
                         None => slot.ready.wait(st).expect("forward-cache slot poisoned"),
                         Some(rem) => {
@@ -519,6 +516,7 @@ impl<'p, S> ForwardCache<'p, S> {
                         }
                     };
                     drop(waited);
+                    lock_waits.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
                     // Fired with no slot lock held: a panic here is
                     // absorbed by the waiter's own isolation boundary and
                     // never disturbs the computing sibling or the slot.
@@ -773,17 +771,12 @@ where
     // one core).
     let workers = jobs.min(config.thread_cap.unwrap_or_else(default_jobs)).max(1);
 
-    // Sibling queries share forward runs and warm meta state whatever the
-    // worker count; a lone query has no sibling to share with, and within
-    // one query every iteration tries a new assignment, so a cache there
-    // could only retain memory. The warm store shares weakest-precondition
-    // formulas and primitive-pair verdicts, pure functions of their keys,
-    // without perturbing any per-query counter or event (see
-    // `pda_meta::WarmStore`).
-    let shared = pending.len() >= 2;
-    let cache: Option<ForwardCache<'p, C::State>> = shared.then(ForwardCache::new);
-    let warm: Option<Arc<WarmStore<C::Prim>>> =
-        shared.then(|| Arc::new(WarmStore::new(FORWARD_CACHE_SHARDS)));
+    // Sibling queries share forward runs whatever the worker count; a
+    // lone query has no sibling to share with, and within one query every
+    // iteration tries a new assignment, so a cache there could only retain
+    // memory.
+    let cache: Option<ForwardCache<'p, C::State>> =
+        (pending.len() >= 2).then(ForwardCache::new);
     let pool: Option<Arc<MemBudget>> =
         config.pool_budget.map(|l| Arc::new(MemBudget::new(Some(l))));
     let limit = pool.as_ref().and_then(|p| p.limit()).unwrap_or(u64::MAX);
@@ -859,9 +852,6 @@ where
                                     .observe(qobs);
                             if let Some(c) = &cache {
                                 s = s.cache(c);
-                            }
-                            if let Some(w) = &warm {
-                                s = s.warm(Arc::clone(w));
                             }
                             if let Some(p) = &pool {
                                 s = s.pool(Arc::clone(p));
@@ -943,9 +933,7 @@ where
         sink.flush();
     }
 
-    let warm_waits = warm.as_ref().map_or(0, |w| w.wait_micros());
-    let contention_micros =
-        worker_meta.iter().map(|w| w.lock_wait_micros).sum::<u64>() + warm_waits;
+    let contention_micros = worker_meta.iter().map(|w| w.lock_wait_micros).sum::<u64>();
     let stats = BatchStats {
         queries: queries.len(),
         jobs,
@@ -1225,6 +1213,78 @@ mod tests {
             )
         });
         assert!(r.is_ok());
+    }
+
+    /// The cache meters blocked time and nothing else: lookups on one
+    /// thread add 0, a lookup that blocks on the held slot map adds its
+    /// wait, and so does a lookup that waits for a sibling's running
+    /// computation of the same key (served as a hit, never recomputed).
+    #[test]
+    fn forward_cache_meters_contended_and_sibling_waits() {
+        let (program, pa) = fixture();
+        let client = NullClient::new(&program);
+        let callees = |c: CallId| pa.callees(c).to_vec();
+        let assignment = vec![false; client.n_atoms()];
+        let p = client.param_of_model(&assignment);
+        let limits = pda_dataflow::RhsLimits::default();
+        let run = || {
+            rhs::run(
+                &program,
+                &crate::client::AsAnalysis(&client),
+                &p,
+                client.initial_state(),
+                &callees,
+                limits,
+            )
+        };
+        let budget = limits.max_facts;
+        let pause = Duration::from_millis(50);
+
+        let cache: ForwardCache<'_, _> = ForwardCache::new();
+        let quiet = AtomicU64::new(0);
+        assert!(cache.forward(&assignment, budget, Deadline::NEVER, &quiet, run).is_ok());
+        assert!(cache.forward(&assignment, budget, Deadline::NEVER, &quiet, run).is_ok());
+        assert_eq!(quiet.load(Ordering::Relaxed), 0, "an uncontended miss and hit add 0");
+
+        let blocked = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            let map = cache.slots.lock().expect("map");
+            let (tx, rx) = std::sync::mpsc::channel();
+            let (cache, assignment, blocked) = (&cache, &assignment, &blocked);
+            let h = scope.spawn(move || {
+                tx.send(()).expect("send");
+                cache.forward(assignment, budget, Deadline::NEVER, blocked, run).is_ok()
+            });
+            rx.recv().expect("recv");
+            std::thread::sleep(pause);
+            drop(map);
+            assert!(h.join().expect("lookup thread"));
+        });
+        assert!(blocked.load(Ordering::Relaxed) > 0, "a contended map lock is metered");
+
+        let cache: ForwardCache<'_, _> = ForwardCache::new();
+        let (runner, waiter) = (AtomicU64::new(0), AtomicU64::new(0));
+        std::thread::scope(|scope| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let (cache, assignment, runner) = (&cache, &assignment, &runner);
+            let h = scope.spawn(move || {
+                cache.forward(assignment, budget, Deadline::NEVER, runner, || {
+                    tx.send(()).expect("send");
+                    std::thread::sleep(pause);
+                    run()
+                })
+            });
+            // The slot is `Running` once the computation has started.
+            rx.recv().expect("recv");
+            let r = cache.forward(assignment, budget, Deadline::NEVER, &waiter, || {
+                panic!("a running sibling's key must not be recomputed")
+            });
+            assert!(r.is_ok() && h.join().expect("runner thread").is_ok());
+        });
+        assert!(waiter.load(Ordering::Relaxed) > 0, "a wait on a running sibling is metered");
+        assert_eq!(runner.load(Ordering::Relaxed), 0, "the computing caller never waited");
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
     }
 
     #[test]

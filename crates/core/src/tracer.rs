@@ -5,7 +5,7 @@ use crate::batch::ForwardCache;
 use crate::client::{AsAnalysis, AsMeta, Query, TracerClient};
 use pda_dataflow::{rhs, Interrupt, RhsLimits};
 use pda_lang::{CallId, MethodId, Program};
-use pda_meta::{analyze_trace_interned, BeamConfig, InternCache, MetaStats, Primitive, WarmStore};
+use pda_meta::{analyze_trace_interned, BeamConfig, InternCache, MetaStats, Primitive};
 use pda_solver::{Bdd, Model, PFormula};
 use pda_util::{
     fault_point, Counter, Deadline, DeadlineExceeded, Event, MemBudget, ObsRegistry, Span,
@@ -575,9 +575,9 @@ pub struct Session<'s, 'p, C: TracerClient> {
     escalations: u32,
     icache: Held<'s, InternCache<C::Prim>>,
     cache: Option<&'s ForwardCache<'p, C::State>>,
-    /// Contended forward-cache shard waits, drained into the registry
-    /// once at the end (effort attribution, never part of the event
-    /// stream).
+    /// Forward-cache waits (contended map acquisitions and waits on a
+    /// sibling's running forward run), drained into the registry once at
+    /// the end (effort attribution, never part of the event stream).
     lock_waits: AtomicU64,
     obs: Held<'s, QueryObs>,
     log: Option<&'s mut Vec<IterationLog<C::Param>>>,
@@ -662,14 +662,6 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
     /// running query's decisions).
     pub(crate) fn pool(mut self, pool: Arc<MemBudget>) -> Self {
         self.gov = Governor::new(self.query, self.config, Some(pool));
-        self
-    }
-
-    /// Seeds a fresh intern cache from the batch-wide `warm` store
-    /// (semantically transparent sharing of wp formulas and
-    /// primitive-pair verdicts — see [`WarmStore`]).
-    pub(crate) fn warm(mut self, warm: Arc<WarmStore<C::Prim>>) -> Self {
-        self.icache = Held::Owned(InternCache::with_warm(warm));
         self
     }
 
@@ -790,6 +782,7 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
         // runs never poison healthy ones.
         let mut attempt: u32 = 0;
         let mut executed = 0;
+        let waits_before = self.lock_waits.load(Ordering::Relaxed);
         let t_fwd = Instant::now();
         let run = loop {
             let max_facts = config.escalation.budget(self.gov.base_facts, attempt);
@@ -816,7 +809,10 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
                 Err(Interrupt::DeadlineExceeded) => break Err(Unresolved::DeadlineExceeded),
             }
         };
-        let us = t_fwd.elapsed().as_micros() as u64;
+        // Waits on the shared cache are contention (`LockWaitMicros`), not
+        // forward work.
+        let waited = self.lock_waits.load(Ordering::Relaxed) - waits_before;
+        let us = (t_fwd.elapsed().as_micros() as u64).saturating_sub(waited);
         self.obs.reg.add(Counter::ForwardMicros, us);
         self.obs.reg.record_span_micros(SpanKind::Forward, us);
         // RHS runs this query executed itself; runs a sibling executed

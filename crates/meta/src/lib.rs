@@ -52,5 +52,5 @@ pub mod stats;
 pub use approx::{approx, approx_obs, simplify, simplify_obs, to_dnf_obs, BeamConfig};
 pub use backward::{analyze_trace, check_wp_exact, restrict, MetaClient, MetaError};
 pub use formula::{Cube, Dnf, Formula, Lit, Primitive};
-pub use interned::{analyze_trace_interned, InternCache, TraceAnalysis, WarmStore};
+pub use interned::{analyze_trace_interned, InternCache, TraceAnalysis};
 pub use stats::MetaStats;

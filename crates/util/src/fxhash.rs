@@ -7,6 +7,10 @@
 //! serves are keyed by dense engine ids and abstract states the engine
 //! itself computed. Because the hasher is unseeded, a table built by the
 //! same sequence of insertions iterates in the same order on every run.
+//!
+//! [`fnv1a`] sits beside it: a byte-at-a-time hash with a fixed, published
+//! definition, for values that must hash the same in every build (the
+//! fault plane's seeded draws, the golden files' witness digests).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -86,9 +90,28 @@ pub fn fx_hash<T: std::hash::Hash + ?Sized>(value: &T) -> u64 {
     h.finish()
 }
 
+/// FNV-1a over bytes: a deterministic, dependency-free byte hash (the
+/// std `RandomState` hasher is seeded per process, so its values differ
+/// from run to run).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_is_stable() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
+        assert_eq!(fnv1a(b"abc"), fnv1a(b"abc"));
+    }
 
     #[test]
     fn deterministic_and_sensitive_to_each_word() {

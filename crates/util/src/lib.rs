@@ -32,9 +32,9 @@
 //!   watchdog uses to tell a slow request from a non-cooperative stall.
 //! * [`FxHashMap`] — a hash map keyed through [`FxHasher`], a fast,
 //!   unseeded multiply-rotate hasher for the engines' internal id and
-//!   state tables (deterministic iteration order, no DoS resistance).
-//! * [`par`] — `std`-only lock striping ([`StripedLock`]) behind the
-//!   batch scheduler's sharded forward cache and the warm meta store.
+//!   state tables (deterministic iteration order, no DoS resistance),
+//!   and [`fnv1a`], a fixed byte hash for values that must agree across
+//!   builds.
 //!
 //! # Examples
 //!
@@ -57,14 +57,13 @@ mod idx;
 pub mod json;
 mod membudget;
 pub mod obs;
-pub mod par;
 mod rng;
 mod stats;
 
 pub use bitset::BitSet;
 pub use deadline::{AmbientDeadlineGuard, Deadline, DeadlineExceeded};
 pub use faultplane::{fault_point, fault_point_io, FaultFile, FaultPlan};
-pub use fxhash::{fx_hash, FxBuildHasher, FxHashMap, FxHasher};
+pub use fxhash::{fnv1a, fx_hash, FxBuildHasher, FxHashMap, FxHasher};
 pub use heartbeat::{beat, install_heartbeat, HeartbeatGuard};
 pub use idx::IdxVec;
 pub use membudget::{parse_bytes, MemBudget};
@@ -72,7 +71,6 @@ pub use obs::{
     Counter, Event, FileSink, NullSink, ObsRegistry, Recorder, Span, SpanKind, SpanStats,
     TraceSink,
 };
-pub use par::{fnv1a, StripedLock};
 pub use rng::SplitMix64;
 pub use stats::{CacheStats, Summary};
 

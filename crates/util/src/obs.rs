@@ -91,11 +91,12 @@ pub enum Counter {
     /// Transient-fault retry attempts consumed (deterministic backoff
     /// ladder; see the batch scheduler's `RetryPolicy`).
     Retries,
-    /// Microseconds workers spent blocked on *contended* shared locks
-    /// (forward-cache shards, the admission turnstile). A counter, not an
-    /// [`Event`]: events deliberately carry no wall-clock data, so
-    /// contention is attributable from the footer without perturbing
-    /// trace byte-identity.
+    /// Microseconds workers spent blocked on shared batch state: a
+    /// contended forward-cache map acquisition, a wait on a sibling's
+    /// running forward run of the same key, the admission turnstile. A
+    /// counter, not an [`Event`]: events deliberately carry no wall-clock
+    /// data, so contention is attributable from the footer without
+    /// perturbing trace byte-identity.
     LockWaitMicros,
     /// Wall time inside the viable-set solver (BDD conjoin + min-cost
     /// sweep), µs. Always-on like [`Counter::MetaMicros`], so the batch
@@ -115,7 +116,8 @@ pub enum Counter {
     /// checkpoint record or footer line carries it.
     MetaStepsSkipped,
     /// Wall time inside the forward phase (RHS runs, escalation retries
-    /// and forward-cache lookups), µs. Always-on like
+    /// and forward-cache reads), µs, less the forward-cache waits that
+    /// [`Counter::LockWaitMicros`] counts. Always-on like
     /// [`Counter::SolverMicros`]; like every wall-clock counter it stays
     /// out of trace events.
     ForwardMicros,

@@ -141,12 +141,13 @@ echo "daemon smoke ok: fault isolated, generation quarantined, drained 0 with a 
 
 echo "== chaos smoke: seeded bench under a fixed fault plan =="
 # Arm the deterministic fault plane for one full bench run: a panic in
-# the BDD min-cost sweep, an injected I/O error during a warm-store rebuild
-# (both absorbed by the retry policy), and a 25ms stall while a warm
-# cache slot is filling (a slow worker, not a failure). The run must
-# produce outcome lines byte-identical to the clean golden file, and
-# the resilience line must prove all three arms actually fired.
-chaos="$(PDA_FAULT_PLAN='bdd.mincost@5=panic;cache.slot_fill@2=stall:25;warm.rebuild@1=ioerr' \
+# the BDD min-cost sweep, an I/O-class fault at the tenth BDD conjoin
+# (both in the jobs=1 phase, which runs its queries inline in order, and
+# both absorbed by the retry policy), and a 25ms stall while a cache slot
+# is filling (a slow worker, not a failure). The run must produce
+# outcome lines byte-identical to the clean golden file, and the
+# resilience line must prove all three arms actually fired.
+chaos="$(PDA_FAULT_PLAN='bdd.mincost@5=panic;cache.slot_fill@2=stall:25;bdd.conjoin@10=ioerr' \
     PDA_RETRY_FAULTS=2 PDA_BENCH_OUT=target/ci_bench_chaos.json ./target/release/batch)"
 echo "$chaos" | grep -q 'fault plane armed from PDA_FAULT_PLAN' \
     || { echo "ci: chaos bench never armed the fault plane" >&2; exit 1; }

@@ -3,11 +3,10 @@
 //! then re-run the same workload once per sampled `(seam, hit)` pair
 //! with a fault armed at exactly that visit.
 //!
-//! * **Compute seams** (solver, warm store, forward cache, governor,
-//!   interner) get a `panic` arm under the deterministic retry ladder:
-//!   the fault must fire, be absorbed by per-query panic isolation plus
-//!   one retry, and every outcome must stay byte-identical to the
-//!   fault-free baseline.
+//! * **Compute seams** (solver, forward cache, governor, interner) get
+//!   a `panic` arm under the deterministic retry ladder: the fault must
+//!   fire, be absorbed by per-query panic isolation plus one retry, and
+//!   every outcome must stay byte-identical to the fault-free baseline.
 //! * **Journal seams** get `ioerr` (and, at the raw write seam,
 //!   `shortwrite`) arms on a fresh run: the run must surface a
 //!   `CheckpointError` — never a panic — and a clean re-run over
@@ -269,7 +268,7 @@ fn every_registered_seam_survives_crash_point_torture() {
     torture("null", &run, &[], &mut covered);
 
     // Workload 2: EscapeClient corpus program, jobs=2 — the parallel
-    // scheduler's shared-cache and warm-store seams. The worker
+    // scheduler's shared-cache seams. The worker
     // spawn/join seams are crash-class: recorded for coverage, tortured
     // in the CI subprocess smoke.
     let corpus = pda_lang::parse_program(PROGRAMS[0]).unwrap();
@@ -334,7 +333,6 @@ fn every_registered_seam_survives_crash_point_torture() {
     for required in [
         "bdd.conjoin",
         "bdd.mincost",
-        "warm.rebuild",
         "cache.slot_fill",
         "batch.worker.spawn",
         "batch.worker.join",
