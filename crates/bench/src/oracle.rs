@@ -15,7 +15,10 @@
 //!    `¬φ` syntactically equal to the logged constraint;
 //! 3. at a final proving iteration, the forward run at `p` has no
 //!    witness;
-//! 4. the outcome is Impossible exactly when DPLL over every learned
+//! 4. a final iteration that left the query Unresolved (fact budget,
+//!    meta failure, a deadline mid-step) learned nothing; check 1 is all
+//!    there is to replay;
+//! 5. the outcome is Impossible exactly when DPLL over every learned
 //!    constraint is UNSAT (short of a budget stopping the loop before
 //!    its next solve).
 //!
@@ -81,11 +84,16 @@ where
             ));
         }
         let p = &entry.param;
+        let last = i + 1 == log.len();
+        if entry.learned.is_none() && last && matches!(result.outcome, Outcome::Unresolved(_)) {
+            // The iteration that stopped the query: its forward run may
+            // not even fit, and it has no constraint to compare.
+            break;
+        }
         let run = rhs::run(program, &AsAnalysis(client), p, d0.clone(), callees, limits)
             .map_err(|e| format!("iteration {i}: forward run interrupted: {e:?}"))?;
         let witness = run.witness(query.point, &|d| query.not_q.holds(p, d));
         let Some(phi) = &entry.learned else {
-            let last = i + 1 == log.len();
             let proven = matches!(&result.outcome,
                 Outcome::Proven { param, cost } if param == p && *cost == entry.cost);
             if !last || !proven {

@@ -132,8 +132,8 @@ pub enum Command {
         fault_plan: Option<String>,
     },
     /// `pda serve <file> [--socket PATH] [--journal PATH] [--jobs N]
-    /// [--thread-cap N] [--deadline MS] [--retry-faults N] [--k N]
-    /// [--max-iters N] [--trace PATH] [--allow-inject] [--fault-plan PLAN]
+    /// [--deadline MS] [--retry-faults N] [--k N] [--max-iters N]
+    /// [--trace PATH] [--allow-inject] [--fault-plan PLAN]
     /// [--watchdog-ms MS]`
     Serve {
         /// Input path.
@@ -145,9 +145,6 @@ pub enum Command {
         journal: Option<String>,
         /// Worker threads for the `batch` op.
         jobs: usize,
-        /// Upper bound on the `batch` op's worker threads. `None` clamps
-        /// to the machine's available parallelism.
-        thread_cap: Option<usize>,
         /// Default per-request wall-clock deadline in milliseconds.
         deadline_ms: Option<u64>,
         /// Retry transient faults (including deadline hits) up to N
@@ -234,17 +231,15 @@ USAGE:
                                                          or `seed:N[:permille]`
                                                          (env PDA_FAULT_PLAN)
     pda serve   <file.jay> [--socket PATH] [--journal PATH] [--jobs N]
-                [--thread-cap N] [--deadline MS] [--retry-faults N]
-                [--k N] [--max-iters N] [--trace PATH] [--allow-inject]
+                [--deadline MS] [--retry-faults N] [--k N]
+                [--max-iters N] [--trace PATH] [--allow-inject]
                 [--fault-plan PLAN] [--watchdog-ms MS]
                                            run the crash-safe analysis daemon
                                            (JSONL over the Unix socket, or
                                            stdin/stdout without --socket);
                                            --journal resumes finished queries
                                            across restarts, SIGTERM drains
-                                           gracefully, --thread-cap bounds
-                                           the batch op's worker threads,
-                                           --allow-inject enables
+                                           gracefully, --allow-inject enables
                                            fault-injection requests,
                                            --fault-plan arms the deterministic
                                            fault plane (env PDA_FAULT_PLAN),
@@ -377,7 +372,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
             let mut socket = None;
             let mut journal = None;
             let mut jobs = default_jobs();
-            let mut thread_cap = None;
             let mut deadline_ms = None;
             let mut retry_faults = None;
             let mut k = 5usize;
@@ -402,9 +396,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                         journal = Some(path.clone());
                     }
                     "--jobs" => jobs = parse_num::<usize>(&args, i, "--jobs")?.max(1),
-                    "--thread-cap" => {
-                        thread_cap = Some(parse_num::<usize>(&args, i, "--thread-cap")?.max(1));
-                    }
                     "--deadline" => deadline_ms = Some(parse_num(&args, i, "--deadline")?),
                     "--retry-faults" => {
                         retry_faults = Some(parse_num(&args, i, "--retry-faults")?);
@@ -440,7 +431,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                 socket,
                 journal,
                 jobs,
-                thread_cap,
                 deadline_ms,
                 retry_faults,
                 k,
@@ -642,7 +632,6 @@ fn run_serve(cmd: &Command, source: &str) -> Result<String, CliError> {
         socket,
         journal,
         jobs,
-        thread_cap,
         deadline_ms,
         retry_faults,
         k,
@@ -677,7 +666,6 @@ fn run_serve(cmd: &Command, source: &str) -> Result<String, CliError> {
             ..TracerConfig::default()
         },
         jobs: *jobs,
-        thread_cap: *thread_cap,
         deadline_ms: *deadline_ms,
         // Daemon requests run under per-request deadlines, so deadline
         // hits are retried too (each retry gets a fresh budget).
@@ -1031,7 +1019,7 @@ mod tests {
         assert_eq!(
             a(&[
                 "serve", "f.jay", "--socket", "/tmp/pda.sock", "--journal", "j.jsonl",
-                "--jobs", "2", "--thread-cap", "3", "--deadline", "500", "--retry-faults", "1",
+                "--jobs", "2", "--deadline", "500", "--retry-faults", "1",
                 "--allow-inject", "--trace", "t.jsonl",
                 "--watchdog-ms", "200", "--fault-plan", "record"
             ])
@@ -1041,7 +1029,6 @@ mod tests {
                 socket: Some("/tmp/pda.sock".into()),
                 journal: Some("j.jsonl".into()),
                 jobs: 2,
-                thread_cap: Some(3),
                 deadline_ms: Some(500),
                 retry_faults: Some(1),
                 k: 5,
@@ -1054,7 +1041,6 @@ mod tests {
         );
         assert!(a(&["solve", "f", "--no-such-flag", "1"]).is_err());
         assert!(a(&["serve", "f", "--no-such-flag", "1"]).is_err());
-        assert!(a(&["serve", "f", "--thread-cap", "many"]).is_err());
         assert!(a(&["serve", "f", "--watchdog-ms", "soon"]).is_err());
         assert!(a(&["serve", "f", "--fault-plan"]).is_err());
         assert!(a(&["solve", "f", "--fault-plan"]).is_err());

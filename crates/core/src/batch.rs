@@ -24,9 +24,12 @@
 //!
 //! # Failure model
 //!
-//! Each per-query solve runs inside [`std::panic::catch_unwind`]: a
-//! panicking client or engine yields [`Unresolved::EngineFault`] for that
-//! query and the batch carries on. Wall-clock deadlines (per query via
+//! Each per-query solve runs inside [`isolate`], a
+//! [`std::panic::catch_unwind`] boundary: a panicking client or engine
+//! yields [`Unresolved::EngineFault`] for that query and the batch carries
+//! on. Transient faults are retried on [`retry_ladder`]. The analysis
+//! daemon (`pda-serve`) supervises its requests with the same two
+//! functions. Wall-clock deadlines (per query via
 //! [`TracerConfig::timeout`] / `Query::limits`, whole-batch via
 //! [`BatchConfig::batch_timeout`]) surface as
 //! [`Unresolved::DeadlineExceeded`]. Neither fault class is ever stored
@@ -61,6 +64,7 @@ use pda_util::{
     SplitMix64, TraceSink,
 };
 use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, TryLockError};
@@ -573,6 +577,74 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Runs one solve attempt inside the per-query isolation boundary shared
+/// by the batch workers and the analysis daemon: a panic (a faulty client
+/// or engine, an injected fault) becomes an [`Unresolved::EngineFault`]
+/// result carrying the panic message and the attempt's wall time, never
+/// an unwinding caller. State the attempt was mutating when it unwound is
+/// the caller's to discard.
+pub fn isolate<Param>(solve: impl FnOnce() -> QueryResult<Param>) -> QueryResult<Param> {
+    let started = Instant::now();
+    catch_unwind(AssertUnwindSafe(solve)).unwrap_or_else(|payload| {
+        let msg = panic_message(payload.as_ref());
+        unrun_result(Unresolved::EngineFault(msg), started.elapsed().as_micros())
+    })
+}
+
+/// The transient-fault retry ladder shared by the batch workers and the
+/// analysis daemon. `attempt(a)` runs attempt `a` (0 first) and returns
+/// its result with a *fresh* [`QueryObs`], so a recovered transient fault
+/// leaves no event residue and the emitted trace stream stays invariant
+/// across job counts and retry settings. A result the policy deems
+/// transient is retried after [`RetryPolicy::backoff`] while retries
+/// remain and `stop` is false (the current attempt's result stands once
+/// it is true); [`QueryResult::retries`] records the attempts consumed,
+/// successful or not. An attempt that returns `Err` ends the ladder at
+/// once with that error (the daemon's watchdog: a stall is never
+/// retried).
+///
+/// # Errors
+///
+/// The first `Err` an attempt returns.
+pub fn retry_ladder<Param, E>(
+    query: usize,
+    retry: Option<&RetryPolicy>,
+    stop: impl Fn() -> bool,
+    mut attempt: impl FnMut(u32) -> Result<(QueryResult<Param>, QueryObs), E>,
+) -> Result<(QueryResult<Param>, QueryObs), E> {
+    let mut n: u32 = 0;
+    loop {
+        let (mut r, qobs) = attempt(n)?;
+        r.retries = n;
+        let transient = match (&r.outcome, retry) {
+            (Outcome::Unresolved(u), Some(p)) => p.should_retry(u),
+            _ => false,
+        };
+        match retry {
+            Some(p) if transient && n < p.retries && !stop() => {
+                std::thread::sleep(p.backoff(query as u64, n));
+                n += 1;
+            }
+            _ => return Ok((r, qobs)),
+        }
+    }
+}
+
+/// Writes one finished query's trace to `sink`: its buffered events, then
+/// one [`Event::QueryResolved`]. The batch drains every query through it
+/// in index order; the analysis daemon drains each request through it.
+/// Does not flush.
+pub fn emit_query_trace<Param>(sink: &dyn TraceSink, r: &QueryResult<Param>, qobs: &QueryObs) {
+    for ev in &qobs.events {
+        sink.emit(ev);
+    }
+    sink.emit(&Event::QueryResolved {
+        query: qobs.query,
+        outcome: outcome_tag(&r.outcome).to_string(),
+        iterations: r.iterations as u64,
+    });
+}
+
 /// A result with no effort attributed: a query whose solve panicked (the
 /// payload is preserved), one the drain flag stopped before it started
 /// (withheld from the streaming sink so resumed runs re-solve it), or one
@@ -688,50 +760,6 @@ enum Claim {
     Drain,
 }
 
-/// Runs one query inside the supervision boundary: panic isolation plus
-/// the optional deterministic retry ladder. Every attempt gets a *fresh*
-/// [`QueryObs`], so a recovered transient fault leaves no event residue
-/// and the emitted trace stream stays invariant across job counts and
-/// retry settings. Backoff sleeps between attempts; the ladder stops
-/// early when the batch deadline expires or the drain flag is raised
-/// (the current attempt's result stands). [`QueryResult::retries`]
-/// records the attempts consumed, successful or not.
-fn solve_supervised<Param>(
-    i: usize,
-    tracing: bool,
-    timed: bool,
-    retry: Option<&RetryPolicy>,
-    batch_deadline: Deadline,
-    cancel: Option<&Arc<AtomicBool>>,
-    mut attempt_fn: impl FnMut(&mut QueryObs) -> QueryResult<Param>,
-) -> (QueryResult<Param>, QueryObs) {
-    let mut attempt: u32 = 0;
-    loop {
-        let started = Instant::now();
-        let mut qobs = QueryObs::new(i as u64, tracing, timed);
-        let mut r = catch_unwind(AssertUnwindSafe(|| attempt_fn(&mut qobs)))
-            .unwrap_or_else(|payload| {
-                let msg = panic_message(payload.as_ref());
-                unrun_result(Unresolved::EngineFault(msg), started.elapsed().as_micros())
-            });
-        r.retries = attempt;
-        let transient = match (&r.outcome, retry) {
-            (Outcome::Unresolved(u), Some(p)) => p.should_retry(u),
-            _ => false,
-        };
-        let more = retry.is_some_and(|p| attempt < p.retries);
-        let stopped = batch_deadline.expired()
-            || cancel.is_some_and(|c| c.load(Ordering::SeqCst));
-        if transient && more && !stopped {
-            let policy = retry.expect("transient fault implies a policy");
-            std::thread::sleep(policy.backoff(i as u64, attempt));
-            attempt += 1;
-            continue;
-        }
-        return (r, qobs);
-    }
-}
-
 /// The shared batch runner behind [`solve_queries_batch`] and the
 /// checkpointing driver in [`crate::resilience`]: `skip` holds results
 /// restored from a checkpoint (those queries are not re-run), and `sink`
@@ -786,6 +814,7 @@ where
         active: 0,
     });
     let turnstile = Condvar::new();
+    let cancelled = || config.cancel.as_ref().is_some_and(|c| c.load(Ordering::SeqCst));
     #[allow(clippy::type_complexity)]
     let done: Vec<Mutex<Option<(QueryResult<C::Param>, QueryObs)>>> =
         pending.iter().map(|_| Mutex::new(None)).collect();
@@ -805,7 +834,7 @@ where
         loop {
             let mut st = admission.lock().expect("admission queue poisoned");
             let claimed = loop {
-                if config.cancel.as_ref().is_some_and(|c| c.load(Ordering::SeqCst)) {
+                if cancelled() {
                     break st.queue.pop_front().map(|k| (k, Claim::Drain));
                 }
                 // Deferred queries are requeued under this same lock, so
@@ -838,18 +867,14 @@ where
                     QueryObs::new(i as u64, tracing, config.timed),
                 ),
                 Claim::Run => {
-                    let out = solve_supervised(
-                        i,
-                        tracing,
-                        config.timed,
-                        config.retry.as_ref(),
-                        batch_deadline,
-                        config.cancel.as_ref(),
-                        |qobs| {
+                    let stop = || batch_deadline.expired() || cancelled();
+                    let Ok(out) = retry_ladder(i, config.retry.as_ref(), stop, |_| {
+                        let mut qobs = QueryObs::new(i as u64, tracing, config.timed);
+                        let r = isolate(|| {
                             let mut s =
                                 Session::new(program, callees, client, &queries[i], &config.tracer)
                                     .within(batch_deadline)
-                                    .observe(qobs);
+                                    .observe(&mut qobs);
                             if let Some(c) = &cache {
                                 s = s.cache(c);
                             }
@@ -857,8 +882,9 @@ where
                                 s = s.pool(Arc::clone(p));
                             }
                             s.run()
-                        },
-                    );
+                        });
+                        Ok::<_, Infallible>((r, qobs))
+                    });
                     admission.lock().expect("admission queue poisoned").active -= 1;
                     turnstile.notify_all();
                     out
@@ -914,18 +940,11 @@ where
     let mut obs = ObsRegistry::default();
     obs.set_timed(config.timed);
     let mut results: Vec<QueryResult<C::Param>> = Vec::with_capacity(queries.len());
-    for (i, slot) in slots.into_iter().enumerate() {
+    for slot in slots {
         let (r, qobs) = slot.expect("every query resolved, resumed, or faulted");
         obs.merge(&qobs.reg);
         if let Some(sink) = trace {
-            for ev in &qobs.events {
-                sink.emit(ev);
-            }
-            sink.emit(&Event::QueryResolved {
-                query: i as u64,
-                outcome: outcome_tag(&r.outcome).to_string(),
-                iterations: r.iterations as u64,
-            });
+            emit_query_trace(sink, &r, &qobs);
         }
         results.push(r);
     }

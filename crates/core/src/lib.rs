@@ -66,14 +66,14 @@ pub mod tracer;
 
 pub use baseline::{solve_query_coarse, CoarseAtoms};
 pub use batch::{
-    default_jobs, outcome_tag, solve_queries_batch, solve_queries_batch_traced, BatchConfig,
-    BatchStats, ForwardCache, RetryPolicy, WorkerMeta,
+    default_jobs, emit_query_trace, isolate, outcome_tag, retry_ladder, solve_queries_batch,
+    solve_queries_batch_traced, BatchConfig, BatchStats, ForwardCache, RetryPolicy, WorkerMeta,
 };
 pub use brute::brute_force_optimum;
 pub use client::{AsAnalysis, AsMeta, Query, QueryLimits, TracerClient};
 pub use faultcli::{faulty_query, lift_query, Fault, FaultInjectingClient, FaultPrim};
 pub use resilience::{
-    compact_checkpoint, load_checkpoint, solve_queries_batch_checkpointed,
+    load_checkpoint, open_checkpoint, solve_queries_batch_checkpointed,
     solve_queries_batch_checkpointed_traced, CheckpointError, CheckpointWriter, ParamCodec,
 };
 pub use pda_meta::{InternCache, MetaStats};

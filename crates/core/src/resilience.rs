@@ -298,7 +298,7 @@ impl CheckpointWriter {
 /// Any filesystem error (injected or real). On error `path` is
 /// untouched; a stale `<path>.tmp` may remain and is overwritten by the
 /// next compaction.
-pub fn compact_checkpoint<P: ParamCodec>(
+fn compact_checkpoint<P: ParamCodec>(
     path: &Path,
     n_queries: usize,
     records: &[(usize, &QueryResult<P>)],
@@ -400,6 +400,32 @@ pub fn load_checkpoint<P: ParamCodec>(
     Ok(restored)
 }
 
+/// Opens the checkpoint at `path` for a batch of `n_queries`, for both
+/// the checkpointing batch driver and the analysis daemon's journal. An
+/// existing file is loaded and rewritten compactly through the crash-safe
+/// compaction above, which drops a torn final line (it would otherwise
+/// corrupt the first appended record) and duplicate records; a missing
+/// file is created. Returns the restored records, by query index, and a
+/// writer appending after them. Which restored records to trust is the
+/// caller's policy.
+///
+/// # Errors
+///
+/// Those of [`load_checkpoint`], or a filesystem error creating or
+/// compacting the file (on which an existing file is left untouched).
+pub fn open_checkpoint<P: ParamCodec>(
+    path: &Path,
+    n_queries: usize,
+) -> Result<(HashMap<usize, QueryResult<P>>, CheckpointWriter), CheckpointError> {
+    if !path.exists() {
+        return Ok((HashMap::new(), CheckpointWriter::create(path, n_queries)?));
+    }
+    let restored = load_checkpoint::<P>(path, n_queries)?;
+    let records: Vec<(usize, &QueryResult<P>)> = restored.iter().map(|(&i, r)| (i, r)).collect();
+    let writer = compact_checkpoint(path, n_queries, &records)?;
+    Ok((restored, writer))
+}
+
 /// Results plus batch statistics, as returned by the plain batch driver.
 pub type BatchOutput<P> = (Vec<QueryResult<P>>, BatchStats);
 
@@ -456,20 +482,8 @@ where
     C::State: Send + Sync,
     C::Prim: Send + Sync,
 {
-    let (skip, writer) = if path.exists() {
-        let skip = load_checkpoint::<C::Param>(path, queries.len())?;
-        // Rewrite the file compactly: drops any torn final line (which
-        // would otherwise corrupt the first appended record) and
-        // deduplicates. The rewrite is crash-safe — temp file + atomic
-        // rename — so a kill mid-compaction can never destroy records
-        // that were already durable.
-        let records: Vec<(usize, &QueryResult<C::Param>)> =
-            skip.iter().map(|(&i, r)| (i, r)).collect();
-        let writer = compact_checkpoint(path, queries.len(), &records)?;
-        (skip, writer)
-    } else {
-        (HashMap::new(), CheckpointWriter::create(path, queries.len())?)
-    };
+    // Every restored record is skipped, whatever its outcome.
+    let (skip, writer) = open_checkpoint::<C::Param>(path, queries.len())?;
     let writer = Mutex::new(writer);
     let write_err: Mutex<Option<CheckpointError>> = Mutex::new(None);
     let sink = |i: usize, r: &QueryResult<C::Param>| {

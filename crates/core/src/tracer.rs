@@ -483,7 +483,9 @@ pub struct IterationLog<Param> {
     /// unless the memory governor had shrunk it.
     pub beam: BeamConfig,
     /// The unviability constraint learned from this iteration's
-    /// counterexample (`None` on the final, proving iteration).
+    /// counterexample. `None` only on a final iteration: the one that
+    /// proved the query, or the one whose forward or backward phase left
+    /// it Unresolved (fact budget, meta failure, a deadline mid-step).
     pub learned: Option<PFormula>,
     /// Memory-governor ladder rungs applied at this iteration's boundary.
     pub degradations: u32,
@@ -584,10 +586,22 @@ pub struct Session<'s, 'p, C: TracerClient> {
 }
 
 enum StepResult<Param> {
-    Proven { param: Param, cost: u64 },
+    /// The viable set is empty.
     Impossible,
-    Refined { param: Param, cost: u64 },
+    /// The solver gave up before picking an abstraction.
     Unresolved(Unresolved),
+    /// The iteration tried `param` at `cost` and ended as `ended` says.
+    Tried { param: Param, cost: u64, ended: Ended },
+}
+
+/// How an iteration that tried an abstraction ended.
+enum Ended {
+    /// The forward run proved the query.
+    Proven,
+    /// A constraint was learned; the loop goes on.
+    Refined,
+    /// The forward or backward phase stopped the query.
+    Failed(Unresolved),
 }
 
 impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
@@ -686,18 +700,18 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
             // Per-iteration snapshots cost a registry clone, so only a
             // logging session takes them.
             let before = self.log.is_some().then(|| self.obs.reg.clone());
-            let (param, cost, proven) = match self.step(iterations) {
+            let (param, cost, ended) = match self.step(iterations) {
                 StepResult::Impossible => break Outcome::Impossible,
                 StepResult::Unresolved(u) => {
                     iterations += 1;
                     break Outcome::Unresolved(u);
                 }
-                StepResult::Proven { param, cost } => (param, cost, true),
-                StepResult::Refined { param, cost } => (param, cost, false),
+                StepResult::Tried { param, cost, ended } => (param, cost, ended),
             };
             iterations += 1;
+            let refined = matches!(ended, Ended::Refined);
             let (rungs, beam) = (self.gov.degradations, self.gov.beam);
-            let exhausted = !proven && {
+            let exhausted = refined && {
                 let icache = &mut *self.icache;
                 self.gov.account_retained(
                     icache,
@@ -712,16 +726,18 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
                     param: param.clone(),
                     cost,
                     beam,
-                    learned: if proven { None } else { self.constraints.last().cloned() },
+                    learned: if refined { self.constraints.last().cloned() } else { None },
                     degradations: self.gov.degradations - rungs,
                     meta: MetaStats::from_obs(&self.obs.reg.since(&before)),
                 });
             }
-            if proven {
-                break Outcome::Proven { param, cost };
-            }
-            if exhausted {
-                break Outcome::Unresolved(Unresolved::MemBudgetExceeded);
+            match ended {
+                Ended::Proven => break Outcome::Proven { param, cost },
+                Ended::Failed(u) => break Outcome::Unresolved(u),
+                Ended::Refined if exhausted => {
+                    break Outcome::Unresolved(Unresolved::MemBudgetExceeded)
+                }
+                Ended::Refined => {}
             }
         };
         let reg = &mut self.obs.reg;
@@ -820,7 +836,7 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
         self.obs.reg.add(Counter::ForwardRuns, executed);
         let run = match run {
             Ok(run) => run,
-            Err(u) => return StepResult::Unresolved(u),
+            Err(u) => return StepResult::Tried { param: p, cost: model.cost, ended: Ended::Failed(u) },
         };
         self.obs.emit(Event::ForwardDone { query: q, iter, facts: run.n_facts() as u64 });
         // The (possibly shared) fact/reason tables are this query's
@@ -834,7 +850,7 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
         let failing = |d: &C::State| query.not_q.holds(&p, d);
         let Some(trace) = run.witness(query.point, &failing) else {
             self.gov.budget.release(fwd_bytes);
-            return StepResult::Proven { param: p, cost: model.cost };
+            return StepResult::Tried { param: p, cost: model.cost, ended: Ended::Proven };
         };
         let atoms: Vec<pda_lang::Atom> = trace.iter().map(|s| s.atom).collect();
 
@@ -843,7 +859,8 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
             Ok(phi) => phi,
             Err(e) => {
                 self.gov.budget.release(fwd_bytes);
-                return StepResult::Unresolved(Unresolved::MetaFailure(e.to_string()));
+                let failed = Ended::Failed(Unresolved::MetaFailure(e.to_string()));
+                return StepResult::Tried { param: p, cost: model.cost, ended: failed };
             }
         };
         let delta = self.obs.reg.since(&before);
@@ -870,7 +887,7 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
         self.constraints.push(PFormula::not(phi));
         viable.exit(&mut self.obs.reg);
         self.gov.budget.release(fwd_bytes);
-        StepResult::Refined { param: p, cost: model.cost }
+        StepResult::Tried { param: p, cost: model.cost, ended: Ended::Refined }
     }
 
     /// The backward phase of one CEGAR iteration: meta-analyze the

@@ -211,11 +211,6 @@ fn handle_connection<'env, 'scope, 'p, C>(
         if writeln!(output, "{}", reply.text).and_then(|()| output.flush()).is_err() {
             break; // client went away mid-response
         }
-        if reply.quarantine {
-            // Rebuild the retired generation's hot path off this
-            // connection's request path.
-            scope.spawn(move || sup.warm_generation());
-        }
         if reply.shutdown {
             break;
         }
@@ -284,11 +279,6 @@ where
                 writeln!(out, "{}", reply.text)
                     .and_then(|()| out.flush())
                     .map_err(|e| ServeError::Io(format!("stdout: {e}")))?;
-            }
-            if reply.quarantine {
-                // Single-session transport: re-warm inline, before the
-                // next request is read.
-                sup.warm_generation();
             }
             if reply.shutdown || sup.draining() || signal::term_requested() {
                 break;

@@ -11,19 +11,20 @@
 //! scripting); the interesting part is the **supervision layer** wrapped
 //! around the resident analysis state:
 //!
-//! * **Per-request isolation** — every solve runs under `catch_unwind`;
-//!   a worker panic becomes a structured `engine_fault` error response,
-//!   never a dead connection or a dead daemon.
+//! * **Per-request isolation** — every solve attempt runs inside
+//!   [`pda_tracer::isolate`], the batch driver's `catch_unwind`
+//!   boundary; a worker panic becomes a structured `engine_fault` error
+//!   response, never a dead connection or a dead daemon.
 //! * **Cache quarantine** — after a panic the warm-cache *generation* is
-//!   retired: a fresh forward cache is swapped in, the generation
+//!   retired: a fresh, empty forward cache is swapped in, the generation
 //!   counter bumps, and every connection's interner is rebuilt before
 //!   its next request, so a possibly-poisoned entry can never serve a
 //!   later request. The retired cache's `Arc` dies with the requests
-//!   already holding it. The new generation is re-warmed off the request
-//!   path ([`Supervisor::warm_generation`]).
-//! * **Deadlines and retry** — each request runs under its own
-//!   wall-clock deadline, and transient faults (engine faults; deadline
-//!   hits when so configured) are retried on the deterministic
+//!   already holding it.
+//! * **Deadlines and retry** — each request attempt runs under its own
+//!   fresh wall-clock deadline, and transient faults (engine faults;
+//!   deadline hits when so configured) are retried on
+//!   [`pda_tracer::retry_ladder`], the batch driver's deterministic
 //!   [`pda_tracer::RetryPolicy`] backoff ladder.
 //! * **Graceful drain** — SIGTERM/SIGINT (or a `shutdown` request) stops
 //!   admission; in-flight work finishes or is checkpointed (the `batch`

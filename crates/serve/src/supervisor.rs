@@ -8,8 +8,7 @@
 //! * the **forward cache** ([`ForwardCache`]) is process-wide and tagged
 //!   with a *generation* number. A worker panic retires the whole
 //!   generation — requests already running keep their `Arc` and finish,
-//!   but every later request sees a fresh cache (and the retired one is
-//!   re-warmed off the request path);
+//!   but every later request starts on a fresh, empty cache;
 //! * the **interner** ([`InternCache`]) is per *connection* (it is
 //!   mutable and cheap to rebuild). It carries the generation it was
 //!   built under and is discarded whenever the generation has moved on,
@@ -19,27 +18,27 @@
 //! (flushed per record), so a killed daemon resumes without re-solving;
 //! transient outcomes (engine faults, deadline hits) are deliberately
 //! *not* journaled — a restart should retry them.
+//!
+//! The supervision machinery itself is the batch driver's: requests run
+//! inside [`isolate`] on [`retry_ladder`], drain their trace through
+//! [`emit_query_trace`], and the journal opens through
+//! [`open_checkpoint`]. What is the daemon's own is the per-attempt
+//! deadline, the injection hooks, the watchdog and the quarantine.
 
 use crate::proto::{parse_request, LineBuilder, Op, Request, Target};
 use pda_lang::{CallId, MethodId, Program};
 use pda_tracer::{
-    compact_checkpoint, load_checkpoint, outcome_tag,
+    emit_query_trace, isolate, open_checkpoint, outcome_tag, retry_ladder,
     solve_queries_batch_checkpointed, BatchConfig, CheckpointWriter, ForwardCache, InternCache,
-    MetaStats, Outcome, ParamCodec, Query, QueryObs, QueryResult, RetryPolicy, Session,
-    TracerClient, TracerConfig, Unresolved,
+    Outcome, ParamCodec, Query, QueryObs, QueryResult, RetryPolicy, Session, TracerClient,
+    TracerConfig, Unresolved,
 };
-use pda_util::{faultplane, heartbeat, Deadline, Event, FileSink, TraceSink};
+use pda_util::{faultplane, heartbeat, Deadline, FileSink, TraceSink};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// A watched attempt's success payload: the verdict, the interner the
-/// worker used (handed back so the connection keeps it), and the
-/// query's observations. `Err` carries the stall-detection detail.
-type WatchedSolve<P, R> = Result<(QueryResult<P>, InternCache<R>, QueryObs), String>;
 
 /// Daemon-side policy knobs (everything except the transport).
 #[derive(Debug, Clone)]
@@ -48,10 +47,6 @@ pub struct ServeConfig {
     pub tracer: TracerConfig,
     /// Worker threads for the `batch` op.
     pub jobs: usize,
-    /// Upper bound on worker threads of the `batch` op, passed through
-    /// to [`BatchConfig::thread_cap`]. `None` (the default) clamps to the
-    /// machine's available parallelism, exactly like the batch scheduler.
-    pub thread_cap: Option<usize>,
     /// Default per-request wall-clock deadline in milliseconds, used
     /// when the request carries none.
     pub deadline_ms: Option<u64>,
@@ -91,12 +86,21 @@ struct Inflight {
     beat: Arc<AtomicU64>,
 }
 
+/// One solve attempt of a request: its query, its own fresh deadline,
+/// and the injection hooks, which spring on the first attempt only.
+#[derive(Clone, Copy)]
+struct Attempt {
+    index: usize,
+    deadline: Deadline,
+    panic: bool,
+    stall_ms: Option<u64>,
+}
+
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             tracer: TracerConfig::default(),
             jobs: 1,
-            thread_cap: None,
             deadline_ms: None,
             retry: None,
             allow_inject: false,
@@ -124,9 +128,8 @@ impl<P: pda_meta::Primitive> ConnState<P> {
 pub struct Reply {
     /// The JSON response line (no trailing newline).
     pub text: String,
-    /// The handler quarantined the warm caches; the transport should
-    /// rebuild the new generation ([`Supervisor::warm_generation`]) off
-    /// the request path.
+    /// The handler retired the cache generation (an engine fault or a
+    /// watchdog-reclaimed stall).
     pub quarantine: bool,
     /// The request asked the daemon to drain and exit.
     pub shutdown: bool,
@@ -228,17 +231,7 @@ where
     /// A human-readable reason when the file exists but cannot be
     /// trusted (wrong batch, interior corruption) or rewritten.
     pub fn attach_journal(&mut self, path: PathBuf) -> Result<usize, String> {
-        let mut restored = HashMap::new();
-        if path.exists() {
-            restored = load_checkpoint::<C::Param>(&path, self.queries.len())
-                .map_err(|e| format!("journal {}: {e}", path.display()))?;
-        }
-        // Compaction is crash-safe: the surviving records are rewritten
-        // to `<path>.tmp`, fsynced, and renamed over the journal — a
-        // crash mid-rewrite leaves the old journal untouched.
-        let records: Vec<(usize, &QueryResult<C::Param>)> =
-            restored.iter().map(|(&i, r)| (i, r)).collect();
-        let writer = compact_checkpoint(&path, self.queries.len(), &records)
+        let (restored, writer) = open_checkpoint::<C::Param>(&path, self.queries.len())
             .map_err(|e| format!("journal {}: {e}", path.display()))?;
         // Only durable verdicts are served from memory; a journaled
         // transient (a batch op records those too) re-runs on request.
@@ -413,20 +406,6 @@ where
         }
     }
 
-    fn emit_trace(&self, index: usize, r: &QueryResult<C::Param>, qobs: &QueryObs) {
-        if let Some(sink) = &self.trace {
-            for ev in &qobs.events {
-                sink.emit(ev);
-            }
-            sink.emit(&Event::QueryResolved {
-                query: index as u64,
-                outcome: outcome_tag(&r.outcome).to_string(),
-                iterations: r.iterations as u64,
-            });
-            sink.flush();
-        }
-    }
-
     fn result_line(
         &self,
         req: &Request,
@@ -502,66 +481,50 @@ where
 
         let cache = Arc::clone(&self.cache.lock().expect("cache poisoned"));
         let timeout = deadline_ms.or(self.config.deadline_ms).map(Duration::from_millis);
-        let retry = self.config.retry.as_ref();
         let watchdog = match (scope, self.config.watchdog_ms) {
             (Some(scope), Some(ms)) => Some((scope, Duration::from_millis(ms.max(1)))),
             _ => None,
         };
-        let mut attempt: u32 = 0;
-        let (result, qobs) = loop {
+        let icache = &mut conn.icache;
+        let ladder = retry_ladder(index, self.config.retry.as_ref(), || self.draining(), |n| {
             // Each attempt gets a fresh deadline: the point of retrying
             // `DeadlineExceeded` under escalation is a fresh budget.
-            let deadline = Deadline::timeout(timeout);
-            let inject = *inject_panic && attempt == 0;
-            let stall = if attempt == 0 { *inject_stall_ms } else { None };
-            let (mut r, qobs) = if let Some((scope, dog)) = watchdog {
-                let icache = std::mem::take(&mut conn.icache);
-                match self.run_watched(scope, dog, index, &cache, icache, deadline, inject, stall)
-                {
-                    Ok((r, icache, qobs)) => {
-                        conn.icache = icache;
-                        (r, qobs)
-                    }
-                    Err(detail) => {
-                        // The worker is abandoned mid-run. It still
-                        // holds the retired generation's cache `Arc`
-                        // and its own interner, so nothing it touches
-                        // can reach a later request. No retry: a stall
-                        // consumed a whole watchdog budget already.
-                        self.watchdog_fired.fetch_add(1, Ordering::SeqCst);
-                        let fresh = self.quarantine_current();
-                        conn.generation = fresh;
-                        return Reply {
-                            text: self.error_line(req, "engine_stall", &detail),
-                            quarantine: true,
-                            shutdown: false,
-                        };
-                    }
-                }
-            } else {
-                self.run_inline(conn, index, &cache, deadline, inject, stall)
+            let a = Attempt {
+                index,
+                deadline: Deadline::timeout(timeout),
+                panic: *inject_panic && n == 0,
+                stall_ms: inject_stall_ms.filter(|_| n == 0),
             };
-            r.retries = attempt;
-            let transient = match &r.outcome {
-                Outcome::Unresolved(u) => retry.is_some_and(|p| p.should_retry(u)),
-                _ => false,
+            let mut qobs = QueryObs::new(index as u64, self.trace.is_some(), false);
+            let r = match watchdog {
+                Some((scope, dog)) => self.run_watched(scope, dog, a, &cache, icache, &mut qobs)?,
+                None => self.attempt(a, &cache, icache, &mut qobs),
             };
-            if transient && retry.is_some_and(|p| attempt < p.retries) && !self.draining() {
-                if let Some(p) = retry {
-                    std::thread::sleep(p.backoff(index as u64, attempt));
-                }
-                attempt += 1;
-                continue;
+            Ok::<_, String>((r, qobs))
+        });
+        let (result, qobs) = match ladder {
+            Ok(out) => out,
+            Err(detail) => {
+                // The worker is abandoned mid-run. It still holds the
+                // retired generation's cache `Arc` and its own interner,
+                // so nothing it touches can reach a later request. No
+                // retry: a stall consumed a whole watchdog budget already.
+                self.watchdog_fired.fetch_add(1, Ordering::SeqCst);
+                conn.generation = self.quarantine_current();
+                return Reply {
+                    text: self.error_line(req, "engine_stall", &detail),
+                    quarantine: true,
+                    shutdown: false,
+                };
             }
-            break (r, qobs);
         };
 
         let faulted = matches!(result.outcome, Outcome::Unresolved(Unresolved::EngineFault(_)));
         let quarantine = if faulted {
             self.faults.fetch_add(1, Ordering::SeqCst);
-            let fresh = self.quarantine_current();
-            conn.icache = InternCache::default();
-            conn.generation = fresh;
+            // The faulted attempt already discarded this connection's
+            // interner; it joins the fresh generation as it is.
+            conn.generation = self.quarantine_current();
             true
         } else {
             self.served.fetch_add(1, Ordering::SeqCst);
@@ -571,7 +534,10 @@ where
             }
             false
         };
-        self.emit_trace(index, &result, &qobs);
+        if let Some(sink) = &self.trace {
+            emit_query_trace(sink, &result, &qobs);
+            sink.flush();
+        }
         Reply {
             text: self.result_line(req, index, &result, generation, false),
             quarantine,
@@ -579,114 +545,76 @@ where
         }
     }
 
-    /// One inline attempt on the calling thread (the unwatched path).
-    fn run_inline(
+    /// One solve attempt, on whichever thread runs it: springs the
+    /// attempt's injected stall or panic, then runs the CEGAR session
+    /// inside the shared isolation boundary. An attempt that faulted may
+    /// have unwound mid-mutation of the interner, so the interner goes
+    /// down with it.
+    fn attempt(
         &self,
-        conn: &mut ConnState<C::Prim>,
-        index: usize,
-        cache: &Arc<ForwardCache<'p, C::State>>,
-        deadline: Deadline,
-        inject_panic: bool,
-        inject_stall_ms: Option<u64>,
-    ) -> (QueryResult<C::Param>, QueryObs) {
-        let mut qobs = QueryObs::new(index as u64, self.trace.is_some(), false);
-        let started = Instant::now();
-        let solved = catch_unwind(AssertUnwindSafe(|| {
-            if inject_panic {
+        a: Attempt,
+        cache: &ForwardCache<'p, C::State>,
+        icache: &mut InternCache<C::Prim>,
+        qobs: &mut QueryObs,
+    ) -> QueryResult<C::Param> {
+        if let Some(ms) = a.stall_ms {
+            // Deliberately non-cooperative: no deadline poll, no
+            // heartbeat — exactly what the watchdog hunts. With no
+            // watchdog this simply blocks the connection.
+            std::thread::sleep(Duration::from_millis(ms));
+        }
+        let r = isolate(|| {
+            if a.panic {
                 panic!("injected fault (solve op)");
-            }
-            if let Some(ms) = inject_stall_ms {
-                // Deliberately non-cooperative: no deadline poll. With
-                // no watchdog this simply blocks the connection.
-                std::thread::sleep(Duration::from_millis(ms));
             }
             Session::new(
                 self.program,
                 self.callees,
                 self.client,
-                &self.queries[index],
+                &self.queries[a.index],
                 &self.config.tracer,
             )
-            .within(deadline)
+            .within(a.deadline)
             .cache(cache)
-            .intern(&mut conn.icache)
-            .observe(&mut qobs)
+            .intern(icache)
+            .observe(qobs)
             .run()
-        }));
-        let r = match solved {
-            Ok(r) => r,
-            Err(payload) => {
-                // The interner was mid-mutation when the worker
-                // unwound; it goes down with the attempt.
-                conn.icache = InternCache::default();
-                Self::fault_result(payload.as_ref(), started)
-            }
-        };
-        (r, qobs)
+        });
+        if matches!(r.outcome, Outcome::Unresolved(Unresolved::EngineFault(_))) {
+            *icache = InternCache::default();
+        }
+        r
     }
 
-    /// One attempt on a transport-scope worker thread, supervised by
-    /// the heartbeat monitor. `Ok` hands back the attempt's result plus
-    /// the interner the worker used; `Err` is a detected
-    /// non-cooperative stall (the detail string) — the worker was
-    /// abandoned, its interner with it.
-    #[allow(clippy::too_many_arguments)]
+    /// [`Supervisor::attempt`] on a transport-scope worker thread,
+    /// supervised by the heartbeat monitor. The worker borrows nothing
+    /// from the caller: the interner and `qobs` move to it and come back
+    /// with the result. `Err` is a detected non-cooperative stall (the
+    /// detail string) — the worker was abandoned, its interner with it.
     fn run_watched<'a>(
         &'a self,
         scope: &dyn SolveScope<'a>,
         watchdog: Duration,
-        index: usize,
+        a: Attempt,
         cache: &Arc<ForwardCache<'p, C::State>>,
-        icache: InternCache<C::Prim>,
-        deadline: Deadline,
-        inject_panic: bool,
-        inject_stall_ms: Option<u64>,
-    ) -> WatchedSolve<C::Param, C::Prim> {
+        icache: &mut InternCache<C::Prim>,
+        qobs: &mut QueryObs,
+    ) -> Result<QueryResult<C::Param>, String> {
         let qid = self.next_req.fetch_add(1, Ordering::Relaxed);
         let beat = Arc::new(AtomicU64::new(0));
-        self.inflight
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(qid, Inflight { index, started: Instant::now(), beat: Arc::clone(&beat) });
+        self.inflight.lock().unwrap_or_else(std::sync::PoisonError::into_inner).insert(
+            qid,
+            Inflight { index: a.index, started: Instant::now(), beat: Arc::clone(&beat) },
+        );
         let (tx, rx) = mpsc::channel();
-        let trace_on = self.trace.is_some();
         scope.spawn(Box::new({
             let cache = Arc::clone(cache);
             let beat = Arc::clone(&beat);
+            let mut icache = std::mem::take(icache);
+            let mut qobs = std::mem::replace(qobs, QueryObs::untraced());
             move || {
-                let mut icache = icache;
-                let mut qobs = QueryObs::new(index as u64, trace_on, false);
-                let started = Instant::now();
-                if let Some(ms) = inject_stall_ms {
-                    // Deliberately non-cooperative: no deadline poll,
-                    // no heartbeat — exactly what the watchdog hunts.
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
                 let _hb = heartbeat::install_heartbeat(beat);
-                let solved = catch_unwind(AssertUnwindSafe(|| {
-                    if inject_panic {
-                        panic!("injected fault (solve op)");
-                    }
-                    Session::new(
-                        self.program,
-                        self.callees,
-                        self.client,
-                        &self.queries[index],
-                        &self.config.tracer,
-                    )
-                    .within(deadline)
-                    .cache(&cache)
-                    .intern(&mut icache)
-                    .observe(&mut qobs)
-                    .run()
-                }));
-                let r = match solved {
-                    Ok(r) => r,
-                    Err(payload) => {
-                        icache = InternCache::default();
-                        Self::fault_result(payload.as_ref(), started)
-                    }
-                };
+                let r = self.attempt(a, &cache, &mut icache, &mut qobs);
                 // The monitor may have abandoned us; a dead receiver is
                 // fine — result and interner die with this thread.
                 let _ = tx.send((r, icache, qobs));
@@ -700,12 +628,14 @@ where
         let mut last_progress = Instant::now();
         loop {
             match rx.recv_timeout(slice) {
-                Ok(out) => {
+                Ok((r, worker_icache, worker_qobs)) => {
                     self.inflight
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner)
                         .remove(&qid);
-                    return Ok(out);
+                    *icache = worker_icache;
+                    *qobs = worker_qobs;
+                    return Ok(r);
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     let t = beat.load(Ordering::Relaxed);
@@ -738,24 +668,9 @@ where
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner)
                         .remove(&qid);
-                    return Err(format!("query {index} worker vanished"));
+                    return Err(format!("query {} worker vanished", a.index));
                 }
             }
-        }
-    }
-
-    fn fault_result(
-        payload: &(dyn std::any::Any + Send),
-        started: Instant,
-    ) -> QueryResult<C::Param> {
-        QueryResult {
-            outcome: Outcome::Unresolved(Unresolved::EngineFault(panic_message(payload))),
-            iterations: 0,
-            micros: started.elapsed().as_micros(),
-            escalations: 0,
-            degradations: 0,
-            retries: 0,
-            meta: MetaStats::default(),
         }
     }
 
@@ -770,34 +685,6 @@ where
         self.generation.fetch_add(1, Ordering::SeqCst) + 1
     }
 
-    /// Re-warms the current generation off the request path: computes
-    /// the cheapest abstraction's forward run (where every query's first
-    /// CEGAR iteration starts) into the current cache, so the first
-    /// post-quarantine request starts warm. Queries with per-query fact
-    /// budgets may still miss (different cache key); that is only a cold
-    /// start, never a wrong answer. A panic here is contained like any
-    /// worker panic.
-    pub fn warm_generation(&self) {
-        let cache = Arc::clone(&self.cache.lock().expect("cache poisoned"));
-        let max_facts =
-            self.config.tracer.escalation.budget(self.config.tracer.rhs_limits.max_facts, 0);
-        let assignment = vec![false; self.client.n_atoms()];
-        let _ = catch_unwind(AssertUnwindSafe(|| {
-            let p = self.client.param_of_model(&assignment);
-            let waits = std::sync::atomic::AtomicU64::new(0);
-            let _ = cache.forward(&assignment, max_facts, Deadline::NEVER, &waits, || {
-                pda_dataflow::rhs::run(
-                    self.program,
-                    &pda_tracer::AsAnalysis(self.client),
-                    &p,
-                    self.client.initial_state(),
-                    self.callees,
-                    pda_dataflow::rhs::RhsLimits { max_facts, deadline: Deadline::NEVER },
-                )
-            });
-        }));
-    }
-
     fn batch_line(&self, req: &Request) -> String {
         if self.draining() {
             return self.error_line(req, "draining", "admission stopped");
@@ -805,7 +692,6 @@ where
         let config = BatchConfig {
             tracer: self.config.tracer.clone(),
             jobs: self.config.jobs,
-            thread_cap: self.config.thread_cap,
             retry: self.config.retry.clone(),
             cancel: Some(self.drain_flag()),
             ..BatchConfig::default()
@@ -885,12 +771,3 @@ where
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}

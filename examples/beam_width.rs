@@ -51,7 +51,11 @@ fn main() {
             solve_query_logged(&program, &callees, &client, &query, &config);
         println!("── {label} ──");
         for (i, entry) in log.iter().enumerate() {
-            let verdict = if entry.learned.is_some() { "fails" } else { "PROVES" };
+            let verdict = match (&entry.learned, &result.outcome) {
+                (Some(_), _) => "fails",
+                (None, Outcome::Proven { .. }) => "PROVES",
+                (None, _) => "gives up",
+            };
             println!(
                 "  iteration {}: try L-sites {} (cost {}) → {verdict}",
                 i + 1,

@@ -165,9 +165,11 @@ echo "== chaos smoke: kill-at-journal-write daemon round-trip =="
 # Life 1 is armed to abort the whole process at its second journal
 # append — a hard crash mid-serve, not a graceful drain. The journal it
 # leaves behind must be a loadable prefix holding the first verdict.
-# Life 2 restarts clean on that journal with the watchdog on: it must
-# resume the verdict, reclaim an injected non-cooperative stall within
-# the watchdog window, keep serving afterwards, and drain 0.
+# Life 2 restarts clean on that journal with the watchdog and the retry
+# ladder on: it must resume the verdict, absorb an injected panic on its
+# first retry, reclaim an injected non-cooperative stall within the
+# watchdog window without retrying it, keep serving afterwards, and
+# drain 0.
 rm -f target/ci_chaos.sock target/ci_chaos_journal.jsonl
 ./target/release/pda serve target/ci_serve.jay --socket target/ci_chaos.sock \
     --journal target/ci_chaos_journal.jsonl --fault-plan 'journal.append@2=abort' \
@@ -193,13 +195,16 @@ grep -q '"i":0,"outcome":"proven"' target/ci_chaos_journal.jsonl \
 rm -f target/ci_chaos.sock
 ./target/release/pda serve target/ci_serve.jay --socket target/ci_chaos.sock \
     --journal target/ci_chaos_journal.jsonl --allow-inject --watchdog-ms 200 \
-    > target/ci_chaos2.log 2>&1 &
+    --retry-faults 1 > target/ci_chaos2.log 2>&1 &
 chaos_pid=$!
 for _ in $(seq 1 100); do [ -S target/ci_chaos.sock ] && break; sleep 0.1; done
 [ -S target/ci_chaos.sock ] \
     || { echo "ci: restarted chaos daemon never bound its socket" >&2; kill "$chaos_pid" 2>/dev/null; exit 1; }
 creq '{"op":"solve","index":0}' | grep -q '"resumed":"true"' \
     || { echo "ci: restarted daemon did not resume the crash-survivor verdict" >&2; kill "$chaos_pid" 2>/dev/null; exit 1; }
+retried="$(creq '{"op":"solve","index":1,"inject":"panic"}')"
+echo "$retried" | grep -q '"outcome":"proven"' && echo "$retried" | grep -q '"retries":1,' \
+    || { echo "ci: retry ladder did not absorb the injected panic: $retried" >&2; kill "$chaos_pid" 2>/dev/null; exit 1; }
 creq '{"op":"solve","index":2,"inject":"stall:2000"}' | grep -q '"error":"engine_stall"' \
     || { echo "ci: watchdog never reclaimed the injected stall" >&2; kill "$chaos_pid" 2>/dev/null; exit 1; }
 creq '{"op":"solve","index":2}' | grep -q '"outcome":"proven"' \
@@ -211,7 +216,7 @@ wait "$chaos_pid" \
     || { echo "ci: restarted chaos daemon exited non-zero on SIGTERM (see target/ci_chaos2.log)" >&2; exit 1; }
 grep -q 'watchdog=1' target/ci_chaos2.log \
     || { echo "ci: drain summary missing the watchdog count" >&2; exit 1; }
-echo "chaos smoke ok: crash at journal.append left a resumable journal; watchdog reclaimed a frozen solve"
+echo "chaos smoke ok: crash at journal.append left a resumable journal; retry absorbed a panic; watchdog reclaimed a frozen solve"
 
 echo "== scaling smoke: seeded scale bench, jobs 1 vs 8 =="
 # The scale bin replays the hedc batch at jobs=1 and jobs=8 (grid capped

@@ -13,7 +13,9 @@
 //!    oracle-checked lone solves on every verdict;
 //! 3. randomized backward runs (SplitMix64-seeded traces and `not_q`
 //!    formulas over the definite-null meta-domain): the interned kernel's
-//!    DNF and restriction are *syntactically equal* to the tree kernel's.
+//!    DNF and restriction are *syntactically equal* to the tree kernel's;
+//! 4. a query stopped mid-iteration (fact budget, broken wp) logs that
+//!    iteration too, and the replay checks its choice of abstraction.
 
 use pda_analysis::PointsTo;
 use pda_bench::oracle::check_iterations;
@@ -21,9 +23,10 @@ use pda_escape::EscapeClient;
 use pda_lang::{Atom, CallId, MethodId, Program, VarId};
 use pda_meta::{analyze_trace, analyze_trace_interned, restrict, BeamConfig, Formula, InternCache};
 use pda_tracer::{
+    faulty_query, lift_query,
     nullcli::{NullClient, NullPrim},
-    solve_queries_batch, solve_query_logged, AsMeta, BatchConfig, Outcome, Query, QueryResult,
-    TracerClient, TracerConfig,
+    solve_queries_batch, solve_query_logged, AsMeta, BatchConfig, Fault, FaultInjectingClient,
+    Outcome, Query, QueryResult, TracerClient, TracerConfig, Unresolved,
 };
 use pda_typestate::{TsMode, TypestateClient};
 use pda_util::BitSet;
@@ -100,6 +103,38 @@ fn solve_query_is_kernel_invariant_for_typestate() {
         }
     }
     assert!(checked > 0);
+}
+
+#[test]
+fn oracle_replays_the_iteration_that_left_a_query_unresolved() {
+    let program =
+        pda_lang::parse_program("fn main() { var x, y; x = null; y = x; query q: local y; }")
+            .unwrap();
+    let pa = PointsTo::analyze(&program);
+    let callees = |c: CallId| pa.callees(c).to_vec();
+    let client = NullClient::new(&program);
+    let wrapped = FaultInjectingClient::new(&client);
+    let query = client.query(&program, program.query_by_label("q").unwrap());
+    let one_fact = TracerConfig {
+        rhs_limits: pda_dataflow::RhsLimits { max_facts: 1, ..Default::default() },
+        ..TracerConfig::default()
+    };
+    for (query, config) in [
+        (lift_query(query.clone()), one_fact),
+        (faulty_query(query, Fault::BreakWp), TracerConfig::default()),
+    ] {
+        let (r, log) = solve_query_logged(&program, &callees, &wrapped, &query, &config);
+        assert!(
+            matches!(
+                r.outcome,
+                Outcome::Unresolved(Unresolved::AnalysisTooBig | Unresolved::MetaFailure(_))
+            ),
+            "{:?}",
+            r.outcome
+        );
+        let checked = check_iterations(&program, &callees, &wrapped, &query, &r, &log);
+        assert_eq!(checked, Ok(r.iterations), "every iteration, the failing one included");
+    }
 }
 
 #[test]

@@ -219,15 +219,15 @@ fn injected_panic_is_isolated_quarantined_and_survivable() {
         assert_eq!(f["error"], "engine_fault");
         assert!(f["detail"].contains("injected fault"), "detail: {}", f["detail"]);
         assert_eq!(f["generation"], round.to_string());
-        assert!(reply.quarantine, "a fault must quarantine the generation");
+        assert_eq!(sup.quarantines(), round + 1, "a fault must quarantine the generation");
         assert_eq!(sup.generation(), round + 1);
-        sup.warm_generation(); // what the transport does off the request path
 
         // The daemon keeps serving: the next request lands on the fresh
         // generation and succeeds.
         let reply = sup.handle_line(&mut conn, &solve_line(0));
         let mut f = fields(&reply.text);
-        assert!(!reply.quarantine);
+        assert_eq!(sup.quarantines(), round + 1, "a healthy solve must not quarantine");
+        assert_eq!(sup.generation(), round + 1);
         assert_eq!(f["ok"], "true");
         assert_eq!(f.remove("generation").unwrap(), (round + 1).to_string());
         // The first healthy verdict is memoized; later rounds serve it
@@ -314,7 +314,6 @@ fn fault_injecting_client_soak_never_kills_the_daemon() {
     assert_eq!(f["error"], "engine_fault");
     assert!(f["detail"].contains("latent bomb"), "detail: {}", f["detail"]);
     assert!(reply.quarantine);
-    sup.warm_generation();
 
     // Every post-panic request must run on (and report) the fresh
     // generation — never the quarantined one.
@@ -402,6 +401,9 @@ fn watchdog_reclaims_a_non_cooperative_stall_and_the_daemon_keeps_serving() {
         ServeConfig {
             allow_inject: true,
             watchdog_ms: Some(WATCHDOG_MS),
+            // Retries are on, yet a reclaimed stall ends the ladder at
+            // once: it must come back as `engine_stall`, not be retried.
+            retry: Some(RetryPolicy::deterministic(2)),
             ..ServeConfig::default()
         },
     );
@@ -445,7 +447,6 @@ fn watchdog_reclaims_a_non_cooperative_stall_and_the_daemon_keeps_serving() {
         assert_eq!(sup.watchdog_fired(), 1);
         assert_eq!(sup.generation(), 1);
         assert_eq!(sup.inflight(), 0, "stalled request still counted in-flight");
-        sup.warm_generation();
 
         // The daemon keeps serving: the next request lands on the fresh
         // generation and matches the pre-stall verdict.
