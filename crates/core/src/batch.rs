@@ -277,10 +277,6 @@ pub struct BatchStats {
     /// I/O-class injected faults during this batch (subset of
     /// [`BatchStats::faults_injected`]).
     pub io_faults: u64,
-    /// Non-cooperative stalls reclaimed by the serve watchdog. Always
-    /// zero for plain batch runs; the analysis daemon's supervisor fills
-    /// it in for its own footers/health reply.
-    pub watchdog_fired: u64,
     /// Per-worker effort attribution, in worker completion order (one
     /// entry per worker that ran; a single entry for a lone worker). Not
     /// part of the rendered footer — the bench emits it as JSON.
@@ -330,7 +326,6 @@ impl BatchStats {
         reg.set(Counter::LockWaitMicros, self.contention_micros);
         reg.set(Counter::FaultsInjected, self.faults_injected);
         reg.set(Counter::IoFaults, self.io_faults);
-        reg.set(Counter::WatchdogFired, self.watchdog_fired);
         reg.set(Counter::CubesBuilt, self.meta.cubes_built);
         reg.set(Counter::SubsumptionChecks, self.meta.subsumption_checks);
         reg.set(Counter::SubsumptionFastRejects, self.meta.subsumption_fast_rejects);
@@ -974,7 +969,6 @@ where
         contention_micros,
         faults_injected: faultplane::faults_injected().saturating_sub(injected_at_start),
         io_faults: faultplane::io_faults().saturating_sub(io_at_start),
-        watchdog_fired: 0,
         worker_meta,
         meta: {
             let mut total = MetaStats::default();
@@ -1356,7 +1350,6 @@ mod tests {
             contention_micros: 9,
             faults_injected: 11,
             io_faults: 10,
-            watchdog_fired: 14,
             worker_meta: Vec::new(),
             meta: MetaStats {
                 cubes_built: 12,
@@ -1374,7 +1367,7 @@ mod tests {
             stats.to_string(),
             "32 queries, jobs=8: 16.0 q/s, cache 57/89 hits (64.0%), 57 forward runs saved, \
              faults=1 deadlines=2 escalations=3 retries=7 resumed=4 degradations=5 shed=6 \
-             injected=11 io_injected=10 watchdog=14 contention=9µs forward=19µs solver=13µs\n\
+             injected=11 io_injected=10 contention=9µs forward=19µs solver=13µs\n\
              meta: 12 cubes, wp 8/10 memo hits, subsumption 5/20 fast-rejected, 3 drops, 42µs"
         );
         // The meta: line is the MetaStats Display, verbatim.

@@ -1,7 +1,11 @@
-//! Case tables: each atomic command as a disjoint, total list of guarded
-//! symbolic updates, from which the backward weakest preconditions
-//! (Figure 11) are derived and against which the direct forward transfer
-//! (Figure 5) is tested.
+//! The escape client's transfer functions: the direct forward transfer
+//! (Figure 5) and the direct weakest precondition (Figure 11), both
+//! written out as a `match` on the atom. Beside them, test builds keep
+//! each atomic command as a disjoint, total list of guarded symbolic
+//! updates — the case tables — which are the oracle for both
+//! directions: tests check the forward transfer against the tables'
+//! reading and the weakest precondition against the formula the tables
+//! derive.
 
 use crate::domain::{Cell, Env, EscPrim, Val};
 use pda_lang::Atom;
@@ -9,8 +13,9 @@ use pda_meta::Formula;
 use pda_util::BitSet;
 
 /// A symbolic right-hand side for one cell update.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Rhs {
+enum Rhs {
     /// A constant value.
     Const(Val),
     /// Copy of another (pre-state) cell.
@@ -20,8 +25,9 @@ pub(crate) enum Rhs {
 }
 
 /// The effect of one case.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub(crate) enum Effect {
+enum Effect {
     /// Point updates (reads happen in the pre-state).
     Assign(Vec<(Cell, Rhs)>),
     /// The `esc` operator: an `L` object may have escaped.
@@ -30,15 +36,18 @@ pub(crate) enum Effect {
 
 /// A guard: conjunction of `d(cell) ∈ value-set` tests (mask bits from
 /// [`Val::mask`]). Repeated cells intersect.
-pub(crate) type Guard = Vec<(Cell, u8)>;
+#[cfg(test)]
+type Guard = Vec<(Cell, u8)>;
 
 /// One guarded case.
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub(crate) struct Case {
-    pub guard: Guard,
-    pub effect: Effect,
+struct Case {
+    guard: Guard,
+    effect: Effect,
 }
 
+#[cfg(test)]
 const NE: u8 = 0b101; // N or E
 
 #[cfg(test)]
@@ -48,7 +57,8 @@ fn guard_matches(guard: &Guard, d: &Env) -> bool {
 
 /// The case table for `atom`. Cases are pairwise disjoint and total
 /// (checked by tests over all small environments).
-pub(crate) fn cases(atom: &Atom) -> Vec<Case> {
+#[cfg(test)]
+fn cases(atom: &Atom) -> Vec<Case> {
     let id = || vec![Case { guard: Vec::new(), effect: Effect::Assign(Vec::new()) }];
     match *atom {
         Atom::New { dst, site } => vec![Case {
@@ -182,6 +192,124 @@ pub(crate) fn apply(p: &BitSet, atom: &Atom, d: &Env) -> Env {
     }
 }
 
+/// What a `Store` into an `L` base does, given the field's and the
+/// source's values.
+#[derive(Clone, Copy)]
+enum StoreEffect {
+    /// The field summary keeps its value.
+    Keep,
+    /// The field summary becomes the value.
+    SetField(Val),
+    /// `L` and `E` through one field: the `esc` operator.
+    Esc,
+}
+
+/// `Store`'s cases on an `L` base as `(field value, src value, effect)`,
+/// in the case table's order (the order is the formula's branch order).
+const STORE_INTO_L: [(Val, Val, StoreEffect); 9] = [
+    (Val::N, Val::L, StoreEffect::SetField(Val::L)),
+    (Val::L, Val::N, StoreEffect::Keep),
+    (Val::N, Val::E, StoreEffect::SetField(Val::E)),
+    (Val::E, Val::N, StoreEffect::Keep),
+    (Val::N, Val::N, StoreEffect::Keep),
+    (Val::L, Val::L, StoreEffect::Keep),
+    (Val::E, Val::E, StoreEffect::Keep),
+    (Val::L, Val::E, StoreEffect::Esc),
+    (Val::E, Val::L, StoreEffect::Esc),
+];
+
+/// Weakest precondition of `CellIs(cell, val)` across `atom` (Figure 11),
+/// written out directly: the wp closure of every backward call asks it
+/// for each `(atom, prim)` pair, so it never builds the case table.
+///
+/// It returns exactly the formula the table derives ([`wp_cell`], the
+/// test oracle): the same constant folding, branch order and nested
+/// `And([guard, post])` shape, not merely an equivalent formula, because
+/// the meta kernel's DNF conversion and `drop_k` read the formula's
+/// shape. Tests check this on every atom kind, cell and value.
+pub(crate) fn wp(atom: &Atom, cell: Cell, val: Val) -> Formula<EscPrim> {
+    use Formula as F;
+    let keep = || is(cell, val);
+    let set = |v: Val| if v == val { F::True } else { F::False };
+    match *atom {
+        Atom::New { dst, site } if cell == Cell::Var(dst) => match val {
+            Val::L => F::prim(EscPrim::SiteIs(site, true)),
+            Val::E => F::prim(EscPrim::SiteIs(site, false)),
+            Val::N => F::False,
+        },
+        Atom::Copy { dst, src } if cell == Cell::Var(dst) => is(Cell::Var(src), val),
+        Atom::Null { dst } if cell == Cell::Var(dst) => set(Val::N),
+        Atom::GGet { dst, .. } | Atom::Havoc { dst } if cell == Cell::Var(dst) => set(Val::E),
+        // A single unguarded update of another cell, or no update at all.
+        Atom::New { .. }
+        | Atom::Copy { .. }
+        | Atom::Null { .. }
+        | Atom::GGet { .. }
+        | Atom::Havoc { .. }
+        | Atom::Invoke { .. }
+        | Atom::Nop => keep(),
+        Atom::GSet { src, .. } | Atom::Spawn { src } => {
+            let s = Cell::Var(src);
+            F::or(vec![branch(is(s, Val::L), esc_post(cell, val)), branch(ne(s), keep())])
+        }
+        Atom::Load { dst, base, field } => {
+            let b = Cell::Var(base);
+            let (via_l, via_ne) = if cell == Cell::Var(dst) {
+                (is(Cell::Field(field), val), set(Val::E))
+            } else {
+                (keep(), keep())
+            };
+            F::or(vec![branch(is(b, Val::L), via_l), branch(ne(b), via_ne)])
+        }
+        Atom::Store { base, field, src } => {
+            let (b, f, s) = (Cell::Var(base), Cell::Field(field), Cell::Var(src));
+            let mut branches = Vec::with_capacity(STORE_INTO_L.len() + 2);
+            for &(fv, sv, effect) in &STORE_INTO_L {
+                let post = match effect {
+                    StoreEffect::SetField(v) if cell == f => set(v),
+                    StoreEffect::Keep | StoreEffect::SetField(_) => keep(),
+                    StoreEffect::Esc => esc_post(cell, val),
+                };
+                branches.push(branch(F::And(vec![is(b, Val::L), is(f, fv), is(s, sv)]), post));
+            }
+            branches.push(branch(F::And(vec![ne(b), is(s, Val::L)]), esc_post(cell, val)));
+            branches.push(branch(F::And(vec![ne(b), ne(s)]), keep()));
+            F::or(branches)
+        }
+    }
+}
+
+fn is(cell: Cell, val: Val) -> Formula<EscPrim> {
+    Formula::prim(EscPrim::CellIs(cell, val))
+}
+
+/// The guard `d(cell) ∈ {N, E}`.
+fn ne(cell: Cell) -> Formula<EscPrim> {
+    Formula::Or(vec![is(cell, Val::N), is(cell, Val::E)])
+}
+
+/// One case's branch `guard ∧ post`, folded as `Formula::and` folds it
+/// (a guard is never constant).
+fn branch(guard: Formula<EscPrim>, post: Formula<EscPrim>) -> Formula<EscPrim> {
+    match post {
+        Formula::True => guard,
+        Formula::False => Formula::False,
+        post => Formula::And(vec![guard, post]),
+    }
+}
+
+/// `CellIs(cell, val)` pulled back through the `esc` operator: a local
+/// is `E` after it if it was non-null, a field is `N`.
+fn esc_post(cell: Cell, val: Val) -> Formula<EscPrim> {
+    match (cell, val) {
+        (Cell::Var(_), Val::N) => is(cell, Val::N),
+        (Cell::Var(_), Val::E) => Formula::Or(vec![is(cell, Val::L), is(cell, Val::E)]),
+        (Cell::Var(_), Val::L) => Formula::False,
+        (Cell::Field(_), Val::N) => Formula::True,
+        (Cell::Field(_), _) => Formula::False,
+    }
+}
+
 /// Forward transfer by interpreting the (unique) matching case of
 /// [`cases`]: the reference [`apply`] is tested against.
 #[cfg(test)]
@@ -215,9 +343,11 @@ fn interpret(p: &BitSet, atom: &Atom, d: &Env) -> Env {
 }
 
 /// Weakest precondition of `CellIs(cell, val)` across `atom`, derived
-/// from the same case table: the union over cases of
-/// `guard ∧ (post-condition pulled back through the update)`.
-pub(crate) fn wp_cell(atom: &Atom, cell: Cell, val: Val) -> Formula<EscPrim> {
+/// from the case table: the union over cases of
+/// `guard ∧ (post-condition pulled back through the update)`. The oracle
+/// [`wp`] is tested against.
+#[cfg(test)]
+fn wp_cell(atom: &Atom, cell: Cell, val: Val) -> Formula<EscPrim> {
     use Formula as F;
     let mut branches = Vec::new();
     for case in cases(atom) {
@@ -236,16 +366,7 @@ pub(crate) fn wp_cell(atom: &Atom, cell: Cell, val: Val) -> Formula<EscPrim> {
                 .collect(),
         );
         let post = match &case.effect {
-            Effect::Esc => match (cell, val) {
-                (Cell::Var(_), Val::N) => F::prim(EscPrim::CellIs(cell, Val::N)),
-                (Cell::Var(_), Val::E) => F::or(vec![
-                    F::prim(EscPrim::CellIs(cell, Val::L)),
-                    F::prim(EscPrim::CellIs(cell, Val::E)),
-                ]),
-                (Cell::Var(_), Val::L) => F::False,
-                (Cell::Field(_), Val::N) => F::True,
-                (Cell::Field(_), _) => F::False,
-            },
+            Effect::Esc => esc_post(cell, val),
             Effect::Assign(assigns) => match assigns.iter().find(|(c, _)| *c == cell) {
                 None => F::prim(EscPrim::CellIs(cell, val)),
                 Some(&(_, rhs)) => match rhs {
@@ -419,17 +540,50 @@ mod tests {
         assert_eq!(out2.get(Cell::Var(VarId(1))), Val::L);
     }
 
-    /// The client's wp fast paths (identity for cells an atom does not
-    /// write) are exactly what the case table derives: same formula,
-    /// not merely an equivalent one, since the meta kernel's output
-    /// depends on wp syntax.
+    /// Every atom over variables `v0..v2`, fields `f0`, `f1` and two
+    /// sites, each operand tuple in turn — aliased operands included
+    /// (`Copy` with dst == src, `Load` with dst == base, `Store` with
+    /// base == src).
+    fn every_atom() -> Vec<Atom> {
+        let vars = || (0..3).map(VarId);
+        let fields = || (0..2).map(FieldId);
+        let g = pda_lang::GlobalId(0);
+        let mut out = vec![Atom::Nop];
+        for v in vars() {
+            out.push(Atom::Null { dst: v });
+            out.push(Atom::GGet { dst: v, global: g });
+            out.push(Atom::GSet { global: g, src: v });
+            out.push(Atom::Spawn { src: v });
+            out.push(Atom::Havoc { dst: v });
+            out.push(Atom::Invoke { recv: v, method: pda_lang::NameId(0) });
+            for h in 0..2 {
+                out.push(Atom::New { dst: v, site: SiteId(h) });
+            }
+            for w in vars() {
+                out.push(Atom::Copy { dst: v, src: w });
+                for f in fields() {
+                    out.push(Atom::Load { dst: v, base: w, field: f });
+                    out.push(Atom::Store { base: v, field: f, src: w });
+                }
+            }
+        }
+        out
+    }
+
+    /// The client's direct wp is exactly what the case table derives:
+    /// the same formula, not merely an equivalent one, since the meta
+    /// kernel's output depends on wp syntax. Checked on every atom of
+    /// [`every_atom`], every cell it can read or write, and every value.
     #[test]
     fn client_wp_prim_matches_wp_cell() {
         use pda_tracer::TracerClient as _;
         let program = pda_lang::parse_program("fn main() { }").unwrap();
         let client = crate::EscapeClient::new(&program);
-        let cells = [Cell::Var(VarId(0)), Cell::Var(VarId(1)), Cell::Field(FieldId(0))];
-        for atom in sample_atoms() {
+        let cells: Vec<Cell> = (0..3)
+            .map(|v| Cell::Var(VarId(v)))
+            .chain((0..2).map(|f| Cell::Field(FieldId(f))))
+            .collect();
+        for atom in every_atom() {
             for &cell in &cells {
                 for &val in &Val::ALL {
                     assert_eq!(
@@ -438,6 +592,10 @@ mod tests {
                         "atom {atom:?}, {cell}.{val}"
                     );
                 }
+            }
+            for h in 0..2 {
+                let site = EscPrim::SiteIs(SiteId(h), h == 0);
+                assert_eq!(client.wp_prim(&atom, &site), Formula::prim(site));
             }
         }
     }

@@ -104,26 +104,7 @@ impl TracerClient for EscapeClient {
     fn wp_prim(&self, atom: &Atom, prim: &EscPrim) -> Formula<EscPrim> {
         match *prim {
             EscPrim::SiteIs(..) => Formula::prim(*prim), // parameters never change
-            EscPrim::CellIs(cell, val) => match atom {
-                // Identity-table atoms (one case, empty guard, no
-                // assigns): `wp_cell` folds to exactly the prim itself,
-                // so skip building the case table. Traces are
-                // invoke-heavy, which makes this the dominant share of
-                // all universe-closure wp calls.
-                Atom::Invoke { .. } | Atom::Nop => Formula::prim(*prim),
-                // Single unguarded update of `dst`: every other cell
-                // keeps its value, and `wp_cell` folds to the prim too.
-                Atom::New { dst, .. }
-                | Atom::Copy { dst, .. }
-                | Atom::Null { dst }
-                | Atom::GGet { dst, .. }
-                | Atom::Havoc { dst }
-                    if cell != Cell::Var(*dst) =>
-                {
-                    Formula::prim(*prim)
-                }
-                _ => cases::wp_cell(atom, cell, val),
-            },
+            EscPrim::CellIs(cell, val) => cases::wp(atom, cell, val),
         }
     }
 

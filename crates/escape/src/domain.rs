@@ -21,7 +21,8 @@ impl Val {
     /// All three values, for enumeration in tests and tables.
     pub const ALL: [Val; 3] = [Val::N, Val::L, Val::E];
 
-    /// Bitmask singleton used in guard value-sets.
+    /// Bitmask singleton used in the case tables' guard value-sets.
+    #[cfg(test)]
     pub(crate) fn mask(self) -> u8 {
         1 << (self as u8)
     }

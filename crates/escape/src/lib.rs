@@ -18,16 +18,19 @@
 //!
 //! # Design note
 //!
-//! Rather than transcribing the paper's Figure 11 backward transfer
-//! functions literally, both directions are generated from one
-//! *case table* per atomic command (`cases`): a list of disjoint, total
-//! guarded symbolic updates. The weakest precondition is derived
-//! mechanically from the table. The forward transfer — the hot path of
-//! every forward run — is a direct `match` on the atom; an exhaustive
-//! test checks it against the table's own reading. Further exhaustive
-//! tests check the transfer and the weakest preconditions against each
-//! other (requirement (2) of the paper's framework) and the table's
-//! disjointness/totality.
+//! Figure 11's backward transfer functions are easy to mistranscribe, so
+//! both directions are specified by one *case table* per atomic command
+//! (`cases`): a list of disjoint, total guarded symbolic updates. The
+//! production transfers are direct `match`es on the atom — the forward
+//! transfer of every forward run, and the weakest precondition the
+//! backward pass's wp closure asks for every `(atom, prim)` pair — and
+//! the tables, compiled only into tests, are their oracle: exhaustive
+//! tests check the forward transfer against the table's own reading and
+//! the weakest precondition against the formula the table derives
+//! (syntactically equal, since the meta kernel reads the formula's
+//! shape). Further exhaustive tests check the transfer and the weakest
+//! preconditions against each other (requirement (2) of the paper's
+//! framework) and the table's disjointness/totality.
 
 #![warn(missing_docs)]
 

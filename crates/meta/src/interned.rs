@@ -67,9 +67,9 @@ use crate::approx::BeamConfig;
 use crate::backward::{MetaClient, MetaError, ParamOf, StateOf};
 use crate::formula::{Cube, Dnf, Formula, Lit, Primitive};
 use pda_lang::Atom;
-use pda_util::{Counter, ObsRegistry, Span, SpanKind};
+use pda_util::{Counter, FxBuildHasher, FxHashMap, ObsRegistry, Span, SpanKind};
 use pda_solver::PFormula;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashSet;
 
 /// A packed literal: `prim id << 1 | positive`.
 ///
@@ -144,7 +144,7 @@ impl Matrix {
 struct PrimTable<P: Primitive> {
     /// Interned primitives in `Ord` order; the index is the id.
     prims: Vec<P>,
-    id_of: HashMap<P, u32>,
+    id_of: FxHashMap<P, u32>,
     /// `param_atom()` per id, cached at intern time.
     param_atom: Vec<Option<(usize, bool)>>,
     /// `implies[i][j] = prims[i].implies(prims[j])`.
@@ -489,11 +489,15 @@ impl<P: Primitive> WpMemo<P> {
 /// * the atom registry (ids are first-seen order — atom ids carry no
 ///   ordering obligation, unlike prim ids);
 /// * the primitive universe, closed under `wp_prim` over all registered
-///   atoms, with every raw wp formula retained;
+///   atoms, with every raw wp formula retained — an Fx-hashed set, since
+///   only the table needs the `Ord` order;
 /// * the intern table with its `Ord`-ordered ids and implication /
-///   contradiction matrices, rebuilt only when the universe grows (a
-///   superset universe preserves the id-order isomorphism, so outputs
-///   stay bit-identical — see the module docs);
+///   contradiction matrices, rebuilt — with one sort of the universe —
+///   only when the universe grows (a superset universe preserves the
+///   id-order isomorphism, so outputs stay bit-identical — see the module
+///   docs). Every grown universe is rebuilt before the walk, so between
+///   calls the table's prims are exactly the universe in `Ord` order,
+///   which is where the closure takes its snapshot from;
 /// * one row per atom of the primitive ids its raw wp changes (exactly
 ///   the atom's `wp_raw` keys, since identity is stored by absence) —
 ///   the cone-of-influence rows the backward walk skips steps by;
@@ -504,9 +508,9 @@ impl<P: Primitive> WpMemo<P> {
 /// `eval_state(d_I)` rows are never cached).
 pub struct InternCache<P: Primitive> {
     atoms: Vec<Atom>,
-    aid_of: HashMap<Atom, u32>,
-    universe: BTreeSet<P>,
-    wp_raw: HashMap<(u32, P), Formula<P>>,
+    aid_of: FxHashMap<Atom, u32>,
+    universe: HashSet<P, FxBuildHasher>,
+    wp_raw: FxHashMap<(u32, P), Formula<P>>,
     /// Bit `(aid, id)`: atom `aid`'s raw wp of prim `id` is not the
     /// identity, i.e. `wp_raw` holds `(aid, prims[id])`. Columns follow
     /// the current table's ids.
@@ -526,9 +530,9 @@ impl<P: Primitive> InternCache<P> {
     pub fn new() -> InternCache<P> {
         InternCache {
             atoms: Vec::new(),
-            aid_of: HashMap::new(),
-            universe: BTreeSet::new(),
-            wp_raw: HashMap::new(),
+            aid_of: FxHashMap::default(),
+            universe: HashSet::default(),
+            wp_raw: FxHashMap::default(),
             touches: Matrix::rect(0, 0),
             table: None,
             memo: WpMemo { stride: 0, entries: Vec::new() },
@@ -564,11 +568,14 @@ impl<P: Primitive> InternCache<P> {
     /// every genuinely new prim goes through `work`, which pairs it with
     /// *all* atoms, old and new.
     ///
-    /// The snapshot loop also extends the fresh atoms' [`Self::touches`]
-    /// rows: the snapshot is the universe in `Ord` order, which is the
-    /// current table's id order. Pairs with a new prim need no row bit
-    /// here — a grown universe forces [`Self::rebuild_table`], which
-    /// re-indexes every row from `wp_raw`.
+    /// The snapshot is the current table's prims: the table is in sync
+    /// with the universe here, since every grown universe is rebuilt
+    /// before the walk. Only a cache without a table yet sorts a fresh
+    /// copy of the universe. The snapshot loop also extends the fresh
+    /// atoms' [`Self::touches`] rows, as the snapshot is in the table's
+    /// id order. Pairs with a new prim need no row bit here — a grown
+    /// universe forces [`Self::rebuild_table`], which re-indexes every
+    /// row from `wp_raw`.
     fn close_universe<C: MetaClient<Prim = P>>(
         &mut self,
         client: &C,
@@ -577,10 +584,17 @@ impl<P: Primitive> InternCache<P> {
     ) -> bool {
         // Snapshot before seeding, so the snapshot loop never duplicates
         // work-loop pairs.
-        let pre: Vec<P> = if fresh_atoms.is_empty() {
-            Vec::new()
-        } else {
-            self.universe.iter().cloned().collect()
+        let sorted;
+        let pre: &[P] = match &self.table {
+            _ if fresh_atoms.is_empty() => &[],
+            Some(t) => {
+                debug_assert_eq!(t.prims.len(), self.universe.len(), "table out of sync");
+                &t.prims
+            }
+            None => {
+                sorted = sorted_universe(&self.universe);
+                &sorted
+            }
         };
         let mut scratch = Vec::new();
         let mut work: Vec<P> = Vec::new();
@@ -700,11 +714,13 @@ impl<P: Primitive> InternCache<P> {
         evicted
     }
 
-    /// Reinterns the universe in `Ord` order, precomputes the matrices and
-    /// re-indexes the per-atom wp rows; the memo resets because its
-    /// entries embed the old generation's ids.
+    /// Reinterns the universe in `Ord` order — the hash-set universe's one
+    /// sort per table generation, which the next [`Self::close_universe`]
+    /// takes as its snapshot — precomputes the matrices and re-indexes
+    /// the per-atom wp rows; the memo resets because its entries embed
+    /// the old generation's ids.
     fn rebuild_table(&mut self) {
-        let table = PrimTable::new(self.universe.iter().cloned().collect());
+        let table = PrimTable::new(sorted_universe(&self.universe));
         let mut touches = Matrix::rect(self.atoms.len(), table.prims.len());
         for (aid, q) in self.wp_raw.keys() {
             touches.set(*aid as usize, table.id_of[q] as usize);
@@ -715,13 +731,20 @@ impl<P: Primitive> InternCache<P> {
     }
 }
 
+/// The universe's prims in `Ord` order, the interned id order.
+fn sorted_universe<P: Primitive>(universe: &HashSet<P, FxBuildHasher>) -> Vec<P> {
+    let mut prims: Vec<P> = universe.iter().cloned().collect();
+    prims.sort_unstable();
+    prims
+}
+
 /// The per-call view the backward walk runs on: the cache's table and raw
 /// wp formulas (shared borrows), plus everything that depends on this
 /// call's `p`/`d_I`/trace — the truth table and the step→atom map.
 struct Kernel<'c, P: Primitive> {
     table: &'c PrimTable<P>,
     /// `wp_raw[(aid, prim)]`: the client's raw `wp_prim` formula.
-    wp_raw: &'c HashMap<(u32, P), Formula<P>>,
+    wp_raw: &'c FxHashMap<(u32, P), Formula<P>>,
     /// `truth[step * twords ..]`: bit `id` = `prims[id].holds(p, states[step])`.
     truth: Vec<u64>,
     twords: usize,
@@ -1354,6 +1377,52 @@ mod tests {
             }
         }
         assert!(compared >= 100, "expected broad coverage, got {compared}");
+    }
+
+    /// The universe is an unordered hash set, sorted once per table
+    /// rebuild, and the closure snapshots the table: the interned ids, the
+    /// kernel's output and the byte estimate must not depend on the order
+    /// in which atoms and prims reach the cache. One cache closes the atoms
+    /// in two registrations (the second snapshots the first's table), the
+    /// other in one, reversed.
+    #[test]
+    fn universe_order_is_independent_of_registration_order() {
+        let trace = [null(0), copy(1, 0), havoc(2), null(2), copy(0, 2), null(1), copy(2, 1)];
+        let reversed: Vec<Atom> = trace.iter().rev().copied().collect();
+        let not_q = test_not_qs().swap_remove(1);
+        let cfg = BeamConfig::with_k(2);
+        let close = |registrations: &[&[Atom]]| {
+            let mut cache = InternCache::new();
+            for atoms in registrations {
+                let (_, fresh) = cache.register_atoms(atoms);
+                if cache.close_universe(&Bits, &fresh, &not_q) || cache.table.is_none() {
+                    cache.rebuild_table();
+                }
+            }
+            cache
+        };
+        let mut split = close(&[&trace[..3], &trace[3..]]);
+        let mut whole = close(&[&reversed]);
+        let prims = |c: &InternCache<BP>| c.table.as_ref().unwrap().prims.clone();
+        assert_eq!(prims(&split), prims(&whole));
+        assert!(prims(&split).windows(2).all(|w| w[0] < w[1]), "ids must follow Ord");
+        assert_eq!(split.approx_bytes(), whole.approx_bytes());
+        for p in 0..8u32 {
+            let mut obs = ObsRegistry::default();
+            let a = analyze_trace_interned(&Bits, &p, &0, &trace, &not_q, &cfg, &mut split, &mut obs);
+            let b = analyze_trace_interned(&Bits, &p, &0, &trace, &not_q, &cfg, &mut whole, &mut obs);
+            match (a, b) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.prims, b.prims);
+                    assert_eq!(a.param_atom, b.param_atom);
+                    assert_eq!(a.eval_init, b.eval_init);
+                    assert_eq!(a.cubes, b.cubes, "p={p:b}");
+                }
+                (Err(a), Err(b)) => assert_eq!(a, b),
+                (a, b) => panic!("outcome diverged at p={p:b}: {:?} vs {:?}", a.is_ok(), b.is_ok()),
+            }
+            assert_eq!(split.approx_bytes(), whole.approx_bytes(), "p={p:b}");
+        }
     }
 
     /// A second call over the same trace/query — the shape of every CEGAR

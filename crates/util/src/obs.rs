@@ -108,8 +108,6 @@ pub enum Counter {
     /// I/O-class injected faults (`ioerr`/`shortwrite`), a subset of
     /// [`Counter::FaultsInjected`].
     IoFaults,
-    /// Non-cooperative stalls reclaimed by the serve watchdog.
-    WatchdogFired,
     /// Backward trace steps skipped because their atom changes no
     /// primitive of the current DNF (the meta kernel's cone-of-influence
     /// skip). An effort meter only: no trace event, `MetaStats` field,
@@ -371,7 +369,7 @@ impl ObsRegistry {
         format!(
             "{} queries, jobs={}: {:.1} q/s, cache {}/{} hits ({:.1}%), {} forward runs saved, \
              faults={} deadlines={} escalations={} retries={} resumed={} degradations={} shed={} \
-             injected={} io_injected={} watchdog={} contention={}µs forward={}µs solver={}µs\n{}",
+             injected={} io_injected={} contention={}µs forward={}µs solver={}µs\n{}",
             queries,
             self.get(Counter::Jobs),
             qps,
@@ -388,7 +386,6 @@ impl ObsRegistry {
             self.get(Counter::Shed),
             self.get(Counter::FaultsInjected),
             self.get(Counter::IoFaults),
-            self.get(Counter::WatchdogFired),
             self.get(Counter::LockWaitMicros),
             self.get(Counter::ForwardMicros),
             self.get(Counter::SolverMicros),
@@ -881,12 +878,11 @@ mod tests {
         reg.set(Counter::ForwardMicros, 17);
         reg.set(Counter::FaultsInjected, 6);
         reg.set(Counter::IoFaults, 2);
-        reg.set(Counter::WatchdogFired, 1);
         assert_eq!(
             reg.render(),
             "32 queries, jobs=8: 16.0 q/s, cache 57/89 hits (64.0%), 57 forward runs saved, \
              faults=0 deadlines=0 escalations=1 retries=4 resumed=0 degradations=3 shed=2 \
-             injected=6 io_injected=2 watchdog=1 contention=11µs forward=17µs solver=21µs\n\
+             injected=6 io_injected=2 contention=11µs forward=17µs solver=21µs\n\
              meta: 7 cubes, wp 3/4 memo hits, subsumption 0/9 fast-rejected, 2 drops, 15µs"
         );
     }
