@@ -26,8 +26,7 @@
 //! `PDA_MAX_QUERIES` caps the batch size (default 32, floor 16);
 //! `PDA_MEM_BUDGET` sets a per-query memory budget in estimated bytes
 //! (`k`/`m`/`g` suffixes accepted) — the governor degrades deterministically
-//! under pressure, so outcome lines stay diffable; `PDA_POOL_BUDGET` sets
-//! the shared batch pool for the parallel phase (admission control);
+//! under pressure, so outcome lines stay diffable;
 //! `PDA_DEADLINE_MS` sets a per-query wall-clock deadline — under a
 //! deadline, queries may legitimately resolve as `DeadlineExceeded` and
 //! the equality/cache/oracle/JSON steps are skipped (wall-clock aborts
@@ -166,8 +165,6 @@ fn main() {
 
     let mem_budget =
         std::env::var("PDA_MEM_BUDGET").ok().and_then(|v| pda_util::parse_bytes(&v));
-    let pool_budget =
-        std::env::var("PDA_POOL_BUDGET").ok().and_then(|v| pda_util::parse_bytes(&v));
     let tracer = pda_tracer::TracerConfig {
         timeout: deadline_ms.map(std::time::Duration::from_millis),
         mem_budget,
@@ -208,7 +205,6 @@ fn main() {
     let par_cfg = BatchConfig {
         jobs,
         tracer: tracer.clone(),
-        pool_budget,
         retry: retry.clone(),
         ..BatchConfig::default()
     };
@@ -233,13 +229,12 @@ fn main() {
     );
 
     println!(
-        "resilience: deadline_exceeded={} engine_faults={} escalations={} degradations={} shed={} \
+        "resilience: deadline_exceeded={} engine_faults={} escalations={} degradations={} \
          retries={} faults_injected={} io_faults={}",
         seq_stats.deadline_exceeded + par_stats.deadline_exceeded,
         seq_stats.engine_faults + par_stats.engine_faults,
         seq_stats.escalations + par_stats.escalations,
         seq_stats.degradations + par_stats.degradations,
-        seq_stats.shed + par_stats.shed,
         seq_stats.retries + par_stats.retries,
         seq_stats.faults_injected + par_stats.faults_injected,
         seq_stats.io_faults + par_stats.io_faults,

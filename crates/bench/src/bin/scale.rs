@@ -14,8 +14,8 @@
 //!   span stretched; the scheduler now clamps spawned threads to
 //!   available parallelism, so this must stay flat;
 //! * `contention_micros` — metered waits: contended forward-cache map
-//!   acquisitions, waits on a sibling's running forward run of the same
-//!   key, and admission-turnstile waits;
+//!   acquisitions and waits on a sibling's running forward run of the
+//!   same key;
 //! * `cache_hits` / `cache_misses` — forward runs shared vs executed;
 //! * `outcomes_identical` — per-query outcome key equality against the
 //!   `jobs = 1` sequential reference (must be `true` everywhere).

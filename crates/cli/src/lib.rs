@@ -7,8 +7,8 @@
 //! * `pda queries <file.jay>` — list the source queries with their kinds.
 //! * `pda solve <file.jay> [--query LABEL] [--k N] [--max-iters N]
 //!   [--jobs N] [--deadline MS] [--escalate N] [--mem-budget BYTES]
-//!   [--pool-budget BYTES] [--retry-faults N] [--checkpoint PATH]
-//!   [--trace OUT.jsonl] [--metrics] [--fault-plan PLAN]`
+//!   [--retry-faults N] [--checkpoint PATH] [--trace OUT.jsonl]
+//!   [--metrics] [--fault-plan PLAN]`
 //!   — run TRACER on one labeled query (or all), choosing the client by
 //!   the query kind (`local` → thread-escape, `state` → type-state).
 //!   `--trace` streams the structured JSONL event log to a file;
@@ -92,8 +92,8 @@ pub enum Command {
     },
     /// `pda solve <file> [--query LABEL] [--k N] [--max-iters N]
     /// [--jobs N] [--deadline MS] [--escalate N] [--mem-budget BYTES]
-    /// [--pool-budget BYTES] [--retry-faults N] [--checkpoint PATH]
-    /// [--trace PATH] [--metrics] [--fault-plan PLAN]`
+    /// [--retry-faults N] [--checkpoint PATH] [--trace PATH] [--metrics]
+    /// [--fault-plan PLAN]`
     Solve {
         /// Input path.
         file: String,
@@ -113,9 +113,6 @@ pub enum Command {
         /// Per-query memory budget in estimated bytes (accepts `k`/`m`/`g`
         /// suffixes).
         mem_budget: Option<u64>,
-        /// Shared batch memory pool in estimated bytes (admission
-        /// control; accepts `k`/`m`/`g` suffixes).
-        pool_budget: Option<u64>,
         /// Retry transiently faulted queries up to N times on the
         /// deterministic backoff ladder.
         retry_faults: Option<u32>,
@@ -189,8 +186,8 @@ USAGE:
     pda queries <file.jay>                 list source queries
     pda solve   <file.jay> [--query LABEL] [--k N] [--max-iters N] [--jobs N]
                 [--deadline MS] [--escalate N] [--mem-budget BYTES]
-                [--pool-budget BYTES] [--retry-faults N] [--checkpoint PATH]
-                [--trace PATH] [--metrics] [--fault-plan PLAN]
+                [--retry-faults N] [--checkpoint PATH] [--trace PATH]
+                [--metrics] [--fault-plan PLAN]
                                            find optimum abstractions
                                            (--jobs 1 = sequential; default:
                                            available parallelism, batched
@@ -206,9 +203,6 @@ USAGE:
                                                          under pressure the
                                                          governor degrades
                                                          before giving up
-                                           --pool-budget shared batch memory
-                                                         pool (admission
-                                                         control; k/m/g ok)
                                            --retry-faults retry transiently
                                                          faulted queries up to
                                                          N times on the
@@ -296,7 +290,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
             let mut deadline_ms = None;
             let mut escalate = None;
             let mut mem_budget = None;
-            let mut pool_budget = None;
             let mut retry_faults = None;
             let mut checkpoint = None;
             let mut trace = None;
@@ -317,7 +310,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                     "--deadline" => deadline_ms = Some(parse_num(&args, i, "--deadline")?),
                     "--escalate" => escalate = Some(parse_num(&args, i, "--escalate")?),
                     "--mem-budget" => mem_budget = Some(parse_size(&args, i, "--mem-budget")?),
-                    "--pool-budget" => pool_budget = Some(parse_size(&args, i, "--pool-budget")?),
                     "--retry-faults" => {
                         retry_faults = Some(parse_num(&args, i, "--retry-faults")?);
                     }
@@ -357,7 +349,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                 deadline_ms,
                 escalate,
                 mem_budget,
-                pool_budget,
                 retry_faults,
                 checkpoint,
                 trace,
@@ -474,7 +465,6 @@ pub fn run_on_source(cmd: &Command, source: &str) -> Result<String, CliError> {
             deadline_ms,
             escalate,
             mem_budget,
-            pool_budget,
             retry_faults,
             checkpoint,
             trace,
@@ -491,7 +481,6 @@ pub fn run_on_source(cmd: &Command, source: &str) -> Result<String, CliError> {
                 deadline_ms: *deadline_ms,
                 escalate: *escalate,
                 mem_budget: *mem_budget,
-                pool_budget: *pool_budget,
                 retry_faults: *retry_faults,
                 checkpoint: checkpoint.as_deref(),
                 trace: trace.as_deref(),
@@ -614,7 +603,6 @@ struct SolveOpts<'a> {
     deadline_ms: Option<u64>,
     escalate: Option<u32>,
     mem_budget: Option<u64>,
-    pool_budget: Option<u64>,
     retry_faults: Option<u32>,
     checkpoint: Option<&'a str>,
     trace: Option<&'a str>,
@@ -754,7 +742,6 @@ fn solve_report(source: &str, opts: &SolveOpts<'_>) -> Result<String, CliError> 
                 tracer: config.clone(),
                 jobs: opts.jobs,
                 timed: opts.metrics,
-                pool_budget: opts.pool_budget,
                 retry: opts.retry_faults.map(pda_tracer::RetryPolicy::deterministic),
                 ..BatchConfig::default()
             };
@@ -957,7 +944,6 @@ mod tests {
             deadline_ms,
             escalate: None,
             mem_budget: None,
-            pool_budget: None,
             retry_faults: None,
             checkpoint,
             trace: None,
@@ -983,7 +969,6 @@ mod tests {
                 deadline_ms: None,
                 escalate: None,
                 mem_budget: None,
-                pool_budget: None,
                 retry_faults: None,
                 checkpoint: None,
                 trace: None,
@@ -994,7 +979,7 @@ mod tests {
         assert_eq!(
             a(&[
                 "solve", "f.jay", "--jobs", "4", "--deadline", "250", "--escalate", "2",
-                "--mem-budget", "64k", "--pool-budget", "2m", "--retry-faults", "3",
+                "--mem-budget", "64k", "--retry-faults", "3",
                 "--checkpoint", "state.jsonl", "--metrics", "--trace", "out.jsonl",
                 "--fault-plan", "journal.write@2=ioerr:perm"
             ])
@@ -1008,7 +993,6 @@ mod tests {
                 deadline_ms: Some(250),
                 escalate: Some(2),
                 mem_budget: Some(64 << 10),
-                pool_budget: Some(2 << 20),
                 retry_faults: Some(3),
                 checkpoint: Some("state.jsonl".into()),
                 trace: Some("out.jsonl".into()),
@@ -1068,7 +1052,10 @@ mod tests {
         assert!(a(&["solve", "f", "--jobs", "many"]).is_err());
         assert!(a(&["solve", "f", "--deadline", "soon"]).is_err());
         assert!(a(&["solve", "f", "--mem-budget", "lots"]).is_err());
-        assert!(a(&["solve", "f", "--pool-budget"]).is_err());
+        // There is no shared batch pool: `--pool-budget` is a usage error.
+        let e = a(&["solve", "f", "--pool-budget", "1m"]).unwrap_err();
+        assert_eq!(e, CliError::Usage("solve: unknown flag `--pool-budget`".into()));
+        assert_eq!(e.exit_code(), 2);
         assert!(a(&["solve", "f", "--checkpoint"]).is_err());
         assert!(a(&["solve", "f", "--trace"]).is_err());
         // --metrics is a plain flag: the next token is parsed normally.
@@ -1301,7 +1288,6 @@ mod tests {
             deadline_ms: None,
             escalate: None,
             mem_budget: None,
-            pool_budget: None,
             retry_faults: None,
             checkpoint: None,
             trace: Some(path.to_string_lossy().into_owned()),

@@ -53,20 +53,18 @@
 //! slot — the one forward run a group would have shared.
 
 use crate::client::{Query, TracerClient};
-use crate::tracer::{
-    effective_mem_budget, Outcome, QueryObs, QueryResult, Session, TracerConfig, Unresolved,
-};
+use crate::tracer::{Outcome, QueryObs, QueryResult, Session, TracerConfig, Unresolved};
 use pda_dataflow::{Interrupt, RhsResult, TooBig};
 use pda_lang::{CallId, MethodId, Program};
 use pda_meta::MetaStats;
 use pda_util::{
-    fault_point, faultplane, CacheStats, Counter, Deadline, Event, MemBudget, ObsRegistry,
-    SplitMix64, TraceSink,
+    fault_point, faultplane, CacheStats, Counter, Deadline, Event, ObsRegistry, SplitMix64,
+    TraceSink,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
@@ -149,9 +147,9 @@ pub struct WorkerMeta {
     pub meta_micros: u64,
     /// Total wall time this worker spent solving (claim to finish), µs.
     pub busy_micros: u64,
-    /// Microseconds this worker spent blocked: its queries' waits in the
-    /// [`ForwardCache`] (contended map acquisitions and waits on a
-    /// sibling's running forward run) plus admission-turnstile waits.
+    /// Microseconds this worker's queries spent blocked in the
+    /// [`ForwardCache`]: contended map acquisitions and waits on a
+    /// sibling's running forward run.
     pub lock_wait_micros: u64,
 }
 
@@ -174,7 +172,7 @@ pub struct BatchConfig {
     /// Upper bound on *spawned* worker threads. `None` (the default)
     /// clamps to the machine's available parallelism. `Some(n)` replaces
     /// that clamp — used by tests that exercise genuine worker
-    /// concurrency (admission shedding, cache races) on small machines,
+    /// concurrency (cache races, a drain raised mid-batch) on small machines,
     /// and available to callers who want deliberate oversubscription.
     /// The effective thread count is always `<= jobs`.
     pub thread_cap: Option<usize>,
@@ -186,18 +184,6 @@ pub struct BatchConfig {
     /// CLI's `--metrics`). Off by default: counters and events are always
     /// collected, but no extra clock reads happen on the hot path.
     pub timed: bool,
-    /// Shared memory pool for the whole batch, in estimated bytes
-    /// (`--pool-budget`). Every query's charges cascade into the pool,
-    /// and the scheduler *admits* queries against it: a query whose
-    /// reservation (its own `mem_budget`, or the whole pool if it has
-    /// none) does not currently fit is deferred and requeued — never
-    /// failed — until running queries release capacity; a reservation
-    /// that can never fit resolves as
-    /// [`Unresolved::MemBudgetExceeded`] without running. Pool pressure
-    /// only gates *starting* queries; it never degrades a running one,
-    /// so per-query behavior stays schedule-independent. `None`
-    /// (default) disables admission control entirely.
-    pub pool_budget: Option<u64>,
     /// Transient-fault retry ladder (`--retry-faults`). `None` (default)
     /// fails fast, preserving the historical batch behavior exactly.
     pub retry: Option<RetryPolicy>,
@@ -219,7 +205,6 @@ impl Default for BatchConfig {
             thread_cap: None,
             batch_timeout: None,
             timed: false,
-            pool_budget: None,
             retry: None,
             cancel: None,
         }
@@ -259,16 +244,13 @@ pub struct BatchStats {
     /// Memory-governor degradation-ladder rungs applied across all
     /// queries.
     pub degradations: u64,
-    /// Admissions deferred (shed-and-requeued) by pool pressure. Zero
-    /// unless [`BatchConfig::pool_budget`] is set.
-    pub shed: u64,
     /// Transient-fault retry attempts consumed across all queries. Zero
     /// unless [`BatchConfig::retry`] is set.
     pub retries: u64,
-    /// Total microseconds workers spent blocked: contended
-    /// [`ForwardCache`] map acquisitions, waits on a sibling's running
-    /// forward run of the same key, and admission-turnstile waits.
-    /// Rendered as `contention=` in the footer.
+    /// Total microseconds workers spent blocked in the [`ForwardCache`]:
+    /// contended map acquisitions and waits on a sibling's running
+    /// forward run of the same key. Rendered as `contention=` in the
+    /// footer.
     pub contention_micros: u64,
     /// Faults the deterministic fault plane fired during this batch (the
     /// delta of [`pda_util::faultplane::faults_injected`] across the
@@ -322,7 +304,6 @@ impl BatchStats {
         reg.set(Counter::Retries, self.retries);
         reg.set(Counter::Resumed, self.resumed as u64);
         reg.set(Counter::Degradations, self.degradations);
-        reg.set(Counter::Shed, self.shed);
         reg.set(Counter::LockWaitMicros, self.contention_micros);
         reg.set(Counter::FaultsInjected, self.faults_injected);
         reg.set(Counter::IoFaults, self.io_faults);
@@ -641,10 +622,8 @@ pub fn emit_query_trace<Param>(sink: &dyn TraceSink, r: &QueryResult<Param>, qob
 }
 
 /// A result with no effort attributed: a query whose solve panicked (the
-/// payload is preserved), one the drain flag stopped before it started
-/// (withheld from the streaming sink so resumed runs re-solve it), or one
-/// whose memory reservation can never fit the shared pool (resolved
-/// without running or touching the forward cache).
+/// payload is preserved), or one the drain flag stopped before it started
+/// (withheld from the streaming sink so resumed runs re-solve it).
 fn unrun_result<Param>(reason: Unresolved, micros: u128) -> QueryResult<Param> {
     QueryResult {
         outcome: Outcome::Unresolved(reason),
@@ -655,14 +634,6 @@ fn unrun_result<Param>(reason: Unresolved, micros: u128) -> QueryResult<Param> {
         retries: 0,
         meta: MetaStats::default(),
     }
-}
-
-/// The bytes a query reserves against the shared pool for admission: its
-/// own effective budget if it has one, else the whole pool (a query with
-/// no budget of its own could grow arbitrarily, so the scheduler must
-/// assume the worst).
-fn reservation<P>(query: &Query<P>, tracer: &TracerConfig, pool_limit: u64) -> u64 {
-    effective_mem_budget(query, tracer).unwrap_or(pool_limit)
 }
 
 /// Resolves every query of one program, sharing forward runs.
@@ -737,24 +708,6 @@ pub fn outcome_tag<Param>(outcome: &Outcome<Param>) -> &'static str {
     }
 }
 
-/// Admission-control bookkeeping for the pool-budget worker loop: the
-/// queue of not-yet-started `pending` indices (deferred queries re-enter
-/// at the back) and the number of queries currently admitted.
-struct AdmissionState {
-    queue: VecDeque<usize>,
-    active: usize,
-}
-
-/// What a pool-budget worker decided for the claim it popped.
-enum Claim {
-    /// Admitted (the worker incremented `active`): run it.
-    Run,
-    /// Reservation can never fit the pool: resolve without running.
-    Reject,
-    /// Drain flag raised: resolve as [`Unresolved::Drained`].
-    Drain,
-}
-
 /// The shared batch runner behind [`solve_queries_batch`] and the
 /// checkpointing driver in [`crate::resilience`]: `skip` holds results
 /// restored from a checkpoint (those queries are not re-run), and `sink`
@@ -800,99 +753,48 @@ where
     // memory.
     let cache: Option<ForwardCache<'p, C::State>> =
         (pending.len() >= 2).then(ForwardCache::new);
-    let pool: Option<Arc<MemBudget>> =
-        config.pool_budget.map(|l| Arc::new(MemBudget::new(Some(l))));
-    let limit = pool.as_ref().and_then(|p| p.limit()).unwrap_or(u64::MAX);
-    let shed = AtomicU64::new(0);
-    let admission = Mutex::new(AdmissionState {
-        queue: (0..pending.len()).collect::<VecDeque<usize>>(),
-        active: 0,
-    });
-    let turnstile = Condvar::new();
+    let next = AtomicUsize::new(0);
     let cancelled = || config.cancel.as_ref().is_some_and(|c| c.load(Ordering::SeqCst));
     #[allow(clippy::type_complexity)]
     let done: Vec<Mutex<Option<(QueryResult<C::Param>, QueryObs)>>> =
         pending.iter().map(|_| Mutex::new(None)).collect();
 
-    // One worker's claim-solve loop. Admission: pop the next
-    // fresh-or-deferred query and start it once its reservation fits the
-    // pool (with no pool every query fits). A query that does not fit is
-    // shed (requeued at the back, never failed) until a running query
-    // releases capacity; when nothing is running it is admitted
-    // regardless, since waiting could not help and this guarantees
-    // progress — so a lone worker never sheds. A reservation above the
-    // pool limit itself can never be admitted and resolves without
-    // running. A raised drain flag empties the queue as
-    // [`Unresolved::Drained`] while admitted queries finish normally.
+    // One worker's claim-solve loop: claim the next pending index and
+    // solve it. A raised drain flag resolves every later claim as
+    // [`Unresolved::Drained`] while solves already running finish
+    // normally.
     let work = || {
         let mut wm = WorkerMeta::default();
         loop {
-            let mut st = admission.lock().expect("admission queue poisoned");
-            let claimed = loop {
-                if cancelled() {
-                    break st.queue.pop_front().map(|k| (k, Claim::Drain));
-                }
-                // Deferred queries are requeued under this same lock, so
-                // an empty queue means no unstarted work is left.
-                let Some(k) = st.queue.pop_front() else { break None };
-                let r = reservation(&queries[pending[k]], &config.tracer, limit);
-                if r > limit {
-                    break Some((k, Claim::Reject));
-                }
-                if st.active == 0 || pool.as_ref().is_none_or(|p| p.fits(r)) {
-                    st.active += 1;
-                    break Some((k, Claim::Run));
-                }
-                st.queue.push_back(k);
-                shed.fetch_add(1, Ordering::Relaxed);
-                let t0 = Instant::now();
-                st = turnstile.wait(st).expect("admission queue poisoned");
-                wm.lock_wait_micros += t0.elapsed().as_micros() as u64;
-            };
-            drop(st);
-            let Some((k, claim)) = claimed else { break };
-            let i = pending[k];
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&i) = pending.get(k) else { break };
+            if cancelled() {
+                let drained =
+                    (unrun_result(Unresolved::Drained, 0), QueryObs::new(i as u64, false, false));
+                *done[k].lock().expect("result slot poisoned") = Some(drained);
+                continue;
+            }
             let started = Instant::now();
-            let (r, qobs) = match claim {
-                Claim::Drain => {
-                    (unrun_result(Unresolved::Drained, 0), QueryObs::new(i as u64, false, false))
-                }
-                Claim::Reject => (
-                    unrun_result(Unresolved::MemBudgetExceeded, started.elapsed().as_micros()),
-                    QueryObs::new(i as u64, tracing, config.timed),
-                ),
-                Claim::Run => {
-                    let stop = || batch_deadline.expired() || cancelled();
-                    let Ok(out) = retry_ladder(i, config.retry.as_ref(), stop, |_| {
-                        let mut qobs = QueryObs::new(i as u64, tracing, config.timed);
-                        let r = isolate(|| {
-                            let mut s =
-                                Session::new(program, callees, client, &queries[i], &config.tracer)
-                                    .within(batch_deadline)
-                                    .observe(&mut qobs);
-                            if let Some(c) = &cache {
-                                s = s.cache(c);
-                            }
-                            if let Some(p) = &pool {
-                                s = s.pool(Arc::clone(p));
-                            }
-                            s.run()
-                        });
-                        Ok::<_, Infallible>((r, qobs))
-                    });
-                    admission.lock().expect("admission queue poisoned").active -= 1;
-                    turnstile.notify_all();
-                    out
-                }
-            };
-            if !matches!(r.outcome, Outcome::Unresolved(Unresolved::Drained)) {
-                wm.queries += 1;
-                wm.meta_micros += r.meta.micros;
-                wm.busy_micros += started.elapsed().as_micros() as u64;
-                wm.lock_wait_micros += qobs.reg.get(Counter::LockWaitMicros);
-                if let Some(sink) = sink {
-                    sink(i, &r);
-                }
+            let stop = || batch_deadline.expired() || cancelled();
+            let Ok((r, qobs)) = retry_ladder(i, config.retry.as_ref(), stop, |_| {
+                let mut qobs = QueryObs::new(i as u64, tracing, config.timed);
+                let r = isolate(|| {
+                    let mut s = Session::new(program, callees, client, &queries[i], &config.tracer)
+                        .within(batch_deadline)
+                        .observe(&mut qobs);
+                    if let Some(c) = &cache {
+                        s = s.cache(c);
+                    }
+                    s.run()
+                });
+                Ok::<_, Infallible>((r, qobs))
+            });
+            wm.queries += 1;
+            wm.meta_micros += r.meta.micros;
+            wm.busy_micros += started.elapsed().as_micros() as u64;
+            wm.lock_wait_micros += qobs.reg.get(Counter::LockWaitMicros);
+            if let Some(sink) = sink {
+                sink(i, &r);
             }
             *done[k].lock().expect("result slot poisoned") = Some((r, qobs));
         }
@@ -964,7 +866,6 @@ where
         escalations: results.iter().map(|r| u64::from(r.escalations)).sum(),
         resumed,
         degradations: results.iter().map(|r| u64::from(r.degradations)).sum(),
-        shed: shed.load(Ordering::Relaxed),
         retries: results.iter().map(|r| u64::from(r.retries)).sum(),
         contention_micros,
         faults_injected: faultplane::faults_injected().saturating_sub(injected_at_start),
@@ -1345,7 +1246,6 @@ mod tests {
             escalations: 3,
             resumed: 4,
             degradations: 5,
-            shed: 6,
             retries: 7,
             contention_micros: 9,
             faults_injected: 11,
@@ -1366,7 +1266,7 @@ mod tests {
         assert_eq!(
             stats.to_string(),
             "32 queries, jobs=8: 16.0 q/s, cache 57/89 hits (64.0%), 57 forward runs saved, \
-             faults=1 deadlines=2 escalations=3 retries=7 resumed=4 degradations=5 shed=6 \
+             faults=1 deadlines=2 escalations=3 retries=7 resumed=4 degradations=5 \
              injected=11 io_injected=10 contention=9µs forward=19µs solver=13µs\n\
              meta: 12 cubes, wp 8/10 memo hits, subsumption 5/20 fast-rejected, 3 drops, 42µs"
         );
@@ -1510,14 +1410,81 @@ mod tests {
         }
     }
 
+    /// A drain raised while the batch runs: the sink raises the flag as
+    /// soon as a query finishes. At jobs=1 the queries run in index
+    /// order, so query 0 keeps its verdict and every later claim drains
+    /// without running. At jobs=2 the schedule decides how many queries
+    /// started before the flag; what holds on any schedule is that no
+    /// drained result reaches the sink and every other result equals its
+    /// lone solve.
+    #[test]
+    fn drain_raised_mid_batch_stops_later_claims() {
+        let (program, pa) = fixture();
+        let client = NullClient::new(&program);
+        let qs = queries(&program, &client);
+        let callees = |c: CallId| pa.callees(c).to_vec();
+        let alone: Vec<_> = qs
+            .iter()
+            .map(|q| {
+                crate::tracer::solve_query(&program, &callees, &client, q, &TracerConfig::default())
+            })
+            .collect();
+        let drained = Outcome::Unresolved(Unresolved::Drained);
+        for (jobs, thread_cap) in [(1, None), (2, Some(2))] {
+            let flag = Arc::new(AtomicBool::new(false));
+            let config = BatchConfig {
+                jobs,
+                thread_cap,
+                cancel: Some(Arc::clone(&flag)),
+                ..BatchConfig::default()
+            };
+            let sunk = Mutex::new(Vec::new());
+            let sink = |i: usize, r: &QueryResult<pda_util::BitSet>| {
+                flag.store(true, Ordering::SeqCst);
+                sunk.lock().unwrap().push((i, r.clone()));
+            };
+            let (r, s) = run_batch(
+                &program,
+                &callees,
+                &client,
+                &qs,
+                &config,
+                HashMap::new(),
+                Some(&sink),
+                None,
+            );
+            let sunk = sunk.into_inner().unwrap();
+            assert!(!sunk.is_empty(), "jobs={jobs}: the first finished query reaches the sink");
+            for (i, sr) in &sunk {
+                assert_ne!(sr.outcome, drained, "jobs={jobs}: a drained result reached the sink");
+                assert_eq!(sr, &r[*i], "jobs={jobs}: the sink saw query {i}'s final result");
+            }
+            for (i, res) in r.iter().enumerate() {
+                if res.outcome == drained {
+                    assert_eq!(res.iterations, 0, "jobs={jobs}: drained query {i} ran");
+                    assert!(sunk.iter().all(|(j, _)| *j != i), "jobs={jobs}: query {i}");
+                } else {
+                    assert_eq!(res.outcome, alone[i].outcome, "jobs={jobs}: query {i}");
+                    assert_eq!(res.iterations, alone[i].iterations, "jobs={jobs}: query {i}");
+                }
+            }
+            if jobs == 1 {
+                assert_ne!(r[0].outcome, drained);
+                assert!(r[1..].iter().all(|r| r.outcome == drained), "later claims drain");
+                assert_eq!(sunk.iter().map(|(i, _)| *i).collect::<Vec<_>>(), vec![0]);
+                assert_eq!(s.worker_meta.iter().map(|w| w.queries).sum::<u64>(), 1);
+            }
+        }
+    }
+
     #[test]
     fn worker_meta_attributes_all_queries() {
         let (program, pa) = fixture();
         let client = NullClient::new(&program);
         let qs = queries(&program, &client);
         let callees = |c: CallId| pa.callees(c).to_vec();
-        for (jobs, pool) in [(1, None), (4, None), (4, Some(1 << 30))] {
-            let config = BatchConfig { jobs, pool_budget: pool, ..BatchConfig::default() };
+        for jobs in [1, 4] {
+            let config = BatchConfig { jobs, ..BatchConfig::default() };
             let (r, s) = solve_queries_batch(&program, &callees, &client, &qs, &config);
             assert!(!s.worker_meta.is_empty());
             assert!(s.worker_meta.len() <= jobs.min(qs.len()));

@@ -250,8 +250,7 @@ pub enum Unresolved {
     EngineFault(String),
     /// The memory governor exhausted its degradation ladder (memo
     /// eviction, beam shrinking, fact-budget shrinking) and the query
-    /// still exceeded its byte budget — or, in a batch, the query's
-    /// reservation can never fit the shared pool.
+    /// still exceeded its byte budget.
     MemBudgetExceeded,
     /// The batch was draining (graceful shutdown) before this query
     /// started; no work was attempted. Drained queries are never written
@@ -312,7 +311,7 @@ fn effective_deadline<P>(query: &Query<P>, config: &TracerConfig) -> Deadline {
 
 /// The memory budget a query actually runs under: the query's own limit
 /// override, else the configured per-query budget.
-pub(crate) fn effective_mem_budget<P>(query: &Query<P>, config: &TracerConfig) -> Option<u64> {
+fn effective_mem_budget<P>(query: &Query<P>, config: &TracerConfig) -> Option<u64> {
     query.limits.mem_budget.or(config.mem_budget)
 }
 
@@ -338,10 +337,9 @@ const CUBE_BYTES: u64 = 96;
 /// resolves the query as [`Unresolved::MemBudgetExceeded`].
 const LADDER_RUNGS: u32 = 8;
 
-/// The per-query memory governor: owns the query's byte budget (possibly
-/// cascading into a shared batch pool), polls it at CEGAR iteration
-/// boundaries, and under pressure walks a deterministic degradation
-/// ladder — (1) evict `Unstable` wp-memo entries, (2) reset the
+/// The per-query memory governor: owns the query's byte budget, polls it
+/// at CEGAR iteration boundaries, and under pressure walks a
+/// deterministic degradation ladder — (1) evict `Unstable` wp-memo entries, (2) reset the
 /// [`InternCache`], (3–4) quarter `max_cubes`, (5–6) halve the beam `k`
 /// (both sound by Theorem 3: a narrower beam can cost precision of the
 /// *optimum*, never soundness of a verdict), (7–8) shrink the base fact
@@ -367,17 +365,10 @@ struct Governor {
 }
 
 impl Governor {
-    /// A governor for one query: `pool` is the shared batch pool charges
-    /// cascade into (admission control reads it; it never throttles a
-    /// running query).
-    fn new<P>(query: &Query<P>, config: &TracerConfig, pool: Option<Arc<MemBudget>>) -> Governor {
-        let limit = effective_mem_budget(query, config);
-        let budget = match pool {
-            Some(p) => MemBudget::with_parent(limit, p),
-            None => MemBudget::new(limit),
-        };
+    /// A governor for one query.
+    fn new<P>(query: &Query<P>, config: &TracerConfig) -> Governor {
         Governor {
-            budget,
+            budget: MemBudget::new(effective_mem_budget(query, config)),
             level: 0,
             prev_pressure: false,
             degradations: 0,
@@ -458,17 +449,6 @@ impl Governor {
         obs.inc(Counter::Degradations);
         fault_point("governor.rung");
         false
-    }
-}
-
-impl Drop for Governor {
-    fn drop(&mut self) {
-        // Whatever is still outstanding — retained-state charges, or
-        // transient charges stranded by a panic — leaves the ledger (and,
-        // via the cascade, the shared batch pool) when the query ends, so
-        // a faulted query can never pin pool capacity.
-        let outstanding = self.budget.used();
-        self.budget.release(outstanding);
     }
 }
 
@@ -621,7 +601,7 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
             query,
             config,
             deadline: effective_deadline(query, config),
-            gov: Governor::new(query, config, None),
+            gov: Governor::new(query, config),
             viable: ViableState::new(),
             constraints: Vec::new(),
             escalations: 0,
@@ -668,14 +648,6 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
     /// Records every iteration into `log` (see [`solve_query_logged`]).
     fn log(mut self, log: &'s mut Vec<IterationLog<C::Param>>) -> Self {
         self.log = Some(log);
-        self
-    }
-
-    /// Cascades the query's byte charges into a shared batch `pool`
-    /// (admission-control accounting; the pool never influences the
-    /// running query's decisions).
-    pub(crate) fn pool(mut self, pool: Arc<MemBudget>) -> Self {
-        self.gov = Governor::new(self.query, self.config, Some(pool));
         self
     }
 
@@ -841,8 +813,7 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
         self.obs.emit(Event::ForwardDone { query: q, iter, facts: run.n_facts() as u64 });
         // The (possibly shared) fact/reason tables are this query's
         // working set until the end of the step; charge them so the
-        // boundary poll — and the batch pool — see the iteration's true
-        // footprint.
+        // boundary poll sees the iteration's true footprint.
         let fwd_bytes = run.approx_bytes();
         self.gov.budget.charge(fwd_bytes);
         self.obs.reg.add(Counter::MemCharged, fwd_bytes);

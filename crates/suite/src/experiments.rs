@@ -41,8 +41,6 @@ pub struct ExperimentConfig {
     pub timeout: Option<std::time::Duration>,
     /// Fact-budget escalation ladder on forward-run `TooBig` aborts.
     pub escalation: Escalation,
-    /// Per-query memory budget in estimated bytes (`None` = unlimited).
-    pub mem_budget: Option<u64>,
 }
 
 impl Default for ExperimentConfig {
@@ -56,7 +54,6 @@ impl Default for ExperimentConfig {
             jobs: 1,
             timeout: None,
             escalation: Escalation::default(),
-            mem_budget: None,
         }
     }
 }
@@ -69,7 +66,7 @@ impl ExperimentConfig {
             rhs_limits: RhsLimits { max_facts: self.max_facts, ..RhsLimits::default() },
             timeout: self.timeout,
             escalation: self.escalation,
-            mem_budget: self.mem_budget,
+            mem_budget: None,
         }
     }
 }

@@ -16,8 +16,8 @@
 //!   `rand` crate so the workspace builds offline.
 //! * [`Deadline`] — a cooperative wall-clock cancel token polled by the
 //!   tabulation and solver inner loops.
-//! * [`MemBudget`] — a deterministic atomic byte ledger charged at the
-//!   engines' allocation hot spots and polled by the TRACER memory
+//! * [`MemBudget`] — one query's deterministic byte ledger, charged at
+//!   the engines' allocation hot spots and polled by the TRACER memory
 //!   governor's degradation ladder.
 //! * [`obs`] — structured observability: the [`ObsRegistry`]
 //!   counter/span registry, the typed [`Event`] trace stream, and the

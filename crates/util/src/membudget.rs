@@ -1,120 +1,56 @@
 //! Byte-accounted memory budgets for the resource governor.
 //!
-//! A [`MemBudget`] is an atomic ledger of *estimated* bytes: the engines
+//! A [`MemBudget`] is one query's ledger of *estimated* bytes: the engines
 //! charge deterministic, count-based size estimates (never RSS or other
 //! wall-clock-adjacent measurements) at their allocation hot spots, and
-//! the TRACER governor polls the ledger at CEGAR iteration boundaries to
-//! decide whether to walk its degradation ladder. Because every charge is
-//! a pure function of the work performed, pressure — and therefore every
-//! degradation decision — is bit-reproducible across runs and machines.
-//!
-//! Budgets form a two-level hierarchy: each query charges its own budget,
-//! and optionally a shared batch **pool** (the parent) so the batch
-//! scheduler can see aggregate pressure for admission control. Charges
-//! cascade to the parent; the parent never influences a *running* query
-//! (that would make per-query behavior schedule-dependent) — it only
-//! gates when queries start.
+//! the TRACER governor that owns the ledger polls it at CEGAR iteration
+//! boundaries to decide whether to walk its degradation ladder. Because
+//! every charge is a pure function of the work performed, pressure — and
+//! therefore every degradation decision — is bit-reproducible across runs
+//! and machines.
 //!
 //! ```
 //! use pda_util::MemBudget;
-//! let b = MemBudget::new(Some(1024));
+//! let mut b = MemBudget::new(Some(1024));
 //! b.charge(2000);
 //! b.release(2000);
 //! assert!(b.take_pressure());      // the 2000-byte spike is observed …
 //! assert!(!b.take_pressure());     // … exactly once: peak reset to usage
 //! ```
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// An atomic byte ledger with an optional limit and an optional parent
-/// pool that charges cascade into.
-#[derive(Debug, Default)]
+/// A byte ledger with an optional limit, owned by one query's governor.
+#[derive(Debug)]
 pub struct MemBudget {
     limit: Option<u64>,
-    used: AtomicU64,
-    peak: AtomicU64,
-    total: AtomicU64,
-    parent: Option<Arc<MemBudget>>,
+    used: u64,
+    peak: u64,
 }
 
 impl MemBudget {
     /// A budget with the given byte limit (`None` = accounting only,
     /// never under pressure).
     pub fn new(limit: Option<u64>) -> MemBudget {
-        MemBudget { limit, ..MemBudget::default() }
+        MemBudget { limit, used: 0, peak: 0 }
     }
 
-    /// A limitless ledger (counts bytes, never reports pressure).
-    pub fn unlimited() -> MemBudget {
-        MemBudget::new(None)
-    }
-
-    /// A budget whose charges also cascade into `parent` (the shared
-    /// batch pool).
-    pub fn with_parent(limit: Option<u64>, parent: Arc<MemBudget>) -> MemBudget {
-        MemBudget { limit, parent: Some(parent), ..MemBudget::default() }
-    }
-
-    /// The configured limit, if any.
-    pub fn limit(&self) -> Option<u64> {
-        self.limit
-    }
-
-    /// Records `bytes` as allocated. Saturating; returns `bytes` so call
-    /// sites can stash the amount for the matching [`MemBudget::release`].
-    pub fn charge(&self, bytes: u64) -> u64 {
-        let now = self
-            .used
-            .fetch_add(bytes, Ordering::Relaxed)
-            .saturating_add(bytes);
-        self.peak.fetch_max(now, Ordering::Relaxed);
-        self.total.fetch_add(bytes, Ordering::Relaxed);
-        if let Some(p) = &self.parent {
-            p.charge(bytes);
-        }
-        bytes
+    /// Records `bytes` as allocated (saturating).
+    pub fn charge(&mut self, bytes: u64) {
+        self.used = self.used.saturating_add(bytes);
+        self.peak = self.peak.max(self.used);
     }
 
     /// Records `bytes` as freed (saturating at zero).
-    pub fn release(&self, bytes: u64) {
-        let _ = self
-            .used
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |u| {
-                Some(u.saturating_sub(bytes))
-            });
-        if let Some(p) = &self.parent {
-            p.release(bytes);
-        }
-    }
-
-    /// Currently outstanding (charged, not yet released) bytes.
-    pub fn used(&self) -> u64 {
-        self.used.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative bytes ever charged (never decreases).
-    pub fn total_charged(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// Whether a further `bytes` would still fit under the limit.
-    /// Always `true` for a limitless budget.
-    pub fn fits(&self, bytes: u64) -> bool {
-        match self.limit {
-            None => true,
-            Some(l) => self.used().saturating_add(bytes) <= l,
-        }
+    pub fn release(&mut self, bytes: u64) {
+        self.used = self.used.saturating_sub(bytes);
     }
 
     /// Polls (and consumes) the pressure signal: `true` iff the peak
     /// usage since the previous poll exceeded the limit. The peak resets
     /// to the *current* usage, so transient spikes are observed exactly
     /// once. Always `false` for a limitless budget.
-    pub fn take_pressure(&self) -> bool {
+    pub fn take_pressure(&mut self) -> bool {
         let Some(limit) = self.limit else { return false };
-        let peak = self.peak.swap(self.used(), Ordering::Relaxed);
-        peak > limit
+        std::mem::replace(&mut self.peak, self.used) > limit
     }
 }
 
@@ -147,21 +83,19 @@ mod tests {
 
     #[test]
     fn charge_release_and_totals() {
-        let b = MemBudget::new(Some(100));
-        assert_eq!(b.charge(60), 60);
-        assert_eq!(b.used(), 60);
-        assert!(b.fits(40));
-        assert!(!b.fits(41));
-        b.release(60);
-        assert_eq!(b.used(), 0);
-        assert_eq!(b.total_charged(), 60);
-        b.release(10); // saturates, never underflows
-        assert_eq!(b.used(), 0);
+        let mut b = MemBudget::new(Some(100));
+        b.charge(60);
+        b.release(100); // saturates at zero, never underflows
+        assert!(!b.take_pressure(), "a 60-byte peak fits");
+        b.charge(100);
+        assert!(!b.take_pressure(), "usage restarted from zero: 100 fits exactly");
+        b.charge(1);
+        assert!(b.take_pressure(), "101 outstanding bytes exceed the limit");
     }
 
     #[test]
     fn pressure_is_peak_based_and_consumed() {
-        let b = MemBudget::new(Some(100));
+        let mut b = MemBudget::new(Some(100));
         b.charge(150);
         b.release(150);
         assert!(b.take_pressure(), "spike above the limit must be seen");
@@ -174,22 +108,12 @@ mod tests {
 
     #[test]
     fn unlimited_never_pressures_but_counts() {
-        let b = MemBudget::unlimited();
+        let mut b = MemBudget::new(None);
         b.charge(u64::MAX);
+        b.charge(u64::MAX); // saturates instead of wrapping
         assert!(!b.take_pressure());
-        assert!(b.fits(u64::MAX));
-        assert_eq!(b.total_charged(), u64::MAX);
-    }
-
-    #[test]
-    fn charges_cascade_to_parent() {
-        let pool = Arc::new(MemBudget::new(Some(1000)));
-        let q = MemBudget::with_parent(Some(100), Arc::clone(&pool));
-        q.charge(80);
-        assert_eq!(pool.used(), 80);
-        q.release(80);
-        assert_eq!(pool.used(), 0);
-        assert_eq!(pool.total_charged(), 80);
+        b.release(u64::MAX);
+        assert!(!b.take_pressure());
     }
 
     #[test]

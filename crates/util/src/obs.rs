@@ -86,14 +86,12 @@ pub enum Counter {
     Degradations,
     /// wp-memo entries evicted (and caches reset) under memory pressure.
     MemEvictions,
-    /// Batch admissions deferred (shed-and-requeued) for pool pressure.
-    Shed,
     /// Transient-fault retry attempts consumed (deterministic backoff
     /// ladder; see the batch scheduler's `RetryPolicy`).
     Retries,
-    /// Microseconds workers spent blocked on shared batch state: a
-    /// contended forward-cache map acquisition, a wait on a sibling's
-    /// running forward run of the same key, the admission turnstile. A
+    /// Microseconds workers spent blocked on the shared forward cache: a
+    /// contended map acquisition or a wait on a sibling's running
+    /// forward run of the same key. A
     /// counter, not an [`Event`]: events deliberately carry no wall-clock
     /// data, so contention is attributable from the footer without
     /// perturbing trace byte-identity.
@@ -368,7 +366,7 @@ impl ObsRegistry {
         let rate = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
         format!(
             "{} queries, jobs={}: {:.1} q/s, cache {}/{} hits ({:.1}%), {} forward runs saved, \
-             faults={} deadlines={} escalations={} retries={} resumed={} degradations={} shed={} \
+             faults={} deadlines={} escalations={} retries={} resumed={} degradations={} \
              injected={} io_injected={} contention={}µs forward={}µs solver={}µs\n{}",
             queries,
             self.get(Counter::Jobs),
@@ -383,7 +381,6 @@ impl ObsRegistry {
             self.get(Counter::Retries),
             self.get(Counter::Resumed),
             self.get(Counter::Degradations),
-            self.get(Counter::Shed),
             self.get(Counter::FaultsInjected),
             self.get(Counter::IoFaults),
             self.get(Counter::LockWaitMicros),
@@ -871,7 +868,6 @@ mod tests {
         reg.set(Counter::ApproxDrops, 2);
         reg.set(Counter::MetaMicros, 15);
         reg.set(Counter::Degradations, 3);
-        reg.set(Counter::Shed, 2);
         reg.set(Counter::Retries, 4);
         reg.set(Counter::LockWaitMicros, 11);
         reg.set(Counter::SolverMicros, 21);
@@ -881,7 +877,7 @@ mod tests {
         assert_eq!(
             reg.render(),
             "32 queries, jobs=8: 16.0 q/s, cache 57/89 hits (64.0%), 57 forward runs saved, \
-             faults=0 deadlines=0 escalations=1 retries=4 resumed=0 degradations=3 shed=2 \
+             faults=0 deadlines=0 escalations=1 retries=4 resumed=0 degradations=3 \
              injected=6 io_injected=2 contention=11µs forward=17µs solver=21µs\n\
              meta: 7 cubes, wp 3/4 memo hits, subsumption 0/9 fast-rejected, 2 drops, 15µs"
         );

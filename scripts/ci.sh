@@ -71,12 +71,17 @@ echo "trace smoke ok: $iters_trace iterations, $queries_trace queries"
 
 echo "== governor smoke: batch under a 4 MiB per-query memory budget =="
 # 4 MiB is tuned (empirically, but the byte accounting is deterministic)
-# to pressure the governor onto its first ladder rungs — cache evictions
-# only — on the seeded hedc batch: the footer must report degradations,
-# while every outcome line (verdicts *and* iteration counts) stays
-# byte-identical to the unbudgeted expectations. A drift here means a
-# ladder rung changed the search; an exhaustion means the budget
-# estimate regressed.
+# to pressure the governor on the seeded hedc batch. In each jobs phase
+# three queries come under pressure and 11 rungs apply: one query takes
+# rung 1, one rungs 1-2, and one walks all eight, so the beam and
+# fact-budget rungs (3-8) fire here too. A pressured query stays under
+# pressure at every later boundary until it ends (rung 2's reset intern
+# cache is rebuilt within one iteration), and the eight-rung query ends
+# at its eighth boundary, so a shorter ladder would turn it into
+# MemBudgetExceeded. Every outcome line (verdicts *and* iteration
+# counts) must stay byte-identical to the unbudgeted expectations. A
+# drift here means a ladder rung changed the search; an exhaustion
+# means the budget estimate regressed.
 gov="$(PDA_MEM_BUDGET=4m PDA_BENCH_OUT=target/ci_bench_governed.json ./target/release/batch)"
 echo "$gov"
 diff scripts/expected_batch_outcomes.txt \
@@ -93,6 +98,55 @@ degs="$(echo "$gov" | sed -nE 's/^resilience:.* degradations=([0-9]+).*/\1/p')"
 [ -n "$degs" ] && [ "$degs" -eq 22 ] \
     || { echo "ci: governor smoke applied ${degs:-no} degradations, expected exactly 22 — the byte accounting or the ladder drifted" >&2; exit 1; }
 echo "governor smoke ok: $degs degradations, outcomes unchanged"
+
+echo "== CLI governor smoke: pda solve under --mem-budget =="
+# The fixture of tests/governor.rs through the release binary: q0
+# proves in 2 iterations, q1-q3 are impossible after ~30 each. At 640
+# KiB one query takes one eviction rung and every verdict line matches
+# the unbudgeted run; at 8 KiB the three long queries walk all eight
+# rungs and resolve as memory budget exceeded while q0 still proves.
+# The rung counts follow from deterministic byte estimates, so they are
+# pinned exactly. The shared-pool flag no longer exists: usage error.
+cat > target/ci_gov.jay <<'EOF'
+global g1, g2;
+class C { field f; }
+fn leak(a, b) { var r; if (*) { g1 = a; r = b; } else { r = a; } return r; }
+fn main() {
+    var a, b, c, d, e, h, p;
+    a = new C; b = new C; c = new C; d = new C; e = new C;
+    p = new C;
+    h = leak(a, b);
+    h = leak(h, c);
+    h = leak(h, d);
+    if (*) { g2 = e; }
+    a.f = b; b.f = c; c.f = d; d.f = e;
+    query q0: local p;
+    query q1: local a;
+    query q2: local e;
+    query q3: local h;
+}
+EOF
+verdicts() { grep -E '^q[0-9]+ \['; }
+gsolve() { ./target/release/pda solve target/ci_gov.jay --jobs 2 "$@"; }
+plain="$(gsolve)"
+relief="$(gsolve --mem-budget 640k)"
+echo "$relief"
+diff <(echo "$plain" | verdicts) <(echo "$relief" | verdicts) \
+    || { echo "ci: a 640k --mem-budget changed a verdict line" >&2; exit 1; }
+echo "$relief" | grep -q '^batch: .* degradations=1 ' \
+    || { echo "ci: a 640k --mem-budget did not apply exactly 1 rung" >&2; exit 1; }
+starved="$(gsolve --mem-budget 8k)"
+echo "$starved"
+exhausted="$(echo "$starved" | grep -cE '^q[1-3] \[thread-escape\]: unresolved \(memory budget exceeded\)$' || true)"
+echo "$starved" | grep -q '^q0 \[thread-escape\]: PROVEN' && [ "$exhausted" -eq 3 ] \
+    || { echo "ci: an 8k --mem-budget gave the wrong verdicts" >&2; exit 1; }
+echo "$starved" | grep -q '^batch: .* degradations=25 ' \
+    || { echo "ci: an 8k --mem-budget did not apply exactly 25 rungs" >&2; exit 1; }
+rc=0
+gsolve --pool-budget 1m > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] \
+    || { echo "ci: --pool-budget exited $rc, expected the usage error 2" >&2; exit 1; }
+echo "CLI governor smoke ok: 640k keeps the verdicts with 1 rung, 8k exhausts q1-q3 with 25 rungs"
 
 echo "== resilience smoke: batch under a 1 ms per-query deadline =="
 # Every query must still produce a result (exit 0) and the starved

@@ -1,6 +1,5 @@
 //! Integration tests for the memory-budget governor
-//! (`pda_tracer::TracerConfig::mem_budget`, `QueryLimits::mem_budget`,
-//! `BatchConfig::pool_budget`):
+//! (`pda_tracer::TracerConfig::mem_budget`, `QueryLimits::mem_budget`):
 //!
 //! * **Soundness of degradation** — a budget tight enough to force the
 //!   governor onto its ladder (cache eviction first) leaves every
@@ -16,12 +15,6 @@
 //!   ladder rungs, without panicking, and without poisoning the shared
 //!   forward cache for unbudgeted copies of the same query in the same
 //!   batch (degraded fact budgets key the cache differently).
-//! * **Admission control** — a per-query reservation larger than the
-//!   shared pool resolves as `MemBudgetExceeded` without running; a
-//!   congested pool sheds (defers and requeues) admissions instead of
-//!   failing them, and every shed query still completes with its
-//!   pool-less verdict. `jobs = 1` under a pool never sheds: the pool
-//!   drains between queries.
 //!
 //! Budget constants are tuned to this fixture's deterministic byte
 //! estimates (the probe data lives in the assertions): ~650 KiB trips
@@ -34,7 +27,6 @@ use pda_tracer::{
     faulty_query, lift_query, solve_queries_batch, solve_query, BatchConfig, Fault,
     FaultInjectingClient, Outcome, Query, QueryLimits, QueryResult, TracerConfig, Unresolved,
 };
-use std::time::Duration;
 
 /// Five of the six allocations escape through `leak`/globals/fields, so
 /// `q1..q3` are impossible at every abstraction — each takes ~30 CEGAR
@@ -232,9 +224,7 @@ fn adversarial_faults_under_budget_pressure_stay_isolated() {
         .collect();
 
     // Healthy lifted queries, a starved long query, and a panicking query
-    // — all inside one pooled batch. The panicking query's governor must
-    // release its stranded charges on unwind, or the pool never drains
-    // and admission deadlocks.
+    // — all inside one batch.
     let n = fx.queries().len();
     for jobs in [1usize, 4] {
         // Rebuilt per run: a fault's one-shot `fired` latch is per query
@@ -244,11 +234,7 @@ fn adversarial_faults_under_budget_pressure_stay_isolated() {
         queries.push(with_mem_budget(lift_query(qs[3].clone()), EXHAUST_BUDGET));
         queries.push(faulty_query(qs[1].clone(), Fault::Panic("governed panic".into())));
 
-        let cfg = BatchConfig {
-            jobs,
-            pool_budget: Some(4 << 20),
-            ..BatchConfig::default()
-        };
+        let cfg = BatchConfig { jobs, ..BatchConfig::default() };
         let (results, stats) =
             solve_queries_batch(&fx.program, &callees, &wrapped, &queries, &cfg);
         assert_eq!(results.len(), queries.len(), "jobs={jobs}: the batch must complete");
@@ -266,74 +252,5 @@ fn adversarial_faults_under_budget_pressure_stay_isolated() {
             "jobs={jobs}"
         );
         assert_eq!(stats.engine_faults, 1, "jobs={jobs}");
-    }
-}
-
-#[test]
-fn oversized_reservation_is_rejected_without_running() {
-    let fx = Fixture::new();
-    let callees = |c: pda_lang::CallId| fx.pa.callees(c).to_vec();
-    // Reserves 128 KiB against a 64 KiB pool: can never be admitted.
-    let queries: Vec<_> =
-        fx.queries().into_iter().map(|q| with_mem_budget(q, 128 << 10)).collect();
-    for jobs in [1usize, 4] {
-        let cfg =
-            BatchConfig { jobs, pool_budget: Some(64 << 10), ..BatchConfig::default() };
-        let (results, _) =
-            solve_queries_batch(&fx.program, &callees, &fx.client, &queries, &cfg);
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(
-                r.outcome,
-                Outcome::Unresolved(Unresolved::MemBudgetExceeded),
-                "query {i}, jobs={jobs}"
-            );
-            assert_eq!(r.iterations, 0, "query {i} must not have run, jobs={jobs}");
-        }
-    }
-}
-
-#[test]
-fn congested_pool_sheds_and_requeues_instead_of_failing() {
-    let fx = Fixture::new();
-    let callees = |c: pda_lang::CallId| fx.pa.callees(c).to_vec();
-    let wrapped = FaultInjectingClient::new(&fx.client);
-    let baseline: Vec<_> = fx
-        .queries()
-        .iter()
-        .map(|q| solve_query(&fx.program, &callees, &fx.client, q, &TracerConfig::default()))
-        .collect();
-
-    // Query 0 stalls mid-solve while holding its forward-run charge —
-    // far more than the 16 KiB pool — so the other worker's admission
-    // check must shed at least once before capacity frees up.
-    let mut queries: Vec<_> = fx.queries().into_iter().map(lift_query).collect();
-    queries[0] = faulty_query(fx.queries()[0].clone(), Fault::Stall(Duration::from_millis(400)));
-
-    // `thread_cap` forces two genuinely concurrent workers even on a
-    // single-core machine, where the default clamp would serialize them
-    // and admission could never observe congestion.
-    let cfg = BatchConfig {
-        jobs: 2,
-        thread_cap: Some(2),
-        pool_budget: Some(16 << 10),
-        ..BatchConfig::default()
-    };
-    let (results, stats) =
-        solve_queries_batch(&fx.program, &callees, &wrapped, &queries, &cfg);
-    assert!(stats.shed >= 1, "pool congestion must defer admissions, not fail them");
-    for (i, (r, b)) in results.iter().zip(&baseline).enumerate() {
-        assert_eq!(r.outcome, b.outcome, "shed query {i} must still reach its verdict");
-        assert_eq!(r.iterations, b.iterations, "query {i}");
-    }
-
-    // Sequentially the pool drains between queries: no shedding, and
-    // results identical to a pool-less run.
-    let queries: Vec<_> = fx.queries().into_iter().map(lift_query).collect();
-    let seq = BatchConfig { jobs: 1, pool_budget: Some(16 << 10), ..BatchConfig::default() };
-    let (results, stats) =
-        solve_queries_batch(&fx.program, &callees, &wrapped, &queries, &seq);
-    assert_eq!(stats.shed, 0, "jobs=1 admission is a no-op");
-    for (i, (r, b)) in results.iter().zip(&baseline).enumerate() {
-        assert_eq!(key(r), key(b), "query {i}");
     }
 }
