@@ -24,9 +24,10 @@
 //!
 //! Environment: `PDA_JOBS` sets the parallel worker count (default 8);
 //! `PDA_MAX_QUERIES` caps the batch size (default 32, floor 16);
-//! `PDA_MEM_BUDGET` sets a per-query memory budget in estimated bytes
-//! (`k`/`m`/`g` suffixes accepted) — the governor degrades deterministically
-//! under pressure, so outcome lines stay diffable;
+//! `PDA_MEM_BUDGET` sets a per-query memory cap in estimated bytes
+//! (`k`/`m`/`g` suffixes accepted) — a query whose retained state
+//! exceeds it at a refinement boundary resolves `MemBudgetExceeded`, and
+//! the estimate is deterministic, so outcome lines stay diffable;
 //! `PDA_DEADLINE_MS` sets a per-query wall-clock deadline — under a
 //! deadline, queries may legitimately resolve as `DeadlineExceeded` and
 //! the equality/cache/oracle/JSON steps are skipped (wall-clock aborts
@@ -229,12 +230,11 @@ fn main() {
     );
 
     println!(
-        "resilience: deadline_exceeded={} engine_faults={} escalations={} degradations={} \
+        "resilience: deadline_exceeded={} engine_faults={} escalations={} \
          retries={} faults_injected={} io_faults={}",
         seq_stats.deadline_exceeded + par_stats.deadline_exceeded,
         seq_stats.engine_faults + par_stats.engine_faults,
         seq_stats.escalations + par_stats.escalations,
-        seq_stats.degradations + par_stats.degradations,
         seq_stats.retries + par_stats.retries,
         seq_stats.faults_injected + par_stats.faults_injected,
         seq_stats.io_faults + par_stats.io_faults,
@@ -257,7 +257,7 @@ fn main() {
     let mut oracle_ok = true;
     for (i, query) in queries.iter().enumerate() {
         let (r, log) = solve_query_logged(&bench.program, &callees, &client, query, &tracer);
-        match check_iterations(&bench.program, &callees, &client, query, &r, &log) {
+        match check_iterations(&bench.program, &callees, &client, query, &tracer.beam, &r, &log) {
             Ok(n) => checked += n,
             Err(e) => {
                 println!("oracle: query {i}: {e}");

@@ -11,7 +11,7 @@
 //! 1. DPLL over the constraints learned *before* the iteration returns
 //!    the logged `(p, cost)`, decoded with `param_of_model`;
 //! 2. at a refining iteration, a fresh forward run at `p`, its witness,
-//!    and the tree kernel (under the beam the iteration ran with) give a
+//!    and the tree kernel (under the beam the solve ran with) give a
 //!    `¬φ` syntactically equal to the logged constraint;
 //! 3. at a final proving iteration, the forward run at `p` has no
 //!    witness;
@@ -27,7 +27,7 @@
 
 use pda_dataflow::{rhs, RhsLimits};
 use pda_lang::{CallId, MethodId, Program};
-use pda_meta::{analyze_trace, restrict};
+use pda_meta::{analyze_trace, restrict, BeamConfig};
 use pda_solver::{MinCostSolver, Model, PFormula};
 use pda_tracer::{
     AsAnalysis, AsMeta, IterationLog, Outcome, Query, QueryResult, TracerClient, Unresolved,
@@ -44,9 +44,9 @@ fn dpll<C: TracerClient>(client: &C, constraints: &[PFormula]) -> Option<Model> 
     solver.solve()
 }
 
-/// Replays every iteration of a logged solve of `query` through the
-/// reference engines (see the module docs) and returns the number of
-/// iterations checked.
+/// Replays every iteration of a logged solve of `query`, run under the
+/// backward `beam`, through the reference engines (see the module docs)
+/// and returns the number of iterations checked.
 ///
 /// # Errors
 ///
@@ -57,6 +57,7 @@ pub fn check_iterations<C: TracerClient>(
     callees: &dyn Fn(CallId) -> Vec<MethodId>,
     client: &C,
     query: &Query<C::Prim>,
+    beam: &BeamConfig,
     result: &QueryResult<C::Param>,
     log: &[IterationLog<C::Param>],
 ) -> Result<usize, String>
@@ -67,8 +68,8 @@ where
         return Err(format!("{} log entries for {} iterations", log.len(), result.iterations));
     }
     let d0 = client.initial_state();
-    // A logged iteration's forward run fitted its (possibly escalated or
-    // degraded) fact budget; without a budget it computes the same table.
+    // A logged iteration's forward run fitted its (possibly escalated)
+    // fact budget; without a budget it computes the same table.
     let limits = RhsLimits { max_facts: usize::MAX, deadline: Deadline::NEVER };
     let mut learned: Vec<PFormula> = Vec::with_capacity(log.len());
     for (i, entry) in log.iter().enumerate() {
@@ -107,7 +108,7 @@ where
         let trace = witness
             .ok_or_else(|| format!("iteration {i}: learned a constraint without a witness"))?;
         let atoms: Vec<pda_lang::Atom> = trace.iter().map(|s| s.atom).collect();
-        let dnf = analyze_trace(&AsMeta(client), p, &d0, &atoms, &query.not_q, &entry.beam)
+        let dnf = analyze_trace(&AsMeta(client), p, &d0, &atoms, &query.not_q, beam)
             .map_err(|e| format!("iteration {i}: tree kernel failed: {e}"))?;
         let expected = PFormula::not(restrict(&dnf, &d0));
         if &expected != phi {

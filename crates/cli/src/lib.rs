@@ -26,11 +26,11 @@ use pda_analysis::{PointsTo, Reachability};
 use pda_escape::EscapeClient;
 use pda_meta::BeamConfig;
 use pda_tracer::{
-    default_jobs, outcome_tag, solve_queries_batch_checkpointed_traced, solve_queries_batch_traced,
-    solve_query, BatchConfig, Escalation, Outcome, QueryObs, Session, TracerConfig,
+    default_jobs, emit_query_trace, solve_queries_batch_checkpointed_traced,
+    solve_queries_batch_traced, BatchConfig, Escalation, Outcome, QueryObs, Session, TracerConfig,
 };
 use pda_typestate::TypestateClient;
-use pda_util::{Event, FileSink, Idx, ObsRegistry, TraceSink};
+use pda_util::{FileSink, Idx, ObsRegistry, TraceSink};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -198,11 +198,11 @@ USAGE:
                                                          runs N times with a
                                                          4x fact budget each
                                            --mem-budget  per-query memory
-                                                         budget in estimated
+                                                         cap in estimated
                                                          bytes (k/m/g ok);
-                                                         under pressure the
-                                                         governor degrades
-                                                         before giving up
+                                                         a query whose kept
+                                                         state outgrows it
+                                                         stops unresolved
                                            --retry-faults retry transiently
                                                          faulted queries up to
                                                          N times on the
@@ -698,8 +698,7 @@ fn solve_report(source: &str, opts: &SolveOpts<'_>) -> Result<String, CliError> 
 
     // Observability: `--trace` streams structured JSONL events, and
     // `--metrics` turns on span wall-clock measurement for the footer
-    // table. Either one forces the batched driver below so thread-escape
-    // queries get traced uniformly.
+    // table.
     let sink: Option<FileSink> = match opts.trace {
         Some(path) => Some(
             FileSink::create(std::path::Path::new(path))
@@ -708,70 +707,61 @@ fn solve_report(source: &str, opts: &SolveOpts<'_>) -> Result<String, CliError> 
         None => None,
     };
     let sink_ref: Option<&dyn TraceSink> = sink.as_ref().map(|s| s as &dyn TraceSink);
-    let observing = sink.is_some() || opts.metrics;
     // Span/counter totals from queries solved outside the batch driver
     // (type-state queries), merged into the `--metrics` table at the end.
     let mut extra_obs = ObsRegistry::default();
 
     // Thread-escape queries (which share one client) run upfront as one
-    // batch with a shared forward-run cache whenever there are two or more
-    // of them — sibling queries then share forward runs at any `--jobs`,
-    // and jobs=1 runs the batch inline — and also for a lone query when
-    // batching buys something else: parallelism, checkpoint/resume (the
-    // checkpoint streams per-query batch results), or observability.
-    // Per-query verdicts are identical to the sequential driver and get
+    // batch: siblings share forward runs at any `--jobs`, and a lone
+    // query at jobs=1 runs inline and uncached. Per-query verdicts get
     // rendered below in declaration order. The `batch:` footer is printed
-    // only when one of those options asked for the batch driver, so a
+    // only when an option asked for the batch driver's extras
+    // (parallelism, checkpoint/resume, retries, observability), so a
     // plain jobs=1 report keeps its verdict lines and nothing else.
-    let mut batched: Vec<(pda_lang::QueryId, pda_tracer::QueryResult<pda_util::BitSet>)> =
-        Vec::new();
-    let mut batch_stats = None;
     let client = EscapeClient::new(&program);
-    let local: Vec<pda_lang::QueryId> = program
+    let queries: Vec<_> = program
         .queries
         .iter_enumerated()
         .filter(|(_, d)| opts.label.is_none_or(|want| d.label == want))
         .filter(|(_, d)| matches!(d.kind, pda_lang::QueryKind::Local { .. }))
-        .map(|(qid, _)| qid)
+        .map(|(qid, _)| client.local_query(&program, qid))
         .collect();
-    let footer = opts.jobs > 1 || opts.checkpoint.is_some() || opts.retry_faults.is_some() || observing;
-    if footer || local.len() >= 2 {
-        let queries: Vec<_> = local.iter().map(|&qid| client.local_query(&program, qid)).collect();
-        if !queries.is_empty() {
-            let batch = BatchConfig {
-                tracer: config.clone(),
-                jobs: opts.jobs,
-                timed: opts.metrics,
-                retry: opts.retry_faults.map(pda_tracer::RetryPolicy::deterministic),
-                ..BatchConfig::default()
-            };
-            let (results, stats) = match opts.checkpoint {
-                Some(path) => solve_queries_batch_checkpointed_traced(
-                    &program,
-                    &callees,
-                    &client,
-                    &queries,
-                    &batch,
-                    std::path::Path::new(path),
-                    sink_ref,
-                )
-                .map_err(|e| CliError::Checkpoint(e.to_string()))?,
-                None => solve_queries_batch_traced(
-                    &program,
-                    &callees,
-                    &client,
-                    &queries,
-                    &batch,
-                    sink_ref,
-                ),
-            };
-            batched = local.into_iter().zip(results).collect();
-            batch_stats = footer.then_some(stats);
-        }
+    let footer = opts.jobs > 1
+        || opts.checkpoint.is_some()
+        || opts.retry_faults.is_some()
+        || sink.is_some()
+        || opts.metrics;
+    let mut batch_stats = None;
+    let mut batched = Vec::new().into_iter();
+    if !queries.is_empty() {
+        let batch = BatchConfig {
+            tracer: config.clone(),
+            jobs: opts.jobs,
+            timed: opts.metrics,
+            retry: opts.retry_faults.map(pda_tracer::RetryPolicy::deterministic),
+            ..BatchConfig::default()
+        };
+        let (results, stats) = match opts.checkpoint {
+            Some(path) => solve_queries_batch_checkpointed_traced(
+                &program,
+                &callees,
+                &client,
+                &queries,
+                &batch,
+                std::path::Path::new(path),
+                sink_ref,
+            )
+            .map_err(|e| CliError::Checkpoint(e.to_string()))?,
+            None => {
+                solve_queries_batch_traced(&program, &callees, &client, &queries, &batch, sink_ref)
+            }
+        };
+        batched = results.into_iter();
+        batch_stats = footer.then_some(stats);
     }
     // Type-state queries below continue the trace's query numbering after
     // the batch.
-    let mut next_query = batched.len() as u64;
+    let mut next_query = queries.len() as u64;
 
     let mut out = String::new();
     let mut matched = false;
@@ -784,13 +774,8 @@ fn solve_report(source: &str, opts: &SolveOpts<'_>) -> Result<String, CliError> 
         matched = true;
         match &decl.kind {
             pda_lang::QueryKind::Local { .. } => {
-                let r = match batched.iter().position(|(id, _)| *id == qid) {
-                    Some(i) => batched.swap_remove(i).1,
-                    None => {
-                        let query = client.local_query(&program, qid);
-                        solve_query(&program, &callees, &client, &query, &config)
-                    }
-                };
+                // The batch solved the local queries in this same order.
+                let r = batched.next().expect("every local query was batched");
                 render(&mut out, &decl.label, "thread-escape", &r, |i| {
                     format!("site {}", program.site_label(pda_lang::SiteId::from_usize(i)))
                 });
@@ -817,27 +802,15 @@ fn solve_report(source: &str, opts: &SolveOpts<'_>) -> Result<String, CliError> 
                         continue;
                     };
                     let query = client.state_query(qid);
-                    let r = if observing {
-                        let mut qobs = QueryObs::new(next_query, sink.is_some(), opts.metrics);
-                        let r = Session::new(&program, &callees, &client, &query, &config)
-                            .observe(&mut qobs)
-                            .run();
-                        if let Some(s) = &sink {
-                            for ev in &qobs.events {
-                                s.emit(ev);
-                            }
-                            s.emit(&Event::QueryResolved {
-                                query: next_query,
-                                outcome: outcome_tag(&r.outcome).to_string(),
-                                iterations: r.iterations as u64,
-                            });
-                        }
-                        extra_obs.merge(&qobs.reg);
-                        next_query += 1;
-                        r
-                    } else {
-                        solve_query(&program, &callees, &client, &query, &config)
-                    };
+                    let mut qobs = QueryObs::new(next_query, sink.is_some(), opts.metrics);
+                    let r = Session::new(&program, &callees, &client, &query, &config)
+                        .observe(&mut qobs)
+                        .run();
+                    if let Some(s) = &sink {
+                        emit_query_trace(s, &r, &qobs);
+                    }
+                    extra_obs.merge(&qobs.reg);
+                    next_query += 1;
                     let tag = format!("{} @ {}", decl.label, program.site_label(site));
                     render(&mut out, &tag, "type-state", &r, |i| {
                         program.var_name(pda_lang::VarId(i as u32)).to_string()
@@ -899,6 +872,7 @@ fn render(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pda_util::Event;
 
     const SRC: &str = r#"
         global g;
@@ -1235,17 +1209,19 @@ mod tests {
     }
 
     #[test]
-    fn tiny_mem_budget_still_proves_soundly() {
-        // A 1-byte budget keeps the governor under pressure at every
-        // iteration boundary, but the degradation ladder is sound
-        // (Theorem 3): a query that proves quickly still proves, with the
-        // same verdict as the unbudgeted run.
+    fn tiny_mem_budget_caps_at_the_first_refinement() {
+        // `localx` proves in 3 iterations unbudgeted. Any state kept past
+        // the first refinement exceeds a 1-byte cap, so the query stops
+        // there, unresolved rather than wrongly proven or refuted.
         let mut cmd = solve_cmd(Some("localx"), 1);
+        let plain = run_on_source(&cmd, SRC).unwrap();
+        assert!(plain.contains("localx [thread-escape]: PROVEN"), "{plain}");
+        assert!(plain.contains("(3 iterations)"), "{plain}");
         if let Command::Solve { mem_budget, .. } = &mut cmd {
             *mem_budget = Some(1);
         }
         let report = run_on_source(&cmd, SRC).unwrap();
-        assert!(report.contains("localx [thread-escape]: PROVEN"), "{report}");
+        assert_eq!(report, "localx [thread-escape]: unresolved (memory budget exceeded)\n");
     }
 
     #[test]

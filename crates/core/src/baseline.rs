@@ -98,7 +98,6 @@ pub fn solve_query_coarse<C: CoarseAtoms>(
         iterations,
         micros: start.elapsed().as_micros(),
         escalations: 0,
-        degradations: 0,
         retries: 0,
         meta: Default::default(),
     }

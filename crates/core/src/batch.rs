@@ -241,9 +241,6 @@ pub struct BatchStats {
     pub escalations: u64,
     /// Queries skipped because a checkpoint already held their result.
     pub resumed: usize,
-    /// Memory-governor degradation-ladder rungs applied across all
-    /// queries.
-    pub degradations: u64,
     /// Transient-fault retry attempts consumed across all queries. Zero
     /// unless [`BatchConfig::retry`] is set.
     pub retries: u64,
@@ -303,7 +300,6 @@ impl BatchStats {
         reg.set(Counter::Escalations, self.escalations);
         reg.set(Counter::Retries, self.retries);
         reg.set(Counter::Resumed, self.resumed as u64);
-        reg.set(Counter::Degradations, self.degradations);
         reg.set(Counter::LockWaitMicros, self.contention_micros);
         reg.set(Counter::FaultsInjected, self.faults_injected);
         reg.set(Counter::IoFaults, self.io_faults);
@@ -313,7 +309,6 @@ impl BatchStats {
         reg.set(Counter::WpHits, self.meta.wp_hits);
         reg.set(Counter::WpMisses, self.meta.wp_misses);
         reg.set(Counter::ApproxDrops, self.meta.approx_drops);
-        reg.set(Counter::MemEvictions, self.meta.mem_evictions);
         reg.set(Counter::MetaMicros, self.meta.micros);
         reg
     }
@@ -358,11 +353,14 @@ impl std::fmt::Display for BatchStats {
 /// short (0–2.6 ms per seeded hedc batch, 2–128 µs per ~2 s pass of the
 /// `escape-shared` benchmark workload), so one mutex is enough.
 pub struct ForwardCache<'p, S> {
-    #[allow(clippy::type_complexity)]
-    slots: Mutex<HashMap<(Vec<bool>, usize), Arc<Slot<'p, S>>>>,
+    slots: Mutex<HashMap<ForwardKey, Arc<Slot<'p, S>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
+
+/// A forward-run cache key: the solver model's assignment and the fact
+/// budget the run was attempted under.
+type ForwardKey = (Vec<bool>, usize);
 
 struct Slot<'p, S> {
     state: Mutex<SlotState<'p, S>>,
@@ -630,7 +628,6 @@ fn unrun_result<Param>(reason: Unresolved, micros: u128) -> QueryResult<Param> {
         iterations: 0,
         micros,
         escalations: 0,
-        degradations: 0,
         retries: 0,
         meta: MetaStats::default(),
     }
@@ -708,6 +705,14 @@ pub fn outcome_tag<Param>(outcome: &Outcome<Param>) -> &'static str {
     }
 }
 
+/// The streaming hook [`run_batch`] calls with each freshly finished
+/// `(index, result)`.
+type ResultSink<'a, Param> = dyn Fn(usize, &QueryResult<Param>) + Sync + 'a;
+
+/// A finished query: its result and the observability context it ran
+/// under.
+type Finished<Param> = (QueryResult<Param>, QueryObs);
+
 /// The shared batch runner behind [`solve_queries_batch`] and the
 /// checkpointing driver in [`crate::resilience`]: `skip` holds results
 /// restored from a checkpoint (those queries are not re-run), and `sink`
@@ -715,7 +720,7 @@ pub fn outcome_tag<Param>(outcome: &Outcome<Param>) -> &'static str {
 /// — the streaming hook the checkpoint writer hangs off. `trace` receives
 /// every query's buffered [`Event`]s in query-index order after the batch
 /// completes (see [`solve_queries_batch_traced`]).
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_batch<'p, C>(
     program: &'p Program,
     callees: &(dyn Fn(CallId) -> Vec<MethodId> + Sync),
@@ -723,7 +728,7 @@ pub(crate) fn run_batch<'p, C>(
     queries: &[Query<C::Prim>],
     config: &BatchConfig,
     skip: HashMap<usize, QueryResult<C::Param>>,
-    sink: Option<&(dyn Fn(usize, &QueryResult<C::Param>) + Sync)>,
+    sink: Option<&ResultSink<'_, C::Param>>,
     trace: Option<&dyn TraceSink>,
 ) -> (Vec<QueryResult<C::Param>>, BatchStats)
 where
@@ -755,8 +760,7 @@ where
         (pending.len() >= 2).then(ForwardCache::new);
     let next = AtomicUsize::new(0);
     let cancelled = || config.cancel.as_ref().is_some_and(|c| c.load(Ordering::SeqCst));
-    #[allow(clippy::type_complexity)]
-    let done: Vec<Mutex<Option<(QueryResult<C::Param>, QueryObs)>>> =
+    let done: Vec<Mutex<Option<Finished<C::Param>>>> =
         pending.iter().map(|_| Mutex::new(None)).collect();
 
     // One worker's claim-solve loop: claim the next pending index and
@@ -822,7 +826,7 @@ where
         finished.into_inner().expect("worker meta poisoned")
     };
 
-    let mut slots: Vec<Option<(QueryResult<C::Param>, QueryObs)>> =
+    let mut slots: Vec<Option<Finished<C::Param>>> =
         (0..queries.len()).map(|_| None).collect();
     for (i, r) in skip {
         slots[i] = Some((r, QueryObs::new(i as u64, false, false)));
@@ -865,7 +869,6 @@ where
             .count(),
         escalations: results.iter().map(|r| u64::from(r.escalations)).sum(),
         resumed,
-        degradations: results.iter().map(|r| u64::from(r.degradations)).sum(),
         retries: results.iter().map(|r| u64::from(r.retries)).sum(),
         contention_micros,
         faults_injected: faultplane::faults_injected().saturating_sub(injected_at_start),
@@ -1245,7 +1248,6 @@ mod tests {
             deadline_exceeded: 2,
             escalations: 3,
             resumed: 4,
-            degradations: 5,
             retries: 7,
             contention_micros: 9,
             faults_injected: 11,
@@ -1258,7 +1260,6 @@ mod tests {
                 wp_hits: 8,
                 wp_misses: 2,
                 approx_drops: 3,
-                mem_evictions: 0,
                 micros: 42,
             },
             obs: merged,
@@ -1266,7 +1267,7 @@ mod tests {
         assert_eq!(
             stats.to_string(),
             "32 queries, jobs=8: 16.0 q/s, cache 57/89 hits (64.0%), 57 forward runs saved, \
-             faults=1 deadlines=2 escalations=3 retries=7 resumed=4 degradations=5 \
+             faults=1 deadlines=2 escalations=3 retries=7 resumed=4 \
              injected=11 io_injected=10 contention=9µs forward=19µs solver=13µs\n\
              meta: 12 cubes, wp 8/10 memo hits, subsumption 5/20 fast-rejected, 3 drops, 42µs"
         );

@@ -133,12 +133,12 @@ fn header_line(n_queries: usize) -> String {
 fn record_line<P: ParamCodec>(i: usize, r: &QueryResult<P>) -> String {
     let m = &r.meta;
     let tail = format!(
-        "\"iterations\":{},\"micros\":{},\"escalations\":{},\"degradations\":{},\"retries\":{},\
-         \"m_cubes\":{},\"m_sub\":{},\"m_subf\":{},\"m_wph\":{},\"m_wpm\":{},\"m_drop\":{},\"m_mev\":{},\"m_us\":{}",
+        "\"iterations\":{},\"micros\":{},\"escalations\":{},\"retries\":{},\
+         \"m_cubes\":{},\"m_sub\":{},\"m_subf\":{},\"m_wph\":{},\"m_wpm\":{},\"m_drop\":{},\
+         \"m_us\":{}",
         r.iterations,
         r.micros,
         r.escalations,
-        r.degradations,
         r.retries,
         m.cubes_built,
         m.subsumption_checks,
@@ -146,7 +146,6 @@ fn record_line<P: ParamCodec>(i: usize, r: &QueryResult<P>) -> String {
         m.wp_hits,
         m.wp_misses,
         m.approx_drops,
-        m.mem_evictions,
         m.micros,
     );
     match &r.outcome {
@@ -181,11 +180,9 @@ fn decode_record<P: ParamCodec>(line: &str) -> Option<(usize, QueryResult<P>)> {
     let iterations: usize = fields.get("iterations")?.parse().ok()?;
     let micros: u128 = fields.get("micros")?.parse().ok()?;
     let escalations: u32 = fields.get("escalations")?.parse().ok()?;
-    // Governor and meta counters default to zero so records written
-    // before they existed still decode.
-    let degradations: u32 =
-        fields.get("degradations").and_then(|v| v.parse().ok()).unwrap_or(0);
-    // Absent before v2; defaulting keeps v1 checkpoints readable.
+    // Absent before v2; defaulting keeps v1 checkpoints readable. Meta
+    // counters default to zero for the same reason, and fields an older
+    // writer wrote that this one no longer does are ignored.
     let retries: u32 = fields.get("retries").and_then(|v| v.parse().ok()).unwrap_or(0);
     let m = |k: &str| fields.get(k).and_then(|v| v.parse::<u64>().ok()).unwrap_or(0);
     let meta = MetaStats {
@@ -195,7 +192,6 @@ fn decode_record<P: ParamCodec>(line: &str) -> Option<(usize, QueryResult<P>)> {
         wp_hits: m("m_wph"),
         wp_misses: m("m_wpm"),
         approx_drops: m("m_drop"),
-        mem_evictions: m("m_mev"),
         micros: m("m_us"),
     };
     let outcome = match fields.get("outcome")?.as_str() {
@@ -216,7 +212,7 @@ fn decode_record<P: ParamCodec>(line: &str) -> Option<(usize, QueryResult<P>)> {
         }),
         _ => return None,
     };
-    Some((i, QueryResult { outcome, iterations, micros, escalations, degradations, retries, meta }))
+    Some((i, QueryResult { outcome, iterations, micros, escalations, retries, meta }))
 }
 
 /// Streams finished results to a checkpoint file, one flushed line each.
@@ -524,7 +520,6 @@ mod tests {
                 iterations: 3,
                 micros: 412,
                 escalations: 1,
-                degradations: 2,
                 retries: 1,
                 meta: MetaStats {
                     cubes_built: 12,
@@ -533,7 +528,6 @@ mod tests {
                     wp_hits: 8,
                     wp_misses: 2,
                     approx_drops: 3,
-                    mem_evictions: 1,
                     micros: 42,
                 },
             },
@@ -542,7 +536,6 @@ mod tests {
                 iterations: 4,
                 micros: 96,
                 escalations: 0,
-                degradations: 0,
                 retries: 0,
                 meta: MetaStats { wp_misses: 1, micros: 7, ..MetaStats::default() },
             },
@@ -553,7 +546,6 @@ mod tests {
                 iterations: 0,
                 micros: 8,
                 escalations: 0,
-                degradations: 0,
                 retries: 3,
                 meta: MetaStats::default(),
             },
@@ -562,7 +554,6 @@ mod tests {
                 iterations: 2,
                 micros: 33,
                 escalations: 0,
-                degradations: 0,
                 retries: 0,
                 meta: MetaStats::default(),
             },
@@ -571,7 +562,6 @@ mod tests {
                 iterations: 0,
                 micros: 1,
                 escalations: 0,
-                degradations: 0,
                 retries: 2,
                 meta: MetaStats::default(),
             },
@@ -580,7 +570,6 @@ mod tests {
                 iterations: 200,
                 micros: 99_999,
                 escalations: 0,
-                degradations: 0,
                 retries: 0,
                 meta: MetaStats::default(),
             },
@@ -589,7 +578,6 @@ mod tests {
                 iterations: 1,
                 micros: 77,
                 escalations: 2,
-                degradations: 0,
                 retries: 1,
                 meta: MetaStats::default(),
             },
@@ -598,9 +586,8 @@ mod tests {
                 iterations: 6,
                 micros: 210,
                 escalations: 0,
-                degradations: 8,
                 retries: 0,
-                meta: MetaStats { mem_evictions: 2, ..MetaStats::default() },
+                meta: MetaStats { wp_hits: 2, ..MetaStats::default() },
             },
         ]
     }
@@ -651,6 +638,37 @@ mod tests {
     }
 
     #[test]
+    fn records_with_retired_governor_fields_still_load() {
+        let path = temp_path("governor-fields");
+        // A v2 record exactly as a writer with the degradation ladder
+        // produced it: nonzero `degradations` and `m_mev`.
+        std::fs::write(
+            &path,
+            "{\"v\":2,\"kind\":\"pda-batch-checkpoint\",\"queries\":1}\n\
+             {\"i\":0,\"outcome\":\"unresolved\",\"reason\":\"mem_budget\",\"iterations\":6,\
+             \"micros\":210,\"escalations\":0,\"degradations\":8,\"retries\":1,\"m_cubes\":4,\
+             \"m_sub\":0,\"m_subf\":0,\"m_wph\":3,\"m_wpm\":1,\"m_drop\":0,\"m_mev\":2,\
+             \"m_us\":9}\n",
+        )
+        .unwrap();
+        let restored = load_checkpoint::<BitSet>(&path, 1).unwrap();
+        let r = &restored[&0];
+        assert_eq!(r.outcome, Outcome::Unresolved(Unresolved::MemBudgetExceeded));
+        assert_eq!((r.iterations, r.micros, r.retries), (6, 210, 1));
+        assert_eq!(
+            r.meta,
+            MetaStats {
+                cubes_built: 4,
+                wp_hits: 3,
+                wp_misses: 1,
+                micros: 9,
+                ..MetaStats::default()
+            }
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn drained_record_roundtrips_but_is_never_journaled_by_the_runner() {
         // Codec totality: a drained result encodes/decodes like any other…
         let r = QueryResult::<BitSet> {
@@ -658,7 +676,6 @@ mod tests {
             iterations: 0,
             micros: 0,
             escalations: 0,
-            degradations: 0,
             retries: 0,
             meta: MetaStats::default(),
         };

@@ -5,12 +5,9 @@ use crate::batch::ForwardCache;
 use crate::client::{AsAnalysis, AsMeta, Query, TracerClient};
 use pda_dataflow::{rhs, Interrupt, RhsLimits};
 use pda_lang::{CallId, MethodId, Program};
-use pda_meta::{analyze_trace_interned, BeamConfig, InternCache, MetaStats, Primitive};
+use pda_meta::{analyze_trace_interned, BeamConfig, InternCache, MetaStats};
 use pda_solver::{Bdd, Model, PFormula};
-use pda_util::{
-    fault_point, Counter, Deadline, DeadlineExceeded, Event, MemBudget, ObsRegistry, Span,
-    SpanKind,
-};
+use pda_util::{Counter, Deadline, DeadlineExceeded, Event, ObsRegistry, Span, SpanKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,9 +68,7 @@ fn bitstring(assignment: &[bool]) -> String {
 /// Per-query viable-set state, threaded through the CEGAR loop so the
 /// resident BDD survives across iterations. The constraint `Vec` stays
 /// the source of truth — the BDD mirrors it conjoin-by-conjoin (`synced`
-/// counts how many constraints are already absorbed), which is also what
-/// lets the governor drop the whole arena mid-query without losing
-/// anything: the next solve rebuilds it from the `Vec`.
+/// counts how many constraints are already absorbed).
 struct ViableState {
     bdd: Option<Bdd>,
     synced: usize,
@@ -84,19 +79,10 @@ impl ViableState {
         ViableState { bdd: None, synced: 0 }
     }
 
-    /// Estimated retained bytes of the resident BDD (0 once dropped);
-    /// folded into the governor's retained-state accounting each
-    /// iteration boundary.
+    /// Estimated retained bytes of the resident BDD (0 before the first
+    /// solve), one term of the memory cap's retained-state estimate.
     fn approx_bytes(&self) -> u64 {
         self.bdd.as_ref().map_or(0, |b| b.approx_bytes() as u64)
-    }
-
-    /// Memory-governor degradation: drop the BDD arena; the next solve
-    /// rebuilds it from the constraint `Vec`. Returns whether an arena
-    /// was dropped.
-    fn drop_arena(&mut self) -> bool {
-        self.synced = 0;
-        self.bdd.take().is_some()
     }
 
     /// Minimum-cost model of `⋀ constraints` (canonical tie-break), or
@@ -158,11 +144,13 @@ pub struct TracerConfig {
     pub timeout: Option<Duration>,
     /// Fact-budget escalation ladder applied on forward-run `TooBig`.
     pub escalation: Escalation,
-    /// Per-query memory budget in estimated bytes. Under sustained
-    /// pressure the memory governor walks its degradation ladder (evict
-    /// memos, shrink the beam, shrink the fact budget) before resolving
-    /// as [`Unresolved::MemBudgetExceeded`]. `None` (the default) keeps
-    /// byte accounting on but never degrades.
+    /// Per-query memory cap in estimated bytes. At each refinement
+    /// boundary the loop estimates the state the query keeps across
+    /// iterations (intern cache, learned constraints, resident BDD) and
+    /// resolves [`Unresolved::MemBudgetExceeded`] once it exceeds the
+    /// cap. A cap stops a search, never steers it: a capped query's
+    /// iterations are a prefix of the uncapped run's. `None` (the
+    /// default) computes no estimate.
     pub mem_budget: Option<u64>,
 }
 
@@ -248,9 +236,9 @@ pub enum Unresolved {
     /// payload message is preserved. Produced only by the batch driver's
     /// panic isolation — a lone [`solve_query`] still propagates panics.
     EngineFault(String),
-    /// The memory governor exhausted its degradation ladder (memo
-    /// eviction, beam shrinking, fact-budget shrinking) and the query
-    /// still exceeded its byte budget.
+    /// At a refinement boundary the state the query keeps across
+    /// iterations outgrew its memory budget
+    /// ([`TracerConfig::mem_budget`], `QueryLimits::mem_budget`).
     MemBudgetExceeded,
     /// The batch was draining (graceful shutdown) before this query
     /// started; no work was attempted. Drained queries are never written
@@ -270,9 +258,6 @@ pub struct QueryResult<Param> {
     pub micros: u128,
     /// Fact-budget escalation retries consumed across all iterations.
     pub escalations: u32,
-    /// Memory-governor degradation-ladder steps applied (0 when the
-    /// query never came under memory pressure).
-    pub degradations: u32,
     /// Transient-fault retry attempts consumed before this result (the
     /// batch scheduler's deterministic backoff ladder; 0 outside
     /// retry-enabled drivers).
@@ -329,129 +314,6 @@ fn pformula_bytes(f: &PFormula) -> u64 {
     nodes(f).saturating_mul(std::mem::size_of::<PFormula>() as u64)
 }
 
-/// Rough per-cube byte estimate used to account the backward kernels'
-/// transient cube traffic (both kernels report [`Counter::CubesBuilt`]).
-const CUBE_BYTES: u64 = 96;
-
-/// The last rung of the degradation ladder; sustained pressure past it
-/// resolves the query as [`Unresolved::MemBudgetExceeded`].
-const LADDER_RUNGS: u32 = 8;
-
-/// The per-query memory governor: owns the query's byte budget, polls it
-/// at CEGAR iteration boundaries, and under pressure walks a
-/// deterministic degradation ladder — (1) evict `Unstable` wp-memo entries, (2) reset the
-/// [`InternCache`], (3–4) quarter `max_cubes`, (5–6) halve the beam `k`
-/// (both sound by Theorem 3: a narrower beam can cost precision of the
-/// *optimum*, never soundness of a verdict), (7–8) shrink the base fact
-/// budget — before giving up.
-///
-/// The ladder escalates only under *sustained* pressure: a rung whose
-/// relief lasts until the next boundary restarts the ladder at eviction,
-/// so transient spikes cost cache warmth, not beam width. Every pressure
-/// decision is a pure function of deterministic byte estimates, so
-/// governed runs reproduce bit-identically.
-struct Governor {
-    budget: MemBudget,
-    level: u32,
-    prev_pressure: bool,
-    /// Ladder rungs applied so far (mirrors [`Counter::Degradations`]).
-    degradations: u32,
-    /// The effective (possibly shrunken) backward beam.
-    beam: BeamConfig,
-    /// The effective (possibly shrunken) base fact budget.
-    base_facts: usize,
-    factor: usize,
-    last_retained: u64,
-}
-
-impl Governor {
-    /// A governor for one query.
-    fn new<P>(query: &Query<P>, config: &TracerConfig) -> Governor {
-        Governor {
-            budget: MemBudget::new(effective_mem_budget(query, config)),
-            level: 0,
-            prev_pressure: false,
-            degradations: 0,
-            beam: config.beam,
-            base_facts: query.limits.max_facts.unwrap_or(config.rhs_limits.max_facts),
-            factor: (config.escalation.factor as usize).max(2),
-            last_retained: 0,
-        }
-    }
-
-    /// Re-estimates the bytes retained across iterations (the intern
-    /// cache, the learned constraint set, and the viable engine's
-    /// resident BDD arena if any) and charges/releases the delta, so the
-    /// ledger's `used()` tracks retained state between boundaries while
-    /// transient charges come and go on top of it.
-    fn account_retained<P: Primitive>(
-        &mut self,
-        icache: &InternCache<P>,
-        constraints: &[PFormula],
-        viable: &ViableState,
-        obs: &mut ObsRegistry,
-    ) {
-        let retained = icache
-            .approx_bytes()
-            .saturating_add(
-                constraints.iter().fold(0u64, |acc, c| acc.saturating_add(pformula_bytes(c))),
-            )
-            .saturating_add(viable.approx_bytes());
-        if retained > self.last_retained {
-            let delta = retained - self.last_retained;
-            self.budget.charge(delta);
-            obs.add(Counter::MemCharged, delta);
-        } else {
-            self.budget.release(self.last_retained - retained);
-        }
-        self.last_retained = retained;
-    }
-
-    /// Polls the consumed pressure signal at an iteration boundary and
-    /// applies at most one ladder rung. Returns `true` when the ladder is
-    /// exhausted (the caller resolves [`Unresolved::MemBudgetExceeded`]).
-    fn poll<P: Primitive>(
-        &mut self,
-        icache: &mut InternCache<P>,
-        viable: &mut ViableState,
-        obs: &mut ObsRegistry,
-    ) -> bool {
-        if !self.budget.take_pressure() {
-            self.prev_pressure = false;
-            return false;
-        }
-        // Escalate only when the previous boundary was also under
-        // pressure; relieved pressure restarts the ladder at eviction.
-        self.level = if self.prev_pressure { self.level + 1 } else { 1 };
-        self.prev_pressure = true;
-        match self.level {
-            1 => {
-                let evicted = icache.evict_unstable();
-                obs.add(Counter::MemEvictions, evicted);
-            }
-            2 => {
-                // Drop both caches rebuilt on demand: the intern table and
-                // the BDD arena (the next solve rebuilds it from the same
-                // constraint Vec, so the search is unchanged).
-                fault_point("intern.reset");
-                *icache = InternCache::new();
-                if viable.drop_arena() {
-                    obs.inc(Counter::MemEvictions);
-                }
-                obs.inc(Counter::MemEvictions);
-            }
-            3 | 4 => self.beam.max_cubes = (self.beam.max_cubes / 4).max(1),
-            5 | 6 => self.beam.k = (self.beam.k / 2).max(1),
-            7..=LADDER_RUNGS => self.base_facts = (self.base_facts / self.factor).max(1),
-            _ => return true,
-        }
-        self.degradations += 1;
-        obs.inc(Counter::Degradations);
-        fault_point("governor.rung");
-        false
-    }
-}
-
 /// One recorded CEGAR iteration of [`solve_query_logged`].
 #[derive(Debug, Clone)]
 pub struct IterationLog<Param> {
@@ -459,16 +321,11 @@ pub struct IterationLog<Param> {
     pub param: Param,
     /// Its cost.
     pub cost: u64,
-    /// The backward beam this iteration ran under: the configured one,
-    /// unless the memory governor had shrunk it.
-    pub beam: BeamConfig,
     /// The unviability constraint learned from this iteration's
     /// counterexample. `None` only on a final iteration: the one that
     /// proved the query, or the one whose forward or backward phase left
     /// it Unresolved (fact budget, meta failure, a deadline mid-step).
     pub learned: Option<PFormula>,
-    /// Memory-governor ladder rungs applied at this iteration's boundary.
-    pub degradations: u32,
     /// Backward/meta-phase effort counters for this iteration alone.
     pub meta: MetaStats,
 }
@@ -516,7 +373,7 @@ impl<T> std::ops::DerefMut for Held<'_, T> {
 }
 
 /// One query's CEGAR loop (Algorithm 1) and everything it carries across
-/// iterations: the deadline, the memory governor, the viable-set
+/// iterations: the deadline, the memory cap, the viable-set
 /// engine state, the learned constraints, the interned meta-kernel cache,
 /// an optional shared [`ForwardCache`], the observability context, and an
 /// optional iteration log.
@@ -551,7 +408,7 @@ pub struct Session<'s, 'p, C: TracerClient> {
     query: &'s Query<C::Prim>,
     config: &'s TracerConfig,
     deadline: Deadline,
-    gov: Governor,
+    mem_budget: Option<u64>,
     viable: ViableState,
     constraints: Vec<PFormula>,
     escalations: u32,
@@ -601,7 +458,7 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
             query,
             config,
             deadline: effective_deadline(query, config),
-            gov: Governor::new(query, config),
+            mem_budget: effective_mem_budget(query, config),
             viable: ViableState::new(),
             constraints: Vec::new(),
             escalations: 0,
@@ -682,31 +539,18 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
             };
             iterations += 1;
             let refined = matches!(ended, Ended::Refined);
-            let (rungs, beam) = (self.gov.degradations, self.gov.beam);
-            let exhausted = refined && {
-                let icache = &mut *self.icache;
-                self.gov.account_retained(
-                    icache,
-                    &self.constraints,
-                    &self.viable,
-                    &mut self.obs.reg,
-                );
-                self.gov.poll(icache, &mut self.viable, &mut self.obs.reg)
-            };
             if let (Some(log), Some(before)) = (self.log.as_deref_mut(), before) {
                 log.push(IterationLog {
                     param: param.clone(),
                     cost,
-                    beam,
                     learned: if refined { self.constraints.last().cloned() } else { None },
-                    degradations: self.gov.degradations - rungs,
                     meta: MetaStats::from_obs(&self.obs.reg.since(&before)),
                 });
             }
             match ended {
                 Ended::Proven => break Outcome::Proven { param, cost },
                 Ended::Failed(u) => break Outcome::Unresolved(u),
-                Ended::Refined if exhausted => {
+                Ended::Refined if self.over_budget() => {
                     break Outcome::Unresolved(Unresolved::MemBudgetExceeded)
                 }
                 Ended::Refined => {}
@@ -722,10 +566,24 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
             iterations,
             micros: start.elapsed().as_micros(),
             escalations: self.escalations,
-            degradations: self.gov.degradations,
             retries: 0,
             meta,
         }
+    }
+
+    /// Whether the query has a memory cap and the state it keeps across
+    /// iterations — the intern cache, the learned constraints and the
+    /// resident BDD — now exceeds it. The estimate is entry counts ×
+    /// `size_of`, never RSS, so the decision reproduces on every machine
+    /// and schedule; without a cap none is computed.
+    fn over_budget(&self) -> bool {
+        self.mem_budget.is_some_and(|cap| {
+            let retained = self.constraints.iter().fold(
+                self.icache.approx_bytes().saturating_add(self.viable.approx_bytes()),
+                |acc, c| acc.saturating_add(pformula_bytes(c)),
+            );
+            retained > cap
+        })
     }
 
     /// One CEGAR iteration: pick minimum viable `p`, run forward, either
@@ -764,16 +622,14 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
 
         // Forward run under the escalation ladder: on TooBig, retry the
         // same abstraction with a geometrically larger fact budget while
-        // retries remain and the deadline is alive. The governor may have
-        // shrunk the base below the configured/query budget (ladder rungs
-        // 7–8); a degraded budget is a different cache key, so degraded
-        // runs never poison healthy ones.
+        // retries remain and the deadline is alive.
+        let base_facts = query.limits.max_facts.unwrap_or(config.rhs_limits.max_facts);
         let mut attempt: u32 = 0;
         let mut executed = 0;
         let waits_before = self.lock_waits.load(Ordering::Relaxed);
         let t_fwd = Instant::now();
         let run = loop {
-            let max_facts = config.escalation.budget(self.gov.base_facts, attempt);
+            let max_facts = config.escalation.budget(base_facts, attempt);
             let limits = RhsLimits { max_facts, deadline };
             let mut compute = || {
                 executed += 1;
@@ -811,16 +667,9 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
             Err(u) => return StepResult::Tried { param: p, cost: model.cost, ended: Ended::Failed(u) },
         };
         self.obs.emit(Event::ForwardDone { query: q, iter, facts: run.n_facts() as u64 });
-        // The (possibly shared) fact/reason tables are this query's
-        // working set until the end of the step; charge them so the
-        // boundary poll sees the iteration's true footprint.
-        let fwd_bytes = run.approx_bytes();
-        self.gov.budget.charge(fwd_bytes);
-        self.obs.reg.add(Counter::MemCharged, fwd_bytes);
 
         let failing = |d: &C::State| query.not_q.holds(&p, d);
         let Some(trace) = run.witness(query.point, &failing) else {
-            self.gov.budget.release(fwd_bytes);
             return StepResult::Tried { param: p, cost: model.cost, ended: Ended::Proven };
         };
         let atoms: Vec<pda_lang::Atom> = trace.iter().map(|s| s.atom).collect();
@@ -829,19 +678,11 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
         let phi = match self.backward(&p, &d0, &atoms) {
             Ok(phi) => phi,
             Err(e) => {
-                self.gov.budget.release(fwd_bytes);
                 let failed = Ended::Failed(Unresolved::MetaFailure(e.to_string()));
                 return StepResult::Tried { param: p, cost: model.cost, ended: failed };
             }
         };
         let delta = self.obs.reg.since(&before);
-        // Transient cube traffic of the backward phase, as a deterministic
-        // per-cube estimate (charged and released in one breath — the peak
-        // tracker still observes it).
-        let cube_bytes = delta.get(Counter::CubesBuilt).saturating_mul(CUBE_BYTES);
-        self.gov.budget.charge(cube_bytes);
-        self.obs.reg.add(Counter::MemCharged, cube_bytes);
-        self.gov.budget.release(cube_bytes);
         self.obs.emit(Event::MetaDone {
             query: q,
             iter,
@@ -857,7 +698,6 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
         let viable = Span::enter(&self.obs.reg, SpanKind::Viable);
         self.constraints.push(PFormula::not(phi));
         viable.exit(&mut self.obs.reg);
-        self.gov.budget.release(fwd_bytes);
         StepResult::Tried { param: p, cost: model.cost, ended: Ended::Refined }
     }
 
@@ -881,7 +721,7 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
             d0,
             atoms,
             &self.query.not_q,
-            &self.gov.beam,
+            &self.config.beam,
             &mut self.icache,
             obs,
         )

@@ -185,8 +185,6 @@ pub struct RhsResult<'a, S> {
     /// entry, call node, pre-state)`.
     ctx_parent: FxHashMap<(MethodId, Sid), Fact>,
     d0: Sid,
-    /// [`RhsResult::approx_bytes`], fixed when the run finishes.
-    approx_bytes: u64,
 }
 
 /// Runs the tabulation for the `p` instance of `analysis` from initial
@@ -226,20 +224,7 @@ pub fn run<'a, A: ParametricAnalysis>(
     solver.propagate((program.main, d0id, entry, d0id), Reason::Seed);
     solver.run()?;
     let (states, reasons, ctx_parent) = (solver.states.states, solver.reasons, solver.ctx_parent);
-    let approx_bytes = estimate_bytes::<A::State>(reasons.len(), states.len(), ctx_parent.len());
-    Ok(RhsResult { program, states, reasons, ctx_parent, d0: d0id, approx_bytes })
-}
-
-/// Deterministic byte estimate of a finished run's retained tables: entry
-/// counts × `size_of`, so identical runs charge identical amounts on every
-/// machine.
-fn estimate_bytes<S>(facts: usize, states: usize, contexts: usize) -> u64 {
-    use std::mem::size_of;
-    facts
-        .saturating_mul(size_of::<Fact>() + size_of::<Reason>())
-        .saturating_add(states.saturating_mul(size_of::<S>()))
-        .saturating_add(contexts.saturating_mul(size_of::<(MethodId, Sid)>() + size_of::<Fact>()))
-        as u64
+    Ok(RhsResult { program, states, reasons, ctx_parent, d0: d0id })
 }
 
 struct Solver<'a, A: ParametricAnalysis> {
@@ -411,17 +396,6 @@ impl<S: Clone + Eq + std::hash::Hash> RhsResult<'_, S> {
     /// by the experiment harness).
     pub fn n_facts(&self) -> usize {
         self.reasons.len()
-    }
-
-    /// Deterministic byte estimate of the retained fact/reason/state
-    /// tables: entry counts × `size_of`, so identical runs charge
-    /// identical amounts on every machine. Heap data *inside* client
-    /// states is not visible from here, so this is a floor, not an exact
-    /// measurement — the memory governor only needs charges to be
-    /// deterministic and monotone in the work done. Computed once, when
-    /// the run finishes.
-    pub fn approx_bytes(&self) -> u64 {
-        self.approx_bytes
     }
 
     /// All abstract states arriving at `point` (over every context), in
@@ -726,23 +700,6 @@ mod tests {
         let x = p.main_var("x").unwrap();
         let qpoint = p.queries[p.query_by_label("q").unwrap()].point;
         assert!(res.witness(qpoint, &|s: &BTreeSet<VarId>| !s.contains(&x)).is_none());
-    }
-
-    #[test]
-    fn approx_bytes_is_positive_and_deterministic() {
-        let (p, pa) = run_on(
-            r#"
-            class C {}
-            fn main() { var x, y; x = new C; y = x; query q: local y; }
-            "#,
-        );
-        let go = || {
-            run(&p, &Nullness, &(), BTreeSet::new(), &|c| pa.callees(c).to_vec(), RhsLimits::default())
-                .unwrap()
-        };
-        let (a, b) = (go(), go());
-        assert!(a.approx_bytes() > 0);
-        assert_eq!(a.approx_bytes(), b.approx_bytes(), "charge must be run-invariant");
     }
 
     #[test]

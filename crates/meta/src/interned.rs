@@ -655,9 +655,9 @@ impl<P: Primitive> InternCache<P> {
     /// Deterministic estimate of the bytes this cache retains across CEGAR
     /// iterations: atoms, the closed primitive universe, raw wp formulas
     /// and their per-atom rows, the intern table with its matrices, and
-    /// the wp memo. Counts ×
-    /// `size_of` only — never allocator or RSS measurements — so the
-    /// memory governor's pressure decisions reproduce bit-identically.
+    /// the wp memo. Counts × `size_of` only — never allocator or RSS
+    /// measurements — so a per-query memory cap decides identically on
+    /// every run.
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
         let node = size_of::<Formula<P>>() as u64;
@@ -696,22 +696,6 @@ impl<P: Primitive> InternCache<P> {
             });
         }
         bytes
-    }
-
-    /// Evicts every [`WpEntry::Unstable`] memo entry (the first rung of
-    /// the memory governor's degradation ladder), returning how many were
-    /// dropped. Memo entries are pure accelerators — an evicted entry is
-    /// recomputed from the retained raw wp formulas on its next use with a
-    /// bit-identical result — so eviction changes cost, never outcomes.
-    pub fn evict_unstable(&mut self) -> u64 {
-        let mut evicted = 0;
-        for e in &mut self.memo.entries {
-            if matches!(e, Some(WpEntry::Unstable(_))) {
-                *e = None;
-                evicted += 1;
-            }
-        }
-        evicted
     }
 
     /// Reinterns the universe in `Ord` order — the hash-set universe's one
@@ -1589,11 +1573,11 @@ mod tests {
         assert!(mk_tree(&[(2, true)]).conjoin(&mk_tree(&[(3, true)])).is_none());
     }
 
-    /// Evicting unstable memo entries and measuring the cache are pure
-    /// accelerator operations: byte estimates are deterministic, and a
-    /// post-eviction re-run produces bit-identical output.
+    /// Measuring the cache is a pure operation: the byte estimate is
+    /// deterministic, and a re-run on the measured warm cache produces
+    /// bit-identical output.
     #[test]
-    fn approx_bytes_and_eviction_preserve_outputs() {
+    fn approx_bytes_is_deterministic_and_preserves_outputs() {
         let trace = [null(0), copy(1, 0), havoc(2), null(2)];
         let not_q = Formula::prim(BP::Bit(1));
         let cfg = BeamConfig::with_k(1);
@@ -1605,11 +1589,9 @@ mod tests {
         let warm = cache.approx_bytes();
         assert!(warm > 0);
         assert_eq!(warm, cache.approx_bytes(), "estimate must be deterministic");
-        cache.evict_unstable();
-        assert!(cache.approx_bytes() <= warm);
         let b = analyze_trace_interned(&Bits, &0b1, &0, &trace, &not_q, &cfg, &mut cache, &mut obs)
             .unwrap();
-        assert_eq!(a.to_dnf(), b.to_dnf(), "eviction must not change outputs");
+        assert_eq!(a.to_dnf(), b.to_dnf(), "a warm re-run must not change outputs");
         assert_eq!(a.restrict(), b.restrict());
     }
 

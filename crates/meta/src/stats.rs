@@ -28,9 +28,6 @@ pub struct MetaStats {
     pub wp_misses: u64,
     /// Cubes dropped by `approx`'s beam and by emergency pruning.
     pub approx_drops: u64,
-    /// wp-memo entries evicted (and intern caches reset) by the memory
-    /// governor under pressure.
-    pub mem_evictions: u64,
     /// Wall-clock time spent in the backward/meta phase, microseconds.
     pub micros: u64,
 }
@@ -44,7 +41,6 @@ impl MetaStats {
         self.wp_hits += other.wp_hits;
         self.wp_misses += other.wp_misses;
         self.approx_drops += other.approx_drops;
-        self.mem_evictions += other.mem_evictions;
         self.micros += other.micros;
     }
 
@@ -62,7 +58,6 @@ impl MetaStats {
             wp_hits: self.wp_hits.saturating_sub(earlier.wp_hits),
             wp_misses: self.wp_misses.saturating_sub(earlier.wp_misses),
             approx_drops: self.approx_drops.saturating_sub(earlier.approx_drops),
-            mem_evictions: self.mem_evictions.saturating_sub(earlier.mem_evictions),
             micros: self.micros.saturating_sub(earlier.micros),
         }
     }
@@ -83,7 +78,6 @@ impl MetaStats {
             wp_hits: reg.get(Counter::WpHits),
             wp_misses: reg.get(Counter::WpMisses),
             approx_drops: reg.get(Counter::ApproxDrops),
-            mem_evictions: reg.get(Counter::MemEvictions),
             micros: reg.get(Counter::MetaMicros),
         }
     }
@@ -96,7 +90,6 @@ impl MetaStats {
         reg.add(Counter::WpHits, self.wp_hits);
         reg.add(Counter::WpMisses, self.wp_misses);
         reg.add(Counter::ApproxDrops, self.approx_drops);
-        reg.add(Counter::MemEvictions, self.mem_evictions);
         reg.add(Counter::MetaMicros, self.micros);
     }
 }
@@ -131,7 +124,6 @@ mod tests {
             wp_hits: 7,
             wp_misses: 3,
             approx_drops: 2,
-            mem_evictions: 1,
             micros: 100,
         };
         let mut total = a;
@@ -150,7 +142,6 @@ mod tests {
             wp_hits: 8,
             wp_misses: 2,
             approx_drops: 3,
-            mem_evictions: 0,
             micros: 42,
         };
         assert_eq!(

@@ -106,7 +106,7 @@ impl Bdd {
         self.nodes.len()
     }
 
-    /// Deterministic size estimate for [`pda_util::MemBudget`] charging:
+    /// Deterministic size estimate for the per-query memory cap:
     /// arena + unique table + apply cache + cached sweep, counted as
     /// entries × entry size. Same convention as the interner's
     /// `approx_bytes` — an accounting figure, not allocator truth.

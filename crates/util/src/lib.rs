@@ -16,9 +16,8 @@
 //!   `rand` crate so the workspace builds offline.
 //! * [`Deadline`] — a cooperative wall-clock cancel token polled by the
 //!   tabulation and solver inner loops.
-//! * [`MemBudget`] — one query's deterministic byte ledger, charged at
-//!   the engines' allocation hot spots and polled by the TRACER memory
-//!   governor's degradation ladder.
+//! * [`parse_bytes`] — human byte sizes (`640k`, `4m`) for the
+//!   per-query memory cap.
 //! * [`obs`] — structured observability: the [`ObsRegistry`]
 //!   counter/span registry, the typed [`Event`] trace stream, and the
 //!   [`TraceSink`] implementations behind `--trace`/`--metrics`.
@@ -66,7 +65,7 @@ pub use faultplane::{fault_point, fault_point_io, FaultFile, FaultPlan};
 pub use fxhash::{fnv1a, fx_hash, FxBuildHasher, FxHashMap, FxHasher};
 pub use heartbeat::{beat, install_heartbeat, HeartbeatGuard};
 pub use idx::IdxVec;
-pub use membudget::{parse_bytes, MemBudget};
+pub use membudget::parse_bytes;
 pub use obs::{
     Counter, Event, FileSink, NullSink, ObsRegistry, Recorder, Span, SpanKind, SpanStats,
     TraceSink,

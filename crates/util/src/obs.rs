@@ -80,12 +80,6 @@ pub enum Counter {
     ApproxDrops,
     /// Wall time inside the backward meta-analysis, µs.
     MetaMicros,
-    /// Bytes charged against memory budgets (cumulative, incl. released).
-    MemCharged,
-    /// Memory-governor degradation-ladder steps applied.
-    Degradations,
-    /// wp-memo entries evicted (and caches reset) under memory pressure.
-    MemEvictions,
     /// Transient-fault retry attempts consumed (deterministic backoff
     /// ladder; see the batch scheduler's `RetryPolicy`).
     Retries,
@@ -366,7 +360,7 @@ impl ObsRegistry {
         let rate = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
         format!(
             "{} queries, jobs={}: {:.1} q/s, cache {}/{} hits ({:.1}%), {} forward runs saved, \
-             faults={} deadlines={} escalations={} retries={} resumed={} degradations={} \
+             faults={} deadlines={} escalations={} retries={} resumed={} \
              injected={} io_injected={} contention={}µs forward={}µs solver={}µs\n{}",
             queries,
             self.get(Counter::Jobs),
@@ -380,7 +374,6 @@ impl ObsRegistry {
             self.get(Counter::Escalations),
             self.get(Counter::Retries),
             self.get(Counter::Resumed),
-            self.get(Counter::Degradations),
             self.get(Counter::FaultsInjected),
             self.get(Counter::IoFaults),
             self.get(Counter::LockWaitMicros),
@@ -867,7 +860,6 @@ mod tests {
         reg.set(Counter::SubsumptionChecks, 9);
         reg.set(Counter::ApproxDrops, 2);
         reg.set(Counter::MetaMicros, 15);
-        reg.set(Counter::Degradations, 3);
         reg.set(Counter::Retries, 4);
         reg.set(Counter::LockWaitMicros, 11);
         reg.set(Counter::SolverMicros, 21);
@@ -877,7 +869,7 @@ mod tests {
         assert_eq!(
             reg.render(),
             "32 queries, jobs=8: 16.0 q/s, cache 57/89 hits (64.0%), 57 forward runs saved, \
-             faults=0 deadlines=0 escalations=1 retries=4 resumed=0 degradations=3 \
+             faults=0 deadlines=0 escalations=1 retries=4 resumed=0 \
              injected=6 io_injected=2 contention=11µs forward=17µs solver=21µs\n\
              meta: 7 cubes, wp 3/4 memo hits, subsumption 0/9 fast-rejected, 2 drops, 15µs"
         );

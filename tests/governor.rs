@@ -1,37 +1,35 @@
-//! Integration tests for the memory-budget governor
-//! (`pda_tracer::TracerConfig::mem_budget`, `QueryLimits::mem_budget`):
+//! Integration tests for the per-query memory cap
+//! (`pda_tracer::TracerConfig::mem_budget`, `QueryLimits::mem_budget`).
 //!
-//! * **Soundness of degradation** — a budget tight enough to force the
-//!   governor onto its ladder (cache eviction first) leaves every
-//!   verdict, optimum cost, and iteration count identical to the
-//!   unbudgeted run. Rungs 1–2 only shed cache warmth, which Theorem 3
-//!   says cannot change a verdict.
-//! * **Determinism** — governed runs are bit-identical across repeats
-//!   at `jobs = 1` and across `jobs ∈ {1, 2, 8}`: pressure decisions are
-//!   pure functions of deterministic byte estimates, never of RSS or
-//!   scheduling.
-//! * **Graceful exhaustion** — a hopeless budget resolves long-running
-//!   queries as `Unresolved::MemBudgetExceeded` after walking all eight
-//!   ladder rungs, without panicking, and without poisoning the shared
-//!   forward cache for unbudgeted copies of the same query in the same
-//!   batch (degraded fact budgets key the cache differently).
+//! At each refinement boundary a capped query estimates the state it
+//! keeps across iterations (intern cache, learned constraints, resident
+//! BDD) and resolves `Unresolved::MemBudgetExceeded` once that exceeds
+//! the cap, with the iteration counted. The tests pin three properties:
 //!
-//! Budget constants are tuned to this fixture's deterministic byte
-//! estimates (the probe data lives in the assertions): ~650 KiB trips
-//! the ladder once or twice and relieves; 64 KiB can never be relieved
-//! and exhausts after `LADDER_RUNGS` sustained-pressure boundaries.
+//! * **A cap stops a search, it never steers it** — a capped query's
+//!   iteration log is a prefix of its unbudgeted log, and a cap above
+//!   every retained maximum changes no result.
+//! * **Determinism** — the estimate is entry counts × `size_of`, never
+//!   RSS, so capped batches are bit-identical across repeats and across
+//!   `jobs ∈ {1, 2, 8}`.
+//! * **Isolation** — a capped query sharing a batch (and its forward
+//!   cache) with unbudgeted copies of itself, or with a panicking query,
+//!   perturbs neither.
+//!
+//! The budgets follow the fixture's largest retained estimates at any
+//! boundary: q0 248 636, q1 443 740, q2 248 404 and q3 442 668 bytes.
 
 use pda_analysis::PointsTo;
 use pda_escape::EscapeClient;
 use pda_tracer::{
-    faulty_query, lift_query, solve_queries_batch, solve_query, BatchConfig, Fault,
-    FaultInjectingClient, Outcome, Query, QueryLimits, QueryResult, TracerConfig, Unresolved,
+    faulty_query, lift_query, solve_queries_batch, solve_query, solve_query_logged, BatchConfig,
+    Fault, FaultInjectingClient, Outcome, Query, QueryLimits, QueryResult, TracerConfig,
+    Unresolved,
 };
 
 /// Five of the six allocations escape through `leak`/globals/fields, so
 /// `q1..q3` are impossible at every abstraction — each takes ~30 CEGAR
-/// iterations, enough runway for the 8-rung ladder to exhaust. `p` never
-/// escapes, so `q0` proves (cheaply, before sustained pressure matters).
+/// iterations. `p` never escapes, so `q0` proves in 2.
 const SRC: &str = r#"
     global g1, g2;
     class C { field f; }
@@ -52,11 +50,13 @@ const SRC: &str = r#"
     }
 "#;
 
-/// Forces one or two eviction rungs on the long queries, then relieves:
-/// verdicts and iteration counts must match the unbudgeted run exactly.
-const RELIEF_BUDGET: u64 = 640 << 10;
-/// Below every iteration's working set: sustained pressure walks the
-/// whole ladder and exhausts it on the ~30-iteration queries.
+/// Above every query's retained maximum: no query is capped.
+const ROOMY_BUDGET: u64 = 640 << 10;
+/// Between the two groups of maxima: q1 and q3 are capped, q0 and q2
+/// are not.
+const SPLIT_BUDGET: u64 = 384 << 10;
+/// Below every query's first boundary: all four are capped after one
+/// iteration.
 const EXHAUST_BUDGET: u64 = 64 << 10;
 
 struct Fixture {
@@ -80,76 +80,92 @@ impl Fixture {
             .map(|(qid, _)| self.client.local_query(&self.program, qid))
             .collect()
     }
+
+    /// Every query solved alone under `config`.
+    fn solve_all(&self, config: &TracerConfig) -> Vec<QueryResult<pda_util::BitSet>> {
+        let callees = |c: pda_lang::CallId| self.pa.callees(c).to_vec();
+        self.queries()
+            .iter()
+            .map(|q| solve_query(&self.program, &callees, &self.client, q, config))
+            .collect()
+    }
 }
 
 /// The deterministic fields of a result — everything but wall time.
-fn key<P: Clone>(r: &QueryResult<P>) -> (Outcome<P>, usize, u32, u32) {
-    (r.outcome.clone(), r.iterations, r.escalations, r.degradations)
+fn key<P: Clone>(r: &QueryResult<P>) -> (Outcome<P>, usize, u32) {
+    (r.outcome.clone(), r.iterations, r.escalations)
+}
+
+fn capped(budget: u64) -> TracerConfig {
+    TracerConfig { mem_budget: Some(budget), ..TracerConfig::default() }
 }
 
 fn with_mem_budget<P: pda_meta::Primitive>(q: Query<P>, bytes: u64) -> Query<P> {
     q.with_limits(QueryLimits { timeout: None, max_facts: None, mem_budget: Some(bytes) })
 }
 
-#[test]
-fn degraded_run_keeps_every_verdict_and_iteration_count() {
-    let fx = Fixture::new();
-    let callees = |c: pda_lang::CallId| fx.pa.callees(c).to_vec();
-    let plain = TracerConfig::default();
-    let governed = TracerConfig { mem_budget: Some(RELIEF_BUDGET), ..TracerConfig::default() };
+const MEM: Outcome<pda_util::BitSet> = Outcome::Unresolved(Unresolved::MemBudgetExceeded);
 
-    let mut degradations = 0;
-    for q in fx.queries() {
-        let base = solve_query(&fx.program, &callees, &fx.client, &q, &plain);
-        let gov = solve_query(&fx.program, &callees, &fx.client, &q, &governed);
-        assert_eq!(base.degradations, 0);
-        assert_eq!(gov.outcome, base.outcome, "a ladder rung changed a verdict");
-        assert_eq!(gov.iterations, base.iterations, "eviction rungs must not change the search");
-        assert_eq!(gov.escalations, base.escalations);
-        degradations += gov.degradations;
+#[test]
+fn budget_above_every_retained_maximum_changes_no_result() {
+    let fx = Fixture::new();
+    let plain = fx.solve_all(&TracerConfig::default());
+    let roomy = fx.solve_all(&capped(ROOMY_BUDGET));
+    for (i, (base, r)) in plain.iter().zip(&roomy).enumerate() {
+        assert_eq!(key(r), key(base), "query {i}");
     }
-    assert!(degradations >= 1, "budget was tuned to force at least one ladder step");
 }
 
 #[test]
-fn exhausted_ladder_resolves_mem_budget_exceeded_without_panicking() {
+fn split_budget_caps_exactly_the_queries_that_outgrow_it() {
+    let fx = Fixture::new();
+    let plain = fx.solve_all(&TracerConfig::default());
+    let split = fx.solve_all(&capped(SPLIT_BUDGET));
+    for i in [0, 2] {
+        assert_eq!(key(&split[i]), key(&plain[i]), "query {i} stays under the cap");
+    }
+    for i in [1, 3] {
+        assert_eq!((&split[i].outcome, split[i].iterations), (&MEM, 6), "query {i}");
+        assert!(plain[i].iterations > 6, "query {i} had work left to cut");
+    }
+}
+
+#[test]
+fn starvation_budget_caps_every_query_after_one_iteration() {
+    let fx = Fixture::new();
+    for (i, r) in fx.solve_all(&capped(EXHAUST_BUDGET)).iter().enumerate() {
+        assert_eq!((&r.outcome, r.iterations), (&MEM, 1), "query {i}");
+    }
+}
+
+#[test]
+fn capped_logs_are_prefixes_of_the_unbudgeted_logs() {
     let fx = Fixture::new();
     let callees = |c: pda_lang::CallId| fx.pa.callees(c).to_vec();
-    let config = TracerConfig { mem_budget: Some(EXHAUST_BUDGET), ..TracerConfig::default() };
-    let baseline: Vec<_> = fx
-        .queries()
-        .iter()
-        .map(|q| solve_query(&fx.program, &callees, &fx.client, q, &TracerConfig::default()))
-        .collect();
-
-    for (i, q) in fx.queries().into_iter().enumerate() {
-        let r = solve_query(&fx.program, &callees, &fx.client, &q, &config);
-        match &baseline[i].outcome {
-            // A query that proves before pressure sustains still proves —
-            // identically — under a hopeless budget.
-            Outcome::Proven { param, cost } => {
+    let mut compared = 0;
+    for q in fx.queries() {
+        let (base, full) =
+            solve_query_logged(&fx.program, &callees, &fx.client, &q, &TracerConfig::default());
+        assert_eq!(full.len(), base.iterations);
+        for budget in [SPLIT_BUDGET, EXHAUST_BUDGET] {
+            let (r, log) =
+                solve_query_logged(&fx.program, &callees, &fx.client, &q, &capped(budget));
+            assert_eq!(log.len(), r.iterations);
+            if r.outcome != MEM {
+                continue;
+            }
+            assert!(log.len() < full.len(), "a capped query stops early");
+            for (i, (a, b)) in log.iter().zip(&full).enumerate() {
                 assert_eq!(
-                    r.outcome,
-                    Outcome::Proven { param: param.clone(), cost: *cost },
-                    "query {i}"
+                    (&a.param, a.cost, &a.learned),
+                    (&b.param, b.cost, &b.learned),
+                    "iteration {i} under a {budget}-byte cap left the unbudgeted path"
                 );
             }
-            // The long impossibility searches walk all eight rungs and
-            // then give up deterministically.
-            _ => {
-                assert_eq!(
-                    r.outcome,
-                    Outcome::Unresolved(Unresolved::MemBudgetExceeded),
-                    "query {i}"
-                );
-                assert_eq!(r.degradations, 8, "query {i} must walk the full ladder first");
-                assert!(
-                    r.iterations < baseline[i].iterations,
-                    "query {i} gave up without saving any work"
-                );
-            }
+            compared += 1;
         }
     }
+    assert_eq!(compared, 6, "two queries capped at 384 KiB, four at 64 KiB");
 }
 
 #[test]
@@ -157,20 +173,19 @@ fn governed_batches_are_deterministic_across_repeats_and_job_counts() {
     let fx = Fixture::new();
     let callees = |c: pda_lang::CallId| fx.pa.callees(c).to_vec();
     let queries = fx.queries();
-    let tracer = TracerConfig { mem_budget: Some(RELIEF_BUDGET), ..TracerConfig::default() };
+    let tracer = capped(SPLIT_BUDGET);
 
     let run = |jobs: usize| {
         let cfg = BatchConfig { jobs, tracer: tracer.clone(), ..BatchConfig::default() };
-        let (results, stats) =
-            solve_queries_batch(&fx.program, &callees, &fx.client, &queries, &cfg);
-        (results.iter().map(key).collect::<Vec<_>>(), stats.degradations)
+        let (results, _) = solve_queries_batch(&fx.program, &callees, &fx.client, &queries, &cfg);
+        results.iter().map(key).collect::<Vec<_>>()
     };
 
-    let (first, degradations) = run(1);
-    assert!(degradations >= 1, "the batch surfaces governor activity in its stats");
-    assert_eq!(first, run(1).0, "jobs=1 must be bit-identical across repeats");
+    let first = run(1);
+    assert_eq!(first.iter().filter(|k| k.0 == MEM).count(), 2, "the cap applies in a batch");
+    assert_eq!(first, run(1), "jobs=1 must be bit-identical across repeats");
     for jobs in [2usize, 8] {
-        assert_eq!(first, run(jobs).0, "governed results diverged at jobs={jobs}");
+        assert_eq!(first, run(jobs), "capped results diverged at jobs={jobs}");
     }
 }
 
@@ -178,15 +193,11 @@ fn governed_batches_are_deterministic_across_repeats_and_job_counts() {
 fn exhausted_query_does_not_poison_the_shared_forward_cache() {
     let fx = Fixture::new();
     let callees = |c: pda_lang::CallId| fx.pa.callees(c).to_vec();
-    let baseline: Vec<_> = fx
-        .queries()
-        .iter()
-        .map(|q| solve_query(&fx.program, &callees, &fx.client, q, &TracerConfig::default()))
-        .collect();
+    let baseline = fx.solve_all(&TracerConfig::default());
 
-    // The same batch mixes starved copies (which degrade their fact
-    // budgets and ultimately exhaust) with unbudgeted copies of the very
-    // same queries sharing one forward cache.
+    // The same batch mixes starved copies, which stop at their first
+    // boundary, with unbudgeted copies of the very same queries sharing
+    // one forward cache.
     let n = fx.queries().len();
     let mut queries = fx.queries();
     queries.extend(fx.queries().into_iter().map(|q| with_mem_budget(q, EXHAUST_BUDGET)));
@@ -202,11 +213,10 @@ fn exhausted_query_does_not_poison_the_shared_forward_cache() {
                 "unbudgeted query {i} was perturbed by its starved twin at jobs={jobs}"
             );
             let starved = &results[n + i];
-            assert!(
-                starved.outcome == baseline[i].outcome
-                    || starved.outcome == Outcome::Unresolved(Unresolved::MemBudgetExceeded),
-                "starved query {i} at jobs={jobs}: {:?}",
-                starved.outcome
+            assert_eq!(
+                (&starved.outcome, starved.iterations),
+                (&MEM, 1),
+                "starved query {i} at jobs={jobs}"
             );
         }
     }
@@ -217,11 +227,7 @@ fn adversarial_faults_under_budget_pressure_stay_isolated() {
     let fx = Fixture::new();
     let callees = |c: pda_lang::CallId| fx.pa.callees(c).to_vec();
     let wrapped = FaultInjectingClient::new(&fx.client);
-    let baseline: Vec<_> = fx
-        .queries()
-        .iter()
-        .map(|q| solve_query(&fx.program, &callees, &fx.client, q, &TracerConfig::default()))
-        .collect();
+    let baseline = fx.solve_all(&TracerConfig::default());
 
     // Healthy lifted queries, a starved long query, and a panicking query
     // — all inside one batch.
@@ -241,11 +247,7 @@ fn adversarial_faults_under_budget_pressure_stay_isolated() {
         for i in 0..n {
             assert_eq!(key(&results[i]), key(&baseline[i]), "healthy query {i}, jobs={jobs}");
         }
-        assert_eq!(
-            results[n].outcome,
-            Outcome::Unresolved(Unresolved::MemBudgetExceeded),
-            "jobs={jobs}"
-        );
+        assert_eq!(results[n].outcome, MEM, "jobs={jobs}");
         assert_eq!(
             results[n + 1].outcome,
             Outcome::Unresolved(Unresolved::EngineFault("governed panic".into())),

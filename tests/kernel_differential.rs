@@ -50,8 +50,9 @@ fn oracle_checked<C: TracerClient<Param = BitSet>>(
     query: &Query<C::Prim>,
     what: &str,
 ) -> ((Outcome<BitSet>, usize, u32), usize) {
-    let (r, log) = solve_query_logged(program, callees, client, query, &TracerConfig::default());
-    match check_iterations(program, callees, client, query, &r, &log) {
+    let config = TracerConfig::default();
+    let (r, log) = solve_query_logged(program, callees, client, query, &config);
+    match check_iterations(program, callees, client, query, &config.beam, &r, &log) {
         Ok(n) => (fingerprint(&r), n),
         Err(e) => panic!("{what}: {e}"),
     }
@@ -132,7 +133,8 @@ fn oracle_replays_the_iteration_that_left_a_query_unresolved() {
             "{:?}",
             r.outcome
         );
-        let checked = check_iterations(&program, &callees, &wrapped, &query, &r, &log);
+        let checked =
+            check_iterations(&program, &callees, &wrapped, &query, &config.beam, &r, &log);
         assert_eq!(checked, Ok(r.iterations), "every iteration, the failing one included");
     }
 }

@@ -53,8 +53,9 @@ fn oracle_checked<C: TracerClient<Param = BitSet>>(
     query: &Query<C::Prim>,
     what: &str,
 ) -> ((Outcome<BitSet>, usize, u32), usize) {
-    let (r, log) = solve_query_logged(program, callees, client, query, &TracerConfig::default());
-    match check_iterations(program, callees, client, query, &r, &log) {
+    let config = TracerConfig::default();
+    let (r, log) = solve_query_logged(program, callees, client, query, &config);
+    match check_iterations(program, callees, client, query, &config.beam, &r, &log) {
         Ok(n) => (fingerprint(&r), n),
         Err(e) => panic!("{what}: {e}"),
     }
