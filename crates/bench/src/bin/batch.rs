@@ -45,8 +45,8 @@
 //! counts must match the run's own counters (skipped in deadline mode).
 
 use pda_bench::oracle::check_iterations;
+use pda_bench::{env_usize, escape_batch};
 use pda_escape::EscapeClient;
-use pda_suite::Benchmark;
 use pda_tracer::{
     default_jobs, solve_queries_batch_traced, solve_query_logged, BatchConfig, BatchStats,
     MetaStats, Outcome, QueryResult, RetryPolicy,
@@ -121,41 +121,17 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let retry: Option<RetryPolicy> = std::env::var("PDA_RETRY_FAULTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
+    let retry: Option<RetryPolicy> = env_usize("PDA_RETRY_FAULTS")
+        .and_then(|n| u32::try_from(n).ok())
         .filter(|&n| n > 0)
         .map(RetryPolicy::deterministic);
-    let jobs: usize = std::env::var("PDA_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8)
-        .max(2);
-    let max_queries: usize = std::env::var("PDA_MAX_QUERIES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32)
-        .max(16);
-    let deadline_ms: Option<u64> =
-        std::env::var("PDA_DEADLINE_MS").ok().and_then(|v| v.parse().ok());
+    let jobs = env_usize("PDA_JOBS").unwrap_or(8).max(2);
+    let deadline_ms = env_usize("PDA_DEADLINE_MS").map(|ms| ms as u64);
 
-    // Smallest suite benchmark whose thread-escape batch has >=16 queries.
-    // The generator is fully seeded, so the workload is fixed across runs
-    // and machines.
-    let (seed, bench, accesses) = pda_suite::suite()
-        .into_iter()
-        .map(|cfg| (cfg.seed, Benchmark::load(cfg)))
-        .find_map(|(seed, b)| {
-            let accesses = EscapeClient::accesses(&b.program, b.app_methods());
-            (accesses.len() >= 16).then_some((seed, b, accesses))
-        })
-        .expect("some suite benchmark has >=16 escape queries");
+    let (seed, bench, accesses) = escape_batch();
     let client = EscapeClient::new(&bench.program);
-    let queries: Vec<_> = accesses
-        .iter()
-        .take(max_queries)
-        .map(|&(point, var)| client.access_query(point, var))
-        .collect();
+    let queries: Vec<_> =
+        accesses.iter().map(|&(point, var)| client.access_query(point, var)).collect();
     let callees = bench.callees();
 
     println!(

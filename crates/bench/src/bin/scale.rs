@@ -30,8 +30,8 @@
 //! `PDA_REPEATS` takes the fastest of N runs per point (default 1);
 //! `PDA_BENCH_OUT` overrides the output path.
 
+use pda_bench::{env_usize, escape_batch};
 use pda_escape::EscapeClient;
-use pda_suite::Benchmark;
 use pda_tracer::{
     default_jobs, solve_queries_batch, BatchConfig, BatchStats, Outcome, QueryResult,
 };
@@ -74,31 +74,16 @@ fn point_json(p: &Point) -> String {
 }
 
 fn main() {
-    let max_queries: usize = std::env::var("PDA_MAX_QUERIES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32)
-        .max(16);
     let jobs_grid: Vec<usize> = std::env::var("PDA_JOBS_GRID")
         .ok()
         .map(|v| v.split(',').filter_map(|t| t.trim().parse().ok()).collect())
         .filter(|g: &Vec<usize>| !g.is_empty())
         .unwrap_or_else(|| vec![1, 2, 4, 8, 16]);
 
-    let (seed, bench, accesses) = pda_suite::suite()
-        .into_iter()
-        .map(|cfg| (cfg.seed, Benchmark::load(cfg)))
-        .find_map(|(seed, b)| {
-            let accesses = EscapeClient::accesses(&b.program, b.app_methods());
-            (accesses.len() >= 16).then_some((seed, b, accesses))
-        })
-        .expect("some suite benchmark has >=16 escape queries");
+    let (seed, bench, accesses) = escape_batch();
     let client = EscapeClient::new(&bench.program);
-    let queries: Vec<_> = accesses
-        .iter()
-        .take(max_queries)
-        .map(|&(point, var)| client.access_query(point, var))
-        .collect();
+    let queries: Vec<_> =
+        accesses.iter().map(|&(point, var)| client.access_query(point, var)).collect();
     let callees = bench.callees();
 
     println!(
@@ -113,11 +98,7 @@ fn main() {
         solve_queries_batch(&bench.program, &callees, &client, &queries, &cfg)
     };
 
-    let repeats: usize = std::env::var("PDA_REPEATS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1);
+    let repeats = env_usize("PDA_REPEATS").unwrap_or(1).max(1);
 
     // Min-of-`repeats` per grid point: wall time on a time-shared box is
     // one-sided noise (the minimum is the least-disturbed run), and

@@ -21,6 +21,7 @@
 //! unlimited), and `PDA_ESCALATE` (fact-budget escalation retries on
 //! forward-run `TooBig`, default 0).
 
+use pda_escape::EscapeClient;
 use pda_suite::{AnalysisRun, Benchmark, ExperimentConfig};
 
 pub mod oracle;
@@ -70,8 +71,29 @@ pub fn print_batch_stats(runs: &[AnalysisRun]) {
     println!("\nbatch: {}", batch_obs(runs).render());
 }
 
-fn env_usize(name: &str) -> Option<usize> {
+/// The environment variable `name` parsed as a `usize`; `None` when it
+/// is unset or does not parse.
+pub fn env_usize(name: &str) -> Option<usize> {
     std::env::var(name).ok()?.parse().ok()
+}
+
+/// The thread-escape batch of the `batch` and `scale` bins: the first
+/// suite benchmark with at least 16 escape queries (hedc with the default
+/// suite), its generator seed, and its first `PDA_MAX_QUERIES` (default
+/// 32, floor 16) access queries as `(point, var)` pairs. The generator is
+/// fully seeded, so the workload is fixed across runs and machines.
+pub fn escape_batch() -> (u64, Benchmark, Vec<(pda_lang::PointId, pda_lang::VarId)>) {
+    let max_queries = env_usize("PDA_MAX_QUERIES").unwrap_or(32).max(16);
+    let (seed, bench, mut accesses) = pda_suite::suite()
+        .into_iter()
+        .map(|cfg| (cfg.seed, Benchmark::load(cfg)))
+        .find_map(|(seed, b)| {
+            let accesses = EscapeClient::accesses(&b.program, b.app_methods());
+            (accesses.len() >= 16).then_some((seed, b, accesses))
+        })
+        .expect("some suite benchmark has >=16 escape queries");
+    accesses.truncate(max_queries);
+    (seed, bench, accesses)
 }
 
 /// Loads the full suite, printing progress to stderr.

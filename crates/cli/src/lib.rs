@@ -1,19 +1,12 @@
-//! Library backing the `pda` command-line tool.
+//! Library backing the `pda` command-line tool: `check`, `queries`,
+//! `solve`, `serve`, `request` and `gen`.
 //!
-//! Subcommands:
-//!
-//! * `pda check <file.jay>` — parse, resolve, validate; print program
-//!   statistics.
-//! * `pda queries <file.jay>` — list the source queries with their kinds.
-//! * `pda solve <file.jay> [--query LABEL] [--k N] [--max-iters N]
-//!   [--jobs N] [--deadline MS] [--escalate N] [--mem-budget BYTES]
-//!   [--retry-faults N] [--checkpoint PATH] [--trace OUT.jsonl]
-//!   [--metrics] [--fault-plan PLAN]`
-//!   — run TRACER on one labeled query (or all), choosing the client by
-//!   the query kind (`local` → thread-escape, `state` → type-state).
-//!   `--trace` streams the structured JSONL event log to a file;
-//!   `--metrics` appends the per-span latency table to the report.
-//! * `pda gen <benchmark>` — print a generated suite benchmark's source.
+//! Two tables are the only lists of what the tool accepts: `COMMANDS`
+//! (each subcommand's positional arguments and summary) and `FLAGS`
+//! (each flag of `solve` and `serve`: spelling, value, help, the
+//! subcommands that take it, and how it sets [`Options`]). `pda help`
+//! prints the usage [`usage_text`] renders from them, and
+//! [`parse_args`] parses every flag through `FLAGS`.
 //!
 //! The heavy lifting lives in the workspace crates; this module only
 //! parses arguments and formats reports, and is unit-tested directly.
@@ -77,185 +70,365 @@ fn usage<T>(msg: impl Into<String>) -> Result<T, CliError> {
     Err(CliError::Usage(msg.into()))
 }
 
-/// A parsed command line.
+/// A parsed command line. `pda help` lists each subcommand's arguments
+/// and flags.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
-    /// `pda check <file>`
+    /// `pda check`: parse, validate, print program statistics.
     Check {
         /// Input path.
         file: String,
     },
-    /// `pda queries <file>`
+    /// `pda queries`: list the source queries with their kinds.
     Queries {
         /// Input path.
         file: String,
     },
-    /// `pda solve <file> [--query LABEL] [--k N] [--max-iters N]
-    /// [--jobs N] [--deadline MS] [--escalate N] [--mem-budget BYTES]
-    /// [--retry-faults N] [--checkpoint PATH] [--trace PATH] [--metrics]
-    /// [--fault-plan PLAN]`
+    /// `pda solve`: run TRACER on one labeled query (or all), choosing
+    /// the client by the query kind.
     Solve {
         /// Input path.
         file: String,
-        /// Restrict to one labeled query.
-        query: Option<String>,
-        /// Beam width.
-        k: usize,
-        /// Iteration budget.
-        max_iters: usize,
-        /// Worker threads (1 = today's sequential driver; default = the
-        /// machine's available parallelism).
-        jobs: usize,
-        /// Per-query wall-clock deadline in milliseconds.
-        deadline_ms: Option<u64>,
-        /// Fact-budget escalation retries on forward-run `TooBig`.
-        escalate: Option<u32>,
-        /// Per-query memory budget in estimated bytes (accepts `k`/`m`/`g`
-        /// suffixes).
-        mem_budget: Option<u64>,
-        /// Retry transiently faulted queries up to N times on the
-        /// deterministic backoff ladder.
-        retry_faults: Option<u32>,
-        /// Checkpoint file: resume finished thread-escape queries from it
-        /// and stream new results into it.
-        checkpoint: Option<String>,
-        /// Structured JSONL trace output path.
-        trace: Option<String>,
-        /// Append the per-span latency table to the report (and enable
-        /// span wall-clock measurement).
-        metrics: bool,
-        /// Deterministic fault plan armed for the run (chaos testing;
-        /// `point@hit=action` entries or `seed:N`, see `pda_util::faultplane`).
-        fault_plan: Option<String>,
+        /// The flags' values.
+        opts: Options,
     },
-    /// `pda serve <file> [--socket PATH] [--journal PATH] [--jobs N]
-    /// [--deadline MS] [--retry-faults N] [--k N] [--max-iters N]
-    /// [--trace PATH] [--allow-inject] [--fault-plan PLAN]
-    /// [--watchdog-ms MS]`
+    /// `pda serve`: run the analysis daemon over the program's
+    /// thread-escape queries.
     Serve {
         /// Input path.
         file: String,
-        /// Unix-socket path; omitted = serve one JSONL session on
-        /// stdin/stdout.
-        socket: Option<String>,
-        /// Journal (batch checkpoint) path for crash-safe resume.
-        journal: Option<String>,
-        /// Worker threads for the `batch` op.
-        jobs: usize,
-        /// Default per-request wall-clock deadline in milliseconds.
-        deadline_ms: Option<u64>,
-        /// Retry transient faults (including deadline hits) up to N
-        /// times per request on the deterministic backoff ladder.
-        retry_faults: Option<u32>,
-        /// Beam width.
-        k: usize,
-        /// Iteration budget.
-        max_iters: usize,
-        /// Structured JSONL trace output path (per-request obs spans).
-        trace: Option<String>,
-        /// Honor `"inject":"panic"` requests (tests and CI only).
-        allow_inject: bool,
-        /// Deterministic fault plan armed for the daemon's life.
-        fault_plan: Option<String>,
-        /// Abandon solve attempts that make no heartbeat progress for
-        /// this many milliseconds (`engine_stall` + quarantine).
-        watchdog_ms: Option<u64>,
+        /// The flags' values.
+        opts: Options,
     },
-    /// `pda request <socket> <json-line>` — one-shot daemon client.
+    /// `pda request`: one-shot daemon client.
     Request {
         /// Daemon socket path.
         socket: String,
         /// The request line to send.
         line: String,
     },
-    /// `pda gen <benchmark>`
+    /// `pda gen`: print a generated suite benchmark's source.
     Gen {
         /// Suite benchmark name (tsp, elevator, ...).
         name: String,
     },
-    /// `pda help` or no/invalid arguments.
+    /// `pda help` or no arguments.
     Help,
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-pda — optimum abstractions for parametric dataflow analysis (PLDI'13)
-
-USAGE:
-    pda check   <file.jay>                 parse, validate, report stats
-    pda queries <file.jay>                 list source queries
-    pda solve   <file.jay> [--query LABEL] [--k N] [--max-iters N] [--jobs N]
-                [--deadline MS] [--escalate N] [--mem-budget BYTES]
-                [--retry-faults N] [--checkpoint PATH] [--trace PATH]
-                [--metrics] [--fault-plan PLAN]
-                                           find optimum abstractions
-                                           (--jobs 1 = sequential; default:
-                                           available parallelism, batched
-                                           with a shared forward-run cache)
-                                           --deadline    per-query wall-clock
-                                                         budget, milliseconds
-                                           --escalate    retry TooBig forward
-                                                         runs N times with a
-                                                         4x fact budget each
-                                           --mem-budget  per-query memory
-                                                         cap in estimated
-                                                         bytes (k/m/g ok);
-                                                         a query whose kept
-                                                         state outgrows it
-                                                         stops unresolved
-                                           --retry-faults retry transiently
-                                                         faulted queries up to
-                                                         N times on the
-                                                         deterministic backoff
-                                                         ladder
-                                           --checkpoint  stream results to
-                                                         PATH; on rerun, skip
-                                                         queries already there
-                                           --trace       stream structured
-                                                         JSONL events to PATH
-                                           --metrics     append the per-span
-                                                         latency table to the
-                                                         report
-                                           --fault-plan  arm the deterministic
-                                                         fault-injection plane:
-                                                         `point@hit=action`
-                                                         entries (actions
-                                                         panic|stall:MS|
-                                                         ioerr[:KIND]|abort)
-                                                         or `seed:N[:permille]`
-                                                         (env PDA_FAULT_PLAN)
-    pda serve   <file.jay> [--socket PATH] [--journal PATH] [--jobs N]
-                [--deadline MS] [--retry-faults N] [--k N]
-                [--max-iters N] [--trace PATH] [--allow-inject]
-                [--fault-plan PLAN] [--watchdog-ms MS]
-                                           run the crash-safe analysis daemon
-                                           (JSONL over the Unix socket, or
-                                           stdin/stdout without --socket);
-                                           --journal resumes finished queries
-                                           across restarts, SIGTERM drains
-                                           gracefully, --allow-inject enables
-                                           fault-injection requests,
-                                           --fault-plan arms the deterministic
-                                           fault plane (env PDA_FAULT_PLAN),
-                                           --watchdog-ms abandons solve
-                                           attempts with no heartbeat progress
-                                           for that long (engine_stall reply +
-                                           cache quarantine)
-    pda request <socket> <json-line>       send one request to a daemon and
-                                           print the response
-    pda gen     <benchmark>                print a generated suite program
-";
-
-fn parse_num<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> Result<T, CliError> {
-    args.get(i + 1)
-        .and_then(|v| v.parse().ok())
-        .map_or_else(|| usage(format!("{flag} needs a number")), Ok)
+/// The flag values of `pda solve` and `pda serve`: one field per `FLAGS`
+/// row, whose help documents it. A field whose flag the subcommand does
+/// not take keeps its default.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Options {
+    query: Option<String>,
+    socket: Option<String>,
+    journal: Option<String>,
+    k: usize,
+    max_iters: usize,
+    jobs: usize,
+    deadline_ms: Option<u64>,
+    escalate: Option<u32>,
+    mem_budget: Option<u64>,
+    retry_faults: Option<u32>,
+    checkpoint: Option<String>,
+    trace: Option<String>,
+    metrics: bool,
+    allow_inject: bool,
+    fault_plan: Option<String>,
+    watchdog_ms: Option<u64>,
 }
 
-fn parse_size(args: &[String], i: usize, flag: &str) -> Result<u64, CliError> {
-    args.get(i + 1)
-        .and_then(|v| pda_util::parse_bytes(v))
-        .map_or_else(|| usage(format!("{flag} needs a byte size (e.g. 4096, 64k, 2m, 1g)")), Ok)
+impl Default for Options {
+    fn default() -> Self {
+        Options {
+            query: None,
+            socket: None,
+            journal: None,
+            k: 5,
+            max_iters: 100,
+            jobs: default_jobs(),
+            deadline_ms: None,
+            escalate: None,
+            mem_budget: None,
+            retry_faults: None,
+            checkpoint: None,
+            trace: None,
+            metrics: false,
+            allow_inject: false,
+            fault_plan: None,
+            watchdog_ms: None,
+        }
+    }
+}
+
+/// One row of `FLAGS`.
+struct Flag {
+    /// Spelling on the command line.
+    name: &'static str,
+    /// The value's placeholder in the usage text; `None` for a switch.
+    metavar: Option<&'static str>,
+    /// The subcommands that take the flag.
+    cmds: &'static [&'static str],
+    /// Usage help, filled to the usage width.
+    help: &'static str,
+    /// Stores the value (`""` for a switch) in the options; false when
+    /// it does not parse.
+    set: fn(&mut Options, &str) -> bool,
+}
+
+const SOLVE: &[&str] = &["solve"];
+const SERVE: &[&str] = &["serve"];
+const BOTH: &[&str] = &["solve", "serve"];
+
+/// Every flag of `pda solve` and `pda serve`, in usage order.
+const FLAGS: [Flag; 16] = [
+    Flag {
+        name: "--query",
+        metavar: Some("LABEL"),
+        cmds: SOLVE,
+        help: "solve only the query labeled LABEL",
+        set: |o, v| text(&mut o.query, v),
+    },
+    Flag {
+        name: "--socket",
+        metavar: Some("PATH"),
+        cmds: SERVE,
+        help: "serve JSONL over this Unix socket (default: one session on \
+               stdin/stdout, status lines on stderr)",
+        set: |o, v| text(&mut o.socket, v),
+    },
+    Flag {
+        name: "--journal",
+        metavar: Some("PATH"),
+        cmds: SERVE,
+        help: "journal finished verdicts to PATH and resume them across restarts",
+        set: |o, v| text(&mut o.journal, v),
+    },
+    Flag {
+        name: "--k",
+        metavar: Some("N"),
+        cmds: BOTH,
+        help: "beam width of drop_k",
+        set: |o, v| v.parse().map(|n| o.k = n).is_ok(),
+    },
+    Flag {
+        name: "--max-iters",
+        metavar: Some("N"),
+        cmds: BOTH,
+        help: "CEGAR iteration budget per query",
+        set: |o, v| v.parse().map(|n| o.max_iters = n).is_ok(),
+    },
+    Flag {
+        name: "--jobs",
+        metavar: Some("N"),
+        cmds: BOTH,
+        help: "worker threads (0 counts as 1 = sequential; default: available \
+               parallelism); a batch shares one forward-run cache",
+        set: |o, v| v.parse().map(|n: usize| o.jobs = n.max(1)).is_ok(),
+    },
+    Flag {
+        name: "--deadline",
+        metavar: Some("MS"),
+        cmds: BOTH,
+        help: "per-query wall-clock budget in milliseconds (serve: the \
+               default per request)",
+        set: |o, v| v.parse().map(|n| o.deadline_ms = Some(n)).is_ok(),
+    },
+    Flag {
+        name: "--escalate",
+        metavar: Some("N"),
+        cmds: SOLVE,
+        help: "retry TooBig forward runs N times with a 4x fact budget each",
+        set: |o, v| v.parse().map(|n| o.escalate = Some(n)).is_ok(),
+    },
+    Flag {
+        name: "--mem-budget",
+        metavar: Some("BYTES"),
+        cmds: SOLVE,
+        help: "per-query memory cap in estimated bytes (k/m/g ok); a query \
+               whose kept state outgrows it stops unresolved",
+        set: |o, v| pda_util::parse_bytes(v).map(|b| o.mem_budget = Some(b)).is_some(),
+    },
+    Flag {
+        name: "--retry-faults",
+        metavar: Some("N"),
+        cmds: BOTH,
+        help: "retry transiently faulted queries up to N times on the \
+               deterministic backoff ladder (serve: deadline hits too)",
+        set: |o, v| v.parse().map(|n| o.retry_faults = Some(n)).is_ok(),
+    },
+    Flag {
+        name: "--checkpoint",
+        metavar: Some("PATH"),
+        cmds: SOLVE,
+        help: "stream results to PATH; on rerun, skip queries already there",
+        set: |o, v| text(&mut o.checkpoint, v),
+    },
+    Flag {
+        name: "--trace",
+        metavar: Some("PATH"),
+        cmds: BOTH,
+        help: "stream structured JSONL events to PATH",
+        set: |o, v| text(&mut o.trace, v),
+    },
+    Flag {
+        name: "--metrics",
+        metavar: None,
+        cmds: SOLVE,
+        help: "append the per-span latency table to the report",
+        set: |o, _| {
+            o.metrics = true;
+            true
+        },
+    },
+    Flag {
+        name: "--allow-inject",
+        metavar: None,
+        cmds: SERVE,
+        help: "honor fault-injection requests (\"inject\":\"panic\" or \
+               \"inject\":\"stall[:MS]\")",
+        set: |o, _| {
+            o.allow_inject = true;
+            true
+        },
+    },
+    Flag {
+        name: "--fault-plan",
+        metavar: Some("PLAN"),
+        cmds: BOTH,
+        help: "arm the deterministic fault-injection plane: `point@hit=action` \
+               entries (actions panic|stall:MS|ioerr[:KIND]|abort) or \
+               `seed:N[:permille]` (env PDA_FAULT_PLAN)",
+        set: |o, v| text(&mut o.fault_plan, v),
+    },
+    Flag {
+        name: "--watchdog-ms",
+        metavar: Some("MS"),
+        cmds: SERVE,
+        help: "abandon solve attempts with no heartbeat progress for MS \
+               milliseconds (engine_stall reply + cache quarantine)",
+        set: |o, v| v.parse().map(|n: u64| o.watchdog_ms = Some(n.max(1))).is_ok(),
+    },
+];
+
+/// Sets a string-valued flag; every string is a valid value.
+fn text(slot: &mut Option<String>, v: &str) -> bool {
+    *slot = Some(v.to_string());
+    true
+}
+
+impl Flag {
+    /// The flag with its metavar, as the usage text spells it.
+    fn spelled(&self) -> String {
+        match self.metavar {
+            Some(m) => format!("{} {m}", self.name),
+            None => self.name.to_string(),
+        }
+    }
+}
+
+/// What a value must be, named by its metavar, for the usage error.
+fn needs(metavar: &str) -> &'static str {
+    match metavar {
+        "N" | "MS" => "a number",
+        "BYTES" => "a byte size (e.g. 4096, 64k, 2m, 1g)",
+        "LABEL" => "a label",
+        "PLAN" => "a plan spec",
+        _ => "a path",
+    }
+}
+
+/// Every subcommand: name, positional arguments and summary. Its flags
+/// are the `FLAGS` rows that name it.
+const COMMANDS: [(&str, &str, &str); 6] = [
+    ("check", "<file.jay>", "parse, validate, report stats"),
+    ("queries", "<file.jay>", "list source queries"),
+    (
+        "solve",
+        "<file.jay>",
+        "find optimum abstractions, choosing the client by the query kind \
+         (local: thread-escape, state: type-state)",
+    ),
+    (
+        "serve",
+        "<file.jay>",
+        "run the crash-safe analysis daemon over the program's thread-escape \
+         queries: JSONL requests, SIGTERM drains gracefully",
+    ),
+    ("request", "<socket> <json-line>", "send one request to a daemon and print the response"),
+    ("gen", "<benchmark>", "print a generated suite program"),
+];
+
+/// The width the usage text is filled to.
+const WIDTH: usize = 78;
+
+/// The usage text, rendered from `COMMANDS` and `FLAGS`: each
+/// subcommand's synopsis, summary and flag help rows.
+pub fn usage_text() -> String {
+    let mut out = String::from(
+        "pda — optimum abstractions for parametric dataflow analysis (PLDI'13)\n\nUSAGE:\n",
+    );
+    for (name, args, summary) in COMMANDS {
+        out.push_str(&command_usage(name, args, summary));
+    }
+    out
+}
+
+/// One subcommand's block of [`usage_text`].
+fn command_usage(name: &str, args: &str, summary: &str) -> String {
+    let flags: Vec<&Flag> = FLAGS.iter().filter(|f| f.cmds.contains(&name)).collect();
+    let synopsis: Vec<String> = std::iter::once(args.to_string())
+        .chain(flags.iter().map(|f| format!("[{}]", f.spelled())))
+        .collect();
+    let lead = format!("    pda {name}");
+    let mut out = String::new();
+    fill(&mut out, &lead, lead.len() + 1, synopsis.iter().map(String::as_str));
+    fill(&mut out, "       ", 8, summary.split_whitespace());
+    for f in flags {
+        fill(&mut out, &format!("        {:<19}", f.spelled()), 28, f.help.split_whitespace());
+    }
+    out.push('\n');
+    out
+}
+
+/// Appends `lead` and then `words` to `out`, each word after a space,
+/// breaking lines before [`WIDTH`]; a continuation line puts its first
+/// word at column `indent`.
+fn fill<'a>(out: &mut String, lead: &str, indent: usize, words: impl IntoIterator<Item = &'a str>) {
+    let mut line = lead.to_string();
+    for word in words {
+        if line.len() + 1 + word.len() > WIDTH && line.len() > indent {
+            out.push_str(&line);
+            out.push('\n');
+            line = " ".repeat(indent - 1);
+        }
+        line.push(' ');
+        line.push_str(word);
+    }
+    out.push_str(&line);
+    out.push('\n');
+}
+
+/// Parses the flags of `pda <cmd> <file>` through `FLAGS`.
+fn parse_flags(cmd: &str, args: &[String]) -> Result<Options, CliError> {
+    let mut opts = Options::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(flag) = FLAGS.iter().find(|f| f.name == arg && f.cmds.contains(&cmd)) else {
+            return usage(format!("{cmd}: unknown flag `{arg}`"));
+        };
+        // A value spelled like a flag is the next flag: the value is
+        // missing (`--trace --metrics` must not trace to `--metrics`).
+        let value = match flag.metavar {
+            None => Some(""),
+            Some(_) => args.next().map(String::as_str).filter(|v| !v.starts_with("--")),
+        };
+        if !value.is_some_and(|v| (flag.set)(&mut opts, v)) {
+            return usage(format!("{} needs {}", flag.name, flag.metavar.map_or("", needs)));
+        }
+    }
+    Ok(opts)
 }
 
 /// Parses command-line arguments (without the program name).
@@ -263,7 +436,7 @@ fn parse_size(args: &[String], i: usize, flag: &str) -> Result<u64, CliError> {
 /// # Errors
 ///
 /// [`CliError::Usage`] on unknown commands, unknown flags, and malformed
-/// flag values.
+/// or missing flag values.
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, CliError> {
     let args: Vec<String> = args.into_iter().collect();
     match args.first().map(String::as_str) {
@@ -279,158 +452,12 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
             Some(n) => Ok(Command::Gen { name: n.clone() }),
             None => usage("gen: missing <benchmark>"),
         },
-        Some("solve") => {
+        Some(cmd @ ("solve" | "serve")) => {
             let Some(file) = args.get(1).cloned() else {
-                return usage("solve: missing <file>");
+                return usage(format!("{cmd}: missing <file>"));
             };
-            let mut query = None;
-            let mut k = 5usize;
-            let mut max_iters = 100usize;
-            let mut jobs = default_jobs();
-            let mut deadline_ms = None;
-            let mut escalate = None;
-            let mut mem_budget = None;
-            let mut retry_faults = None;
-            let mut checkpoint = None;
-            let mut trace = None;
-            let mut metrics = false;
-            let mut fault_plan = None;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--query" => {
-                        let Some(label) = args.get(i + 1) else {
-                            return usage("--query needs a label");
-                        };
-                        query = Some(label.clone());
-                    }
-                    "--k" => k = parse_num(&args, i, "--k")?,
-                    "--max-iters" => max_iters = parse_num(&args, i, "--max-iters")?,
-                    "--jobs" => jobs = parse_num::<usize>(&args, i, "--jobs")?.max(1),
-                    "--deadline" => deadline_ms = Some(parse_num(&args, i, "--deadline")?),
-                    "--escalate" => escalate = Some(parse_num(&args, i, "--escalate")?),
-                    "--mem-budget" => mem_budget = Some(parse_size(&args, i, "--mem-budget")?),
-                    "--retry-faults" => {
-                        retry_faults = Some(parse_num(&args, i, "--retry-faults")?);
-                    }
-                    "--checkpoint" => {
-                        let Some(path) = args.get(i + 1) else {
-                            return usage("--checkpoint needs a path");
-                        };
-                        checkpoint = Some(path.clone());
-                    }
-                    "--trace" => {
-                        let Some(path) = args.get(i + 1) else {
-                            return usage("--trace needs a path");
-                        };
-                        trace = Some(path.clone());
-                    }
-                    "--metrics" => {
-                        metrics = true;
-                        i += 1;
-                        continue;
-                    }
-                    "--fault-plan" => {
-                        let Some(spec) = args.get(i + 1) else {
-                            return usage("--fault-plan needs a plan spec");
-                        };
-                        fault_plan = Some(spec.clone());
-                    }
-                    other => return usage(format!("solve: unknown flag `{other}`")),
-                }
-                i += 2;
-            }
-            Ok(Command::Solve {
-                file,
-                query,
-                k,
-                max_iters,
-                jobs,
-                deadline_ms,
-                escalate,
-                mem_budget,
-                retry_faults,
-                checkpoint,
-                trace,
-                metrics,
-                fault_plan,
-            })
-        }
-        Some("serve") => {
-            let Some(file) = args.get(1).cloned() else {
-                return usage("serve: missing <file>");
-            };
-            let mut socket = None;
-            let mut journal = None;
-            let mut jobs = default_jobs();
-            let mut deadline_ms = None;
-            let mut retry_faults = None;
-            let mut k = 5usize;
-            let mut max_iters = 100usize;
-            let mut trace = None;
-            let mut allow_inject = false;
-            let mut fault_plan = None;
-            let mut watchdog_ms = None;
-            let mut i = 2;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--socket" => {
-                        let Some(path) = args.get(i + 1) else {
-                            return usage("--socket needs a path");
-                        };
-                        socket = Some(path.clone());
-                    }
-                    "--journal" => {
-                        let Some(path) = args.get(i + 1) else {
-                            return usage("--journal needs a path");
-                        };
-                        journal = Some(path.clone());
-                    }
-                    "--jobs" => jobs = parse_num::<usize>(&args, i, "--jobs")?.max(1),
-                    "--deadline" => deadline_ms = Some(parse_num(&args, i, "--deadline")?),
-                    "--retry-faults" => {
-                        retry_faults = Some(parse_num(&args, i, "--retry-faults")?);
-                    }
-                    "--k" => k = parse_num(&args, i, "--k")?,
-                    "--max-iters" => max_iters = parse_num(&args, i, "--max-iters")?,
-                    "--trace" => {
-                        let Some(path) = args.get(i + 1) else {
-                            return usage("--trace needs a path");
-                        };
-                        trace = Some(path.clone());
-                    }
-                    "--allow-inject" => {
-                        allow_inject = true;
-                        i += 1;
-                        continue;
-                    }
-                    "--fault-plan" => {
-                        let Some(spec) = args.get(i + 1) else {
-                            return usage("--fault-plan needs a plan spec");
-                        };
-                        fault_plan = Some(spec.clone());
-                    }
-                    "--watchdog-ms" => {
-                        watchdog_ms = Some(parse_num::<u64>(&args, i, "--watchdog-ms")?.max(1));
-                    }
-                    other => return usage(format!("serve: unknown flag `{other}`")),
-                }
-                i += 2;
-            }
-            Ok(Command::Serve {
-                file,
-                socket,
-                journal,
-                jobs,
-                deadline_ms,
-                retry_faults,
-                k,
-                max_iters,
-                trace,
-                allow_inject,
-                fault_plan,
-                watchdog_ms,
-            })
+            let opts = parse_flags(cmd, &args[2..])?;
+            Ok(if cmd == "solve" { Command::Solve { file, opts } } else { Command::Serve { file, opts } })
         }
         Some("request") => match (args.get(1), args.get(2)) {
             (Some(socket), Some(line)) => {
@@ -446,8 +473,8 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
 /// Executes a command against source text, returning the report.
 ///
 /// File access for the *input program* happens in `main`; this function is
-/// pure given the source — except for `--checkpoint`, which by design
-/// reads and writes its path.
+/// pure given the source — except for a checkpoint file, which by design
+/// is read and written.
 ///
 /// # Errors
 ///
@@ -457,40 +484,13 @@ pub fn run_on_source(cmd: &Command, source: &str) -> Result<String, CliError> {
     match cmd {
         Command::Check { .. } => check_report(source),
         Command::Queries { .. } => queries_report(source),
-        Command::Solve {
-            query,
-            k,
-            max_iters,
-            jobs,
-            deadline_ms,
-            escalate,
-            mem_budget,
-            retry_faults,
-            checkpoint,
-            trace,
-            metrics,
-            fault_plan,
-            ..
-        } => {
-            arm_fault_plane(fault_plan.as_deref())?;
-            let opts = SolveOpts {
-                label: query.as_deref(),
-                k: *k,
-                max_iters: *max_iters,
-                jobs: *jobs,
-                deadline_ms: *deadline_ms,
-                escalate: *escalate,
-                mem_budget: *mem_budget,
-                retry_faults: *retry_faults,
-                checkpoint: checkpoint.as_deref(),
-                trace: trace.as_deref(),
-                metrics: *metrics,
-            };
-            let report = solve_report(source, &opts);
+        Command::Solve { opts, .. } => {
+            arm_fault_plane(opts.fault_plan.as_deref())?;
+            let report = solve_report(source, opts);
             dump_fault_hits();
             report
         }
-        Command::Serve { .. } => run_serve(cmd, source),
+        Command::Serve { opts, .. } => run_serve(source, opts),
         Command::Request { socket, line } => {
             pda_serve::request_line(std::path::Path::new(socket), line)
                 .map(|r| format!("{r}\n"))
@@ -503,7 +503,7 @@ pub fn run_on_source(cmd: &Command, source: &str) -> Result<String, CliError> {
                 .ok_or_else(|| CliError::Input(format!("unknown benchmark `{name}`")))?;
             Ok(pda_suite::generate_source(&cfg))
         }
-        Command::Help => Ok(USAGE.to_string()),
+        Command::Help => Ok(usage_text()),
     }
 }
 
@@ -595,45 +595,14 @@ fn queries_report(source: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-struct SolveOpts<'a> {
-    label: Option<&'a str>,
-    k: usize,
-    max_iters: usize,
-    jobs: usize,
-    deadline_ms: Option<u64>,
-    escalate: Option<u32>,
-    mem_budget: Option<u64>,
-    retry_faults: Option<u32>,
-    checkpoint: Option<&'a str>,
-    trace: Option<&'a str>,
-    metrics: bool,
-}
-
 /// Runs the analysis daemon until drained; the returned report is the
 /// exit summary (the daemon itself writes protocol/status lines).
 ///
 /// Resident queries are the program's thread-escape (`local`) queries in
 /// declaration order, matching `solve`'s batch numbering; verdicts are
 /// identical to the batch driver's.
-fn run_serve(cmd: &Command, source: &str) -> Result<String, CliError> {
-    let Command::Serve {
-        socket,
-        journal,
-        jobs,
-        deadline_ms,
-        retry_faults,
-        k,
-        max_iters,
-        trace,
-        allow_inject,
-        fault_plan,
-        watchdog_ms,
-        ..
-    } = cmd
-    else {
-        unreachable!("dispatched on Command::Serve");
-    };
-    arm_fault_plane(fault_plan.as_deref())?;
+fn run_serve(source: &str, opts: &Options) -> Result<String, CliError> {
+    arm_fault_plane(opts.fault_plan.as_deref())?;
     let program = load(source)?;
     let pa = PointsTo::analyze(&program);
     let callees = |c: pda_lang::CallId| pa.callees(c).to_vec();
@@ -649,25 +618,25 @@ fn run_serve(cmd: &Command, source: &str) -> Result<String, CliError> {
     }
     let config = pda_serve::ServeConfig {
         tracer: TracerConfig {
-            beam: BeamConfig::with_k(*k),
-            max_iters: *max_iters,
+            beam: BeamConfig::with_k(opts.k),
+            max_iters: opts.max_iters,
             ..TracerConfig::default()
         },
-        jobs: *jobs,
-        deadline_ms: *deadline_ms,
+        jobs: opts.jobs,
+        deadline_ms: opts.deadline_ms,
         // Daemon requests run under per-request deadlines, so deadline
         // hits are retried too (each retry gets a fresh budget).
-        retry: retry_faults.map(|n| pda_tracer::RetryPolicy {
+        retry: opts.retry_faults.map(|n| pda_tracer::RetryPolicy {
             retry_deadline: true,
             ..pda_tracer::RetryPolicy::deterministic(n)
         }),
-        allow_inject: *allow_inject,
-        watchdog_ms: *watchdog_ms,
+        allow_inject: opts.allow_inject,
+        watchdog_ms: opts.watchdog_ms,
     };
     let options = pda_serve::DaemonOptions {
-        socket: socket.as_ref().map(std::path::PathBuf::from),
-        journal: journal.as_ref().map(std::path::PathBuf::from),
-        trace: trace.as_ref().map(std::path::PathBuf::from),
+        socket: opts.socket.as_ref().map(std::path::PathBuf::from),
+        journal: opts.journal.as_ref().map(std::path::PathBuf::from),
+        trace: opts.trace.as_ref().map(std::path::PathBuf::from),
     };
     let report =
         pda_serve::run_daemon(&program, &callees, &client, queries, labels, config, &options)
@@ -681,7 +650,7 @@ fn run_serve(cmd: &Command, source: &str) -> Result<String, CliError> {
     ))
 }
 
-fn solve_report(source: &str, opts: &SolveOpts<'_>) -> Result<String, CliError> {
+fn solve_report(source: &str, opts: &Options) -> Result<String, CliError> {
     let program = load(source)?;
     let pa = PointsTo::analyze(&program);
     let config = TracerConfig {
@@ -699,7 +668,7 @@ fn solve_report(source: &str, opts: &SolveOpts<'_>) -> Result<String, CliError> 
     // Observability: `--trace` streams structured JSONL events, and
     // `--metrics` turns on span wall-clock measurement for the footer
     // table.
-    let sink: Option<FileSink> = match opts.trace {
+    let sink: Option<FileSink> = match &opts.trace {
         Some(path) => Some(
             FileSink::create(std::path::Path::new(path))
                 .map_err(|e| CliError::Input(format!("trace: {e}")))?,
@@ -722,7 +691,7 @@ fn solve_report(source: &str, opts: &SolveOpts<'_>) -> Result<String, CliError> 
     let queries: Vec<_> = program
         .queries
         .iter_enumerated()
-        .filter(|(_, d)| opts.label.is_none_or(|want| d.label == want))
+        .filter(|(_, d)| opts.query.as_ref().is_none_or(|want| d.label == *want))
         .filter(|(_, d)| matches!(d.kind, pda_lang::QueryKind::Local { .. }))
         .map(|(qid, _)| client.local_query(&program, qid))
         .collect();
@@ -741,7 +710,7 @@ fn solve_report(source: &str, opts: &SolveOpts<'_>) -> Result<String, CliError> 
             retry: opts.retry_faults.map(pda_tracer::RetryPolicy::deterministic),
             ..BatchConfig::default()
         };
-        let (results, stats) = match opts.checkpoint {
+        let (results, stats) = match &opts.checkpoint {
             Some(path) => solve_queries_batch_checkpointed_traced(
                 &program,
                 &callees,
@@ -766,8 +735,8 @@ fn solve_report(source: &str, opts: &SolveOpts<'_>) -> Result<String, CliError> 
     let mut out = String::new();
     let mut matched = false;
     for (qid, decl) in program.queries.iter_enumerated() {
-        if let Some(want) = opts.label {
-            if decl.label != want {
+        if let Some(want) = &opts.query {
+            if decl.label != *want {
                 continue;
             }
         }
@@ -820,7 +789,7 @@ fn solve_report(source: &str, opts: &SolveOpts<'_>) -> Result<String, CliError> 
         }
     }
     if !matched {
-        return Err(CliError::Input(match opts.label {
+        return Err(CliError::Input(match &opts.query {
             Some(l) => format!("no query labeled `{l}`"),
             None => "program has no queries".to_string(),
         }));
@@ -909,21 +878,15 @@ mod tests {
         deadline_ms: Option<u64>,
         checkpoint: Option<String>,
     ) -> Command {
-        Command::Solve {
-            file: String::new(),
+        let opts = Options {
             query: query.map(String::from),
-            k: 5,
             max_iters: 50,
             jobs,
             deadline_ms,
-            escalate: None,
-            mem_budget: None,
-            retry_faults: None,
             checkpoint,
-            trace: None,
-            metrics: false,
-            fault_plan: None,
-        }
+            ..Default::default()
+        };
+        Command::Solve { file: String::new(), opts }
     }
 
     #[test]
@@ -936,18 +899,13 @@ mod tests {
             a(&["solve", "f.jay", "--query", "q", "--k", "3", "--max-iters", "9"]).unwrap(),
             Command::Solve {
                 file: "f.jay".into(),
-                query: Some("q".into()),
-                k: 3,
-                max_iters: 9,
-                jobs: default_jobs(),
-                deadline_ms: None,
-                escalate: None,
-                mem_budget: None,
-                retry_faults: None,
-                checkpoint: None,
-                trace: None,
-                metrics: false,
-                    fault_plan: None,
+                opts: Options {
+                    query: Some("q".into()),
+                    k: 3,
+                    max_iters: 9,
+                    jobs: default_jobs(),
+                    ..Default::default()
+                },
             }
         );
         assert_eq!(
@@ -960,18 +918,21 @@ mod tests {
             .unwrap(),
             Command::Solve {
                 file: "f.jay".into(),
-                query: None,
-                k: 5,
-                max_iters: 100,
-                jobs: 4,
-                deadline_ms: Some(250),
-                escalate: Some(2),
-                mem_budget: Some(64 << 10),
-                retry_faults: Some(3),
-                checkpoint: Some("state.jsonl".into()),
-                trace: Some("out.jsonl".into()),
-                metrics: true,
-                fault_plan: Some("journal.write@2=ioerr:perm".into()),
+                opts: Options {
+                    query: None,
+                    k: 5,
+                    max_iters: 100,
+                    jobs: 4,
+                    deadline_ms: Some(250),
+                    escalate: Some(2),
+                    mem_budget: Some(64 << 10),
+                    retry_faults: Some(3),
+                    checkpoint: Some("state.jsonl".into()),
+                    trace: Some("out.jsonl".into()),
+                    metrics: true,
+                    fault_plan: Some("journal.write@2=ioerr:perm".into()),
+                    ..Default::default()
+                },
             }
         );
         assert_eq!(
@@ -984,17 +945,20 @@ mod tests {
             .unwrap(),
             Command::Serve {
                 file: "f.jay".into(),
-                socket: Some("/tmp/pda.sock".into()),
-                journal: Some("j.jsonl".into()),
-                jobs: 2,
-                deadline_ms: Some(500),
-                retry_faults: Some(1),
-                k: 5,
-                max_iters: 100,
-                trace: Some("t.jsonl".into()),
-                allow_inject: true,
-                fault_plan: Some("record".into()),
-                watchdog_ms: Some(200),
+                opts: Options {
+                    socket: Some("/tmp/pda.sock".into()),
+                    journal: Some("j.jsonl".into()),
+                    jobs: 2,
+                    deadline_ms: Some(500),
+                    retry_faults: Some(1),
+                    k: 5,
+                    max_iters: 100,
+                    trace: Some("t.jsonl".into()),
+                    allow_inject: true,
+                    fault_plan: Some("record".into()),
+                    watchdog_ms: Some(200),
+                    ..Default::default()
+                },
             }
         );
         assert!(a(&["solve", "f", "--no-such-flag", "1"]).is_err());
@@ -1017,7 +981,12 @@ mod tests {
         // --jobs 0 is clamped to the sequential driver.
         assert!(matches!(
             a(&["solve", "f.jay", "--jobs", "0"]).unwrap(),
-            Command::Solve { jobs: 1, .. }
+            Command::Solve { opts: Options { jobs: 1, .. }, .. }
+        ));
+        // --watchdog-ms 0 is clamped to the shortest window.
+        assert!(matches!(
+            a(&["serve", "f.jay", "--watchdog-ms", "0"]).unwrap(),
+            Command::Serve { opts: Options { watchdog_ms: Some(1), .. }, .. }
         ));
         assert_eq!(a(&[]).unwrap(), Command::Help);
         assert!(a(&["bogus"]).is_err());
@@ -1035,45 +1004,61 @@ mod tests {
         // --metrics is a plain flag: the next token is parsed normally.
         assert!(matches!(
             a(&["solve", "f", "--metrics", "--jobs", "2"]).unwrap(),
-            Command::Solve { metrics: true, jobs: 2, .. }
+            Command::Solve { opts: Options { metrics: true, jobs: 2, .. }, .. }
         ));
     }
 
-    /// The flags `parse_args` matches for a subcommand: the `"--flag" =>`
-    /// arms of its block in this file's source.
-    fn parsed_flags(block_start: &str, block_end: &str) -> std::collections::BTreeSet<String> {
-        let src = include_str!("lib.rs");
-        let a = src.find(block_start).expect("block start");
-        let b = a + src[a..].find(block_end).expect("block end");
-        src[a..b]
-            .lines()
-            .filter_map(|l| l.trim().strip_prefix('"')?.split_once("\" =>").map(|(f, _)| f))
-            .filter(|f| f.starts_with("--"))
-            .map(String::from)
-            .collect()
-    }
-
-    /// The flags in a subcommand's synopsis in [`USAGE`]: the `[--flag`
-    /// entries of the `pda <cmd>` line and its bracketed continuations.
-    fn synopsis_flags(cmd: &str) -> std::collections::BTreeSet<String> {
-        let mut lines = USAGE.lines().skip_while(|l| !l.trim_start().starts_with(&format!("pda {cmd} ")));
-        let first = lines.next().expect("subcommand in USAGE");
-        std::iter::once(first)
-            .chain(lines.take_while(|l| l.trim_start().starts_with('[')))
-            .flat_map(|l| l.split('[').skip(1))
-            .filter_map(|t| t.split([' ', ']']).next())
-            .filter(|f| f.starts_with("--"))
-            .map(String::from)
-            .collect()
-    }
-
+    /// Every `FLAGS` row, under every subcommand: `parse_args` takes the
+    /// flag (with a sample value) exactly where the row says so, rejects
+    /// it without its value, and the usage lists it under those
+    /// subcommands and no other.
     #[test]
     fn every_parsed_flag_appears_in_its_synopsis() {
-        let solve = parsed_flags("Some(\"solve\") => {", "Some(\"serve\") => {");
-        let serve = parsed_flags("Some(\"serve\") => {", "Some(\"request\") =>");
-        assert!(solve.contains("--fault-plan") && serve.contains("--watchdog-ms"), "{solve:?}");
-        assert_eq!(solve, synopsis_flags("solve"), "pda solve synopsis");
-        assert_eq!(serve, synopsis_flags("serve"), "pda serve synopsis");
+        let a = |xs: &[&str]| parse_args(xs.iter().map(|s| s.to_string()));
+        let sample = |metavar: &str| match metavar {
+            "BYTES" => "64k",
+            "N" | "MS" => "3",
+            _ => "x.jsonl",
+        };
+        let usage = usage_text();
+        for (cmd, args, summary) in COMMANDS {
+            let block = command_usage(cmd, args, summary);
+            assert!(usage.contains(&block), "{cmd}");
+            let known = |e: &CliError| !e.to_string().starts_with("unknown command");
+            assert!(a(&[cmd]).as_ref().err().is_none_or(known), "parse_args knows pda {cmd}");
+            let listed: std::collections::BTreeSet<&str> =
+                block.split([' ', '\n', '[', ']']).filter(|t| t.starts_with("--")).collect();
+            let taken: std::collections::BTreeSet<&str> =
+                FLAGS.iter().filter(|f| f.cmds.contains(&cmd)).map(|f| f.name).collect();
+            assert_eq!(listed, taken, "flags in the usage of pda {cmd}");
+            if !matches!(cmd, "solve" | "serve") {
+                assert!(taken.is_empty(), "{cmd}");
+                continue;
+            }
+            for f in &FLAGS {
+                let mut argv = vec![cmd, "f.jay", f.name];
+                argv.extend(f.metavar.map(sample));
+                let parsed = a(&argv);
+                assert_eq!(parsed.is_ok(), taken.contains(f.name), "pda {argv:?}: {parsed:?}");
+                if let (Some(metavar), true) = (f.metavar, taken.contains(f.name)) {
+                    let e = a(&argv[..3]).unwrap_err();
+                    assert_eq!(e, CliError::Usage(format!("{} needs {}", f.name, needs(metavar))));
+                }
+            }
+        }
+    }
+
+    /// A value-taking flag never takes the next flag as its value.
+    #[test]
+    fn a_flag_value_never_swallows_the_next_flag() {
+        let a = |xs: &[&str]| parse_args(xs.iter().map(|s| s.to_string()));
+        let e = a(&["solve", "prog.jay", "--trace", "--metrics"]).unwrap_err();
+        assert_eq!(e, CliError::Usage("--trace needs a path".into()));
+        assert_eq!(e.exit_code(), 2);
+        assert!(!std::path::Path::new("--metrics").exists());
+        let e = a(&["solve", "prog.jay", "--checkpoint", "--jobs", "2"]).unwrap_err();
+        assert_eq!(e, CliError::Usage("--checkpoint needs a path".into()));
+        assert_eq!(e.exit_code(), 2);
     }
 
     #[test]
@@ -1192,8 +1177,8 @@ mod tests {
         // `retries=` footer counter) is in effect; a healthy program
         // consumes zero retries.
         let mut cmd = solve_cmd(Some("localx"), 1);
-        if let Command::Solve { retry_faults, .. } = &mut cmd {
-            *retry_faults = Some(2);
+        if let Command::Solve { opts, .. } = &mut cmd {
+            opts.retry_faults = Some(2);
         }
         let report = run_on_source(&cmd, SRC).unwrap();
         assert!(report.contains("localx [thread-escape]: PROVEN"), "{report}");
@@ -1217,8 +1202,8 @@ mod tests {
         let plain = run_on_source(&cmd, SRC).unwrap();
         assert!(plain.contains("localx [thread-escape]: PROVEN"), "{plain}");
         assert!(plain.contains("(3 iterations)"), "{plain}");
-        if let Command::Solve { mem_budget, .. } = &mut cmd {
-            *mem_budget = Some(1);
+        if let Command::Solve { opts, .. } = &mut cmd {
+            opts.mem_budget = Some(1);
         }
         let report = run_on_source(&cmd, SRC).unwrap();
         assert_eq!(report, "localx [thread-escape]: unresolved (memory budget exceeded)\n");
@@ -1257,18 +1242,13 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let cmd = Command::Solve {
             file: String::new(),
-            query: None,
-            k: 5,
-            max_iters: 50,
-            jobs: 1,
-            deadline_ms: None,
-            escalate: None,
-            mem_budget: None,
-            retry_faults: None,
-            checkpoint: None,
-            trace: Some(path.to_string_lossy().into_owned()),
-            metrics: true,
-            fault_plan: None,
+            opts: Options {
+                max_iters: 50,
+                jobs: 1,
+                trace: Some(path.to_string_lossy().into_owned()),
+                metrics: true,
+                ..Default::default()
+            },
         };
         let report = run_on_source(&cmd, SRC).unwrap();
         assert!(report.contains("localx [thread-escape]: PROVEN"), "{report}");

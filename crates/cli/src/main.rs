@@ -1,13 +1,13 @@
 //! The `pda` command-line tool. See [`pda_cli`] for the commands.
 
-use pda_cli::{parse_args, run_on_source, Command, USAGE};
+use pda_cli::{parse_args, run_on_source, usage_text, Command};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let cmd = match parse_args(std::env::args().skip(1)) {
         Ok(cmd) => cmd,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}\n\n{}", usage_text());
             return ExitCode::from(e.exit_code());
         }
     };

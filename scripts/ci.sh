@@ -142,6 +142,36 @@ gsolve --pool-budget 1m > /dev/null 2>&1 || rc=$?
     || { echo "ci: --pool-budget exited $rc, expected the usage error 2" >&2; exit 1; }
 echo "CLI memory-cap smoke ok: 640k keeps every verdict, 384k caps q1 and q3, 8k caps all four"
 
+echo "== CLI usage smoke: pda help, a swallowed flag value, an unknown command =="
+# `pda help` is rendered from the CLI's flag table, the same rows the
+# parser reads: each subcommand's block (from its `pda <cmd>` line to
+# the blank line after it) must list the flags this script passes it.
+help="$(./target/release/pda help)"
+block() { echo "$help" | awk -v cmd="    pda $1 " 'index($0, cmd) == 1 { on = 1 } on && $0 == "" { exit } on'; }
+for flag in --jobs --mem-budget; do
+    block solve | grep -q -- "\[$flag " \
+        || { echo "ci: pda help does not list $flag under pda solve" >&2; exit 1; }
+done
+for flag in --socket --journal --allow-inject --fault-plan --watchdog-ms --retry-faults; do
+    block serve | grep -qE -- "\[$flag[] ]" \
+        || { echo "ci: pda help does not list $flag under pda serve" >&2; exit 1; }
+done
+# A value-taking flag never takes the next flag as its value:
+# `--trace --metrics` is a missing trace path, not a trace written to a
+# file named `--metrics`.
+rm -f -- target/--metrics
+rc=0
+(cd target && ./release/pda solve ci_gov.jay --trace --metrics > /dev/null 2>&1) || rc=$?
+[ "$rc" -eq 2 ] \
+    || { echo "ci: pda solve --trace --metrics exited $rc, expected the usage error 2" >&2; exit 1; }
+[ ! -e target/--metrics ] \
+    || { echo "ci: pda solve --trace --metrics wrote a file named --metrics" >&2; exit 1; }
+rc=0
+./target/release/pda bogus > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] \
+    || { echo "ci: pda bogus exited $rc, expected the usage error 2" >&2; exit 1; }
+echo "CLI usage smoke ok: help lists the smokes' flags, --trace --metrics and bogus exit 2"
+
 echo "== resilience smoke: batch under a 1 ms per-query deadline =="
 # Every query must still produce a result (exit 0) and the starved
 # deadline must surface as DeadlineExceeded rather than a hang or crash.
