@@ -206,11 +206,10 @@ fn main() {
     );
 
     println!(
-        "resilience: deadline_exceeded={} engine_faults={} escalations={} \
-         retries={} faults_injected={} io_faults={}",
+        "resilience: deadline_exceeded={} engine_faults={} retries={} \
+         faults_injected={} io_faults={}",
         seq_stats.deadline_exceeded + par_stats.deadline_exceeded,
         seq_stats.engine_faults + par_stats.engine_faults,
-        seq_stats.escalations + par_stats.escalations,
         seq_stats.retries + par_stats.retries,
         seq_stats.faults_injected + par_stats.faults_injected,
         seq_stats.io_faults + par_stats.io_faults,

@@ -17,9 +17,8 @@
 //! `PDA_MAX_QUERIES` (default 40), `PDA_MAX_ITERS` (default 40),
 //! `PDA_JOBS` (batch workers, default 1; each batch shares forward runs
 //! through the scheduler's cache at any value, so only wall time depends
-//! on it), `PDA_DEADLINE_MS` (per-query wall-clock budget, default
-//! unlimited), and `PDA_ESCALATE` (fact-budget escalation retries on
-//! forward-run `TooBig`, default 0).
+//! on it), and `PDA_DEADLINE_MS` (per-query wall-clock budget, default
+//! unlimited).
 
 use pda_escape::EscapeClient;
 use pda_suite::{AnalysisRun, Benchmark, ExperimentConfig};
@@ -27,8 +26,8 @@ use pda_suite::{AnalysisRun, Benchmark, ExperimentConfig};
 pub mod oracle;
 
 /// Builds the experiment configuration, honoring the `PDA_MAX_QUERIES`,
-/// `PDA_MAX_ITERS`, `PDA_JOBS`, `PDA_DEADLINE_MS`, and `PDA_ESCALATE`
-/// environment overrides.
+/// `PDA_MAX_ITERS`, `PDA_JOBS`, and `PDA_DEADLINE_MS` environment
+/// overrides.
 pub fn config_from_env() -> ExperimentConfig {
     let mut cfg = ExperimentConfig::default();
     if let Some(q) = env_usize("PDA_MAX_QUERIES") {
@@ -42,10 +41,6 @@ pub fn config_from_env() -> ExperimentConfig {
     }
     if let Some(ms) = env_usize("PDA_DEADLINE_MS") {
         cfg.timeout = Some(std::time::Duration::from_millis(ms as u64));
-    }
-    if let Some(n) = env_usize("PDA_ESCALATE") {
-        cfg.escalation =
-            pda_tracer::Escalation { retries: n as u32, ..pda_tracer::Escalation::standard() };
     }
     cfg
 }

@@ -68,8 +68,8 @@ where
         return Err(format!("{} log entries for {} iterations", log.len(), result.iterations));
     }
     let d0 = client.initial_state();
-    // A logged iteration's forward run fitted its (possibly escalated)
-    // fact budget; without a budget it computes the same table.
+    // A logged iteration's forward run fitted its fact budget; without
+    // a budget it computes the same table.
     let limits = RhsLimits { max_facts: usize::MAX, deadline: Deadline::NEVER };
     let mut learned: Vec<PFormula> = Vec::with_capacity(log.len());
     for (i, entry) in log.iter().enumerate() {

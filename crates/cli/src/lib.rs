@@ -20,7 +20,7 @@ use pda_escape::EscapeClient;
 use pda_meta::BeamConfig;
 use pda_tracer::{
     default_jobs, emit_query_trace, solve_queries_batch_checkpointed_traced,
-    solve_queries_batch_traced, BatchConfig, Escalation, Outcome, QueryObs, Session, TracerConfig,
+    solve_queries_batch_traced, BatchConfig, Outcome, QueryObs, Session, TracerConfig,
 };
 use pda_typestate::TypestateClient;
 use pda_util::{FileSink, Idx, ObsRegistry, TraceSink};
@@ -128,7 +128,6 @@ pub struct Options {
     max_iters: usize,
     jobs: usize,
     deadline_ms: Option<u64>,
-    escalate: Option<u32>,
     mem_budget: Option<u64>,
     retry_faults: Option<u32>,
     checkpoint: Option<String>,
@@ -149,7 +148,6 @@ impl Default for Options {
             max_iters: 100,
             jobs: default_jobs(),
             deadline_ms: None,
-            escalate: None,
             mem_budget: None,
             retry_faults: None,
             checkpoint: None,
@@ -182,7 +180,7 @@ const SERVE: &[&str] = &["serve"];
 const BOTH: &[&str] = &["solve", "serve"];
 
 /// Every flag of `pda solve` and `pda serve`, in usage order.
-const FLAGS: [Flag; 16] = [
+const FLAGS: [Flag; 15] = [
     Flag {
         name: "--query",
         metavar: Some("LABEL"),
@@ -234,13 +232,6 @@ const FLAGS: [Flag; 16] = [
         help: "per-query wall-clock budget in milliseconds (serve: the \
                default per request)",
         set: |o, v| v.parse().map(|n| o.deadline_ms = Some(n)).is_ok(),
-    },
-    Flag {
-        name: "--escalate",
-        metavar: Some("N"),
-        cmds: SOLVE,
-        help: "retry TooBig forward runs N times with a 4x fact budget each",
-        set: |o, v| v.parse().map(|n| o.escalate = Some(n)).is_ok(),
     },
     Flag {
         name: "--mem-budget",
@@ -299,7 +290,7 @@ const FLAGS: [Flag; 16] = [
         cmds: BOTH,
         help: "arm the deterministic fault-injection plane: `point@hit=action` \
                entries (actions panic|stall:MS|ioerr[:KIND]|abort) or \
-               `seed:N[:permille]` (env PDA_FAULT_PLAN)",
+               `record` (env PDA_FAULT_PLAN)",
         set: |o, v| text(&mut o.fault_plan, v),
     },
     Flag {
@@ -410,7 +401,8 @@ fn fill<'a>(out: &mut String, lead: &str, indent: usize, words: impl IntoIterato
     out.push('\n');
 }
 
-/// Parses the flags of `pda <cmd> <file>` through `FLAGS`.
+/// Parses the flags after `pda <cmd>`'s positional arguments through
+/// `FLAGS`; a subcommand no row names takes none.
 fn parse_flags(cmd: &str, args: &[String]) -> Result<Options, CliError> {
     let mut opts = Options::default();
     let mut args = args.iter();
@@ -441,15 +433,17 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
     let args: Vec<String> = args.into_iter().collect();
     match args.first().map(String::as_str) {
         Some("check") => match args.get(1) {
-            Some(f) => Ok(Command::Check { file: f.clone() }),
+            Some(f) => parse_flags("check", &args[2..]).map(|_| Command::Check { file: f.clone() }),
             None => usage("check: missing <file>"),
         },
         Some("queries") => match args.get(1) {
-            Some(f) => Ok(Command::Queries { file: f.clone() }),
+            Some(f) => {
+                parse_flags("queries", &args[2..]).map(|_| Command::Queries { file: f.clone() })
+            }
             None => usage("queries: missing <file>"),
         },
         Some("gen") => match args.get(1) {
-            Some(n) => Ok(Command::Gen { name: n.clone() }),
+            Some(n) => parse_flags("gen", &args[2..]).map(|_| Command::Gen { name: n.clone() }),
             None => usage("gen: missing <benchmark>"),
         },
         Some(cmd @ ("solve" | "serve")) => {
@@ -460,9 +454,8 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
             Ok(if cmd == "solve" { Command::Solve { file, opts } } else { Command::Serve { file, opts } })
         }
         Some("request") => match (args.get(1), args.get(2)) {
-            (Some(socket), Some(line)) => {
-                Ok(Command::Request { socket: socket.clone(), line: line.clone() })
-            }
+            (Some(socket), Some(line)) => parse_flags("request", &args[3..])
+                .map(|_| Command::Request { socket: socket.clone(), line: line.clone() }),
             _ => usage("request: needs <socket> <json-line>"),
         },
         Some("help") | None => Ok(Command::Help),
@@ -657,9 +650,6 @@ fn solve_report(source: &str, opts: &Options) -> Result<String, CliError> {
         beam: BeamConfig::with_k(opts.k),
         max_iters: opts.max_iters,
         timeout: opts.deadline_ms.map(std::time::Duration::from_millis),
-        escalation: opts
-            .escalate
-            .map_or_else(Escalation::default, |retries| Escalation { retries, ..Escalation::standard() }),
         mem_budget: opts.mem_budget,
         ..TracerConfig::default()
     };
@@ -910,7 +900,7 @@ mod tests {
         );
         assert_eq!(
             a(&[
-                "solve", "f.jay", "--jobs", "4", "--deadline", "250", "--escalate", "2",
+                "solve", "f.jay", "--jobs", "4", "--deadline", "250",
                 "--mem-budget", "64k", "--retry-faults", "3",
                 "--checkpoint", "state.jsonl", "--metrics", "--trace", "out.jsonl",
                 "--fault-plan", "journal.write@2=ioerr:perm"
@@ -924,7 +914,6 @@ mod tests {
                     max_iters: 100,
                     jobs: 4,
                     deadline_ms: Some(250),
-                    escalate: Some(2),
                     mem_budget: Some(64 << 10),
                     retry_faults: Some(3),
                     checkpoint: Some("state.jsonl".into()),
@@ -999,6 +988,21 @@ mod tests {
         let e = a(&["solve", "f", "--pool-budget", "1m"]).unwrap_err();
         assert_eq!(e, CliError::Usage("solve: unknown flag `--pool-budget`".into()));
         assert_eq!(e.exit_code(), 2);
+        // Nor is there a fact-budget escalation ladder.
+        let e = a(&["solve", "f", "--escalate", "2"]).unwrap_err();
+        assert_eq!(e, CliError::Usage("solve: unknown flag `--escalate`".into()));
+        // The subcommands without flags reject anything after their
+        // positional arguments.
+        for (argv, extra) in [
+            (&["check", "f.jay", "--k", "3"][..], "check: unknown flag `--k`"),
+            (&["queries", "f.jay", "--jobs", "2"][..], "queries: unknown flag `--jobs`"),
+            (&["gen", "tsp", "extra-arg"][..], "gen: unknown flag `extra-arg`"),
+            (&["request", "/tmp/pda.sock", "{}", "{}"][..], "request: unknown flag `{}`"),
+        ] {
+            let e = a(argv).unwrap_err();
+            assert_eq!(e, CliError::Usage(extra.into()), "{argv:?}");
+            assert_eq!(e.exit_code(), 2);
+        }
         assert!(a(&["solve", "f", "--checkpoint"]).is_err());
         assert!(a(&["solve", "f", "--trace"]).is_err());
         // --metrics is a plain flag: the next token is parsed normally.

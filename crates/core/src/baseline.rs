@@ -97,7 +97,6 @@ pub fn solve_query_coarse<C: CoarseAtoms>(
         outcome,
         iterations,
         micros: start.elapsed().as_micros(),
-        escalations: 0,
         retries: 0,
         meta: Default::default(),
     }

@@ -18,9 +18,9 @@
 //! fact budget)` tuple; within one batch the client and program are
 //! fixed, so the cache keys on the remaining coordinates — the solver
 //! model assignment the parameter was decoded from, plus the effective
-//! fact budget (escalated retries run under bigger budgets and must not
-//! alias the base run). Cache hits skip the RHS tabulation entirely and
-//! reuse the memoized [`RhsResult`].
+//! fact budget (a query's `QueryLimits::max_facts` may differ from its
+//! siblings'). Cache hits skip the RHS tabulation entirely and reuse the
+//! memoized [`RhsResult`].
 //!
 //! # Failure model
 //!
@@ -30,8 +30,7 @@
 //! on. Transient faults are retried on [`retry_ladder`]. The analysis
 //! daemon (`pda-serve`) supervises its requests with the same two
 //! functions. Wall-clock deadlines (per query via
-//! [`TracerConfig::timeout`] / `Query::limits`, whole-batch via
-//! [`BatchConfig::batch_timeout`]) surface as
+//! [`TracerConfig::timeout`] / `Query::limits`) surface as
 //! [`Unresolved::DeadlineExceeded`]. Neither fault class is ever stored
 //! in the cache: a slot whose computation panics is reset so another
 //! worker recomputes it, and a deadline-aborted run is returned to its
@@ -73,12 +72,11 @@ use std::time::{Duration, Instant};
 /// A query that resolves as [`Unresolved::EngineFault`] (an isolated
 /// panic) — or, when [`RetryPolicy::retry_deadline`] is set, as
 /// [`Unresolved::DeadlineExceeded`] — is re-solved from scratch up to
-/// [`RetryPolicy::retries`] times, sleeping an exponentially growing,
-/// jittered delay between attempts. The jitter is drawn from
-/// [`SplitMix64`] seeded by `(seed, query index, attempt)`, so the whole
-/// retry schedule is a pure function of the policy and the query: two
-/// runs of the same batch back off identically, which keeps faulted runs
-/// reproducible and diffable.
+/// [`RetryPolicy::retries`] times. Retry `a` sleeps `5 ms · 2^a` plus a
+/// jitter in `[0, 5 ms)` drawn from [`SplitMix64`] under a fixed seed,
+/// the query index and the attempt, so the whole retry schedule is a pure
+/// function of the policy and the query: two runs of the same batch back
+/// off identically, which keeps faulted runs reproducible and diffable.
 ///
 /// One-shot injected faults (see [`crate::faultcli`]) are the model
 /// transient: the first attempt springs the trap, the retry solves
@@ -89,28 +87,22 @@ use std::time::{Duration, Instant};
 pub struct RetryPolicy {
     /// Maximum retry attempts per query (0 = fail fast, the default).
     pub retries: u32,
-    /// Base backoff delay; attempt `a` sleeps `base * 2^a` plus jitter
-    /// in `[0, base)`.
-    pub base_delay: Duration,
-    /// Seed for the deterministic jitter stream.
-    pub seed: u64,
     /// Also retry [`Unresolved::DeadlineExceeded`]. Off for batch runs
-    /// (a batch deadline abort is not transient — retrying it would just
+    /// (a deadline abort there is not transient — retrying it would just
     /// re-starve); the analysis daemon turns it on because each request
     /// attempt gets a fresh deadline window.
     pub retry_deadline: bool,
 }
 
+/// The backoff ladder's base delay, in microseconds.
+const BACKOFF_BASE_US: u64 = 5_000;
+/// The seed of the backoff jitter stream.
+const BACKOFF_SEED: u64 = 0x0005_EED0_FBAC_C0FF;
+
 impl RetryPolicy {
-    /// The standard ladder: `retries` attempts, 5 ms base delay, a fixed
-    /// seed, engine faults only.
+    /// The standard ladder: `retries` attempts, engine faults only.
     pub fn deterministic(retries: u32) -> Self {
-        RetryPolicy {
-            retries,
-            base_delay: Duration::from_millis(5),
-            seed: 0x0005_EED0_FBAC_C0FF,
-            retry_deadline: false,
-        }
+        RetryPolicy { retries, retry_deadline: false }
     }
 
     /// Whether `u` is a transient fault under this policy.
@@ -123,16 +115,12 @@ impl RetryPolicy {
     }
 
     /// The deterministic backoff before retry `attempt` of `query`:
-    /// `base * 2^attempt` plus SplitMix64 jitter in `[0, base)`.
+    /// `5 ms · 2^attempt` plus SplitMix64 jitter in `[0, 5 ms)`.
     pub fn backoff(&self, query: u64, attempt: u32) -> Duration {
-        let exp = self.base_delay.saturating_mul(1u32 << attempt.min(10));
-        let base_us = self.base_delay.as_micros() as u64;
-        if base_us == 0 {
-            return exp;
-        }
         let mut rng =
-            SplitMix64::new(self.seed ^ query.rotate_left(17) ^ (u64::from(attempt) << 56));
-        exp + Duration::from_micros(rng.next_u64() % base_us)
+            SplitMix64::new(BACKOFF_SEED ^ query.rotate_left(17) ^ (u64::from(attempt) << 56));
+        let jitter = rng.next_u64() % BACKOFF_BASE_US;
+        Duration::from_micros((BACKOFF_BASE_US << attempt.min(10)) + jitter)
     }
 }
 
@@ -176,10 +164,6 @@ pub struct BatchConfig {
     /// and available to callers who want deliberate oversubscription.
     /// The effective thread count is always `<= jobs`.
     pub thread_cap: Option<usize>,
-    /// Wall-clock budget for the *whole batch*: queries still running (or
-    /// not yet started) when it expires resolve as
-    /// [`Unresolved::DeadlineExceeded`]. `None` (default) = unbounded.
-    pub batch_timeout: Option<Duration>,
     /// Enables span wall-clock timing in the per-query registries (the
     /// CLI's `--metrics`). Off by default: counters and events are always
     /// collected, but no extra clock reads happen on the hot path.
@@ -203,7 +187,6 @@ impl Default for BatchConfig {
             tracer: TracerConfig::default(),
             jobs: default_jobs(),
             thread_cap: None,
-            batch_timeout: None,
             timed: false,
             retry: None,
             cancel: None,
@@ -237,8 +220,6 @@ pub struct BatchStats {
     pub engine_faults: usize,
     /// Queries that resolved as [`Unresolved::DeadlineExceeded`].
     pub deadline_exceeded: usize,
-    /// Fact-budget escalation retries consumed across all queries.
-    pub escalations: u64,
     /// Queries skipped because a checkpoint already held their result.
     pub resumed: usize,
     /// Transient-fault retry attempts consumed across all queries. Zero
@@ -297,7 +278,6 @@ impl BatchStats {
         reg.set(Counter::CacheMisses, self.cache.misses);
         reg.set(Counter::EngineFaults, self.engine_faults as u64);
         reg.set(Counter::DeadlineExceeded, self.deadline_exceeded as u64);
-        reg.set(Counter::Escalations, self.escalations);
         reg.set(Counter::Retries, self.retries);
         reg.set(Counter::Resumed, self.resumed as u64);
         reg.set(Counter::LockWaitMicros, self.contention_micros);
@@ -316,7 +296,7 @@ impl BatchStats {
 
 impl std::fmt::Display for BatchStats {
     /// Two-line summary: `32 queries, jobs=8: 41.2 q/s, cache 57/89 hits
-    /// (64.0%), 57 forward runs saved, faults=0 deadlines=0 escalations=0
+    /// (64.0%), 57 forward runs saved, faults=0 deadlines=0 retries=0
     /// resumed=0` followed by the [`MetaStats`] footer line — rendered by
     /// [`ObsRegistry::render`], the shared footer formatter.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -328,10 +308,10 @@ impl std::fmt::Display for BatchStats {
 ///
 /// Keys are `(solver model assignment, fact budget)` pairs — the
 /// canonical encoding of the abstraction parameter plus the budget the
-/// run was attempted under (escalated retries use larger budgets and may
-/// legitimately succeed where the base budget returned [`TooBig`]); the
-/// client and program are fixed per cache, completing the key the batch
-/// scheduler needs. Values are [`RhsResult`]s behind [`Arc`], so
+/// run was attempted under (a query's `QueryLimits::max_facts` may differ
+/// from its siblings', and a run that is [`TooBig`] under one budget may
+/// fit a larger one); the client and program are fixed per cache,
+/// completing the key the batch scheduler needs. Values are [`RhsResult`]s behind [`Arc`], so
 /// concurrent queries share one tabulation.
 ///
 /// Each slot is a small `Mutex`+`Condvar` state machine rather than a
@@ -627,7 +607,6 @@ fn unrun_result<Param>(reason: Unresolved, micros: u128) -> QueryResult<Param> {
         outcome: Outcome::Unresolved(reason),
         iterations: 0,
         micros,
-        escalations: 0,
         retries: 0,
         meta: MetaStats::default(),
     }
@@ -646,8 +625,7 @@ fn unrun_result<Param>(reason: Unresolved, micros: u128) -> QueryResult<Param> {
 ///
 /// The batch always completes: a panicking solve yields
 /// [`Unresolved::EngineFault`] for that query only, and deadline expiry
-/// ([`TracerConfig::timeout`], `Query::limits.timeout`, or
-/// [`BatchConfig::batch_timeout`]) yields
+/// ([`TracerConfig::timeout`] or `Query::limits.timeout`) yields
 /// [`Unresolved::DeadlineExceeded`].
 pub fn solve_queries_batch<C>(
     program: &Program,
@@ -740,7 +718,6 @@ where
     let start = Instant::now();
     let injected_at_start = faultplane::faults_injected();
     let io_at_start = faultplane::io_faults();
-    let batch_deadline = Deadline::timeout(config.batch_timeout);
     let tracing = trace.is_some();
     let resumed = skip.len();
     let pending: Vec<usize> = (0..queries.len()).filter(|i| !skip.contains_key(i)).collect();
@@ -779,12 +756,10 @@ where
                 continue;
             }
             let started = Instant::now();
-            let stop = || batch_deadline.expired() || cancelled();
-            let Ok((r, qobs)) = retry_ladder(i, config.retry.as_ref(), stop, |_| {
+            let Ok((r, qobs)) = retry_ladder(i, config.retry.as_ref(), cancelled, |_| {
                 let mut qobs = QueryObs::new(i as u64, tracing, config.timed);
                 let r = isolate(|| {
                     let mut s = Session::new(program, callees, client, &queries[i], &config.tracer)
-                        .within(batch_deadline)
                         .observe(&mut qobs);
                     if let Some(c) = &cache {
                         s = s.cache(c);
@@ -867,7 +842,6 @@ where
             .iter()
             .filter(|r| matches!(r.outcome, Outcome::Unresolved(Unresolved::DeadlineExceeded)))
             .count(),
-        escalations: results.iter().map(|r| u64::from(r.escalations)).sum(),
         resumed,
         retries: results.iter().map(|r| u64::from(r.retries)).sum(),
         contention_micros,
@@ -960,7 +934,6 @@ mod tests {
         // Every query's loop starts from the same (empty) assignment.
         assert!(s4.cache.hits >= 2, "expected cross-query sharing, got {}", s4.cache);
         assert_eq!((s4.engine_faults, s4.deadline_exceeded, s4.resumed), (0, 0, 0));
-        assert_eq!(s4.escalations, 0);
     }
 
     #[test]
@@ -1246,7 +1219,6 @@ mod tests {
             wall_micros: 2_000_000,
             engine_faults: 1,
             deadline_exceeded: 2,
-            escalations: 3,
             resumed: 4,
             retries: 7,
             contention_micros: 9,
@@ -1267,7 +1239,7 @@ mod tests {
         assert_eq!(
             stats.to_string(),
             "32 queries, jobs=8: 16.0 q/s, cache 57/89 hits (64.0%), 57 forward runs saved, \
-             faults=1 deadlines=2 escalations=3 retries=7 resumed=4 \
+             faults=1 deadlines=2 retries=7 resumed=4 \
              injected=11 io_injected=10 contention=9µs forward=19µs solver=13µs\n\
              meta: 12 cubes, wp 8/10 memo hits, subsumption 5/20 fast-rejected, 3 drops, 42µs"
         );
@@ -1313,6 +1285,10 @@ mod tests {
         for q in [0u64, 7, 123] {
             for attempt in 0..3 {
                 assert_eq!(a.backoff(q, attempt), b.backoff(q, attempt));
+                // 5 ms · 2^attempt plus jitter under 5 ms.
+                let floor = Duration::from_millis(5 << attempt);
+                let d = a.backoff(q, attempt);
+                assert!(floor <= d && d < floor + Duration::from_millis(5), "{d:?}");
             }
             // Exponential base dominates the sub-base jitter.
             assert!(a.backoff(q, 2) > a.backoff(q, 0));
@@ -1516,26 +1492,6 @@ mod tests {
                 .run();
             assert_eq!(cold.outcome, warm.outcome);
             assert_eq!(cold.iterations, warm.iterations);
-        }
-    }
-
-    #[test]
-    fn batch_timeout_degrades_whole_batch() {
-        let (program, pa) = fixture();
-        let client = NullClient::new(&program);
-        let qs = queries(&program, &client);
-        let callees = |c: CallId| pa.callees(c).to_vec();
-        for jobs in [1, 4] {
-            let config = BatchConfig {
-                jobs,
-                batch_timeout: Some(std::time::Duration::ZERO),
-                ..BatchConfig::default()
-            };
-            let (r, s) = solve_queries_batch(&program, &callees, &client, &qs, &config);
-            assert!(r
-                .iter()
-                .all(|r| r.outcome == Outcome::Unresolved(Unresolved::DeadlineExceeded)));
-            assert_eq!(s.deadline_exceeded, qs.len());
         }
     }
 }

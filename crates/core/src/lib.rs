@@ -78,6 +78,6 @@ pub use resilience::{
 };
 pub use pda_meta::{InternCache, MetaStats};
 pub use tracer::{
-    solve_query, solve_query_logged, Escalation, IterationLog, Outcome, QueryObs, QueryResult,
-    Session, TracerConfig, Unresolved,
+    solve_query, solve_query_logged, IterationLog, Outcome, QueryObs, QueryResult, Session,
+    TracerConfig, Unresolved,
 };

@@ -13,9 +13,9 @@
 //!
 //! ```text
 //! {"v":2,"kind":"pda-batch-checkpoint","queries":23}
-//! {"i":0,"outcome":"proven","param":"9:1,4","cost":2,"iterations":3,"micros":412,"escalations":0,"retries":0,...}
-//! {"i":2,"outcome":"impossible","iterations":4,"micros":96,"escalations":0,"retries":0,...}
-//! {"i":1,"outcome":"unresolved","reason":"engine_fault","detail":"...","iterations":0,"micros":8,"escalations":0,"retries":2,...}
+//! {"i":0,"outcome":"proven","param":"9:1,4","cost":2,"iterations":3,"micros":412,"retries":0,...}
+//! {"i":2,"outcome":"impossible","iterations":4,"micros":96,"retries":0,...}
+//! {"i":1,"outcome":"unresolved","reason":"engine_fault","detail":"...","iterations":0,"micros":8,"retries":2,...}
 //! ```
 //!
 //! The writer is hand-rolled (the workspace is offline and registry-free
@@ -133,12 +133,11 @@ fn header_line(n_queries: usize) -> String {
 fn record_line<P: ParamCodec>(i: usize, r: &QueryResult<P>) -> String {
     let m = &r.meta;
     let tail = format!(
-        "\"iterations\":{},\"micros\":{},\"escalations\":{},\"retries\":{},\
+        "\"iterations\":{},\"micros\":{},\"retries\":{},\
          \"m_cubes\":{},\"m_sub\":{},\"m_subf\":{},\"m_wph\":{},\"m_wpm\":{},\"m_drop\":{},\
          \"m_us\":{}",
         r.iterations,
         r.micros,
-        r.escalations,
         r.retries,
         m.cubes_built,
         m.subsumption_checks,
@@ -179,7 +178,6 @@ fn decode_record<P: ParamCodec>(line: &str) -> Option<(usize, QueryResult<P>)> {
     let i: usize = fields.get("i")?.parse().ok()?;
     let iterations: usize = fields.get("iterations")?.parse().ok()?;
     let micros: u128 = fields.get("micros")?.parse().ok()?;
-    let escalations: u32 = fields.get("escalations")?.parse().ok()?;
     // Absent before v2; defaulting keeps v1 checkpoints readable. Meta
     // counters default to zero for the same reason, and fields an older
     // writer wrote that this one no longer does are ignored.
@@ -212,7 +210,7 @@ fn decode_record<P: ParamCodec>(line: &str) -> Option<(usize, QueryResult<P>)> {
         }),
         _ => return None,
     };
-    Some((i, QueryResult { outcome, iterations, micros, escalations, retries, meta }))
+    Some((i, QueryResult { outcome, iterations, micros, retries, meta }))
 }
 
 /// Streams finished results to a checkpoint file, one flushed line each.
@@ -519,7 +517,6 @@ mod tests {
                 outcome: Outcome::Proven { param: BitSet::from_iter(9, [1, 4]), cost: 2 },
                 iterations: 3,
                 micros: 412,
-                escalations: 1,
                 retries: 1,
                 meta: MetaStats {
                     cubes_built: 12,
@@ -535,7 +532,6 @@ mod tests {
                 outcome: Outcome::Impossible,
                 iterations: 4,
                 micros: 96,
-                escalations: 0,
                 retries: 0,
                 meta: MetaStats { wp_misses: 1, micros: 7, ..MetaStats::default() },
             },
@@ -545,7 +541,6 @@ mod tests {
                 )),
                 iterations: 0,
                 micros: 8,
-                escalations: 0,
                 retries: 3,
                 meta: MetaStats::default(),
             },
@@ -553,7 +548,6 @@ mod tests {
                 outcome: Outcome::Unresolved(Unresolved::MetaFailure("step 3".into())),
                 iterations: 2,
                 micros: 33,
-                escalations: 0,
                 retries: 0,
                 meta: MetaStats::default(),
             },
@@ -561,7 +555,6 @@ mod tests {
                 outcome: Outcome::Unresolved(Unresolved::DeadlineExceeded),
                 iterations: 0,
                 micros: 1,
-                escalations: 0,
                 retries: 2,
                 meta: MetaStats::default(),
             },
@@ -569,7 +562,6 @@ mod tests {
                 outcome: Outcome::Unresolved(Unresolved::IterationBudget),
                 iterations: 200,
                 micros: 99_999,
-                escalations: 0,
                 retries: 0,
                 meta: MetaStats::default(),
             },
@@ -577,7 +569,6 @@ mod tests {
                 outcome: Outcome::Unresolved(Unresolved::AnalysisTooBig),
                 iterations: 1,
                 micros: 77,
-                escalations: 2,
                 retries: 1,
                 meta: MetaStats::default(),
             },
@@ -585,7 +576,6 @@ mod tests {
                 outcome: Outcome::Unresolved(Unresolved::MemBudgetExceeded),
                 iterations: 6,
                 micros: 210,
-                escalations: 0,
                 retries: 0,
                 meta: MetaStats { wp_hits: 2, ..MetaStats::default() },
             },
@@ -632,7 +622,6 @@ mod tests {
         let restored = load_checkpoint::<BitSet>(&path, 2).unwrap();
         assert_eq!(restored.len(), 2);
         assert_eq!(restored[&0].retries, 0);
-        assert_eq!(restored[&0].escalations, 1);
         assert!(matches!(restored[&1].outcome, Outcome::Impossible));
         std::fs::remove_file(&path).ok();
     }
@@ -669,13 +658,50 @@ mod tests {
     }
 
     #[test]
+    fn records_with_or_without_retired_escalations_load() {
+        let path = temp_path("escalations-field");
+        // Record 0 exactly as a v2 writer with the fact-budget escalation
+        // ladder produced it; record 1 as this writer does, without it.
+        let fields = "\"iterations\":3,\"micros\":412,\"retries\":1,\"m_cubes\":4,\
+                      \"m_sub\":5,\"m_subf\":1,\"m_wph\":3,\"m_wpm\":1,\"m_drop\":2,\"m_us\":9";
+        let with_key = fields.replace("\"retries\"", "\"escalations\":2,\"retries\"");
+        std::fs::write(
+            &path,
+            format!(
+                "{{\"v\":2,\"kind\":\"pda-batch-checkpoint\",\"queries\":2}}\n\
+                 {{\"i\":0,\"outcome\":\"proven\",\"param\":\"9:1,4\",\"cost\":2,{with_key}}}\n\
+                 {{\"i\":1,\"outcome\":\"proven\",\"param\":\"9:1,4\",\"cost\":2,{fields}}}\n"
+            ),
+        )
+        .unwrap();
+        let restored = load_checkpoint::<BitSet>(&path, 2).unwrap();
+        let expected = QueryResult {
+            outcome: Outcome::Proven { param: BitSet::from_iter(9, [1, 4]), cost: 2 },
+            iterations: 3,
+            micros: 412,
+            retries: 1,
+            meta: MetaStats {
+                cubes_built: 4,
+                subsumption_checks: 5,
+                subsumption_fast_rejects: 1,
+                wp_hits: 3,
+                wp_misses: 1,
+                approx_drops: 2,
+                micros: 9,
+            },
+        };
+        assert_eq!(restored[&0], expected);
+        assert_eq!(restored[&1], expected);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn drained_record_roundtrips_but_is_never_journaled_by_the_runner() {
         // Codec totality: a drained result encodes/decodes like any other…
         let r = QueryResult::<BitSet> {
             outcome: Outcome::Unresolved(Unresolved::Drained),
             iterations: 0,
             micros: 0,
-            escalations: 0,
             retries: 0,
             meta: MetaStats::default(),
         };

@@ -136,14 +136,16 @@ pub struct TracerConfig {
     /// Maximum CEGAR iterations per query (the paper's 1000-minute
     /// timeout analogue).
     pub max_iters: usize,
-    /// Forward-engine fact budget.
+    /// Forward-engine fact budget. Only `max_facts` is read (a query's
+    /// `QueryLimits::max_facts` overrides it); the `deadline` here is
+    /// ignored. Each forward run gets the session's own deadline, which
+    /// comes from [`TracerConfig::timeout`], the query's limits and
+    /// [`Session::within`].
     pub rhs_limits: RhsLimits,
     /// Per-query wall-clock budget (the paper's Section 6 timeout); the
     /// loop, tabulation, and solver all poll the same deadline. `None`
     /// (the default) means no wall-clock limit.
     pub timeout: Option<Duration>,
-    /// Fact-budget escalation ladder applied on forward-run `TooBig`.
-    pub escalation: Escalation,
     /// Per-query memory cap in estimated bytes. At each refinement
     /// boundary the loop estimates the state the query keeps across
     /// iterations (intern cache, learned constraints, resident BDD) and
@@ -161,47 +163,8 @@ impl Default for TracerConfig {
             max_iters: 200,
             rhs_limits: RhsLimits::default(),
             timeout: None,
-            escalation: Escalation::default(),
             mem_budget: None,
         }
-    }
-}
-
-/// Geometric fact-budget escalation: when a forward run returns `TooBig`,
-/// retry the same CEGAR step under `base * factor^attempt` facts, up to
-/// `retries` retries. The ladder is deterministic, so escalated runs stay
-/// reproducible (and cacheable) across schedules.
-///
-/// The default performs no retries, preserving the pre-escalation
-/// behaviour; `Escalation::standard()` is the 1x → 4x → 16x ladder from
-/// the issue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Escalation {
-    /// Number of retries after the initial attempt (0 = no escalation).
-    pub retries: u32,
-    /// Geometric growth factor per retry (≥ 2 to make progress).
-    pub factor: u32,
-}
-
-impl Default for Escalation {
-    fn default() -> Self {
-        Escalation { retries: 0, factor: 4 }
-    }
-}
-
-impl Escalation {
-    /// The 1x → 4x → 16x ladder: two retries, factor 4.
-    pub fn standard() -> Self {
-        Escalation { retries: 2, factor: 4 }
-    }
-
-    /// Fact budget for the given attempt (0 = the initial run), with the
-    /// growth saturating instead of overflowing.
-    pub fn budget(&self, base: usize, attempt: u32) -> usize {
-        (self.factor as usize)
-            .checked_pow(attempt)
-            .and_then(|m| base.checked_mul(m))
-            .unwrap_or(usize::MAX)
     }
 }
 
@@ -226,7 +189,7 @@ pub enum Outcome<Param> {
 pub enum Unresolved {
     /// Hit the CEGAR iteration budget.
     IterationBudget,
-    /// A forward run exceeded its fact budget (after any escalation).
+    /// A forward run exceeded its fact budget.
     AnalysisTooBig,
     /// The backward meta-analysis reported an internal soundness failure.
     MetaFailure(String),
@@ -256,8 +219,6 @@ pub struct QueryResult<Param> {
     pub iterations: usize,
     /// Wall-clock time spent, microseconds.
     pub micros: u128,
-    /// Fact-budget escalation retries consumed across all iterations.
-    pub escalations: u32,
     /// Transient-fault retry attempts consumed before this result (the
     /// batch scheduler's deterministic backoff ladder; 0 outside
     /// retry-enabled drivers).
@@ -411,7 +372,6 @@ pub struct Session<'s, 'p, C: TracerClient> {
     mem_budget: Option<u64>,
     viable: ViableState,
     constraints: Vec<PFormula>,
-    escalations: u32,
     icache: Held<'s, InternCache<C::Prim>>,
     cache: Option<&'s ForwardCache<'p, C::State>>,
     /// Forward-cache waits (contended map acquisitions and waits on a
@@ -461,7 +421,6 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
             mem_budget: effective_mem_budget(query, config),
             viable: ViableState::new(),
             constraints: Vec::new(),
-            escalations: 0,
             icache: Held::Owned(InternCache::new()),
             cache: None,
             lock_waits: AtomicU64::new(0),
@@ -471,7 +430,7 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
     }
 
     /// Also bounds the query by an externally imposed `outer` deadline
-    /// (a batch's whole-batch budget, a daemon request's window).
+    /// (a daemon request's window).
     pub fn within(mut self, outer: Deadline) -> Self {
         self.deadline = self.deadline.min(outer);
         self
@@ -558,14 +517,12 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
         };
         let reg = &mut self.obs.reg;
         reg.add(Counter::Iterations, iterations as u64);
-        reg.add(Counter::Escalations, u64::from(self.escalations));
         reg.add(Counter::LockWaitMicros, self.lock_waits.load(Ordering::Relaxed));
         let meta = MetaStats::from_obs(&reg.since(&entry));
         QueryResult {
             outcome,
             iterations,
             micros: start.elapsed().as_micros(),
-            escalations: self.escalations,
             retries: 0,
             meta,
         }
@@ -620,38 +577,18 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
         let p = client.param_of_model(&model.assignment);
         let d0 = client.initial_state();
 
-        // Forward run under the escalation ladder: on TooBig, retry the
-        // same abstraction with a geometrically larger fact budget while
-        // retries remain and the deadline is alive.
-        let base_facts = query.limits.max_facts.unwrap_or(config.rhs_limits.max_facts);
-        let mut attempt: u32 = 0;
+        let max_facts = query.limits.max_facts.unwrap_or(config.rhs_limits.max_facts);
+        let limits = RhsLimits { max_facts, deadline };
         let mut executed = 0;
         let waits_before = self.lock_waits.load(Ordering::Relaxed);
         let t_fwd = Instant::now();
-        let run = loop {
-            let max_facts = config.escalation.budget(base_facts, attempt);
-            let limits = RhsLimits { max_facts, deadline };
-            let mut compute = || {
-                executed += 1;
-                rhs::run(self.program, &AsAnalysis(client), &p, d0.clone(), self.callees, limits)
-            };
-            let result = match self.cache {
-                Some(c) => {
-                    c.forward(&model.assignment, max_facts, deadline, &self.lock_waits, compute)
-                }
-                None => compute().map(Arc::new),
-            };
-            match result {
-                Ok(r) => break Ok(r),
-                Err(Interrupt::TooBig(_))
-                    if attempt < config.escalation.retries && !deadline.expired() =>
-                {
-                    attempt += 1;
-                    self.escalations += 1;
-                }
-                Err(Interrupt::TooBig(_)) => break Err(Unresolved::AnalysisTooBig),
-                Err(Interrupt::DeadlineExceeded) => break Err(Unresolved::DeadlineExceeded),
-            }
+        let mut compute = || {
+            executed += 1;
+            rhs::run(self.program, &AsAnalysis(client), &p, d0.clone(), self.callees, limits)
+        };
+        let run = match self.cache {
+            Some(c) => c.forward(&model.assignment, max_facts, deadline, &self.lock_waits, compute),
+            None => compute().map(Arc::new),
         };
         // Waits on the shared cache are contention (`LockWaitMicros`), not
         // forward work.
@@ -664,7 +601,13 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
         self.obs.reg.add(Counter::ForwardRuns, executed);
         let run = match run {
             Ok(run) => run,
-            Err(u) => return StepResult::Tried { param: p, cost: model.cost, ended: Ended::Failed(u) },
+            Err(e) => {
+                let u = match e {
+                    Interrupt::TooBig(_) => Unresolved::AnalysisTooBig,
+                    Interrupt::DeadlineExceeded => Unresolved::DeadlineExceeded,
+                };
+                return StepResult::Tried { param: p, cost: model.cost, ended: Ended::Failed(u) };
+            }
         };
         self.obs.emit(Event::ForwardDone { query: q, iter, facts: run.n_facts() as u64 });
 
@@ -983,7 +926,6 @@ mod tests {
         assert_eq!(r.outcome, Outcome::Unresolved(Unresolved::DeadlineExceeded));
         // Expired before any iteration: nothing was attempted.
         assert_eq!(r.iterations, 0);
-        assert_eq!(r.escalations, 0);
     }
 
     #[test]
@@ -1006,7 +948,7 @@ mod tests {
     }
 
     #[test]
-    fn escalation_ladder_recovers_from_too_big() {
+    fn one_fact_budget_resolves_analysis_too_big() {
         let (program, pa, client) = simple_setup();
         let q = program.query_by_label("q").unwrap();
         let query = client.query(&program, q).with_limits(crate::client::QueryLimits {
@@ -1015,33 +957,13 @@ mod tests {
             mem_budget: None,
         });
         let callees = |c: pda_lang::CallId| pa.callees(c).to_vec();
-        // Without escalation a 1-fact budget is hopeless.
+        // A 1-fact budget stops the first forward run.
         let r = solve_query(&program, &callees, &client, &query, &TracerConfig::default());
         assert_eq!(r.outcome, Outcome::Unresolved(Unresolved::AnalysisTooBig));
-        assert_eq!(r.escalations, 0);
-        // With the ladder (1, 4, 16, ... facts) it climbs until the run fits.
-        let config = TracerConfig {
-            escalation: Escalation { retries: 10, factor: 4 },
-            ..TracerConfig::default()
-        };
-        let r = solve_query(&program, &callees, &client, &query, &config);
-        assert!(matches!(r.outcome, Outcome::Proven { .. }), "got {:?}", r.outcome);
-        assert!(r.escalations > 0);
-        // The baseline (no overrides) proves the same query without retries.
+        assert_eq!(r.iterations, 1);
+        // The same query under the default budget proves.
         let plain = client.query(&program, q);
-        let r0 = solve_query(&program, &callees, &client, &plain, &config);
-        assert_eq!(r0.escalations, 0);
-        assert_eq!(r0.outcome, r.outcome);
-    }
-
-    #[test]
-    fn escalation_budget_saturates() {
-        let e = Escalation { retries: 200, factor: 4 };
-        assert_eq!(e.budget(10, 0), 10);
-        assert_eq!(e.budget(10, 1), 40);
-        assert_eq!(e.budget(10, 2), 160);
-        assert_eq!(e.budget(usize::MAX, 3), usize::MAX);
-        assert_eq!(e.budget(10, 200), usize::MAX);
-        assert_eq!(Escalation::standard(), Escalation { retries: 2, factor: 4 });
+        let r0 = solve_query(&program, &callees, &client, &plain, &TracerConfig::default());
+        assert!(matches!(r0.outcome, Outcome::Proven { .. }), "got {:?}", r0.outcome);
     }
 }

@@ -51,9 +51,11 @@ pub struct ServeConfig {
     /// when the request carries none.
     pub deadline_ms: Option<u64>,
     /// Deterministic backoff ladder for transient faults. With
-    /// [`RetryPolicy::retry_deadline`] set, deadline hits retry too
-    /// (each attempt gets a fresh deadline, so a stalled forward run
-    /// under escalation can recover).
+    /// [`RetryPolicy::retry_deadline`] set, deadline hits retry too:
+    /// each attempt gets a fresh deadline window, so a request that a
+    /// transient stall (an injected one, a loaded machine) pushed past
+    /// its window can still finish, and forward runs its earlier attempt
+    /// or a sibling completed meanwhile are cache hits.
     pub retry: Option<RetryPolicy>,
     /// Honor `"inject":"panic"` requests (fault-injection soaks and the
     /// CI smoke only; never enable for real service).
@@ -488,7 +490,7 @@ where
         let icache = &mut conn.icache;
         let ladder = retry_ladder(index, self.config.retry.as_ref(), || self.draining(), |n| {
             // Each attempt gets a fresh deadline: the point of retrying
-            // `DeadlineExceeded` under escalation is a fresh budget.
+            // `DeadlineExceeded` is a fresh budget.
             let a = Attempt {
                 index,
                 deadline: Deadline::timeout(timeout),

@@ -9,8 +9,7 @@ use pda_escape::EscapeClient;
 use pda_lang::{CallKind, Node, SiteId};
 use pda_meta::{BeamConfig, MetaStats};
 use pda_tracer::{
-    solve_queries_batch, BatchConfig, Escalation, Outcome, Query, QueryResult, TracerClient,
-    TracerConfig,
+    solve_queries_batch, BatchConfig, Outcome, Query, QueryResult, TracerClient, TracerConfig,
 };
 use pda_typestate::{TsMode, TypestateClient};
 use pda_util::{CacheStats, Counter, Idx, ObsRegistry, Summary};
@@ -39,8 +38,6 @@ pub struct ExperimentConfig {
     pub jobs: usize,
     /// Per-query wall-clock deadline (`None` = unlimited, the default).
     pub timeout: Option<std::time::Duration>,
-    /// Fact-budget escalation ladder on forward-run `TooBig` aborts.
-    pub escalation: Escalation,
 }
 
 impl Default for ExperimentConfig {
@@ -53,7 +50,6 @@ impl Default for ExperimentConfig {
             sites_per_call: 2,
             jobs: 1,
             timeout: None,
-            escalation: Escalation::default(),
         }
     }
 }
@@ -65,7 +61,6 @@ impl ExperimentConfig {
             max_iters: self.max_iters,
             rhs_limits: RhsLimits { max_facts: self.max_facts, ..RhsLimits::default() },
             timeout: self.timeout,
-            escalation: self.escalation,
             mem_budget: None,
         }
     }
@@ -550,7 +545,7 @@ mod tests {
     }
 
     #[test]
-    fn sequential_run_honours_timeout_and_escalation() {
+    fn sequential_run_honours_timeout() {
         let b = Benchmark::load(crate::suite().remove(0));
         let expired = ExperimentConfig {
             jobs: 1,
@@ -563,16 +558,6 @@ mod tests {
             run.outcomes.iter().all(|o| o.resolution == Resolution::Unresolved),
             "an expired deadline must leave every query unresolved at jobs=1"
         );
-        // A one-fact budget is TooBig on every run; the ladder must retry
-        // it rather than give up at once.
-        let starved = ExperimentConfig {
-            jobs: 1,
-            max_facts: 1,
-            escalation: Escalation::standard(),
-            ..small_cfg()
-        };
-        let run = run_escape(&b, &starved);
-        assert!(run.obs.get(Counter::Escalations) > 0, "escalation never reached jobs=1");
     }
 
     #[test]

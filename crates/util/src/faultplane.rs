@@ -14,18 +14,14 @@
 //! plan     := entry (';' entry)*
 //! entry    := point '@' hit '=' action     fire at the hit-th visit (1-based)
 //!           | point '=' action             fire at every visit
-//!           | 'seed:' u64 [':' permille]   seeded mode: each visit fires with
-//!                                          probability permille/1000 (default 10),
-//!                                          action drawn from {panic, stall:1, ioerr}
 //!           | 'record'                     record-only: count visits, fire nothing
 //! action   := 'panic' | 'stall:' ms | 'ioerr' [':' kind] | 'abort' | 'shortwrite'
 //! kind     := 'notfound' | 'perm' | 'interrupted' | 'brokenpipe' | 'timedout' | 'other'
 //! ```
 //!
-//! Everything is deterministic: explicit entries key on per-point visit
-//! counters, and seeded mode hashes `(seed, point name, visit ordinal)`
-//! through [`SplitMix64`], so the same plan against the same workload
-//! fires at the same seams on every run.
+//! Everything is deterministic: entries key on per-point visit counters,
+//! so the same plan against the same workload fires at the same seams on
+//! every run.
 //!
 //! Action semantics at a [`fault_point`] (non-I/O seam):
 //!
@@ -51,7 +47,7 @@
 //! enumerate every seam a workload crosses, which is what the crash-point
 //! torture harness replays one fault at a time.
 
-use crate::{Deadline, SplitMix64};
+use crate::Deadline;
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, Write};
@@ -89,8 +85,6 @@ struct Arm {
 pub struct FaultPlan {
     /// Explicit arms per point name.
     arms: BTreeMap<String, Vec<Arm>>,
-    /// Seeded mode: `(seed, permille)`.
-    seeded: Option<(u64, u64)>,
     /// Record-only mode requested.
     record: bool,
 }
@@ -106,19 +100,6 @@ impl FaultPlan {
         for entry in spec.split(';').map(str::trim).filter(|e| !e.is_empty()) {
             if entry == "record" {
                 plan.record = true;
-                continue;
-            }
-            if let Some(rest) = entry.strip_prefix("seed:") {
-                let mut parts = rest.splitn(2, ':');
-                let seed: u64 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| format!("bad seed in `{entry}`"))?;
-                let permille: u64 = match parts.next() {
-                    None => 10,
-                    Some(p) => p.parse().map_err(|_| format!("bad permille in `{entry}`"))?,
-                };
-                plan.seeded = Some((seed, permille.min(1000)));
                 continue;
             }
             let (target, action) = entry
@@ -148,37 +129,14 @@ impl FaultPlan {
 
     /// True if the plan does nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.arms.is_empty() && self.seeded.is_none() && !self.record
+        self.arms.is_empty() && !self.record
     }
 
     /// The action to fire at the `hit`-th (1-based) visit of `point`, if
     /// any.
     fn action_for(&self, point: &str, hit: u64) -> Option<FaultAction> {
-        if let Some(arms) = self.arms.get(point) {
-            for arm in arms {
-                if arm.hit == 0 || arm.hit == hit {
-                    return Some(arm.action.clone());
-                }
-            }
-        }
-        if let Some((seed, permille)) = self.seeded {
-            let mut rng = SplitMix64::new(
-                seed ^ crate::fnv1a(point.as_bytes())
-                    ^ hit.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            let draw = rng.next_u64();
-            if draw % 1000 < permille {
-                // The crash-class Abort is deliberately excluded from
-                // seeded mode: a seeded sweep should exercise recoverable
-                // faults, not kill the process at a random seam.
-                return Some(match (draw >> 32) % 3 {
-                    0 => FaultAction::Panic,
-                    1 => FaultAction::Stall(Duration::from_millis(1)),
-                    _ => FaultAction::IoErr(io::ErrorKind::Other),
-                });
-            }
-        }
-        None
+        let arms = self.arms.get(point)?;
+        arms.iter().find(|arm| arm.hit == 0 || arm.hit == hit).map(|arm| arm.action.clone())
     }
 }
 
@@ -483,13 +441,12 @@ mod tests {
 
     #[test]
     fn plan_grammar_parses_and_rejects() {
-        let p = FaultPlan::parse("a.b@2=panic; c=stall:50 ;seed:13:25;record").unwrap();
+        let p = FaultPlan::parse("a.b@2=panic; c=stall:50 ;record").unwrap();
         assert_eq!(p.arms["a.b"], vec![Arm { hit: 2, action: FaultAction::Panic }]);
         assert_eq!(
             p.arms["c"],
             vec![Arm { hit: 0, action: FaultAction::Stall(Duration::from_millis(50)) }]
         );
-        assert_eq!(p.seeded, Some((13, 25)));
         assert!(p.record);
         assert!(FaultPlan::parse("").unwrap().is_empty());
         let q = FaultPlan::parse("x@1=ioerr:notfound;y=shortwrite;z@3=abort").unwrap();
@@ -497,7 +454,7 @@ mod tests {
         assert_eq!(q.arms["y"][0].action, FaultAction::ShortWrite);
         assert_eq!(q.arms["z"][0].action, FaultAction::Abort);
         for bad in
-            ["nope", "x@0=panic", "x@z=panic", "x@1=explode", "x@1=stall:", "=panic", "seed:x"]
+            ["nope", "x@0=panic", "x@z=panic", "x@1=explode", "x@1=stall:", "=panic", "seed:1"]
         {
             assert!(FaultPlan::parse(bad).is_err(), "{bad} should be rejected");
         }
@@ -514,24 +471,6 @@ mod tests {
             assert!(p.action_for("every", hit).is_some());
         }
         assert_eq!(p.action_for("unknown", 1), None);
-    }
-
-    #[test]
-    fn seeded_mode_is_deterministic_and_rate_bounded() {
-        let p = FaultPlan::parse("seed:42:100").unwrap();
-        let q = FaultPlan::parse("seed:42:100").unwrap();
-        let mut fired = 0u64;
-        for hit in 1..=1000 {
-            let a = p.action_for("some.point", hit);
-            assert_eq!(a, q.action_for("some.point", hit), "deterministic per (point,hit)");
-            assert!(!matches!(a, Some(FaultAction::Abort)), "seeded mode never aborts");
-            fired += u64::from(a.is_some());
-        }
-        // ~10% nominal; generous determinism-safe bounds.
-        assert!((40..=250).contains(&fired), "seeded rate wildly off: {fired}/1000");
-        // permille 0 never fires.
-        let z = FaultPlan::parse("seed:42:0").unwrap();
-        assert!((1..=1000).all(|h| z.action_for("some.point", h).is_none()));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! [`fnv1a`] sits beside it: a byte-at-a-time hash with a fixed, published
 //! definition, for values that must hash the same in every build (the
-//! fault plane's seeded draws, the golden files' witness digests).
+//! golden files' witness digests).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

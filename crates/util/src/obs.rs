@@ -50,8 +50,6 @@ pub enum Counter {
     WallMicros,
     /// CEGAR iterations across all queries.
     Iterations,
-    /// Fact-budget escalations taken.
-    Escalations,
     /// Forward RHS runs executed.
     ForwardRuns,
     /// Forward-run cache hits.
@@ -105,8 +103,8 @@ pub enum Counter {
     /// skip). An effort meter only: no trace event, `MetaStats` field,
     /// checkpoint record or footer line carries it.
     MetaStepsSkipped,
-    /// Wall time inside the forward phase (RHS runs, escalation retries
-    /// and forward-cache reads), µs, less the forward-cache waits that
+    /// Wall time inside the forward phase (RHS runs and forward-cache
+    /// reads), µs, less the forward-cache waits that
     /// [`Counter::LockWaitMicros`] counts. Always-on like
     /// [`Counter::SolverMicros`]; like every wall-clock counter it stays
     /// out of trace events.
@@ -360,7 +358,7 @@ impl ObsRegistry {
         let rate = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
         format!(
             "{} queries, jobs={}: {:.1} q/s, cache {}/{} hits ({:.1}%), {} forward runs saved, \
-             faults={} deadlines={} escalations={} retries={} resumed={} \
+             faults={} deadlines={} retries={} resumed={} \
              injected={} io_injected={} contention={}µs forward={}µs solver={}µs\n{}",
             queries,
             self.get(Counter::Jobs),
@@ -371,7 +369,6 @@ impl ObsRegistry {
             hits,
             self.get(Counter::EngineFaults),
             self.get(Counter::DeadlineExceeded),
-            self.get(Counter::Escalations),
             self.get(Counter::Retries),
             self.get(Counter::Resumed),
             self.get(Counter::FaultsInjected),
@@ -853,7 +850,6 @@ mod tests {
         reg.set(Counter::WallMicros, 2_000_000);
         reg.set(Counter::CacheHits, 57);
         reg.set(Counter::CacheMisses, 32);
-        reg.set(Counter::Escalations, 1);
         reg.set(Counter::CubesBuilt, 7);
         reg.set(Counter::WpHits, 3);
         reg.set(Counter::WpMisses, 1);
@@ -869,7 +865,7 @@ mod tests {
         assert_eq!(
             reg.render(),
             "32 queries, jobs=8: 16.0 q/s, cache 57/89 hits (64.0%), 57 forward runs saved, \
-             faults=0 deadlines=0 escalations=1 retries=4 resumed=0 \
+             faults=0 deadlines=0 retries=4 resumed=0 \
              injected=6 io_injected=2 contention=11µs forward=17µs solver=21µs\n\
              meta: 7 cubes, wp 3/4 memo hits, subsumption 0/9 fast-rejected, 2 drops, 15µs"
         );

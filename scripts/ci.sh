@@ -142,7 +142,7 @@ gsolve --pool-budget 1m > /dev/null 2>&1 || rc=$?
     || { echo "ci: --pool-budget exited $rc, expected the usage error 2" >&2; exit 1; }
 echo "CLI memory-cap smoke ok: 640k keeps every verdict, 384k caps q1 and q3, 8k caps all four"
 
-echo "== CLI usage smoke: pda help, a swallowed flag value, an unknown command =="
+echo "== CLI usage smoke: pda help, a swallowed flag value, unknown commands and flags =="
 # `pda help` is rendered from the CLI's flag table, the same rows the
 # parser reads: each subcommand's block (from its `pda <cmd>` line to
 # the blank line after it) must list the flags this script passes it.
@@ -170,7 +170,19 @@ rc=0
 ./target/release/pda bogus > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] \
     || { echo "ci: pda bogus exited $rc, expected the usage error 2" >&2; exit 1; }
-echo "CLI usage smoke ok: help lists the smokes' flags, --trace --metrics and bogus exit 2"
+# Retired spellings and stray arguments are usage errors too: there is
+# no `--escalate` flag, no `seed:` fault-plan entry, and `pda check`
+# takes no flags.
+for argv in "solve target/ci_gov.jay --escalate 2" \
+            "solve target/ci_gov.jay --fault-plan seed:1" \
+            "check target/ci_gov.jay --k 3"; do
+    rc=0
+    ./target/release/pda $argv > /dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 2 ] \
+        || { echo "ci: pda $argv exited $rc, expected the usage error 2" >&2; exit 1; }
+done
+echo "CLI usage smoke ok: help lists the smokes' flags; --trace --metrics, bogus," \
+    "--escalate, seed: and check --k exit 2"
 
 echo "== resilience smoke: batch under a 1 ms per-query deadline =="
 # Every query must still produce a result (exit 0) and the starved

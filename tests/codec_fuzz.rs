@@ -61,7 +61,6 @@ fn random_result(rng: &mut SplitMix64) -> QueryResult<BitSet> {
         outcome,
         iterations: rng.gen_range(0, 1 << 20),
         micros: u128::from(rng.next_u64()),
-        escalations: (rng.next_u64() & 0xffff) as u32,
         retries: (rng.next_u64() & 0xff) as u32,
         meta: MetaStats {
             cubes_built: rng.next_u64(),
@@ -166,7 +165,7 @@ fn checkpoint_loader_rejects_garbage_without_panicking() {
     // A corrupt *interior* record is an error; the same corruption as
     // the *final* line is a tolerated torn tail.
     let good = "{\"i\":0,\"outcome\":\"impossible\",\"iterations\":1,\"micros\":2,\
-                \"escalations\":0,\"m_cubes\":0,\"m_sub\":0,\"m_subf\":0,\
+                \"m_cubes\":0,\"m_sub\":0,\"m_subf\":0,\
                 \"m_wph\":0,\"m_wpm\":0,\"m_drop\":0,\"m_us\":0}";
     std::fs::write(&path, format!("{header}\n{{\"i\":1,\"outc\n{good}\n")).unwrap();
     assert!(

@@ -81,7 +81,7 @@ const EXHAUST_BUDGET: u64 = 64 << 10;
 fn keys(results: &[QueryResult<BitSet>]) -> Vec<String> {
     results
         .iter()
-        .map(|r| format!("{:?} iters={} esc={}", r.outcome, r.iterations, r.escalations))
+        .map(|r| format!("{:?} iters={}", r.outcome, r.iterations))
         .collect()
 }
 

@@ -92,8 +92,8 @@ impl Fixture {
 }
 
 /// The deterministic fields of a result — everything but wall time.
-fn key<P: Clone>(r: &QueryResult<P>) -> (Outcome<P>, usize, u32) {
-    (r.outcome.clone(), r.iterations, r.escalations)
+fn key<P: Clone>(r: &QueryResult<P>) -> (Outcome<P>, usize) {
+    (r.outcome.clone(), r.iterations)
 }
 
 fn capped(budget: u64) -> TracerConfig {

@@ -4,7 +4,7 @@
 //! * **Fault determinism** — a batch mixing healthy queries with a
 //!   panicking query and a zero-deadline query completes under
 //!   `jobs ∈ {1, 2, 8}`, and every healthy query's result is
-//!   bit-identical (outcome, iterations, escalations) to a sequential
+//!   bit-identical (outcome, iterations) to a sequential
 //!   fault-free `solve_query` on the unwrapped client. The injected
 //!   faults themselves are deterministic (panic payloads and zero
 //!   deadlines don't race), so the *entire* result vector agrees across
@@ -17,9 +17,8 @@
 //!   timeout resolves as `DeadlineExceeded` instead of hanging.
 //! * **Meta-failure** — an unsound weakest precondition surfaces as
 //!   `Unresolved::MetaFailure` through `solve_query`.
-//! * **Escalation** — a starved per-query fact budget recovers to the
-//!   same proof under the geometric escalation ladder, visible in
-//!   `BatchStats::escalations`.
+//! * **Fact budget** — a starved per-query fact budget resolves every
+//!   query of a batch as `AnalysisTooBig`.
 //! * **Checkpoint/resume** — a batch streams results to a JSONL
 //!   checkpoint; rerunning (including from a truncated, torn file)
 //!   skips restored queries and reproduces the uninterrupted results.
@@ -27,7 +26,7 @@
 use pda_analysis::PointsTo;
 use pda_tracer::{
     faulty_query, lift_query, load_checkpoint, nullcli::NullClient, solve_queries_batch,
-    solve_queries_batch_checkpointed, solve_query, BatchConfig, Escalation, Fault,
+    solve_queries_batch_checkpointed, solve_query, BatchConfig, Fault,
     FaultInjectingClient, Outcome, Query, QueryLimits, QueryResult, TracerConfig, Unresolved,
 };
 use pda_util::BitSet;
@@ -73,8 +72,8 @@ impl Fixture {
 }
 
 /// The deterministic fields of a result — everything but wall time.
-fn key(r: &QueryResult<BitSet>) -> (Outcome<BitSet>, usize, u32) {
-    (r.outcome.clone(), r.iterations, r.escalations)
+fn key(r: &QueryResult<BitSet>) -> (Outcome<BitSet>, usize) {
+    (r.outcome.clone(), r.iterations)
 }
 
 #[test]
@@ -186,43 +185,23 @@ fn unsound_wp_is_reported_as_meta_failure() {
 }
 
 #[test]
-fn escalation_recovers_starved_queries_in_a_batch() {
+fn starved_queries_resolve_too_big_in_a_batch() {
     let fx = Fixture::new(SRC);
     let callees = |c: pda_lang::CallId| fx.pa.callees(c).to_vec();
-    // Every query starts with a 1-fact budget: hopeless without
-    // escalation, recovered by the 4x ladder.
+    // Every query starts with a 1-fact budget: its first forward run is
+    // TooBig at any job count.
     let starved: Vec<_> = fx
         .queries()
         .into_iter()
         .map(|q| q.with_limits(QueryLimits { timeout: None, max_facts: Some(1), mem_budget: None }))
         .collect();
-    let no_escalation = BatchConfig::default();
-    let (broke, _) = solve_queries_batch(&fx.program, &callees, &fx.client, &starved, &no_escalation);
-    assert!(broke
-        .iter()
-        .all(|r| r.outcome == Outcome::Unresolved(Unresolved::AnalysisTooBig)));
-
-    let ladder = BatchConfig {
-        tracer: TracerConfig {
-            escalation: Escalation { retries: 12, ..Escalation::standard() },
-            ..TracerConfig::default()
-        },
-        ..BatchConfig::default()
-    };
-    let baseline: Vec<_> = fx
-        .queries()
-        .iter()
-        .map(|q| solve_query(&fx.program, &callees, &fx.client, q, &TracerConfig::default()))
-        .collect();
     for jobs in [1usize, 4] {
-        let cfg = BatchConfig { jobs, ..ladder.clone() };
-        let (recovered, stats) =
-            solve_queries_batch(&fx.program, &callees, &fx.client, &starved, &cfg);
-        assert!(stats.escalations > 0, "jobs={jobs}");
-        for (r, b) in recovered.iter().zip(&baseline) {
-            assert_eq!(r.outcome, b.outcome, "jobs={jobs}");
-            assert!(r.escalations > 0, "jobs={jobs}");
-        }
+        let cfg = BatchConfig { jobs, ..BatchConfig::default() };
+        let (broke, _) = solve_queries_batch(&fx.program, &callees, &fx.client, &starved, &cfg);
+        assert!(
+            broke.iter().all(|r| r.outcome == Outcome::Unresolved(Unresolved::AnalysisTooBig)),
+            "jobs={jobs}"
+        );
     }
 }
 

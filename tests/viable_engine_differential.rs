@@ -39,8 +39,8 @@ include!("corpus.rs");
 
 /// The bit-identity fingerprint of a result: everything except wall-clock
 /// time and the effort counters.
-fn fingerprint<P: Clone>(r: &QueryResult<P>) -> (Outcome<P>, usize, u32) {
-    (r.outcome.clone(), r.iterations, r.escalations)
+fn fingerprint<P: Clone>(r: &QueryResult<P>) -> (Outcome<P>, usize) {
+    (r.outcome.clone(), r.iterations)
 }
 
 /// Solves `query` alone with its iterations logged, replays every
@@ -52,7 +52,7 @@ fn oracle_checked<C: TracerClient<Param = BitSet>>(
     client: &C,
     query: &Query<C::Prim>,
     what: &str,
-) -> ((Outcome<BitSet>, usize, u32), usize) {
+) -> ((Outcome<BitSet>, usize), usize) {
     let config = TracerConfig::default();
     let (r, log) = solve_query_logged(program, callees, client, query, &config);
     match check_iterations(program, callees, client, query, &config.beam, &r, &log) {
