@@ -640,7 +640,7 @@ where
     C::State: Send + Sync,
     C::Prim: Send + Sync,
 {
-    run_batch(program, callees, client, queries, config, HashMap::new(), None, None)
+    run_batch(program, callees, client, queries, config, Resume::fresh(None))
 }
 
 /// [`solve_queries_batch`] with a structured trace: per-iteration
@@ -664,7 +664,7 @@ where
     C::State: Send + Sync,
     C::Prim: Send + Sync,
 {
-    run_batch(program, callees, client, queries, config, HashMap::new(), None, trace)
+    run_batch(program, callees, client, queries, config, Resume::fresh(trace))
 }
 
 /// The `query_resolved` event's outcome tag — the same vocabulary as the
@@ -691,23 +691,36 @@ type ResultSink<'a, Param> = dyn Fn(usize, &QueryResult<Param>) + Sync + 'a;
 /// under.
 type Finished<Param> = (QueryResult<Param>, QueryObs);
 
+/// Where a [`run_batch`] resumes from and what observes it, filled by the
+/// checkpointing driver in [`crate::resilience`].
+pub(crate) struct Resume<'a, Param> {
+    /// Results restored from a checkpoint: those queries are not re-run.
+    pub(crate) skip: HashMap<usize, QueryResult<Param>>,
+    /// Observes each freshly finished `(index, result)` as soon as it
+    /// exists — the streaming hook the checkpoint writer hangs off.
+    pub(crate) sink: Option<&'a ResultSink<'a, Param>>,
+    /// Receives every query's buffered [`Event`]s in query-index order
+    /// after the batch completes (see [`solve_queries_batch_traced`]).
+    pub(crate) trace: Option<&'a dyn TraceSink>,
+}
+
+impl<'a, Param> Resume<'a, Param> {
+    /// Nothing restored and no result sink; events go to `trace`.
+    pub(crate) fn fresh(trace: Option<&'a dyn TraceSink>) -> Self {
+        Resume { skip: HashMap::new(), sink: None, trace }
+    }
+}
+
 /// The shared batch runner behind [`solve_queries_batch`] and the
-/// checkpointing driver in [`crate::resilience`]: `skip` holds results
-/// restored from a checkpoint (those queries are not re-run), and `sink`
-/// observes each freshly finished `(index, result)` as soon as it exists
-/// — the streaming hook the checkpoint writer hangs off. `trace` receives
-/// every query's buffered [`Event`]s in query-index order after the batch
-/// completes (see [`solve_queries_batch_traced`]).
-#[allow(clippy::too_many_arguments)]
+/// checkpointing driver in [`crate::resilience`]; `resume` says which
+/// queries are already done and who sees the rest finish.
 pub(crate) fn run_batch<'p, C>(
     program: &'p Program,
     callees: &(dyn Fn(CallId) -> Vec<MethodId> + Sync),
     client: &C,
     queries: &[Query<C::Prim>],
     config: &BatchConfig,
-    skip: HashMap<usize, QueryResult<C::Param>>,
-    sink: Option<&ResultSink<'_, C::Param>>,
-    trace: Option<&dyn TraceSink>,
+    resume: Resume<'_, C::Param>,
 ) -> (Vec<QueryResult<C::Param>>, BatchStats)
 where
     C: TracerClient + Sync,
@@ -715,6 +728,7 @@ where
     C::State: Send + Sync,
     C::Prim: Send + Sync,
 {
+    let Resume { skip, sink, trace } = resume;
     let start = Instant::now();
     let injected_at_start = faultplane::faults_injected();
     let io_at_start = faultplane::io_faults();
@@ -1365,16 +1379,8 @@ mod tests {
             let sink = |i: usize, _r: &QueryResult<pda_util::BitSet>| {
                 sunk.lock().unwrap().push(i);
             };
-            let (r, s) = run_batch(
-                &program,
-                &callees,
-                &client,
-                &qs,
-                &config,
-                HashMap::new(),
-                Some(&sink),
-                None,
-            );
+            let resume = Resume { sink: Some(&sink), ..Resume::fresh(None) };
+            let (r, s) = run_batch(&program, &callees, &client, &qs, &config, resume);
             assert!(
                 r.iter().all(|r| r.outcome == Outcome::Unresolved(Unresolved::Drained)),
                 "pre-raised drain flag must stop every query before it starts"
@@ -1420,16 +1426,8 @@ mod tests {
                 flag.store(true, Ordering::SeqCst);
                 sunk.lock().unwrap().push((i, r.clone()));
             };
-            let (r, s) = run_batch(
-                &program,
-                &callees,
-                &client,
-                &qs,
-                &config,
-                HashMap::new(),
-                Some(&sink),
-                None,
-            );
+            let resume = Resume { sink: Some(&sink), ..Resume::fresh(None) };
+            let (r, s) = run_batch(&program, &callees, &client, &qs, &config, resume);
             let sunk = sunk.into_inner().unwrap();
             assert!(!sunk.is_empty(), "jobs={jobs}: the first finished query reaches the sink");
             for (i, sr) in &sunk {

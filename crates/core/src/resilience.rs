@@ -12,7 +12,7 @@
 //! Line 1 is a header; each further line is one result record:
 //!
 //! ```text
-//! {"v":2,"kind":"pda-batch-checkpoint","queries":23}
+//! {"v":3,"kind":"pda-batch-checkpoint","queries":23}
 //! {"i":0,"outcome":"proven","param":"9:1,4","cost":2,"iterations":3,"micros":412,"retries":0,...}
 //! {"i":2,"outcome":"impossible","iterations":4,"micros":96,"retries":0,...}
 //! {"i":1,"outcome":"unresolved","reason":"engine_fault","detail":"...","iterations":0,"micros":8,"retries":2,...}
@@ -27,8 +27,12 @@
 //! Version 2 adds the per-record `retries` counter (the transient-fault
 //! ladder of [`crate::batch::RetryPolicy`]), so a resumed run's
 //! [`BatchStats`] totals — including `retries` — match an uninterrupted
-//! run's instead of resetting restored counters to zero. Version 1 files
-//! still load; their records decode with `retries = 0`. Queries stopped
+//! run's instead of resetting restored counters to zero. Version 3 drops
+//! the per-record `escalations` count (the fact-budget escalation ladder
+//! is gone), so a binary that still requires it reports a version
+//! mismatch instead of a corrupt record. Version 1 and 2 files still
+//! load: their records decode with `retries = 0` where it is missing,
+//! and a leftover `escalations` key is ignored. Queries stopped
 //! by the drain flag ([`Unresolved::Drained`]) are *never* journaled:
 //! the batch runner withholds them from the streaming sink, so a resumed
 //! run re-solves them and reproduces the uninterrupted outcome lines.
@@ -37,7 +41,7 @@
 //! [`ParamCodec`]; both real clients (and [`crate::nullcli::NullClient`])
 //! use [`BitSet`] parameters, covered by the impl here.
 
-use crate::batch::{run_batch, BatchConfig, BatchStats};
+use crate::batch::{run_batch, BatchConfig, BatchStats, Resume};
 use crate::client::{Query, TracerClient};
 use crate::tracer::{Outcome, QueryResult, Unresolved};
 use pda_lang::{CallId, MethodId, Program};
@@ -121,10 +125,10 @@ impl From<std::io::Error> for CheckpointError {
 
 
 const KIND: &str = "pda-batch-checkpoint";
-const VERSION: &str = "2";
+const VERSION: &str = "3";
 /// Header versions the loader accepts (older records decode with their
 /// missing counters at zero).
-const READABLE_VERSIONS: [&str; 2] = ["1", "2"];
+const READABLE_VERSIONS: [&str; 3] = ["1", "2", "3"];
 
 fn header_line(n_queries: usize) -> String {
     format!("{{\"v\":{VERSION},\"kind\":\"{KIND}\",\"queries\":{n_queries}}}")
@@ -494,8 +498,8 @@ where
             *err = Some(e);
         }
     };
-    let (results, stats) =
-        run_batch(program, callees, client, queries, config, skip, Some(&sink), trace);
+    let resume = Resume { skip, sink: Some(&sink), trace };
+    let (results, stats) = run_batch(program, callees, client, queries, config, resume);
     if let Some(e) = write_err.into_inner().expect("error slot poisoned") {
         return Err(e);
     }
@@ -623,6 +627,26 @@ mod tests {
         assert_eq!(restored.len(), 2);
         assert_eq!(restored[&0].retries, 0);
         assert!(matches!(restored[&1].outcome, Outcome::Impossible));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn readable_header_versions_load_and_later_ones_are_a_mismatch() {
+        let path = temp_path("versions");
+        let record = record_line(0, &sample_results()[1]);
+        for v in ["1", "2", "3"] {
+            let header = format!("{{\"v\":{v},\"kind\":\"{KIND}\",\"queries\":1}}");
+            std::fs::write(&path, format!("{header}\n{record}\n")).unwrap();
+            let restored = load_checkpoint::<BitSet>(&path, 1).unwrap();
+            assert_eq!(restored[&0], sample_results()[1], "v{v}");
+        }
+        assert_eq!(header_line(1), format!("{{\"v\":3,\"kind\":\"{KIND}\",\"queries\":1}}"));
+        std::fs::write(&path, format!("{{\"v\":4,\"kind\":\"{KIND}\",\"queries\":1}}\n{record}\n"))
+            .unwrap();
+        assert!(matches!(
+            load_checkpoint::<BitSet>(&path, 1),
+            Err(CheckpointError::Mismatch(m)) if m.contains("unsupported version")
+        ));
         std::fs::remove_file(&path).ok();
     }
 

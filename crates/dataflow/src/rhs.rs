@@ -86,7 +86,7 @@ type Fact = (MethodId, Sid, NodeId, Sid);
 /// Why a fact was first derived: the back-pointer trace reconstruction
 /// follows. The atoms an edge executed are not stored — they are a pure
 /// function of the source node, the call's info and the callee, and
-/// [`RhsResult::local_trace`] rebuilds them on demand.
+/// [`RhsResult::local_trace_rev`] rebuilds them on demand.
 #[derive(Debug, Clone, Copy)]
 enum Reason {
     Seed,
@@ -415,16 +415,28 @@ impl<S: Clone + Eq + std::hash::Hash> RhsResult<'_, S> {
     /// Reconstructs a whole-program trace ending just before `point` with
     /// an arriving state satisfying `pred`, or `None` if no such fact was
     /// discovered.
+    ///
+    /// The trace is rebuilt back to front into one buffer: the failing
+    /// fact's local trace, then each context's entry steps and its
+    /// caller's local trace up the `ctx_parent` chain to `main`, each
+    /// pushed in reverse; one reversal at the end restores program order.
     pub fn witness(&self, point: PointId, pred: &dyn Fn(&S) -> bool) -> Option<Vec<TraceStep>> {
-        let info = &self.program.points[point];
-        let fact = self
-            .reasons
-            .keys()
-            .filter(|&&(m, _, n, d)| {
-                m == info.method && n == info.node && pred(&self.states[d as usize])
-            })
-            .min_by_key(|&&(_, de, _, d)| (de, d))?;
-        Some(self.full_trace(*fact))
+        let mut cur = self.arriving_fact(point, pred)?;
+        let mut rev = Vec::new();
+        loop {
+            self.local_trace_rev(cur, &mut rev);
+            let (m, de, _, _) = cur;
+            if m == self.program.main && de == self.d0 {
+                break;
+            }
+            // Follow the first registered caller; since a context's first
+            // caller existed before the context did, this chain is acyclic.
+            let caller = self.ctx_parent[&(m, de)];
+            push_rev(&mut rev, self.enter_steps(caller.0, caller.2, m));
+            cur = caller;
+        }
+        rev.reverse();
+        Some(rev)
     }
 
     /// The initial state id (for diagnostics).
@@ -432,20 +444,17 @@ impl<S: Clone + Eq + std::hash::Hash> RhsResult<'_, S> {
         &self.states[self.d0 as usize]
     }
 
-    /// Full trace from program start to `fact`: the caller chain down to
-    /// `main`, then the local trace.
-    fn full_trace(&self, fact: Fact) -> Vec<TraceStep> {
-        let (m, de, _, _) = fact;
-        let mut prefix = Vec::new();
-        if m != self.program.main || de != self.d0 {
-            // Follow the first registered caller; since a context's first
-            // caller existed before the context did, this chain is acyclic.
-            let (cm, cde, cnode, cpre) = self.ctx_parent[&(m, de)];
-            prefix = self.full_trace((cm, cde, cnode, cpre));
-            prefix.extend(self.enter_steps(cm, cnode, m));
-        }
-        prefix.extend(self.local_trace(fact));
-        prefix
+    /// The fact a witness ends in: of the facts arriving at `point` with
+    /// a state satisfying `pred`, the least by (context entry, state).
+    fn arriving_fact(&self, point: PointId, pred: &dyn Fn(&S) -> bool) -> Option<Fact> {
+        let info = &self.program.points[point];
+        self.reasons
+            .keys()
+            .filter(|&&(m, _, n, d)| {
+                m == info.method && n == info.node && pred(&self.states[d as usize])
+            })
+            .min_by_key(|&&(_, de, _, d)| (de, d))
+            .copied()
     }
 
     /// The call info of the call node `cnode` in method `cm`.
@@ -458,13 +467,17 @@ impl<S: Clone + Eq + std::hash::Hash> RhsResult<'_, S> {
 
     /// The call-site and binding steps for entering `callee` at the call
     /// node `cnode` of caller `cm`.
-    fn enter_steps(&self, cm: MethodId, cnode: NodeId, callee: MethodId) -> Vec<TraceStep> {
+    fn enter_steps(
+        &self,
+        cm: MethodId,
+        cnode: NodeId,
+        callee: MethodId,
+    ) -> impl Iterator<Item = TraceStep> + '_ {
         let info = self.call_at(cm, cnode);
         site_atom(info)
             .into_iter()
             .chain(call_binding_atoms(self.program, info, callee))
             .map(|atom| TraceStep { atom, point: info.point })
-            .collect()
     }
 
     /// The steps a [`Reason::Flow`] edge out of `from_node` in method `m`
@@ -472,19 +485,81 @@ impl<S: Clone + Eq + std::hash::Hash> RhsResult<'_, S> {
     /// entry, the node's atom, or — out of a call node, whose only flow
     /// edges are the bodyless fall-through — the call-site `Invoke` and
     /// the result havoc.
-    fn flow_steps(&self, m: MethodId, from_node: NodeId) -> Vec<TraceStep> {
-        match self.program.methods[m].cfg.nodes[from_node].kind {
-            Node::Entry | Node::Exit => Vec::new(),
-            Node::Atom(atom, point) => vec![TraceStep { atom, point }],
+    fn flow_steps(&self, m: MethodId, from_node: NodeId) -> impl Iterator<Item = TraceStep> + '_ {
+        let (first, second) = match self.program.methods[m].cfg.nodes[from_node].kind {
+            Node::Entry | Node::Exit => (None, None),
+            Node::Atom(atom, point) => (Some(TraceStep { atom, point }), None),
             Node::Call(_) => {
                 let info = self.call_at(m, from_node);
-                site_atom(info)
-                    .into_iter()
-                    .chain(info.dst.map(|dst| Atom::Havoc { dst }))
-                    .map(|atom| TraceStep { atom, point: info.point })
-                    .collect()
+                let step = |atom| TraceStep { atom, point: info.point };
+                (site_atom(info).map(step), info.dst.map(|dst| step(Atom::Havoc { dst })))
+            }
+        };
+        first.into_iter().chain(second)
+    }
+
+    /// Pushes the local trace within `fact`'s context, from the context
+    /// entry, onto `out` in reverse: back-pointers are followed from
+    /// `fact`, each edge's steps pushed last-first, and a summary edge
+    /// pushes its result copy, the callee's local trace and the entry
+    /// steps, in that order.
+    fn local_trace_rev(&self, fact: Fact, out: &mut Vec<TraceStep>) {
+        let (m, de, _, _) = fact;
+        let entry = self.program.methods[m].cfg.entry;
+        let mut cur = fact;
+        loop {
+            let (cm, cde, n, d) = cur;
+            debug_assert_eq!((cm, cde), (m, de));
+            if n == entry && d == de {
+                break;
+            }
+            match *self.reasons.get(&cur).expect("fact without reason") {
+                Reason::Seed => break,
+                Reason::Flow { from_node, from_state } => {
+                    push_rev(out, self.flow_steps(m, from_node));
+                    cur = (m, de, from_node, from_state);
+                }
+                Reason::Return { call_node, caller_pre, callee, callee_entry, callee_exit } => {
+                    let info = self.call_at(m, call_node);
+                    if let Some(atom) = call_return_atom(self.program, info, callee) {
+                        out.push(TraceStep { atom, point: info.point });
+                    }
+                    let cexit = self.program.methods[callee].cfg.exit;
+                    self.local_trace_rev((callee, callee_entry, cexit, callee_exit), out);
+                    push_rev(out, self.enter_steps(m, call_node, callee));
+                    cur = (m, de, call_node, caller_pre);
+                }
             }
         }
+    }
+}
+
+/// The recursive reconstruction [`RhsResult::witness`] replaced, kept as
+/// the oracle of its differential test (`witness_oracle`): the caller
+/// chain's trace first, then the local trace, each segment a `Vec` of its
+/// own, flattened on the way out.
+#[cfg(test)]
+impl<S: Clone + Eq + std::hash::Hash> RhsResult<'_, S> {
+    fn witness_recursive(
+        &self,
+        point: PointId,
+        pred: &dyn Fn(&S) -> bool,
+    ) -> Option<Vec<TraceStep>> {
+        Some(self.full_trace(self.arriving_fact(point, pred)?))
+    }
+
+    /// Full trace from program start to `fact`: the caller chain down to
+    /// `main`, then the local trace.
+    fn full_trace(&self, fact: Fact) -> Vec<TraceStep> {
+        let (m, de, _, _) = fact;
+        let mut prefix = Vec::new();
+        if m != self.program.main || de != self.d0 {
+            let (cm, cde, cnode, cpre) = self.ctx_parent[&(m, de)];
+            prefix = self.full_trace((cm, cde, cnode, cpre));
+            prefix.extend(self.enter_steps(cm, cnode, m));
+        }
+        prefix.extend(self.local_trace(fact));
+        prefix
     }
 
     /// Local trace within `fact`'s context, from the context entry.
@@ -502,7 +577,7 @@ impl<S: Clone + Eq + std::hash::Hash> RhsResult<'_, S> {
             match *self.reasons.get(&cur).expect("fact without reason") {
                 Reason::Seed => break,
                 Reason::Flow { from_node, from_state } => {
-                    rev_segments.push(self.flow_steps(m, from_node));
+                    rev_segments.push(self.flow_steps(m, from_node).collect());
                     cur = (m, de, from_node, from_state);
                 }
                 Reason::Return { call_node, caller_pre, callee, callee_entry, callee_exit } => {
@@ -515,7 +590,7 @@ impl<S: Clone + Eq + std::hash::Hash> RhsResult<'_, S> {
                     );
                     let cexit = self.program.methods[callee].cfg.exit;
                     rev_segments.push(self.local_trace((callee, callee_entry, cexit, callee_exit)));
-                    rev_segments.push(self.enter_steps(m, call_node, callee));
+                    rev_segments.push(self.enter_steps(m, call_node, callee).collect());
                     cur = (m, de, call_node, caller_pre);
                 }
             }
@@ -523,6 +598,16 @@ impl<S: Clone + Eq + std::hash::Hash> RhsResult<'_, S> {
         rev_segments.reverse();
         rev_segments.into_iter().flatten().collect()
     }
+}
+
+#[cfg(test)]
+mod witness_oracle;
+
+/// Appends `steps` to `out` in reverse order, without a buffer of its own.
+fn push_rev(out: &mut Vec<TraceStep>, steps: impl Iterator<Item = TraceStep>) {
+    let start = out.len();
+    out.extend(steps);
+    out[start..].reverse();
 }
 
 #[cfg(test)]

@@ -12,7 +12,8 @@
 //!   matrices depend only on the atoms and `not_q`, never on the
 //!   abstraction `p` being refuted;
 //! * literals are packed as `id << 1 | pos` and cubes become sorted
-//!   `Vec<u32>` with a 64-bit occurrence signature, so subsumption and
+//!   literal buffers (up to [`INLINE`] literals in place, a heap `Vec`
+//!   beyond) with a 64-bit occurrence signature, so subsumption and
 //!   conjunction reject non-candidates with one `&`/`|` word op before
 //!   falling back to the id-indexed matrices;
 //! * a wp memo keyed by `(atom id, packed literal)` converts each weakest
@@ -32,10 +33,11 @@
 //! tests:
 //!
 //! 1. ids are assigned in primitive `Ord` order, so packed-literal order
-//!    equals [`Lit`] order and `Vec<u32>` lexicographic order equals
-//!    `BTreeSet<Lit>` order — and this holds for **any** `Ord`-sorted
-//!    superset of the trace's own closure, which is what lets one cache
-//!    (whose universe only grows) serve every iteration of a solve;
+//!    equals [`Lit`] order and the lexicographic order of a cube's literal
+//!    slice (however it is stored) equals `BTreeSet<Lit>` order — and
+//!    this holds for **any** `Ord`-sorted superset of the trace's own
+//!    closure, which is what lets one cache (whose universe only grows)
+//!    serve every iteration of a solve;
 //! 2. every operation (`insert` clash rules including the asymmetric
 //!    contradiction direction, `conjoin`'s sequential inserts, `simplify`
 //!    / `emergency_prune` / `approx` sort-and-cut orders, the
@@ -47,8 +49,10 @@
 //!    whether a conversion prunes at all is `p`-independent, so the
 //!    stable/unstable classification itself is safe to cache);
 //! 4. everything that *does* depend on the current `p`/`d_I` — the
-//!    per-step truth table and the `eval_state(d_I)` row — is recomputed
-//!    on every call and never cached;
+//!    per-step truth bits and the `eval_state(d_I)` row — is recomputed
+//!    on every call and never cached. A truth bit is computed on demand,
+//!    the first time the walk reads it, and kept only until the call
+//!    returns;
 //! 5. **skip exactness**: a step whose atom's row meets none of `f`'s
 //!    primitives is skipped, and the skip returns what the full step
 //!    would. Every literal's wp is then itself, so `wp_dnf` rebuilds each
@@ -69,6 +73,7 @@ use crate::formula::{Cube, Dnf, Formula, Lit, Primitive};
 use pda_lang::Atom;
 use pda_util::{Counter, FxBuildHasher, FxHashMap, ObsRegistry, Span, SpanKind};
 use pda_solver::PFormula;
+use std::cell::Cell;
 use std::collections::HashSet;
 
 /// A packed literal: `prim id << 1 | positive`.
@@ -220,23 +225,161 @@ impl<P: Primitive> PrimTable<P> {
     }
 }
 
+/// How many literals a [`Lits`] holds without a heap buffer: the largest
+/// count whose inline form is no bigger than the spilled one (a 24-byte
+/// `Vec` behind the enum tag, 32 bytes either way). On the perfbench
+/// workloads (seed 1) it holds every product cube a type-state backward
+/// call builds and 76% of an escape call's; 94.7% have at most 12
+/// literals and 97.9% at most 15.
+const INLINE: usize = 7;
+
+/// A cube's sorted packed literals: up to [`INLINE`] of them in place, a
+/// heap `Vec` beyond that. Equality and order are those of the literal
+/// slice, whichever way it is stored.
+#[derive(Clone)]
+enum Lits {
+    Inline { len: u8, buf: [PLit; INLINE] },
+    Spilled(Vec<PLit>),
+}
+
+impl Lits {
+    fn new() -> Lits {
+        Lits::Inline { len: 0, buf: [0; INLINE] }
+    }
+
+    fn with_capacity(n: usize) -> Lits {
+        if n <= INLINE {
+            Lits::new()
+        } else {
+            Lits::Spilled(Vec::with_capacity(n))
+        }
+    }
+
+    /// The inline literals moved into a `Vec` with room for `extra` more.
+    fn spill(&mut self, extra: usize) -> &mut Vec<PLit> {
+        if let Lits::Inline { len, buf } = self {
+            let mut v = Vec::with_capacity(*len as usize + extra.max(INLINE));
+            v.extend_from_slice(&buf[..*len as usize]);
+            *self = Lits::Spilled(v);
+        }
+        match self {
+            Lits::Spilled(v) => v,
+            Lits::Inline { .. } => unreachable!("spilled above"),
+        }
+    }
+
+    fn push(&mut self, l: PLit) {
+        match self {
+            Lits::Inline { len, buf } if (*len as usize) < INLINE => {
+                buf[*len as usize] = l;
+                *len += 1;
+            }
+            _ => self.spill(1).push(l),
+        }
+    }
+
+    fn insert(&mut self, i: usize, l: PLit) {
+        match self {
+            Lits::Inline { len, buf } if (*len as usize) < INLINE => {
+                let n = *len as usize;
+                buf.copy_within(i..n, i + 1);
+                buf[i] = l;
+                *len += 1;
+            }
+            _ => self.spill(1).insert(i, l),
+        }
+    }
+
+    fn extend_from_slice(&mut self, ls: &[PLit]) {
+        match self {
+            Lits::Inline { len, buf } if *len as usize + ls.len() <= INLINE => {
+                let n = *len as usize;
+                buf[n..n + ls.len()].copy_from_slice(ls);
+                *len += ls.len() as u8;
+            }
+            _ => self.spill(ls.len()).extend_from_slice(ls),
+        }
+    }
+}
+
+impl std::ops::Deref for Lits {
+    type Target = [PLit];
+
+    fn deref(&self) -> &[PLit] {
+        match self {
+            Lits::Inline { len, buf } => &buf[..*len as usize],
+            Lits::Spilled(v) => v,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Lits {
+    type Item = &'a PLit;
+    type IntoIter = std::slice::Iter<'a, PLit>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Lits {
+    fn eq(&self, other: &Lits) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Lits {}
+
+impl PartialOrd for Lits {
+    fn partial_cmp(&self, other: &Lits) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Lits {
+    fn cmp(&self, other: &Lits) -> std::cmp::Ordering {
+        (**self).cmp(&**other)
+    }
+}
+
+impl std::fmt::Debug for Lits {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// An interned cube: sorted packed literals plus two occurrence
 /// signatures — `sig` over all literals' prims, `pos_sig` over the prims
 /// of *positive* literals only.
 ///
-/// The derived `Ord` compares `lits` first; both signatures are functions
-/// of `lits`, so the comparison coincides with the tree [`Cube`]'s
-/// `BTreeSet` order.
+/// The derived `Ord` compares `lits` first, as a slice; both signatures
+/// are functions of `lits`, so the comparison coincides with the tree
+/// [`Cube`]'s `BTreeSet` order.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct ICube {
-    lits: Vec<PLit>,
+    lits: Lits,
     sig: u64,
     pos_sig: u64,
 }
 
+/// The bytes [`InternCache::approx_bytes`] charges a cube besides 4 per
+/// literal: a heap-vector cube's size (24-byte `Vec` and two signature
+/// words), whatever [`Lits`] keeps inline, so the estimate — and the
+/// iteration at which a budgeted query stops — does not move with the
+/// cube's layout.
+const CUBE_BYTES: u64 = 40;
+
 impl ICube {
     fn top() -> ICube {
-        ICube { lits: Vec::new(), sig: 0, pos_sig: 0 }
+        ICube { lits: Lits::new(), sig: 0, pos_sig: 0 }
+    }
+
+    /// The one-literal cube `{lit}`.
+    fn of_lit<P: Primitive>(lit: PLit, t: &PrimTable<P>) -> ICube {
+        let mut c = ICube::top();
+        let ok = c.insert(lit, t);
+        debug_assert!(ok);
+        c
     }
 
     /// Mirror of [`Cube::insert`]: clash on the opposite literal or on an
@@ -271,7 +414,7 @@ impl ICube {
     /// insert can clash and a plain sorted merge suffices.
     fn conjoin<P: Primitive>(&self, other: &ICube, t: &PrimTable<P>) -> Option<ICube> {
         if !t.any_contradiction && self.sig & other.sig == 0 {
-            let mut lits = Vec::with_capacity(self.lits.len() + other.lits.len());
+            let mut lits = Lits::with_capacity(self.lits.len() + other.lits.len());
             let (mut i, mut j) = (0, 0);
             while i < self.lits.len() && j < other.lits.len() {
                 if self.lits[i] < other.lits[j] {
@@ -448,32 +591,34 @@ impl<P: Primitive> WpMemo<P> {
             return key;
         }
         obs.inc(Counter::WpMisses);
-        let prim = &k.table.prims[lit_id(lit)];
-        // An absent entry is the closure's elided identity wp (the atom
-        // leaves the prim untouched): reconstruct `prim` itself, which is
-        // exactly the formula a storing closure would have kept, so every
-        // downstream counter and memo entry is unchanged.
-        let ident;
-        let w = match k.wp_raw.get(&(aid, prim.clone())) {
-            Some(w) => w,
+        let pos = lit_pos(lit);
+        // The variant the tree path builds is `w` for a positive literal
+        // and `Formula::not(w)` for a negative one; it is converted here
+        // as `w` under the literal's sign, with the constant cases that
+        // `Formula::not` folds read off `w` directly.
+        let entry = match k.wp_raw.get(&(aid, k.table.prims[lit_id(lit)].clone())) {
+            // An absent entry is the closure's elided identity wp (the
+            // atom leaves the prim untouched): its DNF is the literal's
+            // own cube, exactly what converting the prim would build.
             None => {
-                ident = Formula::prim(prim.clone());
-                &ident
+                obs.inc(Counter::CubesBuilt);
+                WpEntry::Stable(vec![ICube::of_lit(lit, k.table)])
             }
-        };
-        let v = if lit_pos(lit) { w.clone() } else { Formula::not(w.clone()) };
-        let entry = if v == Formula::True {
-            WpEntry::ConstTrue
-        } else if v == Formula::False {
-            WpEntry::ConstFalse
-        } else {
-            let mut pruned = false;
-            let cubes = nnf_dnf_i(&v, true, cfg, k, step, obs, &mut pruned);
-            if pruned {
-                WpEntry::Unstable(v)
-            } else {
-                WpEntry::Stable(cubes)
-            }
+            Some(w) => match (w, pos) {
+                (Formula::True, true) | (Formula::False, false) => WpEntry::ConstTrue,
+                (Formula::False, true) | (Formula::True, false) => WpEntry::ConstFalse,
+                (Formula::Not(inner), false) if **inner == Formula::True => WpEntry::ConstTrue,
+                (Formula::Not(inner), false) if **inner == Formula::False => WpEntry::ConstFalse,
+                _ => {
+                    let mut pruned = false;
+                    let cubes = nnf_dnf_i(w, pos, cfg, k, step, obs, &mut pruned);
+                    if pruned {
+                        WpEntry::Unstable(if pos { w.clone() } else { Formula::not(w.clone()) })
+                    } else {
+                        WpEntry::Stable(cubes)
+                    }
+                }
+            },
         };
         self.entries[key] = Some(entry);
         key
@@ -504,7 +649,7 @@ impl<P: Primitive> WpMemo<P> {
 /// * the wp memo (cleared on table rebuilds, since entries embed ids).
 ///
 /// A cache must only be reused with the same client; the abstraction and
-/// initial state may vary freely between calls (per-call truth tables and
+/// initial state may vary freely between calls (per-call truth bits and
 /// `eval_state(d_I)` rows are never cached).
 pub struct InternCache<P: Primitive> {
     atoms: Vec<Atom>,
@@ -661,9 +806,7 @@ impl<P: Primitive> InternCache<P> {
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
         let node = size_of::<Formula<P>>() as u64;
-        let cube = |c: &ICube| {
-            (size_of::<ICube>() as u64).saturating_add((c.lits.len() as u64).saturating_mul(4))
-        };
+        let cube = |c: &ICube| CUBE_BYTES.saturating_add((c.lits.len() as u64).saturating_mul(4));
         let mut bytes = (self.atoms.len() as u64)
             .saturating_mul(size_of::<Atom>() as u64)
             .saturating_add((self.universe.len() as u64).saturating_mul(size_of::<P>() as u64))
@@ -724,21 +867,40 @@ fn sorted_universe<P: Primitive>(universe: &HashSet<P, FxBuildHasher>) -> Vec<P>
 
 /// The per-call view the backward walk runs on: the cache's table and raw
 /// wp formulas (shared borrows), plus everything that depends on this
-/// call's `p`/`d_I`/trace — the truth table and the step→atom map.
+/// call's `p`/`d_I`/trace — the replayed states, the truth bits read so
+/// far and the step→atom map.
 struct Kernel<'c, P: Primitive> {
     table: &'c PrimTable<P>,
     /// `wp_raw[(aid, prim)]`: the client's raw `wp_prim` formula.
     wp_raw: &'c FxHashMap<(u32, P), Formula<P>>,
-    /// `truth[step * twords ..]`: bit `id` = `prims[id].holds(p, states[step])`.
-    truth: Vec<u64>,
+    p: &'c P::Param,
+    /// The forward replay: `states[step]` is the state before trace step
+    /// `step` (the last one is the query point's).
+    states: &'c [P::State],
+    /// Truth bits, computed on first read: word pair `2 * w, 2 * w + 1`
+    /// with `w = step * twords + id / 64` holds bit `id % 64` of "known"
+    /// and of `prims[id].holds(p, states[step])`.
+    truth: Vec<Cell<u64>>,
     twords: usize,
     /// `atom_of_step[i]` is the cache-global atom id of trace step `i`.
     atom_of_step: Vec<u32>,
 }
 
 impl<P: Primitive> Kernel<'_, P> {
+    /// `prims[id].holds(p, states[step])`, asked of the primitive the
+    /// first time this call reads it. The walk only reads the prims of
+    /// the cubes it tests, a small share of the full step × prim table.
     fn truth_bit(&self, step: usize, id: usize) -> bool {
-        self.truth[step * self.twords + id / 64] >> (id % 64) & 1 == 1
+        let w = 2 * (step * self.twords + id / 64);
+        let bit = 1u64 << (id % 64);
+        let (known, truth) = (&self.truth[w], &self.truth[w + 1]);
+        if known.get() & bit == 0 {
+            known.set(known.get() | bit);
+            if self.table.prims[id].holds(self.p, &self.states[step]) {
+                truth.set(truth.get() | bit);
+            }
+        }
+        truth.get() & bit != 0
     }
 
     /// Mirror of the per-step `keep` predicate `cube.holds(p, states[step])`.
@@ -801,7 +963,7 @@ fn product_i<P: Primitive>(
     out
 }
 
-/// Mirror of `approx::nnf_dnf`; `step` indexes the truth table for the
+/// Mirror of `approx::nnf_dnf`; `step` indexes the truth bits for the
 /// `keep` predicate.
 fn nnf_dnf_i<P: Primitive>(
     f: &Formula<P>,
@@ -816,12 +978,8 @@ fn nnf_dnf_i<P: Primitive>(
         (Formula::True, true) | (Formula::False, false) => vec![ICube::top()],
         (Formula::True, false) | (Formula::False, true) => Vec::new(),
         (Formula::Prim(p), pos) => {
-            let id = k.table.id_of[p];
-            let mut c = ICube::top();
-            let ok = c.insert(plit(id, pos), k.table);
-            debug_assert!(ok);
             obs.inc(Counter::CubesBuilt);
-            vec![c]
+            vec![ICube::of_lit(plit(k.table.id_of[p], pos), k.table)]
         }
         (Formula::Not(inner), s) => nnf_dnf_i(inner, !s, cfg, k, step, obs, pruned),
         (Formula::And(fs), true) | (Formula::Or(fs), false) => {
@@ -925,9 +1083,8 @@ fn wp_dnf_i<P: Primitive>(
             1 => match memo.entries[part_keys[0]].as_ref().unwrap() {
                 WpEntry::Stable(cubes) => out.extend(cubes.iter().cloned()),
                 WpEntry::Unstable(v) => {
-                    let v = v.clone();
                     let mut pruned = false;
-                    out.extend(nnf_dnf_i(&v, true, cfg, k, step, obs, &mut pruned));
+                    out.extend(nnf_dnf_i(v, true, cfg, k, step, obs, &mut pruned));
                 }
                 _ => unreachable!(),
             },
@@ -942,9 +1099,8 @@ fn wp_dnf_i<P: Primitive>(
                     let gs: &[ICube] = match memo.entries[key].as_ref().unwrap() {
                         WpEntry::Stable(cubes) => cubes,
                         WpEntry::Unstable(v) => {
-                            let v = v.clone();
                             let mut pruned = false;
-                            converted = nnf_dnf_i(&v, true, cfg, k, step, obs, &mut pruned);
+                            converted = nnf_dnf_i(v, true, cfg, k, step, obs, &mut pruned);
                             &converted
                         }
                         _ => unreachable!(),
@@ -1106,15 +1262,8 @@ where
     // `d_I` and must never be cached.
     let eval_init: Vec<Option<bool>> = table.prims.iter().map(|q| q.eval_state(d_init)).collect();
     let twords = n.div_ceil(64).max(1);
-    let mut truth = vec![0u64; twords.saturating_mul(states.len())];
-    for (s, d) in states.iter().enumerate() {
-        for (id, q) in table.prims.iter().enumerate() {
-            if q.holds(p, d) {
-                truth[s * twords + id / 64] |= 1u64 << (id % 64);
-            }
-        }
-    }
-    let k = Kernel { table, wp_raw, truth, twords, atom_of_step };
+    let truth = vec![Cell::new(0); 2 * twords * states.len()];
+    let k = Kernel { table, wp_raw, p, states: &states, truth, twords, atom_of_step };
 
     let steps = trace.len();
     let mut pruned = false;
@@ -1576,6 +1725,69 @@ mod tests {
     /// Measuring the cache is a pure operation: the byte estimate is
     /// deterministic, and a re-run on the measured warm cache produces
     /// bit-identical output.
+    /// `ls` as a literal buffer built by pushes (inline up to [`INLINE`])
+    /// and as one spilled from the start, whatever its length.
+    fn both_layouts(ls: &[PLit]) -> [Lits; 2] {
+        let mut pushed = Lits::new();
+        for &l in ls {
+            pushed.push(l);
+        }
+        let mut spilled = Lits::with_capacity(INLINE + 1);
+        spilled.extend_from_slice(ls);
+        assert!(matches!(spilled, Lits::Spilled(_)));
+        [pushed, spilled]
+    }
+
+    #[test]
+    fn literal_buffer_spills_past_inline_and_acts_as_a_vec() {
+        // The inline form is no bigger than the spilled one.
+        assert!(std::mem::size_of::<Lits>() <= std::mem::size_of::<Vec<PLit>>() + 8);
+        for n in [INLINE - 1, INLINE, INLINE + 1] {
+            let v: Vec<PLit> = (0..n as u32).map(|i| 2 * i + 1).collect();
+            let [l, _] = both_layouts(&v);
+            assert_eq!(&*l, &v[..], "n={n}");
+            assert_eq!(matches!(l, Lits::Spilled(_)), n > INLINE, "n={n}");
+            for at in [0, n / 2, n] {
+                let (mut l2, mut v2) = (l.clone(), v.clone());
+                l2.insert(at, 2 * at as u32);
+                v2.insert(at, 2 * at as u32);
+                assert_eq!(&*l2, &v2[..], "n={n}, insert at {at}");
+                assert_eq!(matches!(l2, Lits::Spilled(_)), n + 1 > INLINE, "n={n}, insert at {at}");
+            }
+            for extra in [0, 1, INLINE - n.min(INLINE), INLINE + 1] {
+                let tail: Vec<PLit> = (0..extra as u32).map(|i| 1000 + i).collect();
+                let (mut l3, mut v3) = (l.clone(), v.clone());
+                l3.extend_from_slice(&tail);
+                v3.extend_from_slice(&tail);
+                assert_eq!(&*l3, &v3[..], "n={n}, extend by {extra}");
+                assert_eq!(matches!(l3, Lits::Spilled(_)), n + extra > INLINE);
+            }
+        }
+    }
+
+    #[test]
+    fn literal_buffer_order_and_equality_are_the_slices() {
+        let mut slices: Vec<Vec<PLit>> = vec![Vec::new()];
+        for n in 1..=INLINE + 2 {
+            let base: Vec<PLit> = (0..n as u32).map(|i| 2 * i).collect();
+            let mut bumped = base.clone();
+            bumped[n / 2] += 1;
+            let mut truncated = base.clone();
+            truncated.pop();
+            slices.extend([base, bumped, truncated]);
+        }
+        for a in &slices {
+            for b in &slices {
+                for la in both_layouts(a) {
+                    for lb in both_layouts(b) {
+                        assert_eq!(la.cmp(&lb), a.cmp(b), "{a:?} vs {b:?}");
+                        assert_eq!(la == lb, a == b, "{a:?} vs {b:?}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn approx_bytes_is_deterministic_and_preserves_outputs() {
         let trace = [null(0), copy(1, 0), havoc(2), null(2)];

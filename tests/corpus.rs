@@ -1,5 +1,6 @@
-// Shared Jaylite test corpus, `include!`d by the integration tests that
-// iterate the same programs (`engines_agree.rs`, `batch_scheduler.rs`).
+// Shared Jaylite test corpus, `include!`d by the tests that iterate the
+// same programs (`engines_agree.rs`, `batch_scheduler.rs`, and the
+// witness differential test in `crates/dataflow/src/rhs/witness_oracle.rs`).
 // Not a test target itself — root `tests/` files are only built via the
 // explicit `[[test]]` entries in `crates/bench/Cargo.toml`.
 

@@ -256,3 +256,41 @@ fn adversarial_faults_under_budget_pressure_stay_isolated() {
         assert_eq!(stats.engine_faults, 1, "jobs={jobs}");
     }
 }
+
+/// The intern cache's share of the estimate, pinned: each fixture query's
+/// CEGAR iterations replayed through one cache, read after the last
+/// learned constraint. The estimate charges a cube 40 bytes plus 4 per
+/// literal however the kernel lays cubes out, so a change of layout moves
+/// neither these bytes nor the iteration at which a budget stops a query.
+#[test]
+fn intern_cache_estimate_is_pinned_on_the_fixture() {
+    use pda_dataflow::{rhs, RhsLimits};
+    use pda_meta::{analyze_trace_interned, InternCache};
+    use pda_tracer::{solve_query_logged, AsAnalysis, AsMeta, TracerClient};
+    let fx = Fixture::new();
+    let callees = |c: pda_lang::CallId| fx.pa.callees(c).to_vec();
+    let config = TracerConfig::default();
+    let d0 = fx.client.initial_state();
+    let mut bytes = Vec::new();
+    for q in fx.queries() {
+        let (_, log) = solve_query_logged(&fx.program, &callees, &fx.client, &q, &config);
+        let mut cache = InternCache::new();
+        let mut obs = pda_util::ObsRegistry::default();
+        for entry in log.iter().filter(|e| e.learned.is_some()) {
+            let p = &entry.param;
+            let forward = AsAnalysis(&fx.client);
+            let run = rhs::run(&fx.program, &forward, p, d0.clone(), &callees, RhsLimits::default())
+                .unwrap();
+            let trace = run
+                .witness(q.point, &|d| q.not_q.holds(p, d))
+                .expect("a learning iteration has a witness");
+            let atoms: Vec<pda_lang::Atom> = trace.iter().map(|s| s.atom).collect();
+            let meta = AsMeta(&fx.client);
+            let beam = &config.beam;
+            analyze_trace_interned(&meta, p, &d0, &atoms, &q.not_q, beam, &mut cache, &mut obs)
+                .unwrap();
+        }
+        bytes.push(cache.approx_bytes());
+    }
+    assert_eq!(bytes, [248_340, 417_936, 229_864, 424_128]);
+}
