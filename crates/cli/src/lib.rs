@@ -133,9 +133,7 @@ pub struct Options {
     checkpoint: Option<String>,
     trace: Option<String>,
     metrics: bool,
-    allow_inject: bool,
     fault_plan: Option<String>,
-    watchdog_ms: Option<u64>,
 }
 
 impl Default for Options {
@@ -153,9 +151,7 @@ impl Default for Options {
             checkpoint: None,
             trace: None,
             metrics: false,
-            allow_inject: false,
             fault_plan: None,
-            watchdog_ms: None,
         }
     }
 }
@@ -180,7 +176,7 @@ const SERVE: &[&str] = &["serve"];
 const BOTH: &[&str] = &["solve", "serve"];
 
 /// Every flag of `pda solve` and `pda serve`, in usage order.
-const FLAGS: [Flag; 15] = [
+const FLAGS: [Flag; 13] = [
     Flag {
         name: "--query",
         metavar: Some("LABEL"),
@@ -274,32 +270,14 @@ const FLAGS: [Flag; 15] = [
         },
     },
     Flag {
-        name: "--allow-inject",
-        metavar: None,
-        cmds: SERVE,
-        help: "honor fault-injection requests (\"inject\":\"panic\" or \
-               \"inject\":\"stall[:MS]\")",
-        set: |o, _| {
-            o.allow_inject = true;
-            true
-        },
-    },
-    Flag {
         name: "--fault-plan",
         metavar: Some("PLAN"),
         cmds: BOTH,
         help: "arm the deterministic fault-injection plane: `point@hit=action` \
-               entries (actions panic|stall:MS|ioerr[:KIND]|abort) or \
+               entries (actions panic|stall:MS|ioerr[:KIND]|abort|shortwrite; \
+               `query.I` is query I's seam, visited once per attempt) or \
                `record` (env PDA_FAULT_PLAN)",
         set: |o, v| text(&mut o.fault_plan, v),
-    },
-    Flag {
-        name: "--watchdog-ms",
-        metavar: Some("MS"),
-        cmds: SERVE,
-        help: "abandon solve attempts with no heartbeat progress for MS \
-               milliseconds (engine_stall reply + cache quarantine)",
-        set: |o, v| v.parse().map(|n: u64| o.watchdog_ms = Some(n.max(1))).is_ok(),
     },
 ];
 
@@ -623,8 +601,6 @@ fn run_serve(source: &str, opts: &Options) -> Result<String, CliError> {
             retry_deadline: true,
             ..pda_tracer::RetryPolicy::deterministic(n)
         }),
-        allow_inject: opts.allow_inject,
-        watchdog_ms: opts.watchdog_ms,
     };
     let options = pda_serve::DaemonOptions {
         socket: opts.socket.as_ref().map(std::path::PathBuf::from),
@@ -638,8 +614,8 @@ fn run_serve(source: &str, opts: &Options) -> Result<String, CliError> {
                 pda_serve::ServeError::Io(m) => CliError::Input(m),
             })?;
     Ok(format!(
-        "serve: drained cleanly — served={} faults={} quarantines={} watchdog={} resumed={}\n",
-        report.served, report.faults, report.quarantines, report.watchdog_fired, report.resumed
+        "serve: drained cleanly — served={} faults={} quarantines={} resumed={}\n",
+        report.served, report.faults, report.quarantines, report.resumed
     ))
 }
 
@@ -928,8 +904,7 @@ mod tests {
             a(&[
                 "serve", "f.jay", "--socket", "/tmp/pda.sock", "--journal", "j.jsonl",
                 "--jobs", "2", "--deadline", "500", "--retry-faults", "1",
-                "--allow-inject", "--trace", "t.jsonl",
-                "--watchdog-ms", "200", "--fault-plan", "record"
+                "--trace", "t.jsonl", "--fault-plan", "query.0@1=panic"
             ])
             .unwrap(),
             Command::Serve {
@@ -943,16 +918,13 @@ mod tests {
                     k: 5,
                     max_iters: 100,
                     trace: Some("t.jsonl".into()),
-                    allow_inject: true,
-                    fault_plan: Some("record".into()),
-                    watchdog_ms: Some(200),
+                    fault_plan: Some("query.0@1=panic".into()),
                     ..Default::default()
                 },
             }
         );
         assert!(a(&["solve", "f", "--no-such-flag", "1"]).is_err());
         assert!(a(&["serve", "f", "--no-such-flag", "1"]).is_err());
-        assert!(a(&["serve", "f", "--watchdog-ms", "soon"]).is_err());
         assert!(a(&["serve", "f", "--fault-plan"]).is_err());
         assert!(a(&["solve", "f", "--fault-plan"]).is_err());
         assert_eq!(
@@ -972,11 +944,14 @@ mod tests {
             a(&["solve", "f.jay", "--jobs", "0"]).unwrap(),
             Command::Solve { opts: Options { jobs: 1, .. }, .. }
         ));
-        // --watchdog-ms 0 is clamped to the shortest window.
-        assert!(matches!(
-            a(&["serve", "f.jay", "--watchdog-ms", "0"]).unwrap(),
-            Command::Serve { opts: Options { watchdog_ms: Some(1), .. }, .. }
-        ));
+        // The retired daemon fault hooks are unknown flags.
+        for (flag, value) in [("--allow-inject", None), ("--watchdog-ms", Some("200"))] {
+            let mut argv = vec!["serve", "f.jay", flag];
+            argv.extend(value);
+            let e = a(&argv).unwrap_err();
+            assert_eq!(e, CliError::Usage(format!("serve: unknown flag `{flag}`")));
+            assert_eq!(e.exit_code(), 2);
+        }
         assert_eq!(a(&[]).unwrap(), Command::Help);
         assert!(a(&["bogus"]).is_err());
         assert!(a(&["solve"]).is_err());
@@ -1050,6 +1025,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `--fault-plan`'s help lists exactly the actions the plan parser
+    /// accepts, and names the per-query seam.
+    #[test]
+    fn fault_plan_help_lists_every_action_and_the_query_seam() {
+        let flag = FLAGS.iter().find(|f| f.name == "--fault-plan").expect("--fault-plan row");
+        let actions = pda_util::faultplane::ACTIONS.join("|");
+        assert!(flag.help.contains(&format!("actions {actions};")), "{}", flag.help);
+        assert!(flag.help.contains("`query.I`"), "{}", flag.help);
     }
 
     /// A value-taking flag never takes the next flag as its value.

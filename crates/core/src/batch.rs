@@ -61,7 +61,6 @@ use pda_util::{
     TraceSink,
 };
 use std::collections::HashMap;
-use std::convert::Infallible;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, TryLockError};
@@ -78,8 +77,8 @@ use std::time::{Duration, Instant};
 /// function of the policy and the query: two runs of the same batch back
 /// off identically, which keeps faulted runs reproducible and diffable.
 ///
-/// One-shot injected faults (see [`crate::faultcli`]) are the model
-/// transient: the first attempt springs the trap, the retry solves
+/// A one-shot injected fault (a `query.<i>@1=panic` fault-plan entry) is
+/// the model transient: the first attempt springs it, the retry solves
 /// healthily. Deterministic failures (a client that panics on every
 /// evaluation) burn all retries and surface exactly as without a policy,
 /// with [`QueryResult::retries`] recording the wasted attempts.
@@ -317,7 +316,7 @@ impl std::fmt::Display for BatchStats {
 /// Each slot is a small `Mutex`+`Condvar` state machine rather than a
 /// `OnceLock`, because two outcomes must **not** be memoized:
 ///
-/// * a computation that *panics* (fault-injected clients) resets its slot
+/// * a computation that *panics* (a faulty client) resets its slot
 ///   so another worker retries instead of deadlocking the waiters;
 /// * a run aborted by the computing query's *deadline* is returned to
 ///   that query only — caching it would poison healthy queries with a
@@ -482,8 +481,8 @@ impl<'p, S> ForwardCache<'p, S> {
                 }
             }
         }
-        // Compute outside the slot lock; if `compute` unwinds (a
-        // fault-injected client panic), the guard re-opens the slot.
+        // Compute outside the slot lock; if `compute` unwinds (a client
+        // panic), the guard re-opens the slot.
         let mut guard = SlotGuard { slot: &slot, armed: true };
         // Under the guard on purpose: an injected panic at the fill seam
         // must re-open the slot exactly like a panicking compute would.
@@ -553,22 +552,16 @@ pub fn isolate<Param>(solve: impl FnOnce() -> QueryResult<Param>) -> QueryResult
 /// transient is retried after [`RetryPolicy::backoff`] while retries
 /// remain and `stop` is false (the current attempt's result stands once
 /// it is true); [`QueryResult::retries`] records the attempts consumed,
-/// successful or not. An attempt that returns `Err` ends the ladder at
-/// once with that error (the daemon's watchdog: a stall is never
-/// retried).
-///
-/// # Errors
-///
-/// The first `Err` an attempt returns.
-pub fn retry_ladder<Param, E>(
+/// successful or not.
+pub fn retry_ladder<Param>(
     query: usize,
     retry: Option<&RetryPolicy>,
     stop: impl Fn() -> bool,
-    mut attempt: impl FnMut(u32) -> Result<(QueryResult<Param>, QueryObs), E>,
-) -> Result<(QueryResult<Param>, QueryObs), E> {
+    mut attempt: impl FnMut(u32) -> (QueryResult<Param>, QueryObs),
+) -> (QueryResult<Param>, QueryObs) {
     let mut n: u32 = 0;
     loop {
-        let (mut r, qobs) = attempt(n)?;
+        let (mut r, qobs) = attempt(n);
         r.retries = n;
         let transient = match (&r.outcome, retry) {
             (Outcome::Unresolved(u), Some(p)) => p.should_retry(u),
@@ -579,7 +572,7 @@ pub fn retry_ladder<Param, E>(
                 std::thread::sleep(p.backoff(query as u64, n));
                 n += 1;
             }
-            _ => return Ok((r, qobs)),
+            _ => return (r, qobs),
         }
     }
 }
@@ -770,7 +763,7 @@ where
                 continue;
             }
             let started = Instant::now();
-            let Ok((r, qobs)) = retry_ladder(i, config.retry.as_ref(), cancelled, |_| {
+            let (r, qobs) = retry_ladder(i, config.retry.as_ref(), cancelled, |_| {
                 let mut qobs = QueryObs::new(i as u64, tracing, config.timed);
                 let r = isolate(|| {
                     let mut s = Session::new(program, callees, client, &queries[i], &config.tracer)
@@ -780,7 +773,7 @@ where
                     }
                     s.run()
                 });
-                Ok::<_, Infallible>((r, qobs))
+                (r, qobs)
             });
             wm.queries += 1;
             wm.meta_micros += r.meta.micros;
@@ -795,8 +788,8 @@ where
     };
     let worker_meta: Vec<WorkerMeta> = if workers == 1 {
         // A lone worker runs inline on the calling thread: no thread is
-        // spawned, so thread-local state (the watchdog heartbeat, the
-        // ambient deadline) reaches every query.
+        // spawned, so thread-local state (the ambient deadline) reaches
+        // every query.
         vec![work()]
     } else {
         let finished = Mutex::new(Vec::with_capacity(workers));
@@ -1313,56 +1306,42 @@ mod tests {
         assert!(daemon.should_retry(&Unresolved::DeadlineExceeded));
     }
 
+    include!("../../../tests/own_process.rs");
+
     #[test]
     fn retry_recovers_one_shot_fault() {
-        use crate::faultcli::{faulty_query, lift_query, Fault, FaultInjectingClient};
-        let (program, pa) = fixture();
-        let client = NullClient::new(&program);
-        let wrapped = FaultInjectingClient::new(&client);
-        let callees = |c: CallId| pa.callees(c).to_vec();
-        for jobs in [1, 4] {
-            let qs: Vec<_> = queries(&program, &client)
-                .into_iter()
-                .enumerate()
-                .map(|(i, q)| {
-                    if i == 1 {
-                        faulty_query(q, Fault::Panic("transient".into()))
-                    } else {
-                        lift_query(q)
-                    }
-                })
-                .collect();
-            // Without a policy the one-shot fault is terminal.
-            let cold = BatchConfig { jobs, ..BatchConfig::default() };
-            let (r, s) = solve_queries_batch(&program, &callees, &wrapped, &qs, &cold);
-            assert!(matches!(r[1].outcome, Outcome::Unresolved(Unresolved::EngineFault(_))));
-            assert_eq!((s.engine_faults, s.retries), (1, 0));
-            // With the ladder, the second attempt finds the trap spent.
-            let qs: Vec<_> = queries(&program, &client)
-                .into_iter()
-                .enumerate()
-                .map(|(i, q)| {
-                    if i == 1 {
-                        faulty_query(q, Fault::Panic("transient".into()))
-                    } else {
-                        lift_query(q)
-                    }
-                })
-                .collect();
-            let retrying = BatchConfig {
-                jobs,
-                retry: Some(RetryPolicy::deterministic(2)),
-                ..BatchConfig::default()
-            };
-            let (r, s) = solve_queries_batch(&program, &callees, &wrapped, &qs, &retrying);
-            assert!(
-                matches!(r[1].outcome, Outcome::Proven { .. }),
-                "retry should recover the one-shot fault: {:?}",
-                r[1].outcome
-            );
-            assert_eq!(r[1].retries, 1);
-            assert_eq!((s.engine_faults, s.retries), (0, 1));
-        }
+        in_own_process("batch::tests::retry_recovers_one_shot_fault", || {
+            let (program, pa) = fixture();
+            let client = NullClient::new(&program);
+            let callees = |c: CallId| pa.callees(c).to_vec();
+            let qs = queries(&program, &client);
+            for jobs in [1, 4] {
+                // Without a policy a first-attempt panic is terminal.
+                pda_util::faultplane::install("query.1@1=panic").unwrap();
+                let cold = BatchConfig { jobs, ..BatchConfig::default() };
+                let (r, s) = solve_queries_batch(&program, &callees, &client, &qs, &cold);
+                pda_util::faultplane::clear();
+                assert!(matches!(r[1].outcome, Outcome::Unresolved(Unresolved::EngineFault(_))));
+                assert_eq!((s.engine_faults, s.retries), (1, 0));
+                // With the ladder, the retry (the seam's second visit) runs
+                // clean.
+                pda_util::faultplane::install("query.1@1=panic").unwrap();
+                let retrying = BatchConfig {
+                    jobs,
+                    retry: Some(RetryPolicy::deterministic(2)),
+                    ..BatchConfig::default()
+                };
+                let (r, s) = solve_queries_batch(&program, &callees, &client, &qs, &retrying);
+                pda_util::faultplane::clear();
+                assert!(
+                    matches!(r[1].outcome, Outcome::Proven { .. }),
+                    "retry should recover the one-shot fault: {:?}",
+                    r[1].outcome
+                );
+                assert_eq!(r[1].retries, 1);
+                assert_eq!((s.engine_faults, s.retries), (0, 1));
+            }
+        });
     }
 
     #[test]

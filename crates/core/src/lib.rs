@@ -59,7 +59,6 @@ pub mod baseline;
 pub mod batch;
 pub mod brute;
 pub mod client;
-pub mod faultcli;
 pub mod nullcli;
 pub mod resilience;
 pub mod tracer;
@@ -71,7 +70,6 @@ pub use batch::{
 };
 pub use brute::brute_force_optimum;
 pub use client::{AsAnalysis, AsMeta, Query, QueryLimits, TracerClient};
-pub use faultcli::{faulty_query, lift_query, Fault, FaultInjectingClient, FaultPrim};
 pub use resilience::{
     load_checkpoint, open_checkpoint, solve_queries_batch_checkpointed,
     solve_queries_batch_checkpointed_traced, CheckpointError, CheckpointWriter, ParamCodec,

@@ -7,7 +7,10 @@ use pda_dataflow::{rhs, Interrupt, RhsLimits};
 use pda_lang::{CallId, MethodId, Program};
 use pda_meta::{analyze_trace_interned, BeamConfig, InternCache, MetaStats};
 use pda_solver::{Bdd, Model, PFormula};
-use pda_util::{Counter, Deadline, DeadlineExceeded, Event, ObsRegistry, Span, SpanKind};
+use pda_util::{
+    fault_point, faultplane, Counter, Deadline, DeadlineExceeded, Event, ObsRegistry, Span,
+    SpanKind,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -472,13 +475,16 @@ impl<'s, 'p, C: TracerClient> Session<'s, 'p, C> {
         let start = Instant::now();
         let entry = self.obs.reg.clone();
         // Publish the query's deadline for out-of-band sleepers (injected
-        // stalls, `Fault::Stall` clients) that sit outside the limit structs.
+        // `stall` faults) that sit outside the limit structs.
         let _ambient = self.deadline.enter_ambient();
+        // The per-query seam, visited once per attempt and keyed by batch
+        // index, so `query.3@1=panic` fails query 3's first attempt at
+        // any job count and its retry runs clean.
+        if faultplane::armed() {
+            fault_point(&format!("query.{}", self.obs.query));
+        }
         let mut iterations = 0;
         let outcome = loop {
-            // One watchdog heartbeat per CEGAR iteration: a request that
-            // stops beating is non-cooperatively stuck, not merely slow.
-            pda_util::heartbeat::beat();
             if self.deadline.expired() {
                 break Outcome::Unresolved(Unresolved::DeadlineExceeded);
             }

@@ -10,7 +10,7 @@
 //! journal is flushed, and [`run_daemon`] returns — the daemon exits 0.
 
 use crate::signal;
-use crate::supervisor::{ConnState, ServeConfig, SolveScope, Supervisor};
+use crate::supervisor::{ConnState, ServeConfig, Supervisor};
 use pda_lang::{CallId, MethodId, Program};
 use pda_tracer::{ParamCodec, Query, TracerClient};
 use pda_util::FileSink;
@@ -63,21 +63,8 @@ pub struct DaemonReport {
     pub faults: u64,
     /// Cache generations retired after panics.
     pub quarantines: u64,
-    /// Non-cooperative stalls reclaimed by the watchdog.
-    pub watchdog_fired: u64,
     /// Queries resumed from the journal at startup.
     pub resumed: usize,
-}
-
-/// Adapts a transport's scoped-thread handle to the supervisor's
-/// [`SolveScope`] capability: abandoned watchdog workers park here and
-/// are joined (bounded by their stall) when the transport drains.
-struct ScopeSpawner<'scope, 'env>(&'scope std::thread::Scope<'scope, 'env>);
-
-impl<'scope, 'env> SolveScope<'scope> for ScopeSpawner<'scope, 'env> {
-    fn spawn(&self, f: Box<dyn FnOnce() + Send + 'scope>) {
-        self.0.spawn(f);
-    }
 }
 
 /// Loads the resident state and serves until drained.
@@ -124,7 +111,6 @@ where
         served: sup.served(),
         faults: sup.faults(),
         quarantines: sup.quarantines(),
-        watchdog_fired: sup.watchdog_fired(),
         resumed,
     })
 }
@@ -162,7 +148,7 @@ where
             }
             match listener.accept() {
                 Ok((stream, _addr)) => {
-                    scope.spawn(move || handle_connection(sup, stream, scope));
+                    scope.spawn(move || handle_connection(sup, stream));
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(10));
@@ -175,25 +161,20 @@ where
     });
     let _ = std::fs::remove_file(path);
     println!(
-        "pda-serve: drained (served {} faults {} quarantines {} watchdog {})",
+        "pda-serve: drained (served {} faults {} quarantines {})",
         sup.served(),
         sup.faults(),
-        sup.quarantines(),
-        sup.watchdog_fired()
+        sup.quarantines()
     );
     Ok(())
 }
 
-fn handle_connection<'env, 'scope, 'p, C>(
-    sup: &'env Supervisor<'p, C>,
-    stream: UnixStream,
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-) where
+fn handle_connection<C>(sup: &Supervisor<'_, C>, stream: UnixStream)
+where
     C: TracerClient + Sync,
     C::Param: Send + ParamCodec,
     C::State: Send + Sync,
     C::Prim: Sync + Send,
-    'p: 'env,
 {
     // The timeout bounds how long a drained daemon waits on an idle
     // connection; requests in progress are never interrupted.
@@ -202,12 +183,11 @@ fn handle_connection<'env, 'scope, 'p, C>(
     let mut input = &stream;
     let mut output = &stream;
     let mut conn = ConnState::new(sup.generation());
-    let spawner = ScopeSpawner(scope);
     while let Some(line) = reader.next_line(&mut input, || sup.draining()) {
         if line.trim().is_empty() {
             continue;
         }
-        let reply = sup.handle_line_watched(&mut conn, &line, &spawner);
+        let reply = sup.handle_line(&mut conn, &line);
         if writeln!(output, "{}", reply.text).and_then(|()| output.flush()).is_err() {
             break; // client went away mid-response
         }
@@ -262,30 +242,24 @@ where
     eprintln!("pda-serve: serving stdio ({resumed} resumed)");
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
-    // The scope exists so watchdog workers have somewhere to be
-    // abandoned; scope exit joins any stragglers (bounded by their
-    // stall) before the session returns.
-    std::thread::scope(|scope| {
-        let spawner = ScopeSpawner(scope);
-        let mut conn = ConnState::new(sup.generation());
-        for line in stdin.lock().lines() {
-            let line = line.map_err(|e| ServeError::Io(format!("stdin: {e}")))?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let reply = sup.handle_line_watched(&mut conn, &line, &spawner);
-            {
-                let mut out = stdout.lock();
-                writeln!(out, "{}", reply.text)
-                    .and_then(|()| out.flush())
-                    .map_err(|e| ServeError::Io(format!("stdout: {e}")))?;
-            }
-            if reply.shutdown || sup.draining() || signal::term_requested() {
-                break;
-            }
+    let mut conn = ConnState::new(sup.generation());
+    for line in stdin.lock().lines() {
+        let line = line.map_err(|e| ServeError::Io(format!("stdin: {e}")))?;
+        if line.trim().is_empty() {
+            continue;
         }
-        Ok(())
-    })
+        let reply = sup.handle_line(&mut conn, &line);
+        {
+            let mut out = stdout.lock();
+            writeln!(out, "{}", reply.text)
+                .and_then(|()| out.flush())
+                .map_err(|e| ServeError::Io(format!("stdout: {e}")))?;
+        }
+        if reply.shutdown || sup.draining() || signal::term_requested() {
+            break;
+        }
+    }
+    Ok(())
 }
 
 /// One-shot client helper: connects to a daemon socket, sends one

@@ -47,4 +47,4 @@ pub mod supervisor;
 
 pub use daemon::{request_line, run_daemon, DaemonOptions, DaemonReport, ServeError};
 pub use proto::{parse_request, LineBuilder, Op, Request, Target};
-pub use supervisor::{ConnState, Reply, ServeConfig, SolveScope, Supervisor};
+pub use supervisor::{ConnState, Reply, ServeConfig, Supervisor};

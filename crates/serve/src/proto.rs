@@ -10,11 +10,12 @@
 //! {"op":"health"}
 //! {"op":"solve","query":"q3"}
 //! {"op":"solve","index":4,"deadline_ms":500,"id":"req-17"}
-//! {"op":"solve","index":0,"inject":"panic"}     // --allow-inject only
-//! {"op":"solve","index":0,"inject":"stall:300"} // --allow-inject only
 //! {"op":"batch"}
 //! {"op":"shutdown"}
 //! ```
+//!
+//! A key the op does not read is a `bad_request`, so a misspelled or
+//! retired field never passes as a plain request.
 //!
 //! Responses always carry `"ok"` (`"true"`/`"false"` — the codec has no
 //! booleans), `"op"`, and `"generation"`, plus the echoed `"id"` when the
@@ -44,14 +45,6 @@ pub enum Op {
         target: Target,
         /// Per-request wall-clock deadline override, in milliseconds.
         deadline_ms: Option<u64>,
-        /// Deliberate first-attempt panic (`"inject":"panic"`), honored
-        /// only when the daemon was started with `--allow-inject`.
-        inject_panic: bool,
-        /// Deliberate first-attempt *non-cooperative* stall of this many
-        /// milliseconds (`"inject":"stall:MS"`, default 500): the worker
-        /// sleeps without polling any deadline, exercising the watchdog.
-        /// Honored only under `--allow-inject`.
-        inject_stall_ms: Option<u64>,
     },
     /// Run every resident query through the checkpointed batch driver.
     Batch,
@@ -72,15 +65,17 @@ pub enum Target {
 ///
 /// # Errors
 ///
-/// A human-readable reason for malformed lines, unknown ops, and
-/// ill-typed fields; the daemon maps it to a `bad_request` response.
+/// A human-readable reason for malformed lines, unknown ops, keys the op
+/// does not read, and ill-typed fields; the daemon maps it to a
+/// `bad_request` response.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let fields = parse_json_line(line).ok_or_else(|| "malformed json line".to_string())?;
     let id = fields.get("id").cloned();
-    let op = match fields.get("op").map(String::as_str) {
-        Some("health") => Op::Health,
-        Some("batch") => Op::Batch,
-        Some("shutdown") => Op::Shutdown,
+    // Each op with the keys it reads besides `op` and `id`.
+    let (op, reads): (Op, &[&str]) = match fields.get("op").map(String::as_str) {
+        Some("health") => (Op::Health, &[]),
+        Some("batch") => (Op::Batch, &[]),
+        Some("shutdown") => (Op::Shutdown, &[]),
         Some("solve") => {
             let target = match (fields.get("query"), fields.get("index")) {
                 (Some(label), None) => Target::Label(label.clone()),
@@ -96,22 +91,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 }
                 None => None,
             };
-            let (inject_panic, inject_stall_ms) = match fields.get("inject").map(String::as_str) {
-                None => (false, None),
-                Some("panic") => (true, None),
-                Some("stall") => (false, Some(500)),
-                Some(s) => match s.strip_prefix("stall:") {
-                    Some(ms) => {
-                        (false, Some(ms.parse().map_err(|_| format!("bad inject `{s}`"))?))
-                    }
-                    None => return Err(format!("unknown inject `{s}`")),
-                },
-            };
-            Op::Solve { target, deadline_ms, inject_panic, inject_stall_ms }
+            (Op::Solve { target, deadline_ms }, &["query", "index", "deadline_ms"])
         }
         Some(other) => return Err(format!("unknown op `{other}`")),
         None => return Err("missing `op`".into()),
     };
+    let unread = fields.keys().filter(|k| !matches!(k.as_str(), "op" | "id"));
+    if let Some(key) = unread.filter(|k| !reads.contains(&k.as_str())).min() {
+        return Err(format!("unknown field `{key}`"));
+    }
     Ok(Request { id, op })
 }
 
@@ -170,37 +158,19 @@ mod tests {
             parse_request("{\"op\":\"solve\",\"query\":\"q1\",\"id\":\"a\"}"),
             Ok(Request {
                 id: Some("a".into()),
-                op: Op::Solve {
-                    target: Target::Label("q1".into()),
-                    deadline_ms: None,
-                    inject_panic: false,
-                    inject_stall_ms: None,
-                },
+                op: Op::Solve { target: Target::Label("q1".into()), deadline_ms: None },
             })
         );
         assert_eq!(
-            parse_request("{\"op\":\"solve\",\"index\":3,\"deadline_ms\":250,\"inject\":\"panic\"}"),
+            parse_request("{\"op\":\"solve\",\"index\":3,\"deadline_ms\":250}"),
             Ok(Request {
                 id: None,
-                op: Op::Solve {
-                    target: Target::Index(3),
-                    deadline_ms: Some(250),
-                    inject_panic: true,
-                    inject_stall_ms: None,
-                },
+                op: Op::Solve { target: Target::Index(3), deadline_ms: Some(250) },
             })
         );
         assert_eq!(
-            parse_request("{\"op\":\"solve\",\"index\":0,\"inject\":\"stall:250\"}"),
-            Ok(Request {
-                id: None,
-                op: Op::Solve {
-                    target: Target::Index(0),
-                    deadline_ms: None,
-                    inject_panic: false,
-                    inject_stall_ms: Some(250),
-                },
-            })
+            parse_request("{\"op\":\"shutdown\",\"id\":\"bye\"}"),
+            Ok(Request { id: Some("bye".into()), op: Op::Shutdown })
         );
         for bad in [
             "not json",
@@ -209,10 +179,25 @@ mod tests {
             "{\"op\":\"solve\"}",
             "{\"op\":\"solve\",\"index\":\"x\"}",
             "{\"op\":\"solve\",\"index\":1,\"query\":\"q\"}",
-            "{\"op\":\"solve\",\"index\":1,\"inject\":\"flood\"}",
-            "{\"op\":\"solve\",\"index\":1,\"inject\":\"stall:soon\"}",
+            "{\"op\":\"solve\",\"index\":1,\"deadline_ms\":\"soon\"}",
         ] {
             assert!(parse_request(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    /// A key the op does not read is refused by name: the retired
+    /// `inject` hook and a misspelling both get a `bad_request` instead
+    /// of a silent plain solve, and only `solve` reads solve's keys.
+    #[test]
+    fn keys_the_op_does_not_read_are_rejected() {
+        for (line, key) in [
+            ("{\"op\":\"solve\",\"index\":0,\"inject\":\"panic\"}", "inject"),
+            ("{\"op\":\"solve\",\"index\":0,\"inject\":\"stall:300\"}", "inject"),
+            ("{\"op\":\"solve\",\"index\":0,\"deadline\":500}", "deadline"),
+            ("{\"op\":\"health\",\"index\":0}", "index"),
+            ("{\"op\":\"batch\",\"deadline_ms\":5}", "deadline_ms"),
+        ] {
+            assert_eq!(parse_request(line), Err(format!("unknown field `{key}`")), "{line}");
         }
     }
 

@@ -23,7 +23,9 @@
 //! inside [`isolate`] on [`retry_ladder`], drain their trace through
 //! [`emit_query_trace`], and the journal opens through
 //! [`open_checkpoint`]. What is the daemon's own is the per-attempt
-//! deadline, the injection hooks, the watchdog and the quarantine.
+//! deadline and the quarantine. Faults are injected through the fault
+//! plane, as for the batch: `query.<i>@1=panic` fails query `i`'s first
+//! attempt.
 
 use crate::proto::{parse_request, LineBuilder, Op, Request, Target};
 use pda_lang::{CallId, MethodId, Program};
@@ -33,12 +35,12 @@ use pda_tracer::{
     Outcome, ParamCodec, Query, QueryObs, QueryResult, RetryPolicy, Session, TracerClient,
     TracerConfig, Unresolved,
 };
-use pda_util::{faultplane, heartbeat, Deadline, FileSink, TraceSink};
+use pda_util::{faultplane, Deadline, FileSink, TraceSink};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Daemon-side policy knobs (everything except the transport).
 #[derive(Debug, Clone)]
@@ -53,61 +55,15 @@ pub struct ServeConfig {
     /// Deterministic backoff ladder for transient faults. With
     /// [`RetryPolicy::retry_deadline`] set, deadline hits retry too:
     /// each attempt gets a fresh deadline window, so a request that a
-    /// transient stall (an injected one, a loaded machine) pushed past
-    /// its window can still finish, and forward runs its earlier attempt
-    /// or a sibling completed meanwhile are cache hits.
+    /// transient stall (an injected `stall` fault, a loaded machine)
+    /// pushed past its window can still finish, and forward runs its
+    /// earlier attempt or a sibling completed meanwhile are cache hits.
     pub retry: Option<RetryPolicy>,
-    /// Honor `"inject":"panic"` requests (fault-injection soaks and the
-    /// CI smoke only; never enable for real service).
-    pub allow_inject: bool,
-    /// Watchdog budget for non-cooperative stalls, in milliseconds.
-    /// When set (and the transport provides a [`SolveScope`]), every
-    /// solve attempt runs on its own worker thread whose heartbeat —
-    /// one beat per CEGAR iteration — is monitored; a worker that makes
-    /// no progress for this long is abandoned: the request gets a
-    /// structured `engine_stall` reply, the cache generation is
-    /// quarantined, and [`Supervisor::watchdog_fired`] counts it.
-    /// `None` (the default) runs every attempt inline, as before.
-    pub watchdog_ms: Option<u64>,
-}
-
-/// A capability handed in by the transport: run a closure on a thread
-/// the transport owns (a scoped thread of the accept loop). The
-/// watchdog needs it so a non-cooperatively stalled attempt can be
-/// *abandoned* — the worker keeps sleeping harmlessly inside the
-/// transport's scope — without hanging the connection or the daemon.
-pub trait SolveScope<'env> {
-    /// Runs `f` on a transport-owned thread.
-    fn spawn(&self, f: Box<dyn FnOnce() + Send + 'env>);
-}
-
-/// One watched in-flight request, visible while its worker runs.
-struct Inflight {
-    index: usize,
-    started: Instant,
-    beat: Arc<AtomicU64>,
-}
-
-/// One solve attempt of a request: its query, its own fresh deadline,
-/// and the injection hooks, which spring on the first attempt only.
-#[derive(Clone, Copy)]
-struct Attempt {
-    index: usize,
-    deadline: Deadline,
-    panic: bool,
-    stall_ms: Option<u64>,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig {
-            tracer: TracerConfig::default(),
-            jobs: 1,
-            deadline_ms: None,
-            retry: None,
-            allow_inject: false,
-            watchdog_ms: None,
-        }
+        ServeConfig { tracer: TracerConfig::default(), jobs: 1, deadline_ms: None, retry: None }
     }
 }
 
@@ -130,8 +86,7 @@ impl<P: pda_meta::Primitive> ConnState<P> {
 pub struct Reply {
     /// The JSON response line (no trailing newline).
     pub text: String,
-    /// The handler retired the cache generation (an engine fault or a
-    /// watchdog-reclaimed stall).
+    /// The handler retired the cache generation (an engine fault).
     pub quarantine: bool,
     /// The request asked the daemon to drain and exit.
     pub shutdown: bool,
@@ -164,9 +119,6 @@ pub struct Supervisor<'p, C: TracerClient> {
     served: AtomicU64,
     faults: AtomicU64,
     quarantines: AtomicU64,
-    watchdog_fired: AtomicU64,
-    inflight: Mutex<HashMap<u64, Inflight>>,
-    next_req: AtomicU64,
     drain: Arc<AtomicBool>,
     journal: Mutex<Journal>,
     answered: Mutex<HashMap<usize, QueryResult<C::Param>>>,
@@ -207,9 +159,6 @@ where
             served: AtomicU64::new(0),
             faults: AtomicU64::new(0),
             quarantines: AtomicU64::new(0),
-            watchdog_fired: AtomicU64::new(0),
-            inflight: Mutex::new(HashMap::new()),
-            next_req: AtomicU64::new(0),
             drain: Arc::new(AtomicBool::new(false)),
             journal: Mutex::new(Journal { path: None, writer: None }),
             answered: Mutex::new(HashMap::new()),
@@ -277,47 +226,14 @@ where
         self.quarantines.load(Ordering::SeqCst)
     }
 
-    /// Non-cooperatively stalled requests reclaimed by the watchdog.
-    pub fn watchdog_fired(&self) -> u64 {
-        self.watchdog_fired.load(Ordering::SeqCst)
-    }
-
-    /// Watched requests currently running on worker threads.
-    pub fn inflight(&self) -> usize {
-        self.inflight.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
-    }
-
     /// Flushes and closes the journal writer (end of daemon life).
     pub fn close_journal(&self) {
         self.journal.lock().expect("journal poisoned").writer = None;
     }
 
-    /// Handles one request line against one connection's state. Solve
-    /// attempts run inline on the calling thread: without a transport
-    /// scope to park abandoned workers in, the watchdog cannot engage
-    /// (equivalent to `watchdog_ms: None`).
+    /// Handles one request line against one connection's state; solve
+    /// attempts run on the calling thread.
     pub fn handle_line(&self, conn: &mut ConnState<C::Prim>, line: &str) -> Reply {
-        self.dispatch(conn, line, None)
-    }
-
-    /// Like [`Supervisor::handle_line`], but with a transport-owned
-    /// [`SolveScope`]: when [`ServeConfig::watchdog_ms`] is set, solve
-    /// attempts run on scope threads under heartbeat supervision.
-    pub fn handle_line_watched<'a>(
-        &'a self,
-        conn: &mut ConnState<C::Prim>,
-        line: &str,
-        scope: &dyn SolveScope<'a>,
-    ) -> Reply {
-        self.dispatch(conn, line, Some(scope))
-    }
-
-    fn dispatch<'a>(
-        &'a self,
-        conn: &mut ConnState<C::Prim>,
-        line: &str,
-        scope: Option<&dyn SolveScope<'a>>,
-    ) -> Reply {
         let req = match parse_request(line) {
             Ok(req) => req,
             Err(reason) => {
@@ -345,7 +261,7 @@ where
                 Reply { text, quarantine: false, shutdown: true }
             }
             Op::Batch => Reply::text(self.batch_line(&req)),
-            Op::Solve { .. } => self.solve_reply(conn, &req, scope),
+            Op::Solve { .. } => self.solve_reply(conn, &req),
         }
     }
 
@@ -360,8 +276,6 @@ where
             .num("served", u128::from(self.served()))
             .num("faults", u128::from(self.faults()))
             .num("quarantines", u128::from(self.quarantines()))
-            .num("watchdog_fired", u128::from(self.watchdog_fired()))
-            .num("inflight", self.inflight() as u128)
             .num("faults_injected", u128::from(faultplane::faults_injected()))
             .num("io_faults", u128::from(faultplane::io_faults()))
             .finish()
@@ -439,13 +353,8 @@ where
             .finish()
     }
 
-    fn solve_reply<'a>(
-        &'a self,
-        conn: &mut ConnState<C::Prim>,
-        req: &Request,
-        scope: Option<&dyn SolveScope<'a>>,
-    ) -> Reply {
-        let Op::Solve { target, deadline_ms, inject_panic, inject_stall_ms } = &req.op else {
+    fn solve_reply(&self, conn: &mut ConnState<C::Prim>, req: &Request) -> Reply {
+        let Op::Solve { target, deadline_ms } = &req.op else {
             unreachable!("dispatched on Op::Solve");
         };
         if self.draining() {
@@ -458,13 +367,6 @@ where
             };
             return Reply::text(self.error_line(req, "unknown_query", &detail));
         };
-        if (*inject_panic || inject_stall_ms.is_some()) && !self.config.allow_inject {
-            return Reply::text(self.error_line(
-                req,
-                "inject_forbidden",
-                "daemon started without --allow-inject",
-            ));
-        }
 
         let generation = self.generation();
         if conn.generation != generation {
@@ -473,53 +375,36 @@ where
             conn.icache = InternCache::default();
             conn.generation = generation;
         }
-        if !*inject_panic && inject_stall_ms.is_none() {
-            let hit = self.answered.lock().expect("answered poisoned").get(&index).cloned();
-            if let Some(r) = hit {
-                self.served.fetch_add(1, Ordering::SeqCst);
-                return Reply::text(self.result_line(req, index, &r, generation, true));
-            }
+        let hit = self.answered.lock().expect("answered poisoned").get(&index).cloned();
+        if let Some(r) = hit {
+            self.served.fetch_add(1, Ordering::SeqCst);
+            return Reply::text(self.result_line(req, index, &r, generation, true));
         }
 
         let cache = Arc::clone(&self.cache.lock().expect("cache poisoned"));
         let timeout = deadline_ms.or(self.config.deadline_ms).map(Duration::from_millis);
-        let watchdog = match (scope, self.config.watchdog_ms) {
-            (Some(scope), Some(ms)) => Some((scope, Duration::from_millis(ms.max(1)))),
-            _ => None,
-        };
         let icache = &mut conn.icache;
-        let ladder = retry_ladder(index, self.config.retry.as_ref(), || self.draining(), |n| {
-            // Each attempt gets a fresh deadline: the point of retrying
-            // `DeadlineExceeded` is a fresh budget.
-            let a = Attempt {
-                index,
-                deadline: Deadline::timeout(timeout),
-                panic: *inject_panic && n == 0,
-                stall_ms: inject_stall_ms.filter(|_| n == 0),
-            };
+        let retry = self.config.retry.as_ref();
+        let (result, qobs) = retry_ladder(index, retry, || self.draining(), |_| {
             let mut qobs = QueryObs::new(index as u64, self.trace.is_some(), false);
-            let r = match watchdog {
-                Some((scope, dog)) => self.run_watched(scope, dog, a, &cache, icache, &mut qobs)?,
-                None => self.attempt(a, &cache, icache, &mut qobs),
-            };
-            Ok::<_, String>((r, qobs))
-        });
-        let (result, qobs) = match ladder {
-            Ok(out) => out,
-            Err(detail) => {
-                // The worker is abandoned mid-run. It still holds the
-                // retired generation's cache `Arc` and its own interner,
-                // so nothing it touches can reach a later request. No
-                // retry: a stall consumed a whole watchdog budget already.
-                self.watchdog_fired.fetch_add(1, Ordering::SeqCst);
-                conn.generation = self.quarantine_current();
-                return Reply {
-                    text: self.error_line(req, "engine_stall", &detail),
-                    quarantine: true,
-                    shutdown: false,
-                };
+            let r = isolate(|| {
+                let query = &self.queries[index];
+                Session::new(self.program, self.callees, self.client, query, &self.config.tracer)
+                    // Each attempt gets a fresh deadline: the point of
+                    // retrying `DeadlineExceeded` is a fresh budget.
+                    .within(Deadline::timeout(timeout))
+                    .cache(&cache)
+                    .intern(icache)
+                    .observe(&mut qobs)
+                    .run()
+            });
+            // An attempt that faulted may have unwound mid-mutation of
+            // the interner, so the interner goes down with it.
+            if matches!(r.outcome, Outcome::Unresolved(Unresolved::EngineFault(_))) {
+                *icache = InternCache::default();
             }
-        };
+            (r, qobs)
+        });
 
         let faulted = matches!(result.outcome, Outcome::Unresolved(Unresolved::EngineFault(_)));
         let quarantine = if faulted {
@@ -544,135 +429,6 @@ where
             text: self.result_line(req, index, &result, generation, false),
             quarantine,
             shutdown: false,
-        }
-    }
-
-    /// One solve attempt, on whichever thread runs it: springs the
-    /// attempt's injected stall or panic, then runs the CEGAR session
-    /// inside the shared isolation boundary. An attempt that faulted may
-    /// have unwound mid-mutation of the interner, so the interner goes
-    /// down with it.
-    fn attempt(
-        &self,
-        a: Attempt,
-        cache: &ForwardCache<'p, C::State>,
-        icache: &mut InternCache<C::Prim>,
-        qobs: &mut QueryObs,
-    ) -> QueryResult<C::Param> {
-        if let Some(ms) = a.stall_ms {
-            // Deliberately non-cooperative: no deadline poll, no
-            // heartbeat — exactly what the watchdog hunts. With no
-            // watchdog this simply blocks the connection.
-            std::thread::sleep(Duration::from_millis(ms));
-        }
-        let r = isolate(|| {
-            if a.panic {
-                panic!("injected fault (solve op)");
-            }
-            Session::new(
-                self.program,
-                self.callees,
-                self.client,
-                &self.queries[a.index],
-                &self.config.tracer,
-            )
-            .within(a.deadline)
-            .cache(cache)
-            .intern(icache)
-            .observe(qobs)
-            .run()
-        });
-        if matches!(r.outcome, Outcome::Unresolved(Unresolved::EngineFault(_))) {
-            *icache = InternCache::default();
-        }
-        r
-    }
-
-    /// [`Supervisor::attempt`] on a transport-scope worker thread,
-    /// supervised by the heartbeat monitor. The worker borrows nothing
-    /// from the caller: the interner and `qobs` move to it and come back
-    /// with the result. `Err` is a detected non-cooperative stall (the
-    /// detail string) — the worker was abandoned, its interner with it.
-    fn run_watched<'a>(
-        &'a self,
-        scope: &dyn SolveScope<'a>,
-        watchdog: Duration,
-        a: Attempt,
-        cache: &Arc<ForwardCache<'p, C::State>>,
-        icache: &mut InternCache<C::Prim>,
-        qobs: &mut QueryObs,
-    ) -> Result<QueryResult<C::Param>, String> {
-        let qid = self.next_req.fetch_add(1, Ordering::Relaxed);
-        let beat = Arc::new(AtomicU64::new(0));
-        self.inflight.lock().unwrap_or_else(std::sync::PoisonError::into_inner).insert(
-            qid,
-            Inflight { index: a.index, started: Instant::now(), beat: Arc::clone(&beat) },
-        );
-        let (tx, rx) = mpsc::channel();
-        scope.spawn(Box::new({
-            let cache = Arc::clone(cache);
-            let beat = Arc::clone(&beat);
-            let mut icache = std::mem::take(icache);
-            let mut qobs = std::mem::replace(qobs, QueryObs::untraced());
-            move || {
-                let _hb = heartbeat::install_heartbeat(beat);
-                let r = self.attempt(a, &cache, &mut icache, &mut qobs);
-                // The monitor may have abandoned us; a dead receiver is
-                // fine — result and interner die with this thread.
-                let _ = tx.send((r, icache, qobs));
-            }
-        }));
-        // Heartbeat monitor: while the counter keeps moving the request
-        // is slow but alive; once it freezes for a whole watchdog
-        // budget the attempt is declared non-cooperatively stalled.
-        let slice = (watchdog / 4).max(Duration::from_millis(1));
-        let mut last_beat = 0u64;
-        let mut last_progress = Instant::now();
-        loop {
-            match rx.recv_timeout(slice) {
-                Ok((r, worker_icache, worker_qobs)) => {
-                    self.inflight
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .remove(&qid);
-                    *icache = worker_icache;
-                    *qobs = worker_qobs;
-                    return Ok(r);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    let t = beat.load(Ordering::Relaxed);
-                    if t != last_beat {
-                        last_beat = t;
-                        last_progress = Instant::now();
-                    } else if last_progress.elapsed() >= watchdog {
-                        let detail = {
-                            let mut map = self
-                                .inflight
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            let f = map.remove(&qid).expect("inflight entry");
-                            format!(
-                                "query {} made no progress for {}ms (running {}ms, {} heartbeats)",
-                                f.index,
-                                watchdog.as_millis(),
-                                f.started.elapsed().as_millis(),
-                                f.beat.load(Ordering::Relaxed),
-                            )
-                        };
-                        return Err(detail);
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    // The worker died without sending (its send is
-                    // unconditional, so this is a scope failure); treat
-                    // it exactly like a stall.
-                    self.inflight
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .remove(&qid);
-                    return Err(format!("query {} worker vanished", a.index));
-                }
-            }
         }
     }
 

@@ -100,9 +100,9 @@ impl Deadline {
     /// restores whatever was ambient before.
     ///
     /// Solve entry points install their per-query/per-attempt deadline
-    /// here so out-of-band sleepers — injected `stall` faults, the
-    /// `Fault::Stall` client — can poll it and cut a sleep short, even
-    /// though they sit outside the limit-struct plumbing.
+    /// here so out-of-band sleepers — injected `stall` faults — can poll
+    /// it and cut a sleep short, even though they sit outside the
+    /// limit-struct plumbing.
     #[must_use = "the ambient scope ends when the guard drops"]
     pub fn enter_ambient(self) -> AmbientDeadlineGuard {
         let prev = AMBIENT.with(|c| c.replace(self));

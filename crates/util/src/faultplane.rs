@@ -72,6 +72,11 @@ pub enum FaultAction {
     ShortWrite,
 }
 
+/// Every action [`FaultPlan::parse`] accepts, spelled as the usage
+/// shows it: `MS` is a number of milliseconds, `[:KIND]` an optional
+/// error kind.
+pub const ACTIONS: [&str; 5] = ["panic", "stall:MS", "ioerr[:KIND]", "abort", "shortwrite"];
+
 /// One armed entry: fire `action` at the `hit`-th visit (0 = every
 /// visit).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,7 +111,7 @@ impl FaultPlan {
                 .split_once('=')
                 .ok_or_else(|| format!("`{entry}`: expected point[@hit]=action"))?;
             let action = parse_action(action).ok_or_else(|| {
-                format!("`{entry}`: unknown action `{action}` (panic|stall:MS|ioerr[:KIND]|abort|shortwrite)")
+                format!("`{entry}`: unknown action `{action}` ({})", ACTIONS.join("|"))
             })?;
             let (point, hit) = match target.split_once('@') {
                 None => (target, 0),
@@ -457,6 +462,13 @@ mod tests {
             ["nope", "x@0=panic", "x@z=panic", "x@1=explode", "x@1=stall:", "=panic", "seed:1"]
         {
             assert!(FaultPlan::parse(bad).is_err(), "{bad} should be rejected");
+        }
+        // Every listed action parses, with and without its option.
+        for action in ACTIONS {
+            let action = action.replace("MS", "5");
+            for spelled in [action.replace("[:KIND]", ""), action.replace("[:KIND]", ":perm")] {
+                assert!(parse_action(&spelled).is_some(), "{spelled}");
+            }
         }
     }
 

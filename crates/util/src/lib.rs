@@ -27,8 +27,6 @@
 //!   named seams ([`fault_point`]) armed by a [`FaultPlan`]
 //!   (`--fault-plan`/`PDA_FAULT_PLAN`) that panics, stalls, IO-fails, or
 //!   aborts at exact, reproducible visits.
-//! * [`heartbeat`] — the thread-local progress counter the serve
-//!   watchdog uses to tell a slow request from a non-cooperative stall.
 //! * [`FxHashMap`] — a hash map keyed through [`FxHasher`], a fast,
 //!   unseeded multiply-rotate hasher for the engines' internal id and
 //!   state tables (deterministic iteration order, no DoS resistance),
@@ -51,7 +49,6 @@ mod bitset;
 mod deadline;
 pub mod faultplane;
 mod fxhash;
-pub mod heartbeat;
 mod idx;
 pub mod json;
 mod membudget;
@@ -63,7 +60,6 @@ pub use bitset::BitSet;
 pub use deadline::{AmbientDeadlineGuard, Deadline, DeadlineExceeded};
 pub use faultplane::{fault_point, fault_point_io, FaultFile, FaultPlan};
 pub use fxhash::{fnv1a, fx_hash, FxBuildHasher, FxHashMap, FxHasher};
-pub use heartbeat::{beat, install_heartbeat, HeartbeatGuard};
 pub use idx::IdxVec;
 pub use membudget::parse_bytes;
 pub use obs::{

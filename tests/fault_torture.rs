@@ -3,7 +3,7 @@
 //! then re-run the same workload once per sampled `(seam, hit)` pair
 //! with a fault armed at exactly that visit.
 //!
-//! * **Compute seams** (solver, forward cache, governor, interner) get
+//! * **Compute seams** (per-query `query.<i>`, solver, forward cache) get
 //!   a `panic` arm under the deterministic retry ladder: the fault must
 //!   fire, be absorbed by per-query panic isolation plus one retry, and
 //!   every outcome must stay byte-identical to the fault-free baseline.
@@ -330,6 +330,7 @@ fn every_registered_seam_survives_crash_point_torture() {
     // least one workload — a silently dead fault point is a hole in the
     // torture surface.
     for required in [
+        "query.0",
         "bdd.conjoin",
         "bdd.mincost",
         "cache.slot_fill",

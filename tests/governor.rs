@@ -13,8 +13,8 @@
 //!   RSS, so capped batches are bit-identical across repeats and across
 //!   `jobs ∈ {1, 2, 8}`.
 //! * **Isolation** — a capped query sharing a batch (and its forward
-//!   cache) with unbudgeted copies of itself, or with a panicking query,
-//!   perturbs neither.
+//!   cache) with unbudgeted copies of itself, or with a query that
+//!   panics at its fault-plane seam, perturbs neither.
 //!
 //! The budgets follow the fixture's largest retained estimates at any
 //! boundary: q0 248 636, q1 443 740, q2 248 404 and q3 442 668 bytes.
@@ -22,10 +22,12 @@
 use pda_analysis::PointsTo;
 use pda_escape::EscapeClient;
 use pda_tracer::{
-    faulty_query, lift_query, solve_queries_batch, solve_query, solve_query_logged, BatchConfig,
-    Fault, FaultInjectingClient, Outcome, Query, QueryLimits, QueryResult, TracerConfig,
-    Unresolved,
+    solve_queries_batch, solve_query, solve_query_logged, BatchConfig, Outcome, Query,
+    QueryLimits, QueryResult, TracerConfig, Unresolved,
 };
+use pda_util::faultplane;
+
+include!("own_process.rs");
 
 /// Five of the six allocations escape through `leak`/globals/fields, so
 /// `q1..q3` are impossible at every abstraction — each takes ~30 CEGAR
@@ -224,37 +226,41 @@ fn exhausted_query_does_not_poison_the_shared_forward_cache() {
 
 #[test]
 fn adversarial_faults_under_budget_pressure_stay_isolated() {
-    let fx = Fixture::new();
-    let callees = |c: pda_lang::CallId| fx.pa.callees(c).to_vec();
-    let wrapped = FaultInjectingClient::new(&fx.client);
-    let baseline = fx.solve_all(&TracerConfig::default());
+    in_own_process("adversarial_faults_under_budget_pressure_stay_isolated", || {
+        let fx = Fixture::new();
+        let callees = |c: pda_lang::CallId| fx.pa.callees(c).to_vec();
+        let baseline = fx.solve_all(&TracerConfig::default());
 
-    // Healthy lifted queries, a starved long query, and a panicking query
-    // — all inside one batch.
-    let n = fx.queries().len();
-    for jobs in [1usize, 4] {
-        // Rebuilt per run: a fault's one-shot `fired` latch is per query
-        // *instance*, and a spent trap would solve healthily next time.
-        let mut queries: Vec<_> = fx.queries().into_iter().map(lift_query).collect();
+        // Healthy queries, a starved long query, and a copy of q1 whose
+        // first attempt panics — all inside one batch.
         let qs = fx.queries();
-        queries.push(with_mem_budget(lift_query(qs[3].clone()), EXHAUST_BUDGET));
-        queries.push(faulty_query(qs[1].clone(), Fault::Panic("governed panic".into())));
-
-        let cfg = BatchConfig { jobs, ..BatchConfig::default() };
-        let (results, stats) =
-            solve_queries_batch(&fx.program, &callees, &wrapped, &queries, &cfg);
-        assert_eq!(results.len(), queries.len(), "jobs={jobs}: the batch must complete");
-        for i in 0..n {
-            assert_eq!(key(&results[i]), key(&baseline[i]), "healthy query {i}, jobs={jobs}");
+        let n = qs.len();
+        let mut queries = qs.clone();
+        queries.push(with_mem_budget(qs[3].clone(), EXHAUST_BUDGET));
+        queries.push(qs[1].clone());
+        let seam = format!("query.{}", n + 1);
+        for jobs in [1usize, 4] {
+            // Installing resets the visit counters: every run faults afresh.
+            faultplane::install(&format!("{seam}@1=panic")).unwrap();
+            let cfg = BatchConfig { jobs, ..BatchConfig::default() };
+            let (results, stats) =
+                solve_queries_batch(&fx.program, &callees, &fx.client, &queries, &cfg);
+            faultplane::clear();
+            assert_eq!(results.len(), queries.len(), "jobs={jobs}: the batch must complete");
+            for i in 0..n {
+                assert_eq!(key(&results[i]), key(&baseline[i]), "healthy query {i}, jobs={jobs}");
+            }
+            assert_eq!(results[n].outcome, MEM, "jobs={jobs}");
+            assert_eq!(
+                results[n + 1].outcome,
+                Outcome::Unresolved(Unresolved::EngineFault(format!(
+                    "injected fault at fault point `{seam}`"
+                ))),
+                "jobs={jobs}"
+            );
+            assert_eq!(stats.engine_faults, 1, "jobs={jobs}");
         }
-        assert_eq!(results[n].outcome, MEM, "jobs={jobs}");
-        assert_eq!(
-            results[n + 1].outcome,
-            Outcome::Unresolved(Unresolved::EngineFault("governed panic".into())),
-            "jobs={jobs}"
-        );
-        assert_eq!(stats.engine_faults, 1, "jobs={jobs}");
-    }
+    });
 }
 
 /// The intern cache's share of the estimate, pinned: each fixture query's

@@ -23,16 +23,16 @@ use pda_escape::EscapeClient;
 use pda_lang::{Atom, CallId, MethodId, Program, VarId};
 use pda_meta::{analyze_trace, analyze_trace_interned, restrict, BeamConfig, Formula, InternCache};
 use pda_tracer::{
-    faulty_query, lift_query,
     nullcli::{NullClient, NullPrim},
-    solve_queries_batch, solve_query_logged, AsMeta, BatchConfig, Fault, FaultInjectingClient,
-    Outcome, Query, QueryResult, TracerClient, TracerConfig, Unresolved,
+    solve_queries_batch, solve_query_logged, AsAnalysis, AsMeta, BatchConfig, Outcome, Query,
+    QueryResult, TracerClient, TracerConfig, Unresolved,
 };
 use pda_typestate::{TsMode, TypestateClient};
 use pda_util::BitSet;
 use std::collections::BTreeSet;
 
 include!("corpus.rs");
+include!("break_wp.rs");
 
 /// The bit-identity fingerprint of a result: everything except wall-clock
 /// time and the effort counters.
@@ -114,17 +114,15 @@ fn oracle_replays_the_iteration_that_left_a_query_unresolved() {
     let pa = PointsTo::analyze(&program);
     let callees = |c: CallId| pa.callees(c).to_vec();
     let client = NullClient::new(&program);
-    let wrapped = FaultInjectingClient::new(&client);
     let query = client.query(&program, program.query_by_label("q").unwrap());
+    let healthy = BreakWp { inner: &client, broken: Vec::new() };
+    let broken = BreakWp::for_query(&client, &query);
     let one_fact = TracerConfig {
         rhs_limits: pda_dataflow::RhsLimits { max_facts: 1, ..Default::default() },
         ..TracerConfig::default()
     };
-    for (query, config) in [
-        (lift_query(query.clone()), one_fact),
-        (faulty_query(query, Fault::BreakWp), TracerConfig::default()),
-    ] {
-        let (r, log) = solve_query_logged(&program, &callees, &wrapped, &query, &config);
+    for (wrapped, config) in [(&healthy, one_fact), (&broken, TracerConfig::default())] {
+        let (r, log) = solve_query_logged(&program, &callees, wrapped, &query, &config);
         assert!(
             matches!(
                 r.outcome,
@@ -134,9 +132,54 @@ fn oracle_replays_the_iteration_that_left_a_query_unresolved() {
             r.outcome
         );
         let checked =
-            check_iterations(&program, &callees, &wrapped, &query, &config.beam, &r, &log);
+            check_iterations(&program, &callees, wrapped, &query, &config.beam, &r, &log);
         assert_eq!(checked, Ok(r.iterations), "every iteration, the failing one included");
     }
+}
+
+/// Faulty weakest preconditions are rejected by both meta-kernels: the
+/// CEGAR loop (interned kernel) resolves as a meta failure, and the tree
+/// kernel, replayed on the counterexample of that same failing
+/// iteration, loses the Theorem 3 membership invariant too.
+#[test]
+fn broken_wp_is_rejected_by_both_kernels() {
+    let program =
+        pda_lang::parse_program("fn main() { var x, y; x = null; y = x; query q: local y; }")
+            .unwrap();
+    let pa = PointsTo::analyze(&program);
+    let callees = |c: CallId| pa.callees(c).to_vec();
+    let client = NullClient::new(&program);
+    let query = client.query(&program, program.query_by_label("q").unwrap());
+    let broken = BreakWp::for_query(&client, &query);
+    let config = TracerConfig::default();
+    let (r, log) = solve_query_logged(&program, &callees, &broken, &query, &config);
+    assert!(
+        matches!(r.outcome, Outcome::Unresolved(Unresolved::MetaFailure(_))),
+        "{:?}",
+        r.outcome
+    );
+    // The log ends with the failing iteration: the abstraction it tried,
+    // with nothing learned.
+    assert_eq!(log.len(), r.iterations, "every iteration is logged");
+    let failing = log.last().expect("the failing iteration is logged");
+    assert!(failing.learned.is_none());
+    let p = failing.param.clone();
+    let d0 = broken.initial_state();
+    let run = pda_dataflow::rhs::run(
+        &program,
+        &AsAnalysis(&broken),
+        &p,
+        d0.clone(),
+        &callees,
+        pda_dataflow::RhsLimits::default(),
+    )
+    .expect("forward run fits");
+    let trace = run
+        .witness(query.point, &|d: &_| query.not_q.holds(&p, d))
+        .expect("the failing iteration has a counterexample");
+    let atoms: Vec<_> = trace.iter().map(|s| s.atom).collect();
+    let tree = analyze_trace(&AsMeta(&broken), &p, &d0, &atoms, &query.not_q, &config.beam);
+    assert!(matches!(tree, Err(pda_meta::MetaError::MembershipLost { .. })), "{tree:?}");
 }
 
 #[test]

@@ -1,19 +1,18 @@
 //! Integration tests for fault-tolerant batch execution
-//! (`pda_tracer::batch` + `faultcli` + `resilience`):
+//! (`pda_tracer::batch` + `resilience`):
 //!
-//! * **Fault determinism** — a batch mixing healthy queries with a
-//!   panicking query and a zero-deadline query completes under
-//!   `jobs ∈ {1, 2, 8}`, and every healthy query's result is
-//!   bit-identical (outcome, iterations) to a sequential
-//!   fault-free `solve_query` on the unwrapped client. The injected
-//!   faults themselves are deterministic (panic payloads and zero
-//!   deadlines don't race), so the *entire* result vector agrees across
-//!   job counts.
-//! * **Panic isolation in the forward engine** — a client whose transfer
-//!   function always panics (the fault fires *inside* the shared forward
+//! * **Fault determinism** — a batch mixing healthy queries with a query
+//!   whose first attempt panics (`query.<i>@1=panic` on the fault plane)
+//!   and a zero-deadline query completes under `jobs ∈ {1, 2, 8}`, and
+//!   every healthy query's result is bit-identical (outcome, iterations)
+//!   to a sequential fault-free `solve_query`. The injected faults are
+//!   deterministic, so the *entire* result vector agrees across job
+//!   counts.
+//! * **Panic isolation in the forward engine** — a panic at every
+//!   forward-cache fill (`cache.slot_fill=panic`, inside the shared
 //!   cache's compute closure) still yields a complete batch of
 //!   `EngineFault` results, with no deadlocked cache waiters.
-//! * **Deadlines** — a stalling client primitive plus a per-query
+//! * **Deadlines** — a stall at the query's seam plus a per-query
 //!   timeout resolves as `DeadlineExceeded` instead of hanging.
 //! * **Meta-failure** — an unsound weakest precondition surfaces as
 //!   `Unresolved::MetaFailure` through `solve_query`.
@@ -25,12 +24,14 @@
 
 use pda_analysis::PointsTo;
 use pda_tracer::{
-    faulty_query, lift_query, load_checkpoint, nullcli::NullClient, solve_queries_batch,
-    solve_queries_batch_checkpointed, solve_query, BatchConfig, Fault,
-    FaultInjectingClient, Outcome, Query, QueryLimits, QueryResult, TracerConfig, Unresolved,
+    load_checkpoint, nullcli::NullClient, solve_queries_batch, solve_queries_batch_checkpointed,
+    solve_query, BatchConfig, Outcome, Query, QueryLimits, QueryResult, TracerConfig, Unresolved,
 };
-use pda_util::BitSet;
-use std::time::Duration;
+use pda_util::{faultplane, BitSet};
+use std::time::{Duration, Instant};
+
+include!("break_wp.rs");
+include!("own_process.rs");
 
 const SRC: &str = r#"
     class C {}
@@ -76,108 +77,117 @@ fn key(r: &QueryResult<BitSet>) -> (Outcome<BitSet>, usize) {
     (r.outcome.clone(), r.iterations)
 }
 
+fn injected(point: &str) -> Outcome<BitSet> {
+    Outcome::Unresolved(Unresolved::EngineFault(format!("injected fault at fault point `{point}`")))
+}
+
 #[test]
 fn faulted_batch_is_deterministic_across_job_counts() {
-    let fx = Fixture::new(SRC);
-    let callees = |c: pda_lang::CallId| fx.pa.callees(c).to_vec();
-    let config = TracerConfig::default();
+    in_own_process("faulted_batch_is_deterministic_across_job_counts", || {
+        let fx = Fixture::new(SRC);
+        let callees = |c: pda_lang::CallId| fx.pa.callees(c).to_vec();
+        let config = TracerConfig::default();
 
-    // Fault-free sequential baseline on the *unwrapped* client.
-    let baseline: Vec<_> = fx
-        .queries()
-        .iter()
-        .map(|q| solve_query(&fx.program, &callees, &fx.client, q, &config))
-        .collect();
+        // Fault-free sequential baseline.
+        let plain = fx.queries();
+        let baseline: Vec<_> = plain
+            .iter()
+            .map(|q| solve_query(&fx.program, &callees, &fx.client, q, &config))
+            .collect();
 
-    let wrapped = FaultInjectingClient::new(&fx.client);
-    let healthy = fx.queries().len();
+        // The batch: all four healthy queries, plus a copy of qa whose
+        // first attempt panics and a zero-deadline copy of qc.
+        let healthy = plain.len();
+        let mut queries = plain.clone();
+        queries.push(plain[0].clone());
+        let zero = QueryLimits { timeout: Some(Duration::ZERO), ..QueryLimits::default() };
+        queries.push(plain[2].clone().with_limits(zero));
 
-    let mut per_jobs = Vec::new();
-    for jobs in [1usize, 2, 8] {
-        // The batch: all four healthy queries, plus a panicking copy of
-        // qa and a zero-deadline copy of qc. Rebuilt per run — a fault's
-        // one-shot `fired` latch is per query *instance*, and a spent
-        // trap would solve healthily on the next run.
-        let mut queries: Vec<_> = fx.queries().into_iter().map(lift_query).collect();
-        let qs = fx.queries();
-        queries.push(faulty_query(qs[0].clone(), Fault::Panic("injected panic".into())));
-        queries.push(
-            lift_query(qs[2].clone())
-                .with_limits(QueryLimits { timeout: Some(Duration::ZERO), max_facts: None, mem_budget: None }),
-        );
-        let batch = BatchConfig { tracer: config.clone(), jobs, ..BatchConfig::default() };
-        let (results, stats) =
-            solve_queries_batch(&fx.program, &callees, &wrapped, &queries, &batch);
-        assert_eq!(results.len(), queries.len());
-        assert_eq!(stats.engine_faults, 1, "jobs={jobs}");
-        assert_eq!(stats.deadline_exceeded, 1, "jobs={jobs}");
-        assert_eq!(stats.resumed, 0);
+        let mut per_jobs = Vec::new();
+        for jobs in [1usize, 2, 8] {
+            // Installing resets the visit counters: every run faults afresh.
+            faultplane::install(&format!("query.{healthy}@1=panic")).unwrap();
+            let batch = BatchConfig { tracer: config.clone(), jobs, ..BatchConfig::default() };
+            let (results, stats) =
+                solve_queries_batch(&fx.program, &callees, &fx.client, &queries, &batch);
+            faultplane::clear();
+            assert_eq!(results.len(), queries.len());
+            assert_eq!(stats.engine_faults, 1, "jobs={jobs}");
+            assert_eq!(stats.deadline_exceeded, 1, "jobs={jobs}");
+            assert_eq!(stats.resumed, 0);
 
-        // Healthy queries are bit-identical to the fault-free baseline.
-        for (i, (r, b)) in results.iter().zip(&baseline).enumerate() {
-            assert_eq!(key(r), key(b), "healthy query {i} diverged under jobs={jobs}");
+            // Healthy queries are bit-identical to the fault-free baseline.
+            for (i, (r, b)) in results.iter().zip(&baseline).enumerate() {
+                assert_eq!(key(r), key(b), "healthy query {i} diverged under jobs={jobs}");
+            }
+            // The faulted queries resolved as their injected failures.
+            let seam = format!("query.{healthy}");
+            assert_eq!(results[healthy].outcome, injected(&seam), "jobs={jobs}");
+            assert_eq!(
+                results[healthy + 1].outcome,
+                Outcome::Unresolved(Unresolved::DeadlineExceeded),
+                "jobs={jobs}"
+            );
+            per_jobs.push(results.iter().map(key).collect::<Vec<_>>());
         }
-        // The faulted queries resolved as their injected failures.
-        assert_eq!(
-            results[healthy].outcome,
-            Outcome::Unresolved(Unresolved::EngineFault("injected panic".into())),
-            "jobs={jobs}"
-        );
-        assert_eq!(
-            results[healthy + 1].outcome,
-            Outcome::Unresolved(Unresolved::DeadlineExceeded),
-            "jobs={jobs}"
-        );
-        per_jobs.push(results.iter().map(key).collect::<Vec<_>>());
-    }
-    // Panic payloads and zero deadlines are schedule-independent, so the
-    // whole vector agrees across job counts.
-    assert_eq!(per_jobs[0], per_jobs[1]);
-    assert_eq!(per_jobs[0], per_jobs[2]);
+        // Panic payloads and zero deadlines are schedule-independent, so
+        // the whole vector agrees across job counts.
+        assert_eq!(per_jobs[0], per_jobs[1]);
+        assert_eq!(per_jobs[0], per_jobs[2]);
 
-    // Sanity: the baseline itself resolved decisively.
-    assert!(matches!(baseline[0].outcome, Outcome::Proven { .. }));
-    assert!(matches!(baseline[3].outcome, Outcome::Impossible));
+        // Sanity: the baseline itself resolved decisively.
+        assert!(matches!(baseline[0].outcome, Outcome::Proven { .. }));
+        assert!(matches!(baseline[3].outcome, Outcome::Impossible));
+    });
 }
 
 #[test]
 fn transfer_panic_inside_forward_cache_faults_every_query_without_deadlock() {
-    let fx = Fixture::new(SRC);
-    let callees = |c: pda_lang::CallId| fx.pa.callees(c).to_vec();
-    let bomb = FaultInjectingClient::new(&fx.client).with_transfer_bomb("transfer bomb");
-    let queries: Vec<_> = fx.queries().into_iter().map(lift_query).collect();
-    for jobs in [1usize, 4] {
-        let batch = BatchConfig { tracer: TracerConfig::default(), jobs, ..BatchConfig::default() };
-        let (results, stats) = solve_queries_batch(&fx.program, &callees, &bomb, &queries, &batch);
-        assert_eq!(stats.engine_faults, results.len(), "jobs={jobs}");
-        for (i, r) in results.iter().enumerate() {
-            assert_eq!(
-                r.outcome,
-                Outcome::Unresolved(Unresolved::EngineFault("transfer bomb".into())),
-                "query {i}, jobs={jobs}"
-            );
+    in_own_process("transfer_panic_inside_forward_cache_faults_every_query_without_deadlock", || {
+        let fx = Fixture::new(SRC);
+        let callees = |c: pda_lang::CallId| fx.pa.callees(c).to_vec();
+        let queries = fx.queries();
+        for jobs in [1usize, 4] {
+            // A panic at every fill; the slot guard re-opens each slot, so
+            // no waiter deadlocks.
+            faultplane::install("cache.slot_fill=panic").unwrap();
+            let batch = BatchConfig { jobs, ..BatchConfig::default() };
+            let (results, stats) =
+                solve_queries_batch(&fx.program, &callees, &fx.client, &queries, &batch);
+            faultplane::clear();
+            assert_eq!(stats.engine_faults, results.len(), "jobs={jobs}");
+            for (i, r) in results.iter().enumerate() {
+                assert_eq!(r.outcome, injected("cache.slot_fill"), "query {i}, jobs={jobs}");
+            }
         }
-    }
+    });
 }
 
 #[test]
 fn stalling_client_hits_the_query_deadline() {
-    let fx = Fixture::new(SRC);
-    let callees = |c: pda_lang::CallId| fx.pa.callees(c).to_vec();
-    let wrapped = FaultInjectingClient::new(&fx.client);
-    let q = faulty_query(fx.queries()[0].clone(), Fault::Stall(Duration::from_millis(300)))
-        .with_limits(QueryLimits { timeout: Some(Duration::from_millis(25)), max_facts: None, mem_budget: None });
-    let r = solve_query(&fx.program, &callees, &wrapped, &q, &TracerConfig::default());
-    assert_eq!(r.outcome, Outcome::Unresolved(Unresolved::DeadlineExceeded), "{r:?}");
+    in_own_process("stalling_client_hits_the_query_deadline", || {
+        let fx = Fixture::new(SRC);
+        let callees = |c: pda_lang::CallId| fx.pa.callees(c).to_vec();
+        let limits =
+            QueryLimits { timeout: Some(Duration::from_millis(25)), ..QueryLimits::default() };
+        let q = fx.queries()[0].clone().with_limits(limits);
+        faultplane::install("query.0=stall:1000").unwrap();
+        let started = Instant::now();
+        let r = solve_query(&fx.program, &callees, &fx.client, &q, &TracerConfig::default());
+        let elapsed = started.elapsed();
+        faultplane::clear();
+        assert_eq!(r.outcome, Outcome::Unresolved(Unresolved::DeadlineExceeded), "{r:?}");
+        assert!(elapsed < Duration::from_millis(1000), "the stall ran out ({elapsed:?})");
+    });
 }
 
 #[test]
 fn unsound_wp_is_reported_as_meta_failure() {
     let fx = Fixture::new(SRC);
     let callees = |c: pda_lang::CallId| fx.pa.callees(c).to_vec();
-    let wrapped = FaultInjectingClient::new(&fx.client);
-    let q = faulty_query(fx.queries()[0].clone(), Fault::BreakWp);
-    let r = solve_query(&fx.program, &callees, &wrapped, &q, &TracerConfig::default());
+    let q = fx.queries()[0].clone();
+    let broken = BreakWp::for_query(&fx.client, &q);
+    let r = solve_query(&fx.program, &callees, &broken, &q, &TracerConfig::default());
     let Outcome::Unresolved(Unresolved::MetaFailure(msg)) = &r.outcome else {
         panic!("expected MetaFailure, got {:?}", r.outcome);
     };

@@ -6,11 +6,13 @@
 //!   each other and verdict-identical (outcome, optimum param, cost,
 //!   iterations) to `solve_queries_batch`. The daemon is a transport, not
 //!   a different analysis.
-//! * **Fault injection** — an injected worker panic surfaces as a
-//!   structured `engine_fault` response, quarantines the cache
-//!   generation, and the very next request succeeds on the fresh
-//!   generation; with a retry policy the same injection is absorbed
-//!   without the client ever seeing the fault.
+//! * **Fault injection** — a request whose solve panics at its
+//!   fault-plane seam (`query.<i>@N=panic`) surfaces as a structured
+//!   `engine_fault` response, quarantines the cache generation, and the
+//!   very next request succeeds on the fresh generation; with a retry
+//!   policy the same fault is absorbed without the client ever seeing
+//!   it. The plane is process state, so each of these tests runs in a
+//!   process of its own.
 //! * **Kill and restart** — a daemon killed after finishing some queries
 //!   resumes them all from its journal: no finished query is ever
 //!   re-solved or lost, even with a torn tail from a crash mid-write.
@@ -20,18 +22,18 @@
 use pda_analysis::PointsTo;
 use pda_escape::{EscPrim, EscapeClient};
 use pda_serve::{
-    request_line, run_daemon, ConnState, DaemonOptions, LineBuilder, ServeConfig, SolveScope,
-    Supervisor,
+    request_line, run_daemon, ConnState, DaemonOptions, LineBuilder, ServeConfig, Supervisor,
 };
 use pda_suite::Benchmark;
 use pda_tracer::{
     outcome_tag, solve_queries_batch, BatchConfig, Outcome, ParamCodec, Query, RetryPolicy,
 };
-use pda_util::json::parse_json_line;
+use pda_util::{faultplane, json::parse_json_line};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
 include!("corpus.rs");
+include!("own_process.rs");
 
 /// The seeded suite benchmark the batch smokes use: the first with >= 16
 /// thread-escape access queries (hedc under the default suite), capped to
@@ -189,293 +191,202 @@ impl Fixture {
     }
 }
 
+fn temp_path(stem: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("{stem}-{}", std::process::id()))
+}
+
 #[test]
 fn injected_panic_is_isolated_quarantined_and_survivable() {
-    let fx = Fixture::new();
-    let client = EscapeClient::new(&fx.program);
-    let callees = fx.callees();
-    let (labels, queries) = fx.queries(&client);
-    assert!(!queries.is_empty());
-    let sup = Supervisor::new(
-        &fx.program,
-        &callees,
-        &client,
-        queries,
-        labels,
-        ServeConfig { allow_inject: true, ..ServeConfig::default() },
-    );
-    let mut conn = ConnState::new(sup.generation());
+    in_own_process("injected_panic_is_isolated_quarantined_and_survivable", || {
+        let fx = Fixture::new();
+        let client = EscapeClient::new(&fx.program);
+        let callees = fx.callees();
+        let (mut labels, mut queries) = fx.queries(&client);
+        assert!(!queries.is_empty());
+        // A copy of query 0 whose solve panics in each of the rounds.
+        let bomb = queries.len();
+        labels.push(format!("q{bomb}"));
+        queries.push(queries[0].clone());
+        let sup = Supervisor::new(
+            &fx.program,
+            &callees,
+            &client,
+            queries,
+            labels,
+            ServeConfig::default(),
+        );
+        let mut conn = ConnState::new(sup.generation());
 
-    let inject =
-        LineBuilder::new().str("op", "solve").num("index", 0).str("inject", "panic").finish();
-    let mut healthy_baseline: Option<HashMap<String, String>> = None;
-    const ROUNDS: u64 = 5;
-    for round in 0..ROUNDS {
-        // The injected panic must come back as a structured fault on the
-        // generation it ran under, and retire that generation.
-        let reply = sup.handle_line(&mut conn, &inject);
-        let f = fields(&reply.text);
-        assert_eq!(f["ok"], "false");
-        assert_eq!(f["error"], "engine_fault");
-        assert!(f["detail"].contains("injected fault"), "detail: {}", f["detail"]);
-        assert_eq!(f["generation"], round.to_string());
-        assert_eq!(sup.quarantines(), round + 1, "a fault must quarantine the generation");
-        assert_eq!(sup.generation(), round + 1);
+        const ROUNDS: u64 = 5;
+        let plan: Vec<String> = (1..=ROUNDS).map(|h| format!("query.{bomb}@{h}=panic")).collect();
+        faultplane::install(&plan.join(";")).unwrap();
+        let mut healthy_baseline: Option<HashMap<String, String>> = None;
+        for round in 0..ROUNDS {
+            // The panic must come back as a structured fault on the
+            // generation it ran under, and retire that generation.
+            let reply = sup.handle_line(&mut conn, &solve_line(bomb));
+            let f = fields(&reply.text);
+            assert_eq!(f["ok"], "false");
+            assert_eq!(f["error"], "engine_fault");
+            assert!(f["detail"].contains(&format!("`query.{bomb}`")), "detail: {}", f["detail"]);
+            assert_eq!(f["generation"], round.to_string());
+            assert!(reply.quarantine);
+            assert_eq!(sup.quarantines(), round + 1, "a fault must quarantine the generation");
+            assert_eq!(sup.generation(), round + 1);
 
-        // The daemon keeps serving: the next request lands on the fresh
-        // generation and succeeds.
-        let reply = sup.handle_line(&mut conn, &solve_line(0));
-        let mut f = fields(&reply.text);
-        assert_eq!(sup.quarantines(), round + 1, "a healthy solve must not quarantine");
-        assert_eq!(sup.generation(), round + 1);
-        assert_eq!(f["ok"], "true");
-        assert_eq!(f.remove("generation").unwrap(), (round + 1).to_string());
-        // The first healthy verdict is memoized; later rounds serve it
-        // from memory (verdicts are durable even when caches are not).
-        let resumed = f.remove("resumed").unwrap();
-        assert_eq!(resumed, if round == 0 { "false" } else { "true" });
-        match &healthy_baseline {
-            None => healthy_baseline = Some(f),
-            Some(first) => assert_eq!(&f, first, "verdict drifted across quarantines"),
+            // The daemon keeps serving: the next request lands on the
+            // fresh generation and succeeds.
+            let reply = sup.handle_line(&mut conn, &solve_line(0));
+            let mut f = fields(&reply.text);
+            assert_eq!(sup.quarantines(), round + 1, "a healthy solve must not quarantine");
+            assert_eq!(sup.generation(), round + 1);
+            assert_eq!(f["ok"], "true");
+            assert_eq!(f.remove("generation").unwrap(), (round + 1).to_string());
+            // The first healthy verdict is memoized; later rounds serve it
+            // from memory (verdicts are durable even when caches are not).
+            let resumed = f.remove("resumed").unwrap();
+            assert_eq!(resumed, if round == 0 { "false" } else { "true" });
+            match &healthy_baseline {
+                None => healthy_baseline = Some(f),
+                Some(first) => assert_eq!(&f, first, "verdict drifted across quarantines"),
+            }
         }
-    }
-    assert_eq!(sup.faults(), ROUNDS);
-    assert_eq!(sup.quarantines(), ROUNDS);
-    assert_eq!(sup.served(), ROUNDS);
+        faultplane::clear();
+        assert_eq!(sup.faults(), ROUNDS);
+        assert_eq!(sup.quarantines(), ROUNDS);
+        assert_eq!(sup.served(), ROUNDS);
 
-    let health = sup.handle_line(&mut conn, r#"{"op":"health"}"#);
-    let f = fields(&health.text);
-    assert_eq!(f["ready"], "true");
-    assert_eq!(f["generation"], ROUNDS.to_string());
-    assert_eq!(f["served"], ROUNDS.to_string());
-    assert_eq!(f["faults"], ROUNDS.to_string());
-    assert_eq!(f["quarantines"], ROUNDS.to_string());
+        let health = sup.handle_line(&mut conn, r#"{"op":"health"}"#);
+        let f = fields(&health.text);
+        assert_eq!(f["ready"], "true");
+        assert_eq!(f["generation"], ROUNDS.to_string());
+        assert_eq!(f["served"], ROUNDS.to_string());
+        assert_eq!(f["faults"], ROUNDS.to_string());
+        assert_eq!(f["quarantines"], ROUNDS.to_string());
 
-    // Error paths stay structured too.
-    let f = fields(&sup.handle_line(&mut conn, &solve_line(999)).text);
-    assert_eq!(f["error"], "unknown_query");
-    let f = fields(&sup.handle_line(&mut conn, "not json at all").text);
-    assert_eq!(f["error"], "bad_request");
+        // Error paths stay structured too; the retired `inject` field is
+        // an unknown key, not a silent plain solve.
+        let f = fields(&sup.handle_line(&mut conn, &solve_line(999)).text);
+        assert_eq!(f["error"], "unknown_query");
+        let f = fields(&sup.handle_line(&mut conn, "not json at all").text);
+        assert_eq!(f["error"], "bad_request");
+        let inject = LineBuilder::new().str("op", "solve").num("index", 0).str("inject", "panic");
+        let f = fields(&sup.handle_line(&mut conn, &inject.finish()).text);
+        assert_eq!(f["error"], "bad_request");
+        assert_eq!(sup.served(), ROUNDS, "a rejected request is not served");
+    });
 }
 
 #[test]
 fn fault_injecting_client_soak_never_kills_the_daemon() {
-    use pda_tracer::{
-        faulty_query, lift_query, nullcli::NullClient, solve_query, Fault, TracerConfig,
-    };
+    in_own_process("fault_injecting_client_soak_never_kills_the_daemon", || {
+        use pda_tracer::{nullcli::NullClient, solve_query, TracerConfig};
 
-    let program = pda_lang::parse_program(PROGRAMS[0]).unwrap();
-    let pa = PointsTo::analyze(&program);
-    let callees = |c: pda_lang::CallId| pa.callees(c).to_vec();
-    let client = NullClient::new(&program);
+        let program = pda_lang::parse_program(PROGRAMS[0]).unwrap();
+        let pa = PointsTo::analyze(&program);
+        let callees = |c: pda_lang::CallId| pa.callees(c).to_vec();
+        let client = NullClient::new(&program);
 
-    // Fault-free sequential baseline on the *unwrapped* client: the
-    // reference every healthy daemon response must match bit for bit.
-    let plain: Vec<_> = program
-        .queries
-        .iter_enumerated()
-        .map(|(qid, _)| client.query(&program, qid))
-        .collect();
-    let config = TracerConfig::default();
-    let baseline: Vec<_> =
-        plain.iter().map(|q| solve_query(&program, &callees, &client, q, &config)).collect();
+        // Fault-free sequential baseline: the reference every healthy
+        // daemon response must match bit for bit.
+        let plain: Vec<_> = program
+            .queries
+            .iter_enumerated()
+            .map(|(qid, _)| client.query(&program, qid))
+            .collect();
+        let config = TracerConfig::default();
+        let baseline: Vec<_> =
+            plain.iter().map(|q| solve_query(&program, &callees, &client, q, &config)).collect();
 
-    // The daemon corpus: every healthy query, plus a panicking copy of
-    // query 0 (the fault's one-shot latch fires on first solve).
-    let wrapped = pda_tracer::FaultInjectingClient::new(&client);
-    let healthy = plain.len();
-    let mut queries: Vec<_> = plain.iter().cloned().map(lift_query).collect();
-    queries.push(faulty_query(plain[0].clone(), Fault::Panic("latent bomb".into())));
-    let labels: Vec<String> = (0..queries.len()).map(|i| format!("q{i}")).collect();
+        // The daemon corpus: every healthy query, plus a copy of query 0
+        // whose first solve panics.
+        let healthy = plain.len();
+        let mut queries = plain.clone();
+        queries.push(plain[0].clone());
+        let labels: Vec<String> = (0..queries.len()).map(|i| format!("q{i}")).collect();
 
-    let sup = Supervisor::new(&program, &callees, &wrapped, queries, labels, ServeConfig::default());
-    let mut conn = ConnState::new(sup.generation());
-    let check_healthy = |f: &HashMap<String, String>, i: usize, generation: u64| {
-        let reference = &baseline[i];
-        assert_eq!(f["generation"], generation.to_string(), "query {i} ran on a retired generation");
-        assert_eq!(f["iterations"], reference.iterations.to_string());
-        match &reference.outcome {
-            Outcome::Proven { param, cost } => {
-                assert_eq!(f["outcome"], "proven");
-                assert_eq!(f["param"], param.encode_param(), "query {i} diverged from the driver");
-                assert_eq!(f["cost"], cost.to_string());
+        let sup =
+            Supervisor::new(&program, &callees, &client, queries, labels, ServeConfig::default());
+        let mut conn = ConnState::new(sup.generation());
+        let check_healthy = |f: &HashMap<String, String>, i: usize, generation: u64| {
+            let reference = &baseline[i];
+            assert_eq!(f["generation"], generation.to_string(), "query {i} on a retired generation");
+            assert_eq!(f["iterations"], reference.iterations.to_string());
+            match &reference.outcome {
+                Outcome::Proven { param, cost } => {
+                    assert_eq!(f["outcome"], "proven");
+                    assert_eq!(f["param"], param.encode_param(), "query {i} diverged");
+                    assert_eq!(f["cost"], cost.to_string());
+                }
+                Outcome::Impossible => assert_eq!(f["outcome"], "impossible"),
+                Outcome::Unresolved(_) => panic!("baseline query {i} did not resolve"),
             }
-            Outcome::Impossible => assert_eq!(f["outcome"], "impossible"),
-            Outcome::Unresolved(_) => panic!("baseline query {i} did not resolve"),
+        };
+
+        // Healthy request, then the bomb, then more healthy requests: the
+        // panic is one structured fault, everything around it is untouched.
+        faultplane::install(&format!("query.{healthy}@1=panic")).unwrap();
+        check_healthy(&fields(&sup.handle_line(&mut conn, &solve_line(0)).text), 0, 0);
+
+        let reply = sup.handle_line(&mut conn, &solve_line(healthy));
+        let f = fields(&reply.text);
+        assert_eq!(f["error"], "engine_fault");
+        assert!(f["detail"].contains(&format!("`query.{healthy}`")), "detail: {}", f["detail"]);
+        assert!(reply.quarantine);
+
+        // Every post-panic request must run on (and report) the fresh
+        // generation — never the quarantined one.
+        for i in 1..healthy {
+            check_healthy(&fields(&sup.handle_line(&mut conn, &solve_line(i)).text), i, 1);
         }
-    };
+        // The seam's second visit is clean: the copy now solves healthily
+        // and matches the baseline of the query it copied.
+        check_healthy(&fields(&sup.handle_line(&mut conn, &solve_line(healthy)).text), 0, 1);
+        faultplane::clear();
 
-    // Healthy request, then the bomb, then more healthy requests: the
-    // panic is one structured fault, everything around it is untouched.
-    check_healthy(&fields(&sup.handle_line(&mut conn, &solve_line(0)).text), 0, 0);
-
-    let reply = sup.handle_line(&mut conn, &solve_line(healthy));
-    let f = fields(&reply.text);
-    assert_eq!(f["error"], "engine_fault");
-    assert!(f["detail"].contains("latent bomb"), "detail: {}", f["detail"]);
-    assert!(reply.quarantine);
-
-    // Every post-panic request must run on (and report) the fresh
-    // generation — never the quarantined one.
-    for i in 1..healthy {
-        check_healthy(&fields(&sup.handle_line(&mut conn, &solve_line(i)).text), i, 1);
-    }
-    // The bomb's latch is spent: its query now solves healthily too, and
-    // matches the baseline of the query it copied.
-    check_healthy(&fields(&sup.handle_line(&mut conn, &solve_line(healthy)).text), 0, 1);
-
-    assert_eq!(sup.faults(), 1);
-    assert_eq!(sup.quarantines(), 1);
-    assert_eq!(sup.served(), healthy as u64 + 1);
+        assert_eq!(sup.faults(), 1);
+        assert_eq!(sup.quarantines(), 1);
+        assert_eq!(sup.served(), healthy as u64 + 1);
+    });
 }
 
 #[test]
 fn retry_policy_absorbs_an_injected_fault() {
-    let fx = Fixture::new();
-    let client = EscapeClient::new(&fx.program);
-    let callees = fx.callees();
-    let (labels, queries) = fx.queries(&client);
-    let sup = Supervisor::new(
-        &fx.program,
-        &callees,
-        &client,
-        queries,
-        labels,
-        ServeConfig {
-            allow_inject: true,
-            retry: Some(RetryPolicy::deterministic(2)),
-            ..ServeConfig::default()
-        },
-    );
-    let mut conn = ConnState::new(sup.generation());
+    in_own_process("retry_policy_absorbs_an_injected_fault", || {
+        let fx = Fixture::new();
+        let client = EscapeClient::new(&fx.program);
+        let callees = fx.callees();
+        let serve = |config: ServeConfig| {
+            let (labels, queries) = fx.queries(&client);
+            Supervisor::new(&fx.program, &callees, &client, queries, labels, config)
+        };
 
-    // The injection fires only on attempt 0; the retry ladder re-runs the
-    // query and the client sees a clean verdict, never the fault.
-    let inject =
-        LineBuilder::new().str("op", "solve").num("index", 0).str("inject", "panic").finish();
-    let reply = sup.handle_line(&mut conn, &inject);
-    let f = fields(&reply.text);
-    assert_eq!(f["ok"], "true", "retry must absorb the fault: {}", reply.text);
-    assert_eq!(f["retries"], "1");
-    assert!(!reply.quarantine, "an absorbed fault must not quarantine");
-    assert_eq!(sup.faults(), 0);
-    assert_eq!(sup.quarantines(), 0);
-    assert_eq!(sup.served(), 1);
-
-    // Injection is an opt-in test hook: a daemon without --allow-inject
-    // refuses it outright.
-    let (labels, queries) = fx.queries(&client);
-    let sup_locked =
-        Supervisor::new(&fx.program, &callees, &client, queries, labels, ServeConfig::default());
-    let mut conn = ConnState::new(sup_locked.generation());
-    let f = fields(&sup_locked.handle_line(&mut conn, &inject).text);
-    assert_eq!(f["error"], "inject_forbidden");
-}
-
-/// Adapts a test-local `std::thread::scope` into the supervisor's
-/// [`SolveScope`] capability, exactly as the daemon transports do.
-struct TestScope<'scope, 'env>(&'scope std::thread::Scope<'scope, 'env>);
-
-impl<'scope, 'env> SolveScope<'scope> for TestScope<'scope, 'env> {
-    fn spawn(&self, f: Box<dyn FnOnce() + Send + 'scope>) {
-        self.0.spawn(f);
-    }
-}
-
-#[test]
-fn watchdog_reclaims_a_non_cooperative_stall_and_the_daemon_keeps_serving() {
-    const WATCHDOG_MS: u64 = 100;
-    const STALL_MS: u64 = 2_000;
-
-    let fx = Fixture::new();
-    let client = EscapeClient::new(&fx.program);
-    let callees = fx.callees();
-    let (labels, queries) = fx.queries(&client);
-    assert!(!queries.is_empty());
-    let sup = Supervisor::new(
-        &fx.program,
-        &callees,
-        &client,
-        queries,
-        labels,
-        ServeConfig {
-            allow_inject: true,
-            watchdog_ms: Some(WATCHDOG_MS),
-            // Retries are on, yet a reclaimed stall ends the ladder at
-            // once: it must come back as `engine_stall`, not be retried.
-            retry: Some(RetryPolicy::deterministic(2)),
-            ..ServeConfig::default()
-        },
-    );
-
-    std::thread::scope(|scope| {
-        let spawner = TestScope(scope);
+        // The panic fires only on attempt 0; the retry ladder re-runs the
+        // query and the client sees a clean verdict, never the fault.
+        let retry = Some(RetryPolicy::deterministic(2));
+        let sup = serve(ServeConfig { retry, ..ServeConfig::default() });
         let mut conn = ConnState::new(sup.generation());
-
-        // A healthy watched solve first: the worker heartbeats every
-        // CEGAR iteration, so the watchdog must hold its fire even
-        // though the budget (100ms) is tight for a debug build.
-        let reply = sup.handle_line_watched(&mut conn, &solve_line(0), &spawner);
+        faultplane::install("query.0@1=panic").unwrap();
+        let reply = sup.handle_line(&mut conn, &solve_line(0));
+        faultplane::clear();
         let f = fields(&reply.text);
-        assert_eq!(f["ok"], "true", "healthy watched solve failed: {}", reply.text);
-        assert!(!reply.quarantine);
-        assert_eq!(sup.watchdog_fired(), 0, "watchdog fired on a progressing solve");
-        let healthy = f;
+        assert_eq!(f["ok"], "true", "retry must absorb the fault: {}", reply.text);
+        assert_eq!(f["retries"], "1");
+        assert!(!reply.quarantine, "an absorbed fault must not quarantine");
+        assert_eq!(sup.faults(), 0);
+        assert_eq!(sup.quarantines(), 0);
+        assert_eq!(sup.served(), 1);
 
-        // The non-cooperative stall: the worker sleeps 2s flat, polling
-        // no deadline and beating no heartbeat. The watchdog must
-        // reclaim the request in about 2x its budget — long before the
-        // stall would have ended — and quarantine the generation the
-        // abandoned worker still holds.
-        let inject = LineBuilder::new()
-            .str("op", "solve")
-            .num("index", 0)
-            .str("inject", &format!("stall:{STALL_MS}"))
-            .finish();
-        let started = std::time::Instant::now();
-        let reply = sup.handle_line_watched(&mut conn, &inject, &spawner);
-        let elapsed = started.elapsed();
-        let f = fields(&reply.text);
-        assert_eq!(f["ok"], "false");
-        assert_eq!(f["error"], "engine_stall");
-        assert!(f["detail"].contains("no progress"), "detail: {}", f["detail"]);
-        assert!(reply.quarantine, "a stall must quarantine the generation");
-        assert!(
-            elapsed < std::time::Duration::from_millis(STALL_MS),
-            "watchdog waited out the stall instead of reclaiming it ({elapsed:?})"
-        );
-        assert_eq!(sup.watchdog_fired(), 1);
-        assert_eq!(sup.generation(), 1);
-        assert_eq!(sup.inflight(), 0, "stalled request still counted in-flight");
-
-        // The daemon keeps serving: the next request lands on the fresh
-        // generation and matches the pre-stall verdict.
-        let reply = sup.handle_line_watched(&mut conn, &solve_line(0), &spawner);
-        let mut f = fields(&reply.text);
-        assert!(!reply.quarantine);
-        assert_eq!(f["ok"], "true");
-        assert_eq!(f.remove("generation").unwrap(), "1");
-        // The healthy pre-stall verdict was memoized; the post-stall
-        // solve serves it from memory.
-        assert_eq!(f.remove("resumed").unwrap(), "true");
-        for key in ["outcome", "param", "cost", "iterations"] {
-            if let Some(v) = healthy.get(key) {
-                assert_eq!(&f[key], v, "verdict drifted across the stall for `{key}`");
-            }
-        }
-
-        // The supervision counters surface through `health`.
-        let health = fields(&sup.handle_line(&mut conn, r#"{"op":"health"}"#).text);
-        assert_eq!(health["watchdog_fired"], "1");
-        assert_eq!(health["inflight"], "0");
-        assert_eq!(health["quarantines"], "1");
-        // The abandoned worker parks in this scope until its sleep ends;
-        // scope exit joins it (bounded by the stall).
+        // Without a policy the same fault reaches the client.
+        let sup = serve(ServeConfig::default());
+        let mut conn = ConnState::new(sup.generation());
+        faultplane::install("query.0@1=panic").unwrap();
+        let reply = sup.handle_line(&mut conn, &solve_line(0));
+        faultplane::clear();
+        assert_eq!(fields(&reply.text)["error"], "engine_fault");
+        assert!(reply.quarantine);
+        assert_eq!((sup.faults(), sup.quarantines()), (1, 1));
     });
-}
-
-fn temp_path(stem: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("{stem}-{}", std::process::id()))
 }
 
 #[test]
