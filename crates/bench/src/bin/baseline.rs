@@ -6,7 +6,7 @@
 //! than necessary" — it converges in few iterations but lands on far
 //! more expensive abstractions, and it can never prove impossibility.
 
-use pda_bench::{config_from_env, load_suite_verbose, print_table};
+use pda_bench::{config_from_env, load_suite_verbose, render_table};
 use pda_escape::EscapeClient;
 use pda_suite::ExperimentConfig;
 use pda_tracer::{solve_query, solve_query_coarse, Outcome, TracerConfig};
@@ -61,19 +61,17 @@ fn main() {
         ]);
     }
     println!("\nBaseline: TRACER (optimum) vs coarse refinement (thread-escape)\n");
-    print_table(
-        &[
-            "benchmark",
-            "queries",
-            "opt |p| avg",
-            "coarse |p| avg",
-            "opt iters",
-            "coarse iters",
-            "opt impossible",
-            "coarse gave up",
-        ],
-        &rows,
-    );
+    let header = [
+        "benchmark",
+        "queries",
+        "opt |p| avg",
+        "coarse |p| avg",
+        "opt iters",
+        "coarse iters",
+        "opt impossible",
+        "coarse gave up",
+    ];
+    print!("{}", render_table(&header, &rows));
     println!("\nexpected shape: coarse |p| >> optimum |p|; coarse cannot prove impossibility");
 }
 

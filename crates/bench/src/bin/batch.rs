@@ -45,23 +45,14 @@
 //! counts must match the run's own counters (skipped in deadline mode).
 
 use pda_bench::oracle::check_iterations;
-use pda_bench::{env_usize, escape_batch};
+use pda_bench::{env_usize, escape_batch, outcome_key};
 use pda_escape::EscapeClient;
 use pda_tracer::{
     default_jobs, solve_queries_batch_traced, solve_query_logged, BatchConfig, BatchStats,
-    MetaStats, Outcome, QueryResult, RetryPolicy,
+    MetaStats, QueryResult, RetryPolicy,
 };
 use pda_util::{BitSet, Event, FileSink, TraceSink};
 use std::time::Instant;
-
-fn outcome_key(r: &QueryResult<BitSet>) -> String {
-    let verdict = match &r.outcome {
-        Outcome::Proven { param, cost } => format!("proven |p|={cost} {param}"),
-        Outcome::Impossible => "impossible".into(),
-        Outcome::Unresolved(u) => format!("unresolved {u:?}"),
-    };
-    format!("{verdict} after {} iterations", r.iterations)
-}
 
 fn meta_json(m: &MetaStats) -> String {
     format!(

@@ -8,7 +8,7 @@
 //! tracking through the aliasing the generator plants; buggy uses
 //! (double acquire, double release) are shown impossible.
 
-use pda_bench::{config_from_env, fmt_summary, load_suite_verbose, print_table};
+use pda_bench::{config_from_env, fmt_summary, load_suite_verbose, render_table};
 use pda_suite::run_typestate_automaton;
 
 fn main() {
@@ -30,8 +30,7 @@ fn main() {
         ]);
     }
     println!("\nExtension: type-state with the declared acquire/release automaton\n");
-    print_table(
-        &["benchmark", "queries", "proven", "impossible", "unresolved", "|p| min/max/avg", "time"],
-        &rows,
-    );
+    let header =
+        ["benchmark", "queries", "proven", "impossible", "unresolved", "|p| min/max/avg", "time"];
+    print!("{}", render_table(&header, &rows));
 }

@@ -7,7 +7,7 @@
 //! memory); `k = 5` is the sweet spot. The same tradeoff shows up here as
 //! total time and iteration counts.
 
-use pda_bench::{config_from_env, load_suite_verbose, print_table};
+use pda_bench::{config_from_env, load_suite_verbose, render_table};
 use pda_suite::run_escape;
 
 fn main() {
@@ -33,6 +33,6 @@ fn main() {
         rows.push(cells);
     }
     println!("\nFigure 13: thread-escape wall time by beam width k\n");
-    print_table(&["benchmark", "k=1", "k=5", "k=10"], &rows);
+    print!("{}", render_table(&["benchmark", "k=1", "k=5", "k=10"], &rows));
     println!("\ncells: total time (forward runs, proven/impossible/unresolved)");
 }

@@ -30,21 +30,10 @@
 //! `PDA_REPEATS` takes the fastest of N runs per point (default 1);
 //! `PDA_BENCH_OUT` overrides the output path.
 
-use pda_bench::{env_usize, escape_batch};
+use pda_bench::{env_usize, escape_batch, outcome_key};
 use pda_escape::EscapeClient;
-use pda_tracer::{
-    default_jobs, solve_queries_batch, BatchConfig, BatchStats, Outcome, QueryResult,
-};
+use pda_tracer::{default_jobs, solve_queries_batch, BatchConfig, BatchStats, QueryResult};
 use pda_util::BitSet;
-
-fn outcome_key(r: &QueryResult<BitSet>) -> String {
-    let verdict = match &r.outcome {
-        Outcome::Proven { param, cost } => format!("proven |p|={cost} {param}"),
-        Outcome::Impossible => "impossible".into(),
-        Outcome::Unresolved(u) => format!("unresolved {u:?}"),
-    };
-    format!("{verdict} after {} iterations", r.iterations)
-}
 
 struct Point {
     jobs: usize,

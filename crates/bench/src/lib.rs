@@ -1,17 +1,20 @@
-//! Shared plumbing for the experiment binaries (one per paper
-//! table/figure) and the micro-benchmarks.
+//! Shared plumbing for the experiment binaries and the micro-benchmarks.
 //!
-//! Each binary regenerates one table or figure of the PLDI'13 evaluation:
+//! The binaries regenerate the PLDI'13 evaluation:
 //!
-//! | target   | paper artifact                                     |
-//! |----------|----------------------------------------------------|
-//! | `table1` | benchmark statistics                               |
-//! | `table2` | iterations + running-time summaries                |
-//! | `table3` | cheapest-abstraction sizes for proven queries      |
-//! | `table4` | cheapest-abstraction reuse groups                  |
-//! | `fig12`  | precision buckets (proven/impossible/unresolved)   |
-//! | `fig13`  | effect of the beam width `k` on running time       |
-//! | `fig14`  | distribution of cheapest-abstraction sizes        |
+//! | target          | paper artifact                                         |
+//! |-----------------|--------------------------------------------------------|
+//! | `suite`         | Tables 1–4 and Figures 12 and 14, from one solve       |
+//! | `fig13`         | effect of the beam width `k` on running time           |
+//! | `baseline`      | optimum vs. coarse refinement (Section 7)              |
+//! | `ext_automaton` | type-state with a declared automaton (extension)       |
+//!
+//! `suite` solves both analyses once per benchmark and renders every
+//! table from those runs ([`tables`]), each after a `=== <name> ===`
+//! marker: `table1` (benchmark statistics), `fig12` (precision buckets),
+//! `table2` (iterations + running times), `table3` (cheapest-abstraction
+//! sizes), `table4` (reuse groups) and `fig14` (size distribution). One
+//! `batch:` footer over all runs ends the output.
 //!
 //! Scale knobs come from the environment so CI can run a quick pass:
 //! `PDA_MAX_QUERIES` (default 40), `PDA_MAX_ITERS` (default 40),
@@ -22,8 +25,11 @@
 
 use pda_escape::EscapeClient;
 use pda_suite::{AnalysisRun, Benchmark, ExperimentConfig};
+use pda_tracer::{Outcome, QueryResult};
+use pda_util::BitSet;
 
 pub mod oracle;
+pub mod tables;
 
 /// Builds the experiment configuration, honoring the `PDA_MAX_QUERIES`,
 /// `PDA_MAX_ITERS`, `PDA_JOBS`, and `PDA_DEADLINE_MS` environment
@@ -45,25 +51,21 @@ pub fn config_from_env() -> ExperimentConfig {
     cfg
 }
 
-/// Builds the unified [`pda_util::ObsRegistry`] footer registry over all
-/// analysis runs of an invocation: every run's batch registries merged
-/// (throughput, forward-run cache, faults, solver and meta-kernel
-/// counters), with the worker count taken as the largest requested.
-pub fn batch_obs(runs: &[AnalysisRun]) -> pda_util::ObsRegistry {
+/// Builds the `batch:` footer registry over all analysis runs of an
+/// invocation: every run's batch registries merged (throughput,
+/// forward-run cache, faults, solver and meta-kernel counters), with the
+/// worker count taken as the largest requested. It renders in the same
+/// [`pda_util::ObsRegistry::render`] format as the CLI's and the batch
+/// driver's footer.
+pub fn batch_obs<'a>(runs: impl IntoIterator<Item = &'a AnalysisRun>) -> pda_util::ObsRegistry {
     let mut obs = pda_util::ObsRegistry::default();
+    let mut jobs = 1;
     for r in runs {
         obs.merge(&r.obs);
+        jobs = jobs.max(r.jobs);
     }
-    let jobs = runs.iter().map(|r| r.jobs).max().unwrap_or(1);
     obs.set(pda_util::Counter::Jobs, jobs as u64);
     obs
-}
-
-/// Prints the batch-execution footer shared by the experiment binaries —
-/// the same [`pda_util::ObsRegistry::render`] format as the CLI's and the
-/// batch driver's footer.
-pub fn print_batch_stats(runs: &[AnalysisRun]) {
-    println!("\nbatch: {}", batch_obs(runs).render());
 }
 
 /// The environment variable `name` parsed as a `usize`; `None` when it
@@ -91,6 +93,18 @@ pub fn escape_batch() -> (u64, Benchmark, Vec<(pda_lang::PointId, pda_lang::VarI
     (seed, bench, accesses)
 }
 
+/// One query's verdict, cost, abstraction and iteration count as the
+/// stable one-line key the `batch` and `scale` bins compare across runs
+/// and print as their `outcome N:` lines.
+pub fn outcome_key(r: &QueryResult<BitSet>) -> String {
+    let verdict = match &r.outcome {
+        Outcome::Proven { param, cost } => format!("proven |p|={cost} {param}"),
+        Outcome::Impossible => "impossible".into(),
+        Outcome::Unresolved(u) => format!("unresolved {u:?}"),
+    };
+    format!("{verdict} after {} iterations", r.iterations)
+}
+
 /// Loads the full suite, printing progress to stderr.
 pub fn load_suite_verbose() -> Vec<Benchmark> {
     pda_suite::suite()
@@ -112,8 +126,8 @@ pub fn row(cells: &[String], widths: &[usize]) -> String {
         .join("  ")
 }
 
-/// Prints a fixed-width table with a header rule.
-pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
+/// Renders a fixed-width table with a header rule, one line per row.
+pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for r in rows {
         for (i, c) in r.iter().enumerate() {
@@ -121,11 +135,13 @@ pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
         }
     }
     let head: Vec<String> = header.iter().map(|h| h.to_string()).collect();
-    println!("{}", row(&head, &widths));
-    println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+    let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1));
+    let mut out = format!("{}\n{rule}\n", row(&head, &widths));
     for r in rows {
-        println!("{}", row(r, &widths));
+        out.push_str(&row(r, &widths));
+        out.push('\n');
     }
+    out
 }
 
 /// Times `iters` runs of `f` after one warmup run and prints the mean

@@ -19,8 +19,9 @@ use pda_analysis::{PointsTo, Reachability};
 use pda_escape::EscapeClient;
 use pda_meta::BeamConfig;
 use pda_tracer::{
-    default_jobs, emit_query_trace, solve_queries_batch_checkpointed_traced,
-    solve_queries_batch_traced, BatchConfig, Outcome, QueryObs, Session, TracerConfig,
+    default_jobs, emit_query_trace, isolate, retry_ladder, solve_queries_batch_checkpointed_traced,
+    solve_queries_batch_traced, BatchConfig, Outcome, QueryObs, RetryPolicy, Session,
+    TracerConfig,
 };
 use pda_typestate::TypestateClient;
 use pda_util::{FileSink, Idx, ObsRegistry, TraceSink};
@@ -666,6 +667,7 @@ fn solve_report(source: &str, opts: &Options) -> Result<String, CliError> {
         || opts.retry_faults.is_some()
         || sink.is_some()
         || opts.metrics;
+    let retry = opts.retry_faults.map(RetryPolicy::deterministic);
     let mut batch_stats = None;
     let mut batched = Vec::new().into_iter();
     if !queries.is_empty() {
@@ -673,7 +675,7 @@ fn solve_report(source: &str, opts: &Options) -> Result<String, CliError> {
             tracer: config.clone(),
             jobs: opts.jobs,
             timed: opts.metrics,
-            retry: opts.retry_faults.map(pda_tracer::RetryPolicy::deterministic),
+            retry: retry.clone(),
             ..BatchConfig::default()
         };
         let (results, stats) = match &opts.checkpoint {
@@ -737,10 +739,19 @@ fn solve_report(source: &str, opts: &Options) -> Result<String, CliError> {
                         continue;
                     };
                     let query = client.state_query(qid);
-                    let mut qobs = QueryObs::new(next_query, sink.is_some(), opts.metrics);
-                    let r = Session::new(&program, &callees, &client, &query, &config)
-                        .observe(&mut qobs)
-                        .run();
+                    // Panic-isolated and retried like a batch worker's
+                    // query: a fault ends this query unresolved, not the run.
+                    let attempt = |_| {
+                        let mut qobs = QueryObs::new(next_query, sink.is_some(), opts.metrics);
+                        let r = isolate(|| {
+                            Session::new(&program, &callees, &client, &query, &config)
+                                .observe(&mut qobs)
+                                .run()
+                        });
+                        (r, qobs)
+                    };
+                    let (r, qobs) =
+                        retry_ladder(next_query as usize, retry.as_ref(), || false, attempt);
                     if let Some(s) = &sink {
                         emit_query_trace(s, &r, &qobs);
                     }

@@ -41,7 +41,7 @@
 //! [`ParamCodec`]; both real clients (and [`crate::nullcli::NullClient`])
 //! use [`BitSet`] parameters, covered by the impl here.
 
-use crate::batch::{run_batch, BatchConfig, BatchStats, Resume};
+use crate::batch::{outcome_tag, run_batch, BatchConfig, BatchStats, Resume};
 use crate::client::{Query, TracerClient};
 use crate::tracer::{Outcome, QueryResult, Unresolved};
 use pda_lang::{CallId, MethodId, Program};
@@ -158,21 +158,16 @@ fn record_line<P: ParamCodec>(i: usize, r: &QueryResult<P>) -> String {
         ),
         Outcome::Impossible => format!("{{\"i\":{i},\"outcome\":\"impossible\",{tail}}}"),
         Outcome::Unresolved(u) => {
-            let (reason, detail) = match u {
-                Unresolved::IterationBudget => ("iteration_budget", None),
-                Unresolved::AnalysisTooBig => ("too_big", None),
-                Unresolved::MetaFailure(m) => ("meta_failure", Some(m.as_str())),
-                Unresolved::DeadlineExceeded => ("deadline", None),
-                Unresolved::EngineFault(m) => ("engine_fault", Some(m.as_str())),
-                Unresolved::MemBudgetExceeded => ("mem_budget", None),
-                // Total for codec completeness; the batch runner never
-                // offers drained results to the checkpoint sink.
-                Unresolved::Drained => ("drained", None),
+            let detail = match u {
+                Unresolved::MetaFailure(m) | Unresolved::EngineFault(m) => {
+                    format!("\"detail\":\"{}\",", json_escape(m))
+                }
+                _ => String::new(),
             };
-            let detail = detail
-                .map(|d| format!("\"detail\":\"{}\",", json_escape(d)))
-                .unwrap_or_default();
-            format!("{{\"i\":{i},\"outcome\":\"unresolved\",\"reason\":\"{reason}\",{detail}{tail}}}")
+            let reason = outcome_tag(&r.outcome);
+            format!(
+                "{{\"i\":{i},\"outcome\":\"unresolved\",\"reason\":\"{reason}\",{detail}{tail}}}"
+            )
         }
     }
 }

@@ -7,7 +7,7 @@ use crate::bench::Benchmark;
 use pda_dataflow::RhsLimits;
 use pda_escape::EscapeClient;
 use pda_lang::{CallKind, Node, SiteId};
-use pda_meta::{BeamConfig, MetaStats};
+use pda_meta::BeamConfig;
 use pda_tracer::{
     solve_queries_batch, BatchConfig, Outcome, Query, QueryResult, TracerClient, TracerConfig,
 };
@@ -129,19 +129,6 @@ impl AnalysisRun {
         }
     }
 
-    /// Meta-kernel effort counters summed over the run.
-    pub fn meta(&self) -> MetaStats {
-        MetaStats::from_obs(&self.obs)
-    }
-
-    /// Batch throughput in queries per second.
-    pub fn queries_per_sec(&self) -> f64 {
-        if self.wall_micros == 0 {
-            return 0.0;
-        }
-        self.outcomes.len() as f64 * 1e6 / self.wall_micros as f64
-    }
-
     /// `(proven, impossible, unresolved)` counts (Figure 12).
     pub fn precision(&self) -> (usize, usize, usize) {
         let mut p = 0;
@@ -208,14 +195,6 @@ impl AnalysisRun {
     }
 }
 
-fn bucket<P>(outcome: &Outcome<P>) -> Resolution {
-    match outcome {
-        Outcome::Proven { .. } => Resolution::Proven,
-        Outcome::Impossible => Resolution::Impossible,
-        Outcome::Unresolved(_) => Resolution::Unresolved,
-    }
-}
-
 /// Samples at most `max` elements, evenly spaced, preserving order.
 fn sample<T>(mut xs: Vec<T>, max: usize) -> Vec<T> {
     if xs.len() <= max {
@@ -256,6 +235,42 @@ where
     (results, stats.to_obs())
 }
 
+/// Maps one solved query to its table row. `key_prefix` qualifies the
+/// cheapest abstraction for reuse grouping (Table 4): type-state
+/// abstractions are only comparable on the same tracked site.
+fn query_outcome<P: std::fmt::Display>(
+    label: String,
+    r: &QueryResult<P>,
+    key_prefix: &str,
+) -> QueryOutcome {
+    let (resolution, cost, param_key) = match &r.outcome {
+        Outcome::Proven { param, cost } => {
+            (Resolution::Proven, Some(*cost), Some(format!("{key_prefix}{param}")))
+        }
+        Outcome::Impossible => (Resolution::Impossible, None, None),
+        Outcome::Unresolved(_) => (Resolution::Unresolved, None, None),
+    };
+    QueryOutcome { label, resolution, iterations: r.iterations, micros: r.micros, cost, param_key }
+}
+
+fn analysis_run(
+    bench: &Benchmark,
+    analysis: &'static str,
+    cfg: &ExperimentConfig,
+    start: Instant,
+    outcomes: Vec<QueryOutcome>,
+    obs: ObsRegistry,
+) -> AnalysisRun {
+    AnalysisRun {
+        benchmark: bench.name.clone(),
+        analysis,
+        outcomes,
+        wall_micros: start.elapsed().as_micros(),
+        jobs: cfg.jobs.max(1),
+        obs,
+    }
+}
+
 /// Runs the thread-escape analysis over a benchmark: one query per
 /// instance-field access in reachable application code (Section 6),
 /// solved as one batch with shared forward runs.
@@ -275,29 +290,39 @@ pub fn run_escape(bench: &Benchmark, cfg: &ExperimentConfig) -> AnalysisRun {
     let outcomes = results
         .iter()
         .zip(&accesses)
-        .map(|(r, &(point, var))| QueryOutcome {
-            label: format!("pc{}:{}", point.index(), bench.program.var_name(var)),
-            resolution: bucket(&r.outcome),
-            iterations: r.iterations,
-            micros: r.micros,
-            cost: match &r.outcome {
-                Outcome::Proven { cost, .. } => Some(*cost),
-                _ => None,
-            },
-            param_key: match &r.outcome {
-                Outcome::Proven { param, .. } => Some(format!("{param}")),
-                _ => None,
-            },
+        .map(|(r, &(point, var))| {
+            query_outcome(format!("pc{}:{}", point.index(), bench.program.var_name(var)), r, "")
         })
         .collect();
-    AnalysisRun {
-        benchmark: bench.name.clone(),
-        analysis: "thread-escape",
-        outcomes,
-        wall_micros: start.elapsed().as_micros(),
-        jobs: cfg.jobs.max(1),
-        obs,
+    analysis_run(bench, "thread-escape", cfg, start, outcomes, obs)
+}
+
+/// The `(call point, site)` pairs of a benchmark's reachable application
+/// code: every virtual call whose method `keep_method` accepts, paired
+/// with up to `cfg.sites_per_call` sites its receiver may point to that
+/// `keep_site` accepts, sampled to `cfg.max_queries`.
+fn virtual_call_points(
+    bench: &Benchmark,
+    cfg: &ExperimentConfig,
+    keep_method: impl Fn(pda_lang::NameId) -> bool,
+    keep_site: impl Fn(SiteId) -> bool,
+) -> Vec<(pda_lang::PointId, SiteId)> {
+    let mut out = Vec::new();
+    for m in bench.app_methods() {
+        for (_, node) in bench.program.methods[m].cfg.iter() {
+            let Node::Call(c) = node.kind else { continue };
+            let call = &bench.program.calls[c];
+            let CallKind::Virtual { recv, method } = call.kind else { continue };
+            if !keep_method(method) {
+                continue;
+            }
+            let sites = bench.pa.pts_var(recv).iter().map(SiteId::from_usize);
+            for h in sites.filter(|&h| keep_site(h)).take(cfg.sites_per_call) {
+                out.push((call.point, h));
+            }
+        }
     }
+    sample(out, cfg.max_queries)
 }
 
 /// Enumerates the type-state stress queries `(call point, site)` of a
@@ -307,29 +332,45 @@ pub fn typestate_query_points(
     bench: &Benchmark,
     cfg: &ExperimentConfig,
 ) -> Vec<(pda_lang::PointId, SiteId)> {
-    let mut out = Vec::new();
-    for m in bench.app_methods() {
-        for (_, node) in bench.program.methods[m].cfg.iter() {
-            let Node::Call(c) = node.kind else { continue };
-            let call = &bench.program.calls[c];
-            let CallKind::Virtual { recv, method } = call.kind else { continue };
-            if bench.program.names.resolve(method).starts_with("lib_") {
-                continue;
-            }
-            let sites: Vec<SiteId> = bench
-                .pa
-                .pts_var(recv)
-                .iter()
-                .map(SiteId::from_usize)
-                .filter(|&h| bench.is_app_site(h))
-                .take(cfg.sites_per_call)
-                .collect();
-            for h in sites {
-                out.push((call.point, h));
-            }
-        }
+    virtual_call_points(
+        bench,
+        cfg,
+        |method| !bench.program.names.resolve(method).starts_with("lib_"),
+        |h| bench.is_app_site(h),
+    )
+}
+
+/// Solves type-state queries site by site: the points on one tracked
+/// site share one client (`client_for`; `None` skips the site) and one
+/// batch, so they share forward runs.
+fn run_typestate_sites<'b>(
+    bench: &'b Benchmark,
+    cfg: &ExperimentConfig,
+    analysis: &'static str,
+    start: Instant,
+    points: &[(pda_lang::PointId, SiteId)],
+    client_for: impl Fn(SiteId) -> Option<TypestateClient<'b>>,
+) -> AnalysisRun {
+    let mut by_site: BTreeMap<SiteId, Vec<pda_lang::PointId>> = BTreeMap::new();
+    for &(pc, h) in points {
+        by_site.entry(h).or_default().push(pc);
     }
-    sample(out, cfg.max_queries)
+    let callees = bench.callees();
+    let mut outcomes = Vec::new();
+    let mut obs = ObsRegistry::default();
+    for (h, pcs) in by_site {
+        let Some(client) = client_for(h) else { continue };
+        let queries: Vec<Query<pda_typestate::TsPrim>> =
+            pcs.iter().map(|&pc| client.stress_query(pc)).collect();
+        let (results, site_obs) = solve_all(&bench.program, &callees, &client, &queries, cfg);
+        obs.merge(&site_obs);
+        let site = bench.program.site_label(h);
+        let key_prefix = format!("h{h}:");
+        outcomes.extend(results.iter().zip(&pcs).map(|(r, pc)| {
+            query_outcome(format!("pc{}@{site}", pc.index()), r, &key_prefix)
+        }));
+    }
+    analysis_run(bench, analysis, cfg, start, outcomes, obs)
 }
 
 /// Runs the type-state analysis (stress property, Section 6) over a
@@ -343,58 +384,13 @@ pub fn run_typestate(bench: &Benchmark, cfg: &ExperimentConfig) -> AnalysisRun {
         .program
         .methods
         .iter()
-        .filter(|m| {
-            bench
-                .program
-                .names
-                .resolve(m.name)
-                .starts_with("lib_")
-        })
+        .filter(|m| bench.program.names.resolve(m.name).starts_with("lib_"))
         .map(|m| m.name)
         .collect();
-    let mut by_site: BTreeMap<SiteId, Vec<pda_lang::PointId>> = BTreeMap::new();
-    for &(pc, h) in &points {
-        by_site.entry(h).or_default().push(pc);
-    }
-    let callees = bench.callees();
-    let mut outcomes = Vec::new();
-    let mut obs = ObsRegistry::default();
-    for (h, pcs) in by_site {
-        let client = TypestateClient::new(
-            &bench.program,
-            &bench.pa,
-            h,
-            TsMode::Stress { skip: skip.clone() },
-        );
-        let queries: Vec<Query<pda_typestate::TsPrim>> =
-            pcs.iter().map(|&pc| client.stress_query(pc)).collect();
-        let (results, site_obs) = solve_all(&bench.program, &callees, &client, &queries, cfg);
-        obs.merge(&site_obs);
-        for (r, &pc) in results.iter().zip(&pcs) {
-            outcomes.push(QueryOutcome {
-                label: format!("pc{}@{}", pc.index(), bench.program.site_label(h)),
-                resolution: bucket(&r.outcome),
-                iterations: r.iterations,
-                micros: r.micros,
-                cost: match &r.outcome {
-                    Outcome::Proven { cost, .. } => Some(*cost),
-                    _ => None,
-                },
-                param_key: match &r.outcome {
-                    Outcome::Proven { param, .. } => Some(format!("h{h}:{param}")),
-                    _ => None,
-                },
-            });
-        }
-    }
-    AnalysisRun {
-        benchmark: bench.name.clone(),
-        analysis: "type-state",
-        outcomes,
-        wall_micros: start.elapsed().as_micros(),
-        jobs: cfg.jobs.max(1),
-        obs,
-    }
+    run_typestate_sites(bench, cfg, "type-state", start, &points, |h| {
+        let mode = TsMode::Stress { skip: skip.clone() };
+        Some(TypestateClient::new(&bench.program, &bench.pa, h, mode))
+    })
 }
 
 /// Runs the type-state analysis in **automaton mode** over the generated
@@ -415,70 +411,15 @@ pub fn run_typestate_automaton(bench: &Benchmark, cfg: &ExperimentConfig) -> Ana
         .iter_enumerated()
         .find(|(_, c)| bench.program.names.resolve(c.name) == "Res")
         .map(|(id, _)| id);
-    let mut points: Vec<(pda_lang::PointId, SiteId)> = Vec::new();
-    for m in bench.app_methods() {
-        for (_, node) in bench.program.methods[m].cfg.iter() {
-            let Node::Call(c) = node.kind else { continue };
-            let call = &bench.program.calls[c];
-            let CallKind::Virtual { recv, method } = call.kind else { continue };
-            if !protocol.contains(&method) {
-                continue;
-            }
-            let sites: Vec<SiteId> = bench
-                .pa
-                .pts_var(recv)
-                .iter()
-                .map(SiteId::from_usize)
-                .filter(|&h| Some(bench.program.sites[h].class) == res_class)
-                .take(cfg.sites_per_call)
-                .collect();
-            for h in sites {
-                points.push((call.point, h));
-            }
-        }
-    }
-    let points = sample(points, cfg.max_queries);
-    let mut by_site: BTreeMap<SiteId, Vec<pda_lang::PointId>> = BTreeMap::new();
-    for &(pc, h) in &points {
-        by_site.entry(h).or_default().push(pc);
-    }
-    let callees = bench.callees();
-    let mut outcomes = Vec::new();
-    let mut obs = ObsRegistry::default();
-    for (h, pcs) in by_site {
-        let Some(client) = TypestateClient::for_declared_automaton(&bench.program, &bench.pa, h)
-        else {
-            continue;
-        };
-        let queries: Vec<Query<pda_typestate::TsPrim>> =
-            pcs.iter().map(|&pc| client.stress_query(pc)).collect();
-        let (results, site_obs) = solve_all(&bench.program, &callees, &client, &queries, cfg);
-        obs.merge(&site_obs);
-        for (r, &pc) in results.iter().zip(&pcs) {
-            outcomes.push(QueryOutcome {
-                label: format!("pc{}@{}", pc.index(), bench.program.site_label(h)),
-                resolution: bucket(&r.outcome),
-                iterations: r.iterations,
-                micros: r.micros,
-                cost: match &r.outcome {
-                    Outcome::Proven { cost, .. } => Some(*cost),
-                    _ => None,
-                },
-                param_key: match &r.outcome {
-                    Outcome::Proven { param, .. } => Some(format!("h{h}:{param}")),
-                    _ => None,
-                },
-            });
-        }
-    }
-    AnalysisRun {
-        benchmark: bench.name.clone(),
-        analysis: "type-state (automaton)",
-        outcomes,
-        wall_micros: start.elapsed().as_micros(),
-        jobs: cfg.jobs.max(1),
-        obs,
-    }
+    let points = virtual_call_points(
+        bench,
+        cfg,
+        |method| protocol.contains(&method),
+        |h| Some(bench.program.sites[h].class) == res_class,
+    );
+    run_typestate_sites(bench, cfg, "type-state (automaton)", start, &points, |h| {
+        TypestateClient::for_declared_automaton(&bench.program, &bench.pa, h)
+    })
 }
 
 #[cfg(test)]

@@ -188,6 +188,53 @@ done
 echo "CLI usage smoke ok: help lists the smokes' flags; --trace --metrics, bogus," \
     "--escalate, seed:, --allow-inject, --watchdog-ms and check --k exit 2"
 
+echo "== CLI fault smoke: a panicking type-state query is isolated =="
+# The CLI unit tests' two-query program. The thread-escape batch runs
+# first, so `localx` is query 0 of the run and `protocol` (type-state)
+# query 1. The fault plane is process state, so each arming gets its
+# own process. A panic at query 1's first attempt must end `protocol`
+# unresolved, leave `localx` proven and exit 0; with one retry the
+# clean run's verdict line comes back.
+cat > target/ci_ts.jay <<'EOF'
+global g;
+class File { fn open(); fn close(); }
+typestate File {
+    init closed;
+    closed -> open -> opened;
+    opened -> close -> closed;
+    opened -> open -> error;
+    closed -> close -> error;
+}
+class Box { field item; }
+fn main() {
+    var f, b, x;
+    f = new File;
+    f.open();
+    f.close();
+    b = new Box;
+    x = new Box;
+    b.item = x;
+    query protocol: state f in { closed };
+    query localx: local x;
+    if (*) { g = b; }
+}
+EOF
+tsolve() { ./target/release/pda solve target/ci_ts.jay "$@" 2> target/ci_ts.err; }
+clean="$(tsolve)"
+rc=0
+faulted="$(tsolve --fault-plan 'query.1@1=panic')" || rc=$?
+echo "$faulted"
+[ "$rc" -eq 0 ] \
+    || { echo "ci: a panicking type-state query made pda solve exit $rc" >&2; exit 1; }
+echo "$faulted" | grep -q '^protocol @ File#0 \[type-state\]: unresolved (engine fault: ' \
+    || { echo "ci: the panicking type-state query did not end as an engine fault" >&2; exit 1; }
+echo "$faulted" | grep -q '^localx \[thread-escape\]: PROVEN' \
+    || { echo "ci: a type-state panic changed the thread-escape verdict" >&2; exit 1; }
+retried="$(tsolve --fault-plan 'query.1@1=panic' --retry-faults 1)"
+diff <(echo "$clean" | grep '^protocol ') <(echo "$retried" | grep '^protocol ') \
+    || { echo "ci: --retry-faults 1 did not restore the clean type-state verdict" >&2; exit 1; }
+echo "CLI fault smoke ok: type-state panic isolated (exit 0), one retry restores the verdict"
+
 echo "== resilience smoke: batch under a 1 ms per-query deadline =="
 # Every query must still produce a result (exit 0) and the starved
 # deadline must surface as DeadlineExceeded rather than a hang or crash.
@@ -341,5 +388,20 @@ misses="$(grep -oE '"cache_misses":[0-9]+' target/ci_scale.json | cut -d: -f2 | 
 [ "$(echo "$misses" | wc -l)" -eq 1 ] && [ "${misses:-0}" -gt 0 ] \
     || { echo "ci: forward runs executed differ across grid points: $(echo $misses)" >&2; exit 1; }
 echo "scaling smoke ok: outcomes identical, workers <= $cores, $misses forward runs at every point, meta ratio ${meta_ratio:-missing}x"
+
+echo "== suite smoke: every table from one small solve =="
+# `suite` solves the seven benchmarks once (here at most 4 queries per
+# analysis and benchmark) and prints Table 1, Figure 12, Tables 2-4 and
+# Figure 14, each after its `=== <name> ===` marker; a panic exits
+# non-zero.
+suite_out="$(PDA_MAX_QUERIES=4 ./target/release/suite)"
+echo "$suite_out"
+for name in table1 fig12 table2 table3 table4 fig14; do
+    [ "$(echo "$suite_out" | grep -c "^=== $name ===\$")" -eq 1 ] \
+        || { echo "ci: suite did not print its $name marker exactly once" >&2; exit 1; }
+done
+echo "$suite_out" | grep -q '^resolved: ' \
+    || { echo "ci: suite printed no resolved: line" >&2; exit 1; }
+echo "suite smoke ok: six table markers once each and a resolved: line"
 
 echo "ci: all checks passed"
